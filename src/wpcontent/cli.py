@@ -24,7 +24,7 @@ from .errors import (
     NumericalBreakdownError,
     UnknownNodeError,
 )
-from .greedy import decay_report, hs_greedy, trace_greedy, trace_payload
+from .greedy import ExtractionStep, decay_report, hs_greedy, trace_greedy, trace_payload
 from .pgm import read_pgm, write_pgm
 from .psdcore import make_psd, matrix_from_json
 from .selftest import DEFAULT_SEED, format_rows, run_selftest
@@ -93,12 +93,6 @@ def cmd_decompose(args) -> int:
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
     weights = cylinder_weights(operator, tree)
     total = weights.source_trace
-    max_gap = 0.0
-    for node in tree.all_nodes():
-        kids = tree.children(node)
-        if kids:
-            gap = abs(weights.mass(node) - sum(weights.mass(k) for k in kids))
-            max_gap = max(max_gap, gap)
     payload = {
         "tree": tree_description(tree),
         "cylinders": weights.to_rows(),
@@ -106,7 +100,7 @@ def cmd_decompose(args) -> int:
             "root_mass": weights.mass(tree.root),
             "trace": total,
             "root_mass_error": abs(weights.mass(tree.root) - total),
-            "max_additivity_gap": max_gap,
+            "max_additivity_gap": weights.max_additivity_gap,
         },
     }
     _write_json(args.report, payload)
@@ -114,6 +108,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     matrix, levels_hint = _load_operator(args)
     operator = make_psd(matrix)
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
@@ -125,17 +121,7 @@ def cmd_greedy(args) -> int:
     payload["summary"] = report["summary"]
     _write_json(args.report, payload)
     if args.csv:
-        columns = [
-            "k",
-            "node",
-            "extracted_trace",
-            "extracted_hs",
-            "remainder_trace",
-            "remainder_hs",
-            "gamma",
-            "bound_trace",
-            "bound_hs",
-        ]
+        columns = ExtractionStep.ROW_FIELDS
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)

@@ -8,13 +8,18 @@ mass = trace of R). Vector energies <x, C_w x> = ||P_w sqrt(R) x||^2
 give per-node densities relative to those weights.
 
 Block trace weights are evaluated through the identity
-tr(sqrt(R) P_w sqrt(R)) = tr(P_w R), which needs no square root; the
-dense-block route is kept as an independent cross-check in tests.
+tr(sqrt(R) P_w sqrt(R)) = tr(P_w R), which needs no square root. All
+depth-n block statistics are segment operations on the packet transform
+W_n (node i owns rows i*s:(i+1)*s, s = d / N_n): block traces are segment
+sums of diag(W_n A W_n^T), block HS norms are the Frobenius norms of its
+diagonal s x s blocks, and vector energies are segment sums of (W_n z)^2.
+The per-node dense route is kept as an independent oracle in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,18 +64,23 @@ class ContentDecomposition:
 
 @dataclass(frozen=True)
 class CylinderWeights:
-    """Masses tr(C_w(R)) for every node up to the tree's max depth."""
+    """Masses tr(C_w(R)) for every node up to the tree's max depth.
+
+    ``max_additivity_gap`` is the largest |mass(w) - sum of child masses|
+    measured when the weights were computed.
+    """
 
     max_depth: int
     source_trace: float
     rows: tuple[tuple[str, int, float], ...]
+    max_additivity_gap: float
+
+    @cached_property
+    def _by_word(self) -> dict[str, float]:
+        return {w: m for w, _, m in self.rows}
 
     def mass(self, node) -> float:
-        word = node.word if isinstance(node, PacketNode) else node
-        for w, _, m in self.rows:
-            if w == word:
-                return m
-        raise KeyError(word)
+        return self._by_word[node.word if isinstance(node, PacketNode) else node]
 
     def by_depth(self, n: int) -> list[tuple[str, float]]:
         return [(word, mass) for word, depth, mass in self.rows if depth == n]
@@ -86,27 +96,32 @@ def _check_dims(r: PsdOperator, tree: PacketTree) -> None:
         )
 
 
-def node_trace_weight(entries: np.ndarray, tree: PacketTree, node: PacketNode) -> float:
-    """tr(P_w A) evaluated through the node basis (no square root)."""
-    b = tree.basis(node)
-    return float(np.sum((b @ entries) * b))
+def _segment_sums(values: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sums of the n_nodes equal contiguous segments along the first axis."""
+    return values.reshape(n_nodes, -1, *values.shape[1:]).sum(axis=1)
 
 
 def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
-    """Block trace weights tr(P_w A) for all depth-n nodes, in node order."""
-    e = as_entries(a)
-    return np.array([node_trace_weight(e, tree, nd) for nd in tree.nodes_at(n)])
+    """Block trace weights tr(P_w A) for all depth-n nodes, in node order.
+
+    Segment sums of diag(W_n A W_n^T), read off as the row sums of
+    (W_n A) * W_n without forming the full product.
+    """
+    w = tree.transform(n)
+    return _segment_sums(np.sum((w @ as_entries(a)) * w, axis=1), len(tree.nodes_at(n)))
 
 
 def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
-    """Squared HS norms of the content blocks, via ||C_w(A)||^2 = ||B A B^T||_F^2."""
-    e = as_entries(a)
-    out = np.empty(len(tree.nodes_at(n)))
-    for i, nd in enumerate(tree.nodes_at(n)):
-        b = tree.basis(nd)
-        blk = b @ e @ b.T
-        out[i] = float(np.sum(blk * blk))
-    return out
+    """Squared HS norms of the content blocks, via ||C_w(A)||^2 = ||B A B^T||_F^2.
+
+    B A B^T is the node's diagonal s x s block of W_n A W_n^T.
+    """
+    w = tree.transform(n)
+    nn = len(tree.nodes_at(n))
+    s = tree.ambient_dim // nn
+    idx = np.arange(nn)
+    blocks = (w @ as_entries(a) @ w.T).reshape(nn, s, nn, s)[idx, :, idx, :]
+    return np.sum(blocks * blocks, axis=(1, 2))
 
 
 def content_operator(
@@ -133,7 +148,7 @@ def depth_decomposition(
     err = float(np.max(np.abs(total - r.matrix)))
     if err > 1e-8 * (1.0 + r_fro):
         raise NumericalBreakdownError(
-            0, f"depth-{n} blocks fail to reconstruct the source: max error {err:.3e}"
+            None, f"depth-{n} blocks fail to reconstruct the source: max error {err:.3e}"
         )
     return ContentDecomposition(n, blocks, trace(r))
 
@@ -145,29 +160,29 @@ def cylinder_weights(r: PsdOperator, tree: PacketTree) -> CylinderWeights:
     nonnegative; the root mass equals trace(R) exactly by construction.
     """
     _check_dims(r, tree)
-    e = r.matrix
-    masses = {}
     rows = []
-    for node in tree.all_nodes():
-        mass = max(node_trace_weight(e, tree, node), 0.0)
-        masses[node.word] = mass
-        rows.append((node.word, node.depth, mass))
+    for n in range(tree.max_depth + 1):
+        masses = np.maximum(trace_scores(r.matrix, tree, n), 0.0).tolist()
+        rows.extend((nd.word, n, m) for nd, m in zip(tree.nodes_at(n), masses))
+    mass = {w: m for w, _, m in rows}
     total = trace(r)
     budget = 1e-9 * (1.0 + abs(total))
-    if abs(masses[tree.root.word] - total) > budget:
+    if abs(mass[tree.root.word] - total) > budget:
         raise NumericalBreakdownError(
-            0, f"root mass {masses[tree.root.word]:.6e} != trace {total:.6e}"
+            None, f"root mass {mass[tree.root.word]:.6e} != trace {total:.6e}"
         )
+    max_gap = 0.0
     for node in tree.all_nodes():
         kids = tree.children(node)
         if not kids:
             continue
-        gap = abs(masses[node.word] - sum(masses[k.word] for k in kids))
+        gap = abs(mass[node.word] - sum(mass[k.word] for k in kids))
         if gap > budget:
             raise NumericalBreakdownError(
-                0, f"cylinder additivity fails at {node.word!r}: gap {gap:.3e}"
+                None, f"cylinder additivity fails at {node.word!r}: gap {gap:.3e}"
             )
-    return CylinderWeights(tree.max_depth, total, tuple(rows))
+        max_gap = max(max_gap, gap)
+    return CylinderWeights(tree.max_depth, total, tuple(rows), max_gap)
 
 
 def vector_weight(r: PsdOperator, tree: PacketTree, x, node: PacketNode) -> float:
@@ -193,12 +208,11 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[Packet
     if vx.shape != (r.dim,):
         raise DimensionMismatchError(f"vector shape {vx.shape} != ({r.dim},)")
     eps = 1e-12 * trace(r)
-    sx = r.sqrt_entries() @ vx
+    nodes = tree.nodes_at(n)
+    mus = trace_scores(r.matrix, tree, n).tolist()
+    nus = _segment_sums((tree.transform(n) @ (r.sqrt_entries() @ vx)) ** 2, len(nodes)).tolist()
     out = {}
-    for node in tree.nodes_at(n):
-        mu = node_trace_weight(r.matrix, tree, node)
-        y = tree.basis(node) @ sx
-        nu = float(y @ y)
+    for node, mu, nu in zip(nodes, mus, nus):
         if mu > eps:
             out[node] = nu / mu
         elif nu > eps:
@@ -213,11 +227,8 @@ def parallelogram_check(r: PsdOperator, tree: PacketTree, x, y, n: int) -> float
     _check_dims(r, tree)
     vx = np.asarray(x, dtype=np.float64)
     vy = np.asarray(y, dtype=np.float64)
-    s = r.sqrt_entries()
-    imgs = [s @ (vx + vy), s @ (vx - vy), s @ vx, s @ vy]
-    worst = 0.0
-    for node in tree.nodes_at(n):
-        b = tree.basis(node)
-        e_sum, e_diff, e_x, e_y = (float(np.sum((b @ z) ** 2)) for z in imgs)
-        worst = max(worst, abs(e_sum + e_diff - 2.0 * e_x - 2.0 * e_y))
-    return worst
+    imgs = r.sqrt_entries() @ np.stack([vx + vy, vx - vy, vx, vy], axis=1)
+    e_sum, e_diff, e_x, e_y = _segment_sums(
+        (tree.transform(n) @ imgs) ** 2, len(tree.nodes_at(n))
+    ).T
+    return float(np.max(np.abs(e_sum + e_diff - 2.0 * e_x - 2.0 * e_y)))

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import hs_scores_squared
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    MalformedInputError,
-    NumericalBreakdownError,
-)
+from .content import hs_scores_squared, trace_scores
+from .errors import ConfigError, DimensionMismatchError, MalformedInputError
 from .psdcore import PsdOperator, SymMatrix, make_psd
 from .tree import PacketNode, PacketTree, build_filter_tree_2d, named_filter
 
@@ -149,13 +144,10 @@ def second_moment(patches: PatchSet) -> PsdOperator:
     return make_psd(SymMatrix((y.T @ y) / y.shape[0]))
 
 
-def block_scores(
-    patches: PatchSet, tree: PacketTree, n: int, validate: bool = False
-) -> BlockScores:
-    """Average depth-n block energies from per-node basis coefficients.
+def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
+    """Average depth-n block energies s_w = tr(P_w R_hat), R_hat = Y^T Y / M.
 
-    With validate=True each score is cross-checked against tr(P_w R_hat)
-    computed from the dense second-moment operator.
+    R_hat is used raw (no PSD clamp), so scoring runs no eigendecomposition.
     """
     m2 = patches.patch_side**2
     if tree.ambient_dim != m2:
@@ -163,22 +155,8 @@ def block_scores(
             f"tree ambient dim {tree.ambient_dim} != patch dim {m2}"
         )
     y = patches.patches
-    nodes = tuple(tree.nodes_at(n))
-    vals = np.empty(len(nodes))
-    for i, nd in enumerate(nodes):
-        coeffs = y @ tree.basis(nd).T
-        vals[i] = float(np.sum(coeffs * coeffs)) / y.shape[0]
-    if validate:
-        rhat = second_moment(patches).matrix
-        for i, nd in enumerate(nodes):
-            b = tree.basis(nd)
-            direct = float(np.sum((b @ rhat) * b))
-            if abs(direct - vals[i]) > 1e-8 * (1.0 + max(abs(direct), abs(vals[i]))):
-                raise NumericalBreakdownError(
-                    0,
-                    f"score cross-check failed at {nd.word!r}: {vals[i]:.6e} vs {direct:.6e}",
-                )
-    return BlockScores(n, nodes, vals)
+    rhat = (y.T @ y) / y.shape[0]
+    return BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
 
 
 def _top_k(nodes, values, k: int) -> list[int]:

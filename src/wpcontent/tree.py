@@ -1,4 +1,11 @@
-"""Packet trees: node words, per-node orthonormal bases, projections.
+"""Packet trees: node words, per-depth packet transforms, projections.
+
+A tree stores one orthogonal d x d matrix W_n per depth n: the depth-n
+node bases stacked in lexicographic node order. The N_n depth-n nodes
+all have the same dimension s = d / N_n, so node i owns the contiguous
+rows i*s:(i+1)*s of W_n, and `basis(node)` is that row-slice view. Every
+depth-n block statistic (block traces, block HS norms, the pinching) is
+a segment operation on W_n A W_n^T or W_n z.
 
 Two realizations are shipped, both dyadic:
 
@@ -6,7 +13,8 @@ Two realizations are shipped, both dyadic:
   where the node at word w and depth n owns the band of size 2**(levels-n)
   starting at offset m(w) * 2**(levels-n) (m(w) = the word read as a binary
   integer). Frequency index k lives at array position k + 2**(levels-1),
-  so projections are exact diagonal 0/1 matrices.
+  so W_n is the identity at every depth (one shared array) and projections
+  are exact diagonal 0/1 matrices.
 * ``filterbank-1d`` / ``filterbank-2d``: orthogonal two-channel filter bank
   iterated along the word (lowpass taps for child 0, highpass for child 1)
   with periodic boundary; 2D uses the separable tensor product on square
@@ -108,19 +116,24 @@ def filter_from_json(obj) -> FilterPair:
 
 
 class PacketTree:
-    """Immutable tree of nodes with orthonormal row bases per node."""
+    """Immutable tree of nodes with one read-only packet transform per depth."""
 
-    __slots__ = ("realization", "ambient_dim", "max_depth", "_levels", "_basis", "_children")
+    __slots__ = (
+        "realization", "ambient_dim", "max_depth", "_levels", "_transforms", "_index", "_children"
+    )
 
-    def __init__(self, realization, ambient_dim, max_depth, levels, basis, children):
+    def __init__(self, realization, ambient_dim, max_depth, levels, transforms, children):
         self.realization = realization
         self.ambient_dim = int(ambient_dim)
         self.max_depth = int(max_depth)
         self._levels = levels
-        self._basis = basis
+        self._transforms = transforms
+        self._index = {
+            nd.word: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)
+        }
         self._children = children
-        for b in basis.values():
-            b.setflags(write=False)
+        for w in transforms:
+            w.setflags(write=False)
 
     @property
     def root(self) -> PacketNode:
@@ -131,15 +144,22 @@ class PacketTree:
             raise InvalidDepthError(f"depth {n} out of range [0, {self.max_depth}]")
         return list(self._levels[n])
 
+    def transform(self, n: int) -> np.ndarray:
+        """W_n: the depth-n node bases stacked in node order, d x d orthogonal."""
+        self.nodes_at(n)  # rejects an out-of-range depth
+        return self._transforms[n]
+
     def has_node(self, node: PacketNode) -> bool:
-        return node.word in self._basis and len(self._levels) > node.depth and node in self._levels[node.depth]
+        return self._index.get(node.word, (None,))[0] == node.depth
 
     def basis(self, node: PacketNode) -> np.ndarray:
-        """Orthonormal rows spanning the node's subspace."""
+        """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
         try:
-            return self._basis[node.word]
+            n, i = self._index[node.word]
         except KeyError:
             raise UnknownNodeError(f"node {node.word!r} is not in this tree") from None
+        s = self.ambient_dim // len(self._levels[n])
+        return self._transforms[n][i * s : (i + 1) * s]
 
     def children(self, node: PacketNode) -> tuple[PacketNode, ...]:
         return self._children.get(node.word, ())
@@ -158,8 +178,18 @@ class PacketTree:
         )
 
 
-def _dyadic_words(n: int) -> list[str]:
-    return ["".join(bits) for bits in product("01", repeat=n)]
+def _dyadic_levels(max_depth: int):
+    """Binary-word levels 0..max_depth in lexicographic order, and child lists."""
+    levels = [
+        [PacketNode("".join(bits), n) for bits in product("01", repeat=n)]
+        for n in range(max_depth + 1)
+    ]
+    children = {
+        nd.word: (PacketNode(nd.word + "0", n + 1), PacketNode(nd.word + "1", n + 1))
+        for n in range(max_depth)
+        for nd in levels[n]
+    }
+    return levels, children
 
 
 def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
@@ -169,19 +199,9 @@ def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
     if not 1 <= max_depth <= levels:
         raise InvalidDepthError(f"max_depth must be in [1, levels={levels}], got {max_depth}")
     dim = 2**levels
-    eye = np.eye(dim)
-    tree_levels, basis, children = [], {}, {}
-    for n in range(max_depth + 1):
-        words = _dyadic_words(n)
-        nodes = [PacketNode(w, n) for w in words]
-        tree_levels.append(nodes)
-        size = 2 ** (levels - n)
-        for w in words:
-            start = int(w, 2) * size if w else 0
-            basis[w] = eye[start : start + size].copy()
-            if n < max_depth:
-                children[w] = (PacketNode(w + "0", n + 1), PacketNode(w + "1", n + 1))
-    return PacketTree("shannon", dim, max_depth, tree_levels, basis, children)
+    tree_levels, children = _dyadic_levels(max_depth)
+    transforms = [np.eye(dim)] * (max_depth + 1)
+    return PacketTree("shannon", dim, max_depth, tree_levels, transforms, children)
 
 
 def _analysis_stage(taps: tuple[float, ...], d: int) -> np.ndarray:
@@ -201,23 +221,15 @@ def build_filter_tree_1d(filters: FilterPair, signal_len: int, depth: int) -> Pa
         raise InvalidDepthError(
             f"2^depth = {2**depth} must divide signal_len = {signal_len}"
         )
-    tree_levels = [[PacketNode("", 0)]]
-    basis = {"": np.eye(signal_len)}
-    children = {}
+    tree_levels, children = _dyadic_levels(depth)
+    transforms = [np.eye(signal_len)]
     for n in range(1, depth + 1):
         d = signal_len // 2 ** (n - 1)
         low = _analysis_stage(filters.h, d)
         high = _analysis_stage(filters.g, d)
-        nodes = []
-        for parent in tree_levels[n - 1]:
-            pb = basis[parent.word]
-            kids = (PacketNode(parent.word + "0", n), PacketNode(parent.word + "1", n))
-            basis[kids[0].word] = low @ pb
-            basis[kids[1].word] = high @ pb
-            children[parent.word] = kids
-            nodes.extend(kids)
-        tree_levels.append(sorted(nodes, key=lambda nd: nd.word))
-    return PacketTree("filterbank-1d", signal_len, depth, tree_levels, basis, children)
+        parents = transforms[-1].reshape(2 ** (n - 1), d, signal_len)
+        transforms.append(np.vstack([f @ pb for pb in parents for f in (low, high)]))
+    return PacketTree("filterbank-1d", signal_len, depth, tree_levels, transforms, children)
 
 
 def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> PacketTree:
@@ -229,22 +241,20 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
     """
     one_d = build_filter_tree_1d(filters, patch_side, depth)
     dim = patch_side * patch_side
-    tree_levels, basis, children = [], {}, {}
+    tree_levels, transforms, children = [], [], {}
     for n in range(depth + 1):
-        words = [nd.word for nd in one_d.nodes_at(n)]
-        nodes = []
-        for row, col in product(words, words):
-            node = PacketNode(f"{row},{col}", n)
-            nodes.append(node)
-            basis[node.word] = np.kron(
-                one_d.basis(PacketNode(row, n)), one_d.basis(PacketNode(col, n))
-            )
-            if n < depth:
-                children[node.word] = tuple(
-                    PacketNode(f"{row}{a},{col}{b}", n + 1) for a in "01" for b in "01"
-                )
+        pairs = list(product(one_d.nodes_at(n), repeat=2))
+        nodes = [PacketNode(f"{row.word},{col.word}", n) for row, col in pairs]
         tree_levels.append(nodes)
-    return PacketTree("filterbank-2d", dim, depth, tree_levels, basis, children)
+        transforms.append(
+            np.vstack([np.kron(one_d.basis(row), one_d.basis(col)) for row, col in pairs])
+        )
+        if n < depth:
+            for node, (row, col) in zip(nodes, pairs):
+                children[node.word] = tuple(
+                    PacketNode(f"{row.word}{a},{col.word}{b}", n + 1) for a in "01" for b in "01"
+                )
+    return PacketTree("filterbank-2d", dim, depth, tree_levels, transforms, children)
 
 
 def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
@@ -359,6 +369,6 @@ class ShannonSymbol:
         if not isinstance(obj, dict) or "levels" not in obj or "r" not in obj:
             raise MalformedInputError('symbol JSON must have "levels" and "r" keys')
         levels = obj["levels"]
-        if not isinstance(levels, int):
+        if not isinstance(levels, int) or isinstance(levels, bool):
             raise MalformedInputError('"levels" must be an integer')
         return ShannonSymbol(levels, obj["r"])

@@ -42,6 +42,22 @@ def spread_vector(tree, n):
         v += tree.basis(nd)[0]
     return v / np.sqrt(len(nodes))
 
+def dense_blocks(a, tree, n):
+    """Per-node route: the compressions B A B^T of every depth-n node basis B."""
+    return [tree.basis(nd) @ a @ tree.basis(nd).T for nd in tree.nodes_at(n)]
+
+
+def dense_pinching(a, tree, n):
+    """Per-node route: sum of P A P over the depth-n projections P = B^T B."""
+    projections = [tree.basis(nd).T @ tree.basis(nd) for nd in tree.nodes_at(n)]
+    return sum(p @ a @ p for p in projections)
+
+
+def dense_coefficient_energies(y, tree, n):
+    """Per-node route: mean over patch rows y of ||y B^T||^2, per depth-n node."""
+    return [float(np.mean(np.sum((y @ tree.basis(nd).T) ** 2, axis=1))) for nd in tree.nodes_at(n)]
+
+
 def block_diagonal_gram(rng, tree, n, dim):
     """PSD operator that commutes with every depth-n projection."""
     g = rng.standard_normal((dim, dim))

@@ -79,6 +79,11 @@ class TestDecompose:
     def test_bad_levels_exits_5(self, matrix_file):
         assert main(["decompose", "--in", matrix_file, "--levels", "4"]) == 5
 
+    def test_boolean_levels_exits_2(self, tmp_path):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"levels": True, "r": [1.0, 2.0]}))
+        assert main(["decompose", "--symbol", str(path)]) == 2
+
 
 class TestGreedy:
     def test_trace_mode_report_and_csv(self, symbol_file, tmp_path):
@@ -102,6 +107,7 @@ class TestGreedy:
             "remainder_hs,gamma,bound_trace,bound_hs"
         )
         assert len(lines) == len(payload["steps"]) + 1
+        assert list(payload["steps"][0]) == lines[0].split(",")  # one step-row schema
 
     def test_hs_mode_block_diagonal_gamma_one(self, tmp_path, rng):
         tree = w.build_shannon_tree(3, 1)
@@ -125,6 +131,12 @@ class TestGreedy:
                      "--report", str(rep)]) == 0
         payload = json.loads(rep.read_text())
         assert payload["steps"] == []
+
+    def test_negative_steps_exits_5(self, matrix_file, tmp_path):
+        rep = tmp_path / "g.json"
+        assert main(["greedy", "--in", matrix_file, "--depth", "1", "--steps", "-3",
+                     "--report", str(rep)]) == 5
+        assert not rep.exists()
 
     def test_filter_tree_modes(self, matrix_file, tmp_path):
         rep = tmp_path / "g.json"

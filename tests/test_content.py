@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wpcontent as w
+from wpcontent.selftest import corrupted_tree_fixture
 
 from helpers import band_positions, geometric_symbol, random_gram
 
@@ -129,6 +130,14 @@ class TestCylinderWeights:
         for node in tree.all_nodes():
             dense = w.content_operator(r, tree, node).trace_weight
             assert cw.mass(node) == pytest.approx(dense, rel=1e-9, abs=1e-12)
+
+    def test_failure_is_not_labelled_with_a_step(self, rng):
+        # the corrupted tree's node "0" misses one row, so additivity fails at the root
+        with pytest.raises(w.NumericalBreakdownError) as exc:
+            w.cylinder_weights(random_gram(rng, 8), corrupted_tree_fixture())
+        assert "cylinder additivity" in str(exc.value)
+        assert "at step" not in str(exc.value)
+        assert exc.value.step is None
 
     def test_zero_operator(self):
         tree = w.build_shannon_tree(3, 2)

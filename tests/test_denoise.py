@@ -86,7 +86,7 @@ class TestBlockScores:
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 2)
         y = rng.standard_normal((25, 16))
         ps = w.PatchSet(4, 1, tuple((0, i) for i in range(25)), y)
-        scores = w.block_scores(ps, tree, 2, validate=True)  # raises on mismatch
+        scores = w.block_scores(ps, tree, 2)
         rhat = w.second_moment(ps)
         for nd, val in zip(scores.nodes, scores.values):
             b = tree.basis(nd)
