@@ -82,9 +82,6 @@ class CylinderWeights:
     def mass(self, node) -> float:
         return self._by_word[node.word if isinstance(node, PacketNode) else node]
 
-    def by_depth(self, n: int) -> list[tuple[str, float]]:
-        return [(word, mass) for word, depth, mass in self.rows if depth == n]
-
     def to_rows(self) -> list[dict]:
         return [{"word": w, "depth": d, "mass": m} for w, d, m in self.rows]
 
@@ -101,14 +98,20 @@ def _segment_sums(values: np.ndarray, n_nodes: int) -> np.ndarray:
     return values.reshape(n_nodes, -1, *values.shape[1:]).sum(axis=1)
 
 
+def _is_identity(w: np.ndarray) -> bool:
+    """Exact test for W_n = I (every depth of the frequency-band tree), to skip products by I."""
+    return np.count_nonzero(w) == len(w) and bool(np.all(w.diagonal() == 1.0))
+
+
 def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
     """Block trace weights tr(P_w A) for all depth-n nodes, in node order.
 
     Segment sums of diag(W_n A W_n^T), read off as the row sums of
     (W_n A) * W_n without forming the full product.
     """
-    w = tree.transform(n)
-    return _segment_sums(np.sum((w @ as_entries(a)) * w, axis=1), len(tree.nodes_at(n)))
+    a, w = as_entries(a), tree.transform(n)
+    diag = np.diagonal(a) if _is_identity(w) else np.sum((w @ a) * w, axis=1)
+    return _segment_sums(diag, len(tree.nodes_at(n)))
 
 
 def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
@@ -116,11 +119,12 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
 
     B A B^T is the node's diagonal s x s block of W_n A W_n^T.
     """
-    w = tree.transform(n)
+    a, w = as_entries(a), tree.transform(n)
     nn = len(tree.nodes_at(n))
     s = tree.ambient_dim // nn
     idx = np.arange(nn)
-    blocks = (w @ as_entries(a) @ w.T).reshape(nn, s, nn, s)[idx, :, idx, :]
+    coords = a if _is_identity(w) else w @ a @ w.T
+    blocks = coords.reshape(nn, s, nn, s)[idx, :, idx, :]
     return np.sum(blocks * blocks, axis=(1, 2))
 
 

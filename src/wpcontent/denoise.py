@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .content import hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
-from .psdcore import PsdOperator, SymMatrix, make_psd
+from .psdcore import PsdOperator, SymMatrix, _positive_first, make_psd
 from .tree import PacketNode, PacketTree, build_filter_tree_2d, named_filter
 
 PSNR_CAP_DB = 99.0
+BAND_ROWS = 16  # anchor rows per band of denoise_image
 
 
 class ImageBuffer:
@@ -105,11 +107,14 @@ class DenoiseConfig:
             raise ConfigError(f"filter must be haar or d4, got {self.filter_name!r}")
 
 
-def _anchors(extent: int, m: int, stride: int) -> list[int]:
-    out = list(range(0, extent - m + 1, stride))
-    if out[-1] != extent - m:
-        out.append(extent - m)
-    return out
+def _anchors(extent: int, m: int, stride: int) -> np.ndarray:
+    """Offsets 0, stride, 2*stride, ... and the flush-to-edge offset extent - m."""
+    return np.unique(np.append(np.arange(0, extent - m + 1, stride), extent - m))
+
+
+def _patches(windows: np.ndarray, rows, cols) -> np.ndarray:
+    """Flattened patches of a sliding-window view at every (row, col) anchor, row-major."""
+    return windows[np.ix_(rows, cols)].reshape(len(rows) * len(cols), -1)
 
 
 def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
@@ -123,17 +128,10 @@ def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
         raise ConfigError(f"patch side {m} exceeds image extent {img.width}x{img.height}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    rows = _anchors(img.height, m, stride)
-    cols = _anchors(img.width, m, stride)
-    positions = []
-    patches = np.empty((len(rows) * len(cols), m * m))
-    i = 0
-    for r in rows:
-        for c in cols:
-            positions.append((r, c))
-            patches[i] = img.pixels[r : r + m, c : c + m].ravel()
-            i += 1
-    return PatchSet(m, stride, tuple(positions), patches)
+    rows = _anchors(img.height, m, stride).tolist()
+    cols = _anchors(img.width, m, stride).tolist()
+    patches = _patches(sliding_window_view(img.pixels, (m, m)), rows, cols)
+    return PatchSet(m, stride, tuple((r, c) for r in rows for c in cols), patches)
 
 
 def second_moment(patches: PatchSet) -> PsdOperator:
@@ -159,21 +157,25 @@ def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
     return BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
 
 
-def _top_k(nodes, values, k: int) -> list[int]:
-    """Indices of the k largest values; ties keep lexicographic node order."""
-    k = min(k, len(nodes))
-    order = np.argsort(-np.asarray(values), kind="stable")
-    return sorted(int(i) for i in order[:k])
+def _choose(tree: PacketTree, n: int, values, k: int):
+    """Top-k depth-n nodes by value, ties in node order: (indices, nodes, their W_n rows)."""
+    nodes = tree.nodes_at(n)
+    idx = sorted(int(i) for i in np.argsort(-np.asarray(values), kind="stable")[:k])
+    segments = tree.transform(n).reshape(len(nodes), -1, tree.ambient_dim)
+    return idx, tuple(nodes[i] for i in idx), segments[idx].reshape(-1, tree.ambient_dim)
 
 
 def select_top_k(scores: BlockScores, k: int, tree: PacketTree) -> Selection:
-    """Top-K scoring nodes and the projection onto their combined span."""
+    """Top-K scoring nodes and the projection onto their combined span, without an eigensolver."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    idx = _top_k(scores.nodes, scores.values, k)
-    chosen = tuple(scores.nodes[i] for i in idx)
-    basis = np.vstack([tree.basis(nd) for nd in chosen])
-    proj = make_psd(SymMatrix(basis.T @ basis))
+    n, d = scores.depth, tree.ambient_dim
+    idx, chosen, basis = _choose(tree, n, scores.values, k)
+    others = np.delete(tree.transform(n).reshape(len(scores.nodes), -1, d), idx, axis=0)
+    # eigenvectors: the chosen rows of W_n (eigenvalue 1), then the other rows (eigenvalue 0)
+    vecs = _positive_first(np.vstack([basis, others.reshape(-1, d)]).T)
+    lam = np.repeat([1.0, 0.0], [len(basis), d - len(basis)])
+    proj = PsdOperator(SymMatrix(basis.T @ basis), lam, vecs, False)
     return Selection(len(chosen), chosen, proj, basis)
 
 
@@ -212,30 +214,40 @@ def denoise_image(
     ranks blocks by the Hilbert-Schmidt norm of the second-moment content
     blocks instead of by s_w; the reported score table and energy fraction
     always refer to the trace scores s_w.
+
+    Two passes over bands of BAND_ROWS anchor rows (patch memory O(band * m^2)):
+    one sums Y_b^T Y_b into R_hat, one projects each band and adds it in with
+    one indexed add per patch offset, in the per-patch loop's anchor order.
     """
     cfg.validate(img.width, img.height)
-    m = cfg.patch_side
+    m, n = cfg.patch_side, cfg.depth
     stride = cfg.effective_stride()
-    tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, cfg.depth)
-    patches = extract_patches(img, m, stride)
-    scores = block_scores(patches, tree, cfg.depth)
+    tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, n)
+    windows = sliding_window_view(img.pixels, (m, m))
+    rows, cols = _anchors(img.height, m, stride), _anchors(img.width, m, stride)
+    bands = [rows[i : i + BAND_ROWS] for i in range(0, len(rows), BAND_ROWS)]
+    gram = np.zeros((m * m, m * m))
+    for rb in bands:
+        y = _patches(windows, rb, cols)
+        gram += y.T @ y
+    rhat = gram / (len(rows) * len(cols))
+    scores = BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
     if cfg.mode == "hs":
-        rhat = second_moment(patches)
-        sel_values = np.sqrt(hs_scores_squared(rhat.matrix, tree, cfg.depth))
+        sel_values = np.sqrt(hs_scores_squared(make_psd(SymMatrix(rhat)).matrix, tree, n))
     else:
         sel_values = scores.values
-    idx = _top_k(scores.nodes, sel_values, cfg.top_k)
-    chosen = tuple(scores.nodes[i] for i in idx)
-    basis = np.vstack([tree.basis(nd) for nd in chosen])
+    idx, chosen, basis = _choose(tree, n, sel_values, cfg.top_k)
 
-    coeffs = patches.patches @ basis.T
-    denoised = coeffs @ basis
-    acc = np.zeros((img.height, img.width))
-    cnt = np.zeros((img.height, img.width))
-    for (r, c), patch in zip(patches.positions, denoised):
-        acc[r : r + m, c : c + m] += patch.reshape(m, m)
-        cnt[r : r + m, c : c + m] += 1.0
-    out = ImageBuffer(acc / cnt)
+    acc = np.zeros(img.height * img.width)  # flat raster: offset (di, dj) is di * width + dj
+    for rb in bands:
+        q = ((_patches(windows, rb, cols) @ basis.T) @ basis).reshape(len(rb), len(cols), m, m)
+        at = rb[:, None] * img.width + cols
+        # offsets descending, so each pixel adds its patches in row-major anchor order
+        for di in range(m - 1, -1, -1):
+            for dj in range(m - 1, -1, -1):
+                acc[at + (di * img.width + dj)] += q[:, :, di, dj]
+    cnt = np.outer(*(np.bincount((a[:, None] + np.arange(m)).ravel()) for a in (rows, cols)))
+    out = ImageBuffer(acc.reshape(cnt.shape) / cnt)
 
     total = scores.total()
     retained = float(np.sum(scores.values[idx]))
@@ -247,7 +259,7 @@ def denoise_image(
         "filter": cfg.filter_name.lower(),
         "mode": cfg.mode,
         "N_n": len(scores.nodes),
-        "patches": len(patches.positions),
+        "patches": len(rows) * len(cols),
         "scores": [{"word": nd.word, "s_w": float(v)} for nd, v in zip(scores.nodes, scores.values)],
         "chosen": [nd.word for nd in chosen],
         "retained_energy_fraction": retained / total if total > 0.0 else 1.0,

@@ -58,18 +58,16 @@ def read_pgm(path) -> ImageBuffer:
     count = width * height
     if magic == b"P5":
         start = end + 1  # single whitespace byte after maxval
-        raw = data[start : start + count]
-        if len(raw) < count:
-            raise MalformedInputError(
-                f"P5 payload too short: {len(raw)} bytes for {count} pixels"
-            )
+        raw = data[start:]
+        if len(raw) != count:
+            raise MalformedInputError(f"P5 payload has {len(raw)} bytes for {count} pixels")
         vals = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
         vals = np.empty(count)
         i = 0
         for tok, _ in toks:
-            if i >= count:
-                break
+            if i == count:
+                raise MalformedInputError(f"P2 payload has more than {count} pixels")
             try:
                 vals[i] = int(tok)
             except ValueError:

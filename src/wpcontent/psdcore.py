@@ -129,11 +129,13 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
         lam, vecs = np.linalg.eigh(as_entries(m))
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError(None, f"eigensolver failed: {exc}") from exc
-    lam = lam[::-1]
-    vecs = vecs[:, ::-1]
+    return lam[::-1], _positive_first(vecs[:, ::-1])
+
+
+def _positive_first(vecs: np.ndarray) -> np.ndarray:
+    """Columns sign-flipped so each first component above 1e-12 in magnitude is positive."""
     first = np.argmax(np.abs(vecs) > _SIGN_EPS, axis=0)
-    signs = np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
-    return lam, vecs * signs
+    return vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def make_psd(m, tol: float | None = None, scale: float | None = None) -> PsdOperator:

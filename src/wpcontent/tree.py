@@ -50,13 +50,6 @@ class PacketNode:
     word: str
     depth: int
 
-    def is_pair(self) -> bool:
-        return "," in self.word
-
-    def pair(self) -> tuple[str, str]:
-        row, _, col = self.word.partition(",")
-        return row, col
-
 
 @dataclass(frozen=True)
 class FilterPair:

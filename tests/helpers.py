@@ -74,3 +74,58 @@ def piecewise_smooth_image(size=64):
     rr = (yy - 0.7 * size) ** 2 + (xx - 0.72 * size) ** 2
     img = np.where(rr < (0.19 * size) ** 2, 0.85, img)
     return w.ImageBuffer(np.clip(img, 0.0, 1.0))
+
+
+def loop_anchors(extent, m, stride):
+    """Anchor offsets 0, stride, 2*stride, ..., plus a flush-to-edge anchor."""
+    out = list(range(0, extent - m + 1, stride))
+    if out[-1] != extent - m:
+        out.append(extent - m)
+    return out
+
+
+def loop_extract_patches(img, m, stride):
+    """Per-patch route: walk the anchor grid row-major and copy one patch per anchor."""
+    rows = loop_anchors(img.height, m, stride)
+    cols = loop_anchors(img.width, m, stride)
+    positions = []
+    patches = np.empty((len(rows) * len(cols), m * m))
+    i = 0
+    for r in rows:
+        for c in cols:
+            positions.append((r, c))
+            patches[i] = img.pixels[r : r + m, c : c + m].ravel()
+            i += 1
+    return w.PatchSet(m, stride, tuple(positions), patches)
+
+
+def loop_denoise(img, cfg, band_rows=None):
+    """Per-patch route of the denoiser: (pixels, chosen words, trace scores).
+
+    Scores come from the unbanded R_hat = Y^T Y / M, the top-K nodes keep
+    node order on ties, and every projected patch is added into the image
+    one at a time in row-major anchor order. The projection (Y B^T) B is one
+    product over all patches, or, with ``band_rows``, one product per group
+    of that many anchor rows.
+    """
+    m, n = cfg.patch_side, cfg.depth
+    tree = w.build_filter_tree_2d(w.named_filter(cfg.filter_name), m, n)
+    ps = loop_extract_patches(img, m, cfg.effective_stride())
+    y = ps.patches
+    rhat = (y.T @ y) / y.shape[0]
+    scores = w.content.trace_scores(rhat, tree, n)
+    if cfg.mode == "hs":
+        rank = w.content.hs_scores_squared(w.make_psd(w.SymMatrix(rhat)).matrix, tree, n)
+    else:
+        rank = scores
+    nodes = tree.nodes_at(n)
+    idx = sorted(np.argsort(-rank, kind="stable")[: cfg.top_k])
+    basis = np.vstack([tree.basis(nodes[i]) for i in idx])
+    step = y.shape[0] if band_rows is None else band_rows * len(loop_anchors(img.width, m, ps.stride))
+    denoised = np.vstack([(y[i : i + step] @ basis.T) @ basis for i in range(0, y.shape[0], step)])
+    acc = np.zeros((img.height, img.width))
+    cnt = np.zeros((img.height, img.width))
+    for (r, c), patch in zip(ps.positions, denoised):
+        acc[r : r + m, c : c + m] += patch.reshape(m, m)
+        cnt[r : r + m, c : c + m] += 1.0
+    return acc / cnt, [nodes[i].word for i in idx], scores

@@ -193,6 +193,20 @@ class TestDenoise:
         assert main(["denoise", "--in", str(bad), "--patch-side", "4", "--depth", "1",
                      "--out", str(tmp_path / "x.pgm")]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        b"P2\n4 4\n255\n" + b" ".join(b"%d" % v for v in range(16)) + b" 7\n",
+        b"P5\n4 4\n255\n" + bytes(range(16)) + b"\x07",
+    ], ids=["p2-trailing-pixel", "p5-trailing-byte"])
+    def test_trailing_pixels_exit_2(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(payload)
+        assert main(["denoise", "--in", str(bad), "--patch-side", "4", "--depth", "1",
+                     "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert "payload" in err and "Traceback" not in err
+        bad.write_bytes(payload[:-2] if payload.startswith(b"P2") else payload[:-1])
+        assert w.read_pgm(bad).pixels.shape == (4, 4)
+
     def test_sigma_adds_noise_deterministically(self, image_files, tmp_path):
         clean, _ = image_files
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

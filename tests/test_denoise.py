@@ -144,6 +144,31 @@ class TestSelection:
             assert np.linalg.norm(p @ row) <= np.linalg.norm(row) + 1e-12
 
 
+    @pytest.mark.parametrize("filt, k", [("haar", 1), ("d4", 5), ("d4", 16)])
+    def test_projection_spectrum_without_eigensolver(self, rng, monkeypatch, filt, k):
+        tree = w.build_filter_tree_2d(w.named_filter(filt), 8, 2)
+        scores = w.BlockScores(2, tuple(tree.nodes_at(2)), rng.uniform(size=16))
+
+        def no_eigh(*_):
+            raise AssertionError("select_top_k ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        sel = w.select_top_k(scores, k, tree)
+        monkeypatch.undo()
+        op = sel.projection
+        r = sel.basis.shape[0]
+        assert r == sum(tree.subspace_dim(nd) for nd in sel.nodes)
+        assert list(op.eigenvalues) == [1.0] * r + [0.0] * (64 - r)
+        vecs = op.eigenvectors
+        assert np.array_equal(np.abs(vecs[:, :r].T), np.abs(sel.basis))
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(64))) <= 1e-12
+        first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(64)]
+        assert np.all(first > 0.0)
+        assert np.max(np.abs((vecs * op.eigenvalues) @ vecs.T - op.matrix)) <= 1e-12
+        lam, _ = w.sym_eigen(op)
+        assert np.max(np.abs(lam - op.eigenvalues)) <= 1e-12
+
+
 class TestPsnrAndNoise:
     def test_psnr_examples(self):
         a = w.ImageBuffer(np.zeros((4, 4)))

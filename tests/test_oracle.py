@@ -10,7 +10,14 @@ import pytest
 
 import wpcontent as w
 
-from helpers import dense_blocks, dense_coefficient_energies, dense_pinching, random_gram
+from helpers import (
+    dense_blocks,
+    dense_coefficient_energies,
+    dense_pinching,
+    loop_denoise,
+    loop_extract_patches,
+    random_gram,
+)
 
 
 ORACLE_TREES = {
@@ -74,7 +81,72 @@ class TestPacketScoresMatchDenseRoute:
             assert close(got, dense_coefficient_energies(y, tree, n), rhat)
 
 
+@pytest.mark.parametrize("tree", [make() for make in ORACLE_TREES.values()], ids=list(ORACLE_TREES))
+def test_identity_transform_skip_is_exact(rng, tree):
+    a = random_gram(rng, tree.ambient_dim).matrix
+    for n in range(tree.max_depth + 1):
+        wn = tree.transform(n)
+        nn = len(tree.nodes_at(n))
+        s = tree.ambient_dim // nn
+        trace_by_product = np.sum((wn @ a) * wn, axis=1).reshape(nn, s).sum(axis=1)
+        blocks = (wn @ a @ wn.T).reshape(nn, s, nn, s)[np.arange(nn), :, np.arange(nn), :]
+        assert np.array_equal(w.content.trace_scores(a, tree, n), trace_by_product)
+        assert np.array_equal(w.content.hs_scores_squared(a, tree, n), np.sum(blocks**2, axis=(1, 2)))
+    shannon = tree.realization == "shannon"
+    assert [w.content._is_identity(tree.transform(n)) for n in range(tree.max_depth + 1)] == [
+        True
+    ] + [shannon] * tree.max_depth
+
+
 def test_shannon_bases_share_one_array():
     tree = w.build_shannon_tree(4, 4)
     root = tree.basis(tree.root)
     assert all(np.shares_memory(tree.basis(nd), root) for nd in tree.all_nodes())
+
+
+# (height, width, patch side, depth, stride): non-square sides that are not
+# multiples of the stride (flush-edge anchors), fewer anchor rows than one
+# band, an exact multiple of the band, and a partial last band.
+DENOISE_CASES = [
+    (37, 53, 4, 1, 1),
+    (37, 53, 4, 1, 2),
+    (37, 53, 4, 1, 3),
+    (37, 53, 4, 1, 4),
+    (35, 20, 4, 2, 1),
+    (150, 23, 8, 2, 1),
+    (150, 23, 8, 2, 2),
+    (150, 23, 8, 2, 3),
+    (150, 23, 8, 2, 8),
+    (64, 64, 8, 2, 3),
+]
+
+
+@pytest.mark.parametrize("mode", ["trace", "hs"])
+@pytest.mark.parametrize("filt", ["haar", "d4"])
+@pytest.mark.parametrize("h, wd, m, depth, stride", DENOISE_CASES)
+def test_banded_denoiser_matches_per_patch_loop(rng, h, wd, m, depth, stride, filt, mode):
+    img = w.ImageBuffer(rng.uniform(size=(h, wd)))
+    cfg = w.DenoiseConfig(m, depth, 3, stride, filt, mode)
+    out, report = w.denoise_image(img, cfg)
+    got = out.pixels
+    # Same BLAS products as the bands: every pixel must agree bit for bit.
+    want, chosen, _ = loop_denoise(img, cfg, band_rows=w.denoise.BAND_ROWS)
+    assert np.array_equal(got, want)
+    assert report["chosen"] == chosen
+    # One product over all patches: BLAS may pick another kernel for a
+    # different row count, so only the last bits may differ.
+    want, chosen, scores = loop_denoise(img, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+    assert report["chosen"] == chosen
+    s_w = np.array([row["s_w"] for row in report["scores"]])
+    assert np.max(np.abs(s_w - scores)) <= 1e-12 * (1.0 + np.sum(s_w))
+    assert report["patches"] == len(loop_extract_patches(img, m, stride).positions)
+
+
+@pytest.mark.parametrize("h, wd, m, depth, stride", DENOISE_CASES)
+def test_extract_patches_matches_per_patch_loop(rng, h, wd, m, depth, stride):
+    img = w.ImageBuffer(rng.uniform(size=(h, wd)))
+    got = w.extract_patches(img, m, stride)
+    want = loop_extract_patches(img, m, stride)
+    assert got.positions == want.positions
+    assert np.array_equal(got.patches, want.patches)
