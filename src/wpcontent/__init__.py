@@ -80,7 +80,6 @@ from .tree import (
     build_filter_tree_2d,
     build_shannon_tree,
     d4_filter,
-    depth_nodes,
     filter_from_json,
     haar_filter,
     named_filter,

@@ -62,13 +62,13 @@ def _write_json(path, payload) -> None:
 
 
 def _load_operator(args):
-    """Matrix or symbol input -> (SymMatrix, levels hint or None)."""
+    """Matrix or symbol input -> (PsdOperator, levels hint or None)."""
     if getattr(args, "symbol", None):
         sym = ShannonSymbol.from_json(_load_json(args.symbol))
-        return sym.to_matrix(), sym.levels
+        return sym.to_operator(), sym.levels
     if not getattr(args, "input", None):
         raise ConfigError("one of --in or --symbol is required")
-    return matrix_from_json(_load_json(args.input)), None
+    return make_psd(matrix_from_json(_load_json(args.input))), None
 
 
 def _build_matrix_tree(args, dim: int, levels_hint):
@@ -88,8 +88,7 @@ def _build_matrix_tree(args, dim: int, levels_hint):
 
 
 def cmd_decompose(args) -> int:
-    matrix, levels_hint = _load_operator(args)
-    operator = make_psd(matrix)
+    operator, levels_hint = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
     weights = cylinder_weights(operator, tree)
     total = weights.source_trace
@@ -110,8 +109,7 @@ def cmd_decompose(args) -> int:
 def cmd_greedy(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
-    matrix, levels_hint = _load_operator(args)
-    operator = make_psd(matrix)
+    operator, levels_hint = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
     depth = args.depth if args.depth is not None else tree.max_depth
     run = trace_greedy if args.mode == "trace" else hs_greedy

@@ -48,19 +48,6 @@ class ContentDecomposition:
     blocks: tuple[ContentBlock, ...]
     source_trace: float
 
-    def to_rows(self, include_blocks: bool = False) -> list[dict]:
-        rows = []
-        for blk in self.blocks:
-            row = {
-                "word": blk.node.word,
-                "trace_weight": blk.trace_weight,
-                "hs_weight": blk.hs_weight,
-            }
-            if include_blocks:
-                row["block"] = [float(v) for v in blk.operator.matrix.ravel()]
-            rows.append(row)
-        return rows
-
 
 @dataclass(frozen=True)
 class CylinderWeights:
@@ -128,23 +115,19 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     return np.sum(blocks * blocks, axis=(1, 2))
 
 
-def content_operator(
-    r: PsdOperator, tree: PacketTree, node: PacketNode, tol: float | None = None
-) -> ContentBlock:
+def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> ContentBlock:
     """Dense content block sqrt(R) P_w sqrt(R), symmetrized and PSD-clamped."""
     _check_dims(r, tree)
     b = tree.basis(node)
     m = b @ r.sqrt_entries()
-    op = make_psd(SymMatrix(m.T @ m), tol)
+    op = make_psd(SymMatrix(m.T @ m))
     return ContentBlock(node, op, trace(op), hs_norm(op))
 
 
-def depth_decomposition(
-    r: PsdOperator, tree: PacketTree, n: int, tol: float | None = None
-) -> ContentDecomposition:
+def depth_decomposition(r: PsdOperator, tree: PacketTree, n: int) -> ContentDecomposition:
     """All depth-n content blocks; verifies that they sum back to R."""
     _check_dims(r, tree)
-    blocks = tuple(content_operator(r, tree, nd, tol) for nd in tree.nodes_at(n))
+    blocks = tuple(content_operator(r, tree, nd) for nd in tree.nodes_at(n))
     total = np.zeros_like(r.matrix)
     for blk in blocks:
         total = total + blk.operator.matrix

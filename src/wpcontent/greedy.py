@@ -13,17 +13,19 @@ largest Hilbert-Schmidt norm; its per-step contraction is
 (1 - 1/(gamma * N)) in squared HS norm, where gamma in [1, N] is the
 depth-n coherence (1 exactly when the remainder is block-diagonal, in
 which case the factor improves to 1 - 1/N). Both certified envelopes
-are recorded per step and re-checked from the record by `decay_report`.
+are recorded per step. One checker, `_violation`, holds every certified
+inequality: each step passes it before it is recorded, and
+`decay_report` re-runs it on the record alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .content import hs_scores_squared, trace_scores
+from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import (
     DimensionMismatchError,
     NotPositiveError,
@@ -34,7 +36,6 @@ from .errors import (
 from .psdcore import PsdOperator, SymMatrix, as_entries, hs_norm, make_psd, trace
 from .tree import PacketNode, PacketTree
 
-_RETAIN_POLICIES = ("stats", "blocks")
 DEFAULT_STOP_TOL = 1e-12
 
 
@@ -63,8 +64,6 @@ class ExtractionStep:
     gamma: float | None = None
     bound_trace: float | None = None
     bound_hs: float | None = None
-    block: np.ndarray | None = None
-    remainder: np.ndarray | None = None
 
     def row(self) -> dict:
         """ROW_FIELDS in order, with the node given by its word."""
@@ -129,187 +128,157 @@ def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> Coherenc
     return CoherenceValue(num / den, num, den)
 
 
-def _extract_block(current, tree: PacketTree, node: PacketNode, k: int, tol, scale):
-    """One extraction: returns (block entries, next remainder PsdOperator).
+def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> ExtractionTrace:
+    """Empty record of a run on ``r``; its final remainder is ``r`` itself."""
+    _check_dims(r, tree)
+    nn = None if depth is None else len(tree.nodes_at(depth))
+    return ExtractionTrace(mode, depth, nn, trace(r), hs_norm(r), (), r)
 
-    The remainder clamp is referenced to the run-initial spectral scale:
-    subtraction noise sits at that scale even once the remainder itself
-    has decayed to nothing.
+
+def _violation(
+    tr: ExtractionTrace, prev: ExtractionStep | None, step: ExtractionStep
+) -> str | None:
+    """Message naming the first certified inequality ``step`` breaks, or None.
+
+    Reads recorded numbers only: the run's mode, N and initial values,
+    the previous step's remainder (the initial values before step 1) and
+    the step's own row. The extraction loops ask it before recording a
+    step and `decay_report` asks it of every recorded step, so both
+    accept exactly the same steps. Sequence runs certify nothing.
     """
-    b = tree.basis(node)
-    m = b @ current.sqrt_entries()
+    nn = tr.n_nodes
+    prev_trace, prev_hs = (tr.initial_trace, tr.initial_hs) if prev is None else (
+        prev.remainder_trace, prev.remainder_hs
+    )
+    if tr.mode == "trace-greedy":
+        rem = step.remainder_trace
+        slack = 1e-9 * (1.0 + tr.initial_trace)
+        ratio = 1.0 - 1.0 / nn
+        if rem > ratio * prev_trace + slack:
+            return (
+                f"one-step trace contraction failed: {rem:.6e} > "
+                f"{ratio:.6f} * {prev_trace:.6e}"
+            )
+        if rem > step.bound_trace + slack:
+            return f"trace envelope failed: {rem:.6e} > {step.bound_trace:.6e}"
+    elif tr.mode == "hs-greedy":
+        rem_sq, prev_sq, gamma = step.remainder_hs**2, prev_hs**2, step.gamma
+        slack = 1e-9 * (1.0 + prev_sq)
+        if not 1.0 - 1e-9 <= gamma <= nn + 1e-9:
+            return f"coherence {gamma:.9f} outside [1, {nn}]"
+        pythagorean = prev_sq - step.extracted_hs**2
+        if rem_sq > pythagorean + slack:
+            return f"pythagorean HS bound failed: {rem_sq:.6e} > {pythagorean:.6e}"
+        step_ratio = 1.0 - 1.0 / (gamma * nn)
+        if rem_sq > step_ratio * prev_sq + slack:
+            return (
+                f"coherence contraction failed: {rem_sq:.6e} > "
+                f"{step_ratio:.9f} * {prev_sq:.6e}"
+            )
+        if rem_sq > step.bound_hs**2 + 1e-9 * (1.0 + tr.initial_hs**2):
+            return f"uniform HS envelope failed: {rem_sq:.6e} > {step.bound_hs**2:.6e}"
+    return None
+
+
+def _step(
+    tr: ExtractionTrace, tree: PacketTree, node: PacketNode, scale: float, **bounds
+) -> ExtractionTrace:
+    """Remove ``node``'s block from the record's remainder; the record with the step added.
+
+    D = (B S)^T (B S) with S the square root of the remainder. The new
+    remainder's PSD clamp is referenced to ``scale``, the run-initial
+    lam_max: subtraction noise sits at that scale even once the
+    remainder itself has decayed to nothing. A step that leaves the PSD
+    cone or breaks a certified inequality raises NumericalBreakdownError.
+    """
+    k = len(tr.steps) + 1
+    current = tr.final_remainder
+    m = tree.basis(node) @ current.sqrt_entries()
     d = m.T @ m
     d = 0.5 * (d + d.T)
-    rem = current.matrix - d
     try:
-        nxt = make_psd(SymMatrix(rem), tol, scale=scale)
+        nxt = make_psd(SymMatrix(current.matrix - d), scale=scale)
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
-    return d, nxt
-
-
-def _make_step(k, node, d, nxt, retain, **bounds) -> ExtractionStep:
-    return ExtractionStep(
-        k=k,
-        node=node,
-        extracted_trace=float(np.trace(d)),
-        extracted_hs=float(np.sqrt(np.sum(d * d))),
-        remainder_trace=trace(nxt),
-        remainder_hs=hs_norm(nxt),
-        block=d if retain == "blocks" else None,
-        remainder=nxt.matrix if retain == "blocks" else None,
+    step = ExtractionStep(
+        k, node, float(np.trace(d)), float(np.sqrt(np.sum(d * d))), trace(nxt), hs_norm(nxt),
         **bounds,
     )
+    message = _violation(tr, tr.steps[-1] if tr.steps else None, step)
+    if message is not None:
+        raise NumericalBreakdownError(k, message)
+    return replace(tr, steps=(*tr.steps, step), final_remainder=nxt)
 
 
-def _check_setup(r: PsdOperator, tree: PacketTree, retain: str) -> None:
-    if r.dim != tree.ambient_dim:
-        raise DimensionMismatchError(
-            f"operator dim {r.dim} != tree ambient dim {tree.ambient_dim}"
-        )
-    if retain not in _RETAIN_POLICIES:
-        raise ValueError(f"retain must be one of {_RETAIN_POLICIES}, got {retain!r}")
-
-
-def extract_sequence(
-    r: PsdOperator,
-    tree: PacketTree,
-    nodes: list[PacketNode],
-    retain: str = "stats",
-    tol: float | None = None,
-) -> ExtractionTrace:
+def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[PacketNode]) -> ExtractionTrace:
     """Extract content blocks along an arbitrary node sequence (any depths)."""
-    _check_setup(r, tree, retain)
+    tr = _start("sequence", r, tree, None)
     for node in nodes:
         if not tree.has_node(node):
             raise UnknownNodeError(f"node {node.word!r} (depth {node.depth}) not in tree")
-    scale0 = float(max(r.eigenvalues[0], 0.0))
-    current = r
-    steps = []
-    for k, node in enumerate(nodes, start=1):
-        d, nxt = _extract_block(current, tree, node, k, tol, scale0)
-        steps.append(_make_step(k, node, d, nxt, retain))
-        current = nxt
-    return ExtractionTrace(
-        "sequence", None, None, trace(r), hs_norm(r), tuple(steps), current
-    )
+    for node in nodes:
+        tr = _step(tr, tree, node, float(r.eigenvalues[0]))
+    return tr
 
 
 def trace_greedy(
-    r: PsdOperator,
-    tree: PacketTree,
-    n: int,
-    max_steps: int,
-    stop_tol: float = DEFAULT_STOP_TOL,
-    retain: str = "stats",
-    tol: float | None = None,
+    r: PsdOperator, tree: PacketTree, n: int, max_steps: int, stop_tol: float = DEFAULT_STOP_TOL
 ) -> ExtractionTrace:
     """Repeatedly remove the depth-n block of maximal trace.
 
     Stops at max_steps or once the remainder trace falls to
-    stop_tol * trace(R). Each step is checked against the certified
-    one-step contraction and recorded with the cumulative envelope
-    (1 - 1/N)^k * trace(R).
+    stop_tol * trace(R). Each step records the cumulative envelope
+    (1 - 1/N)^k * trace(R) and is certified against it and against the
+    one-step contraction.
     """
-    _check_setup(r, tree, retain)
+    tr = _start("trace-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
-    nn = len(nodes)
-    init_trace = trace(r)
-    init_hs = hs_norm(r)
-    ratio = 1.0 - 1.0 / nn
-    scale0 = float(max(r.eigenvalues[0], 0.0))
-    current = r
-    steps = []
-    envelope = init_trace
-    for k in range(1, max_steps + 1):
-        cur_trace = trace(current)
-        if cur_trace <= stop_tol * init_trace:
+    ratio = 1.0 - 1.0 / len(nodes)
+    envelope = tr.initial_trace
+    for _ in range(max_steps):
+        current = tr.final_remainder
+        if trace(current) <= stop_tol * tr.initial_trace:
             break
-        scores = trace_scores(current.matrix, tree, n)
-        node = nodes[int(np.argmax(scores))]
-        d, nxt = _extract_block(current, tree, node, k, tol, scale0)
-        if trace(nxt) > ratio * cur_trace + 1e-9 * (1.0 + init_trace):
-            raise NumericalBreakdownError(
-                k,
-                f"one-step trace contraction failed: {trace(nxt):.6e} > "
-                f"{ratio:.6f} * {cur_trace:.6e}",
-            )
+        node = nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]
         envelope *= ratio
-        steps.append(_make_step(k, node, d, nxt, retain, bound_trace=envelope))
-        current = nxt
-    return ExtractionTrace(
-        "trace-greedy", n, nn, init_trace, init_hs, tuple(steps), current
-    )
+        tr = _step(tr, tree, node, float(r.eigenvalues[0]), bound_trace=envelope)
+    return tr
 
 
 def hs_greedy(
-    r: PsdOperator,
-    tree: PacketTree,
-    n: int,
-    max_steps: int,
-    stop_tol: float = DEFAULT_STOP_TOL,
-    retain: str = "stats",
-    tol: float | None = None,
+    r: PsdOperator, tree: PacketTree, n: int, max_steps: int, stop_tol: float = DEFAULT_STOP_TOL
 ) -> ExtractionTrace:
     """Repeatedly remove the depth-n block of maximal Hilbert-Schmidt norm.
 
-    Records the coherence of the remainder before each step and checks
-    the per-step contraction with that coherence, the pythagorean bound
-    ||A - D||^2 <= ||A||^2 - ||D||^2, and the uniform envelope
-    (1 - 1/N^2)^k ||R||_2^2. Terminates cleanly when the remainder is
-    numerically zero (undefined coherence).
+    Records the coherence gamma of the remainder before each step and the
+    uniform envelope (1 - 1/N^2)^k ||R||_2^2; each step is certified for
+    gamma in [1, N], the pythagorean bound ||A - D||^2 <= ||A||^2 - ||D||^2,
+    the contraction by (1 - 1/(gamma N)) and the envelope. Terminates
+    cleanly when the remainder is numerically zero (undefined coherence).
     """
-    _check_setup(r, tree, retain)
+    tr = _start("hs-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
-    nn = len(nodes)
-    init_trace = trace(r)
-    init_hs = hs_norm(r)
-    uniform_ratio = 1.0 - 1.0 / nn**2
-    scale0 = float(max(r.eigenvalues[0], 0.0))
-    current = r
-    steps = []
-    envelope_sq = init_hs**2
-    for k in range(1, max_steps + 1):
-        cur_hs = hs_norm(current)
-        if cur_hs <= stop_tol * init_hs:
+    uniform_ratio = 1.0 - 1.0 / len(nodes) ** 2
+    envelope_sq = tr.initial_hs**2
+    for _ in range(max_steps):
+        current = tr.final_remainder
+        if hs_norm(current) <= stop_tol * tr.initial_hs:
             break
         scores = hs_scores_squared(current.matrix, tree, n)
         try:
             coh = coherence(current, tree, n, scores)
         except UndefinedCoherenceError:
             break
-        node = nodes[int(np.argmax(scores))]
-        d, nxt = _extract_block(current, tree, node, k, tol, scale0)
-        rem_sq = hs_norm(nxt) ** 2
-        d_sq = float(np.sum(d * d))
-        slack = 1e-9 * (1.0 + cur_hs**2)
-        if rem_sq > cur_hs**2 - d_sq + slack:
-            raise NumericalBreakdownError(
-                k, f"pythagorean HS bound failed: {rem_sq:.6e} > {cur_hs**2 - d_sq:.6e}"
-            )
-        step_ratio = 1.0 - 1.0 / (coh.gamma * nn)
-        if rem_sq > step_ratio * cur_hs**2 + slack:
-            raise NumericalBreakdownError(
-                k,
-                f"coherence contraction failed: {rem_sq:.6e} > "
-                f"{step_ratio:.9f} * {cur_hs**2:.6e}",
-            )
         envelope_sq *= uniform_ratio
-        if rem_sq > envelope_sq + 1e-9 * (1.0 + init_hs**2):
-            raise NumericalBreakdownError(
-                k, f"uniform HS envelope failed: {rem_sq:.6e} > {envelope_sq:.6e}"
-            )
-        steps.append(
-            _make_step(
-                k, node, d, nxt, retain, gamma=coh.gamma, bound_hs=float(np.sqrt(envelope_sq))
-            )
+        tr = _step(
+            tr, tree, nodes[int(np.argmax(scores))], float(r.eigenvalues[0]),
+            gamma=coh.gamma, bound_hs=float(np.sqrt(envelope_sq)),
         )
-        current = nxt
-    return ExtractionTrace("hs-greedy", n, nn, init_trace, init_hs, tuple(steps), current)
+    return tr
 
 
 def decay_report(tr: ExtractionTrace) -> dict:
-    """Re-check every recorded step against its envelope, from the record alone.
+    """Re-check every recorded step with the extraction loops' own checker.
 
     Returns {"rows": [...], "summary": {...}}; each row carries a
     bound_satisfied flag and the summary names the first violating step
@@ -317,27 +286,11 @@ def decay_report(tr: ExtractionTrace) -> dict:
     """
     rows = []
     first_violation = None
-    prev_hs = tr.initial_hs
-    for step in tr.steps:
-        ok = True
-        if tr.mode == "trace-greedy" and step.bound_trace is not None:
-            ok = step.remainder_trace <= step.bound_trace + 1e-9 * (1.0 + tr.initial_trace)
-        elif tr.mode == "hs-greedy":
-            if step.bound_hs is not None:
-                ok = step.remainder_hs**2 <= step.bound_hs**2 + 1e-9 * (
-                    1.0 + tr.initial_hs**2
-                )
-            if ok and step.gamma is not None and tr.n_nodes:
-                ok = 1.0 - 1e-9 <= step.gamma <= tr.n_nodes + 1e-9
-                if ok:
-                    step_ratio = 1.0 - 1.0 / (step.gamma * tr.n_nodes)
-                    ok = step.remainder_hs**2 <= step_ratio * prev_hs**2 + 1e-9 * (
-                        1.0 + prev_hs**2
-                    )
-        rows.append({**step.row(), "bound_satisfied": bool(ok)})
+    for prev, step in zip((None, *tr.steps), tr.steps):
+        ok = _violation(tr, prev, step) is None
+        rows.append({**step.row(), "bound_satisfied": ok})
         if not ok and first_violation is None:
             first_violation = step.k
-        prev_hs = step.remainder_hs
     summary = {
         "mode": tr.mode,
         "steps": len(tr.steps),

@@ -63,18 +63,13 @@ def read_pgm(path) -> ImageBuffer:
             raise MalformedInputError(f"P5 payload has {len(raw)} bytes for {count} pixels")
         vals = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
-        vals = np.empty(count)
-        i = 0
-        for tok, _ in toks:
-            if i == count:
-                raise MalformedInputError(f"P2 payload has more than {count} pixels")
-            try:
-                vals[i] = int(tok)
-            except ValueError:
-                raise MalformedInputError(f"non-integer P2 pixel {tok!r}") from None
-            i += 1
-        if i < count:
-            raise MalformedInputError(f"P2 payload too short: {i} of {count} pixels")
+        pixels = [tok for tok, _ in toks]  # counted before anything sized by the header
+        if len(pixels) != count:
+            raise MalformedInputError(f"P2 payload has {len(pixels)} pixels for {count}")
+        try:
+            vals = np.array([int(tok) for tok in pixels], dtype=np.float64)
+        except ValueError as exc:
+            raise MalformedInputError(f"non-integer P2 pixel: {exc}") from None
         if np.any(vals < 0) or np.any(vals > maxval):
             raise MalformedInputError("P2 pixel outside [0, maxval]")
     return ImageBuffer((vals / maxval).reshape(height, width))

@@ -13,8 +13,6 @@ its first component with magnitude above 1e-12 is positive.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import (
@@ -26,16 +24,6 @@ from .errors import (
 
 DEFAULT_CLAMP_TOL = 1e-10
 _SIGN_EPS = 1e-12
-
-
-def resolve_clamp_tol(tol: float | None = None) -> float:
-    """Explicit tolerance, else WPC_TOL from the environment, else 1e-10."""
-    if tol is not None:
-        if tol < 0:
-            raise ValueError("clamp tolerance must be nonnegative")
-        return float(tol)
-    env = os.environ.get("WPC_TOL", "").strip()
-    return float(env) if env else DEFAULT_CLAMP_TOL
 
 
 class SymMatrix:
@@ -62,7 +50,7 @@ class SymMatrix:
 class PsdOperator:
     """Validated PSD matrix together with its spectral decomposition.
 
-    Construct via `make_psd`; ``eigenvalues`` are nonincreasing,
+    Construct via `make_psd` or `psd_from_spectrum`; ``eigenvalues`` are nonincreasing,
     ``eigenvectors`` holds the matching orthonormal columns, and
     ``clamp_applied`` records whether negative rounding noise was
     clipped to zero.
@@ -138,22 +126,25 @@ def _positive_first(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def make_psd(m, tol: float | None = None, scale: float | None = None) -> PsdOperator:
-    """Project a symmetric matrix to the PSD cone within a relative clamp.
-
-    Eigenvalues in [-tol * lam_max, 0) are clamped to zero; anything more
-    negative raises NotPositiveError reporting the offending eigenvalue.
-    ``scale`` optionally widens the clamp reference to an external scale:
-    needed when ``m`` is a small difference of larger operators, whose
-    rounding noise lives at the scale of the operands rather than of the
-    difference.
-    """
+def make_psd(m, scale: float | None = None) -> PsdOperator:
+    """Project a symmetric matrix to the PSD cone: `sym_eigen`, then `psd_from_spectrum`."""
     if not isinstance(m, SymMatrix):
         m = SymMatrix(as_entries(m))
-    tol = resolve_clamp_tol(tol)
     lam, vecs = sym_eigen(m)
-    lam_max = float(lam[0]) if m.dim else 0.0
-    thresh = tol * max(lam_max, scale if scale is not None else 0.0, 0.0)
+    return psd_from_spectrum(m, lam, vecs, scale)
+
+
+def psd_from_spectrum(m: SymMatrix, lam, vecs, scale: float | None = None) -> PsdOperator:
+    """PSD operator from ``m`` and its spectrum, given in `sym_eigen`'s order and signs.
+
+    Eigenvalues in [-DEFAULT_CLAMP_TOL * lam_max, 0) are clamped to zero;
+    anything more negative raises NotPositiveError reporting the offending
+    eigenvalue. ``scale`` optionally widens the clamp reference to an
+    external scale: needed when ``m`` is a small difference of larger
+    operators, whose rounding noise lives at the scale of the operands
+    rather than of the difference.
+    """
+    thresh = DEFAULT_CLAMP_TOL * max(float(lam[0]), scale if scale is not None else 0.0, 0.0)
     lam_min = float(lam[-1])
     if lam_min < -thresh:
         raise NotPositiveError(lam_min, thresh)

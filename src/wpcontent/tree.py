@@ -38,7 +38,7 @@ from .errors import (
     MalformedInputError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, SymMatrix, make_psd
+from .psdcore import PsdOperator, SymMatrix, make_psd, psd_from_spectrum
 
 _FILTER_TOL = 1e-10
 
@@ -256,11 +256,6 @@ def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
     return make_psd(SymMatrix(b.T @ b))
 
 
-def depth_nodes(tree: PacketTree, n: int) -> list[PacketNode]:
-    """Depth-n nodes in lexicographic word order."""
-    return tree.nodes_at(n)
-
-
 @dataclass(frozen=True)
 class TreeValidationReport:
     """Max violation observed per tree invariant."""
@@ -272,9 +267,6 @@ class TreeValidationReport:
 
     def max_violation(self) -> float:
         return max(self.partition, self.child_sum, self.child_orthogonality, self.basis_orthonormality)
-
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.max_violation() <= tol
 
     def as_dict(self) -> dict:
         return {
@@ -335,7 +327,10 @@ class ShannonSymbol:
     def __init__(self, levels: int, values):
         if levels < 1:
             raise MalformedInputError(f"levels must be >= 1, got {levels}")
-        vals = np.asarray(values, dtype=np.float64)
+        try:
+            vals = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise MalformedInputError(f"symbol values are not numeric: {exc}") from exc
         if vals.shape != (2**levels,):
             raise MalformedInputError(
                 f"symbol needs {2**levels} values for levels={levels}, got {vals.shape}"
@@ -350,12 +345,16 @@ class ShannonSymbol:
         """r(k); index k counts from -2**(levels-1)."""
         return float(self.values[k + 2 ** (self.levels - 1)])
 
-    def to_matrix(self) -> SymMatrix:
-        return SymMatrix(np.diag(self.values))
+    def to_operator(self) -> PsdOperator:
+        """Diagonal PSD operator; negative symbol values raise NotPositiveError.
 
-    def to_operator(self, tol: float | None = None) -> PsdOperator:
-        """Diagonal PSD operator; negative symbol values raise NotPositiveError."""
-        return make_psd(self.to_matrix(), tol)
+        No eigensolver runs: the spectrum is the values sorted nonincreasing,
+        and the eigenvectors are the matching identity columns.
+        """
+        order = np.argsort(-self.values, kind="stable")
+        return psd_from_spectrum(
+            SymMatrix(np.diag(self.values)), self.values[order], np.eye(len(order))[:, order]
+        )
 
     @staticmethod
     def from_json(obj) -> "ShannonSymbol":

@@ -10,6 +10,19 @@ def random_gram(rng, dim, scale=1.0):
     return w.make_psd(w.SymMatrix(scale * (g.T @ g) / dim))
 
 
+def sequence_step(r, tree, seq, k):
+    """(D_k, remainder_k) of extract_sequence(r, tree, seq), rebuilt from prefix runs.
+
+    remainder_k is the final remainder of the run on seq[:k]; D_k is
+    (B S)^T (B S), symmetrized, with B the basis of seq[k-1] and S the
+    square root of remainder_{k-1}.
+    """
+    prev = w.extract_sequence(r, tree, seq[: k - 1]).final_remainder
+    m = tree.basis(seq[k - 1]) @ prev.sqrt_entries()
+    d = m.T @ m
+    return 0.5 * (d + d.T), w.extract_sequence(r, tree, seq[:k]).final_remainder.matrix
+
+
 def shannon_band(levels, word):
     """Frequency indices owned by a node, computed from the band formula.
 

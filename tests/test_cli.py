@@ -84,6 +84,21 @@ class TestDecompose:
         path.write_text(json.dumps({"levels": True, "r": [1.0, 2.0]}))
         assert main(["decompose", "--symbol", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("values", [["a", "b"], [[1.0], [2.0, 3.0]], {"a": 1.0}],
+                             ids=["strings", "ragged", "object"])
+    def test_non_numeric_symbol_exits_2(self, tmp_path, capsys, command, values):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"levels": 1, "r": values}))
+        assert main([command, "--symbol", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_negative_symbol_exits_3(self, tmp_path):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"levels": 2, "r": [1.0, 0.5, -0.25, 2.0]}))
+        assert main(["decompose", "--symbol", str(path)]) == 3
+
 
 class TestGreedy:
     def test_trace_mode_report_and_csv(self, symbol_file, tmp_path):
@@ -206,6 +221,15 @@ class TestDenoise:
         assert "payload" in err and "Traceback" not in err
         bad.write_bytes(payload[:-2] if payload.startswith(b"P2") else payload[:-1])
         assert w.read_pgm(bad).pixels.shape == (4, 4)
+
+    def test_short_payload_under_huge_header_exits_2(self, tmp_path, capsys):
+        # the header declares 10^14 pixels; nothing sized by it may be allocated
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P2\n10000000 10000000\n255\n0\n")
+        assert main(["denoise", "--in", str(bad), "--patch-side", "4", "--depth", "1",
+                     "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert "payload" in err and "Traceback" not in err
 
     def test_sigma_adds_noise_deterministically(self, image_files, tmp_path):
         clean, _ = image_files

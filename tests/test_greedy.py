@@ -1,37 +1,47 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import wpcontent as w
 
-from helpers import block_diagonal_gram, geometric_symbol, random_gram, spread_vector
+from helpers import (
+    block_diagonal_gram,
+    geometric_symbol,
+    random_gram,
+    sequence_step,
+    spread_vector,
+)
 
 
 class TestExtractSequence:
     def test_root_extracts_everything(self, rng):
         tree = w.build_shannon_tree(3, 1)
         r = random_gram(rng, 8)
-        run = w.extract_sequence(r, tree, [tree.root], retain="blocks")
+        run = w.extract_sequence(r, tree, [tree.root])
         assert len(run.steps) == 1
-        assert np.max(np.abs(run.steps[0].block - r.matrix)) <= 1e-12 * (1 + w.trace(r))
+        block, _ = sequence_step(r, tree, [tree.root], 1)
+        assert np.max(np.abs(block - r.matrix)) <= 1e-12 * (1 + w.trace(r))
         assert w.trace(run.final_remainder) <= 1e-12 * (1 + w.trace(r))
 
     def test_diagonal_two_steps_exhaust(self):
         r = geometric_symbol(3).to_operator()
         tree = w.build_shannon_tree(3, 1)
         nodes = tree.nodes_at(1)
-        run = w.extract_sequence(r, tree, nodes, retain="blocks")
+        run = w.extract_sequence(r, tree, nodes)
         total = w.trace(r)
         assert w.trace(run.final_remainder) <= 1e-14 * total
         # diagonal input commutes with the projections: first block is the band mask
         mask = np.diag([1.0] * 4 + [0.0] * 4)
         expect = mask @ r.matrix
-        assert np.max(np.abs(run.steps[0].block - expect)) <= 1e-12
+        block, _ = sequence_step(r, tree, nodes, 1)
+        assert np.max(np.abs(block - expect)) <= 1e-12
 
     def test_repeat_node_second_block_vanishes(self):
         r = geometric_symbol(3).to_operator()
         tree = w.build_shannon_tree(3, 1)
         node = w.PacketNode("0", 1)
-        run = w.extract_sequence(r, tree, [node, node], retain="blocks")
+        run = w.extract_sequence(r, tree, [node, node])
         assert run.steps[1].extracted_trace <= run.steps[0].extracted_trace
         assert run.steps[1].extracted_trace <= 1e-14 * w.trace(r)
 
@@ -40,14 +50,15 @@ class TestExtractSequence:
         r = random_gram(rng, 8)
         fro = w.hs_norm(r)
         seq = [tree.nodes_at(2)[0], tree.nodes_at(1)[1], tree.nodes_at(2)[3]]
-        run = w.extract_sequence(r, tree, seq, retain="blocks")
+        run = w.extract_sequence(r, tree, seq)
         partial = np.zeros((8, 8))
         prev = r.matrix
         for step in run.steps:
-            partial += step.block
-            assert np.max(np.abs(r.matrix - partial - step.remainder)) <= 1e-8 * (1 + fro)
-            assert w.loewner_leq(step.remainder, prev, tol=1e-8)
-            prev = step.remainder
+            block, remainder = sequence_step(r, tree, seq, step.k)
+            partial += block
+            assert np.max(np.abs(r.matrix - partial - remainder)) <= 1e-8 * (1 + fro)
+            assert w.loewner_leq(remainder, prev, tol=1e-8)
+            prev = remainder
 
     def test_unknown_node_rejected(self, rng):
         tree = w.build_shannon_tree(3, 1)
@@ -301,3 +312,46 @@ class TestDecayReport:
         assert payload["depth"] == 1 and payload["N_n"] == 2
         assert set(payload["initial"]) == {"trace", "hs"}
         assert {"k", "node", "extracted_trace", "remainder_hs"} <= set(payload["steps"][0])
+
+    def test_pythagorean_break_is_flagged(self, rng):
+        tree = w.build_shannon_tree(3, 2)
+        run = w.hs_greedy(random_gram(rng, 8), tree, 2, max_steps=6)
+        prev_sq = run.steps[1].remainder_hs ** 2
+        step = run.steps[2]
+        # ||D||^2 1% past the room ||A||^2 - ||A - D||^2 (plus slack) the bound leaves
+        room = prev_sq - step.remainder_hs**2 + 1e-9 * (1 + prev_sq)
+        bad = dataclasses.replace(step, extracted_hs=float(np.sqrt(1.01 * room)))
+        steps = run.steps[:2] + (bad,) + run.steps[3:]
+        rep = w.decay_report(dataclasses.replace(run, steps=steps))
+        assert rep["summary"]["first_violation"] == 3
+        assert [row["bound_satisfied"] for row in rep["rows"]][:4] == [True, True, False, True]
+
+    def test_one_step_trace_break_inside_envelope_is_flagged(self, rng):
+        tree = w.build_shannon_tree(3, 2)
+        run = w.trace_greedy(random_gram(rng, 8), tree, 2, max_steps=6)
+        ratio = 1.0 - 1.0 / len(tree.nodes_at(2))
+        k = next(
+            i for i in range(1, len(run.steps))
+            if run.steps[i].bound_trace - ratio * run.steps[i - 1].remainder_trace
+            > 1e-6 * (1 + run.initial_trace)
+        )
+        one_step = ratio * run.steps[k - 1].remainder_trace
+        step = run.steps[k]
+        bad = dataclasses.replace(step, remainder_trace=0.5 * (one_step + step.bound_trace))
+        steps = run.steps[:k] + (bad,) + run.steps[k + 1 :]
+        rep = w.decay_report(dataclasses.replace(run, steps=steps))
+        assert rep["summary"]["first_violation"] == k + 1
+
+    def test_coherence_out_of_range_stops_the_loop(self, rng, monkeypatch):
+        tree = w.build_shannon_tree(3, 2)
+        nn = len(tree.nodes_at(2))
+        real = w.greedy.coherence
+
+        def inflated(*args, **kwargs):
+            c = real(*args, **kwargs)
+            return w.CoherenceValue(nn + 1.0, c.numerator, c.denominator)
+
+        monkeypatch.setattr(w.greedy, "coherence", inflated)
+        with pytest.raises(w.NumericalBreakdownError) as exc:
+            w.hs_greedy(random_gram(rng, 8), tree, 2, max_steps=4)
+        assert exc.value.step == 1

@@ -50,12 +50,12 @@ class TestSymEigen:
 
 class TestMakePsd:
     def test_near_zero_eigenvalue_accepted(self):
-        op = w.make_psd(w.SymMatrix(np.diag([1.0, 1e-14])), tol=1e-10)
+        op = w.make_psd(w.SymMatrix(np.diag([1.0, 1e-14])))
         assert np.all(op.eigenvalues >= 0)
 
     def test_indefinite_rejected(self):
         with pytest.raises(w.NotPositiveError):
-            w.make_psd(w.SymMatrix(np.diag([1.0, -1.0])), tol=1e-10)
+            w.make_psd(w.SymMatrix(np.diag([1.0, -1.0])))
 
     def test_gram_always_accepted(self, rng):
         for _ in range(25):
@@ -64,7 +64,7 @@ class TestMakePsd:
             assert np.all(op.eigenvalues >= 0)
 
     def test_clamp_applied_flag(self):
-        op = w.make_psd(w.SymMatrix(np.diag([1.0, -1e-12])), tol=1e-10)
+        op = w.make_psd(w.SymMatrix(np.diag([1.0, -1e-12])))
         assert op.clamp_applied and op.eigenvalues[-1] == 0.0
         clean = w.make_psd(w.SymMatrix(np.diag([2.0, 1.0])))
         assert not clean.clamp_applied
@@ -75,14 +75,6 @@ class TestMakePsd:
         recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T
         assert np.max(np.abs(recon - op.matrix)) <= 1e-8 * (1.0 + lam_max)
         assert np.max(np.abs(op.eigenvectors.T @ op.eigenvectors - np.eye(16))) <= 1e-10
-
-    def test_env_tolerance_override(self, monkeypatch):
-        monkeypatch.setenv("WPC_TOL", "1e-2")
-        op = w.make_psd(w.SymMatrix(np.diag([1.0, -1e-4])))
-        assert op.clamp_applied
-        monkeypatch.setenv("WPC_TOL", "1e-6")
-        with pytest.raises(w.NotPositiveError):
-            w.make_psd(w.SymMatrix(np.diag([1.0, -1e-4])))
 
 
 class TestSqrt:

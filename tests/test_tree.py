@@ -90,7 +90,7 @@ class TestShannonTree:
         with pytest.raises(w.InvalidDepthError):
             w.build_shannon_tree(3, 4)
         with pytest.raises(w.InvalidDepthError):
-            w.depth_nodes(w.build_shannon_tree(3, 2), 3)
+            w.build_shannon_tree(3, 2).nodes_at(3)
 
 
 class TestFilterTrees:
@@ -187,6 +187,22 @@ class TestShannonSymbol:
         sym = w.ShannonSymbol(1, [0.5, 0.25])
         op = sym.to_operator()
         assert np.array_equal(op.matrix, np.diag([0.5, 0.25]))
+
+    def test_to_operator_spectrum_without_eigensolver(self, monkeypatch):
+        vals = [0.5, 2.0, 0.0, 2.0, 1e-3, 0.5, 3.0, 0.0]  # ties and zeros
+        lam, vecs = w.sym_eigen(w.SymMatrix(np.diag(vals)))
+
+        def no_eigh(*_):
+            raise AssertionError("to_operator ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        op = w.ShannonSymbol(3, vals).to_operator()
+        assert np.array_equal(op.eigenvalues, lam)
+        assert list(op.eigenvalues) == sorted(vals, reverse=True)
+        assert np.array_equal(np.abs(op.eigenvectors), np.abs(op.eigenvectors) > 0.5)
+        assert np.all(op.eigenvectors.sum(axis=0) == 1.0)  # one +1 per column
+        assert np.array_equal((op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T, op.matrix)
+        assert not op.clamp_applied and np.array_equal(op.matrix, np.diag(vals))
 
     def test_negative_rejected(self):
         with pytest.raises(w.NotPositiveError):
