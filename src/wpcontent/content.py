@@ -85,11 +85,6 @@ def _segment_sums(values: np.ndarray, n_nodes: int) -> np.ndarray:
     return values.reshape(n_nodes, -1, *values.shape[1:]).sum(axis=1)
 
 
-def _is_identity(w: np.ndarray) -> bool:
-    """Exact test for W_n = I (every depth of the frequency-band tree), to skip products by I."""
-    return np.count_nonzero(w) == len(w) and bool(np.all(w.diagonal() == 1.0))
-
-
 def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
     """Block trace weights tr(P_w A) for all depth-n nodes, in node order.
 
@@ -97,7 +92,7 @@ def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
     (W_n A) * W_n without forming the full product.
     """
     a, w = as_entries(a), tree.transform(n)
-    diag = np.diagonal(a) if _is_identity(w) else np.sum((w @ a) * w, axis=1)
+    diag = np.diagonal(a) if tree.is_identity(n) else np.sum((w @ a) * w, axis=1)
     return _segment_sums(diag, len(tree.nodes_at(n)))
 
 
@@ -110,7 +105,7 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     nn = len(tree.nodes_at(n))
     s = tree.ambient_dim // nn
     idx = np.arange(nn)
-    coords = a if _is_identity(w) else w @ a @ w.T
+    coords = a if tree.is_identity(n) else w @ a @ w.T
     blocks = coords.reshape(nn, s, nn, s)[idx, :, idx, :]
     return np.sum(blocks * blocks, axis=(1, 2))
 
@@ -147,29 +142,23 @@ def cylinder_weights(r: PsdOperator, tree: PacketTree) -> CylinderWeights:
     nonnegative; the root mass equals trace(R) exactly by construction.
     """
     _check_dims(r, tree)
-    rows = []
-    for n in range(tree.max_depth + 1):
-        masses = np.maximum(trace_scores(r.matrix, tree, n), 0.0).tolist()
-        rows.extend((nd.word, n, m) for nd, m in zip(tree.nodes_at(n), masses))
-    mass = {w: m for w, _, m in rows}
+    masses = [np.maximum(trace_scores(r.matrix, tree, n), 0.0) for n in range(tree.max_depth + 1)]
     total = trace(r)
     budget = 1e-9 * (1.0 + abs(total))
-    if abs(mass[tree.root.word] - total) > budget:
-        raise NumericalBreakdownError(
-            None, f"root mass {mass[tree.root.word]:.6e} != trace {total:.6e}"
-        )
+    if abs(masses[0][0] - total) > budget:
+        raise NumericalBreakdownError(None, f"root mass {masses[0][0]:.6e} != trace {total:.6e}")
     max_gap = 0.0
-    for node in tree.all_nodes():
-        kids = tree.children(node)
-        if not kids:
-            continue
-        gap = abs(mass[node.word] - sum(mass[k.word] for k in kids))
-        if gap > budget:
-            raise NumericalBreakdownError(
-                None, f"cylinder additivity fails at {node.word!r}: gap {gap:.3e}"
-            )
-        max_gap = max(max_gap, gap)
-    return CylinderWeights(tree.max_depth, total, tuple(rows), max_gap)
+    for n in range(tree.max_depth):
+        # children add into their parent in node order, as a per-node sum would
+        gaps = np.abs(masses[n] - np.bincount(tree.parents(n + 1), masses[n + 1], len(masses[n])))
+        if np.any(gaps > budget):
+            i = int(np.argmax(gaps > budget))
+            msg = f"cylinder additivity fails at {tree.nodes_at(n)[i].word!r}: gap {gaps[i]:.3e}"
+            raise NumericalBreakdownError(None, msg)
+        max_gap = max(max_gap, float(gaps.max()))
+    flat = np.concatenate(masses).tolist()
+    rows = tuple((nd.word, nd.depth, m) for nd, m in zip(tree.all_nodes(), flat))
+    return CylinderWeights(tree.max_depth, total, rows, max_gap)
 
 
 def vector_weight(r: PsdOperator, tree: PacketTree, x, node: PacketNode) -> float:

@@ -18,8 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .content import hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
-from .psdcore import PsdOperator, SymMatrix, _positive_first, make_psd
-from .tree import PacketNode, PacketTree, build_filter_tree_2d, named_filter
+from .psdcore import PsdOperator, SymMatrix, make_psd
+from .tree import PacketNode, PacketTree, _rows_projection, build_filter_tree_2d, named_filter
 
 PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
@@ -169,14 +169,8 @@ def select_top_k(scores: BlockScores, k: int, tree: PacketTree) -> Selection:
     """Top-K scoring nodes and the projection onto their combined span, without an eigensolver."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    n, d = scores.depth, tree.ambient_dim
-    idx, chosen, basis = _choose(tree, n, scores.values, k)
-    others = np.delete(tree.transform(n).reshape(len(scores.nodes), -1, d), idx, axis=0)
-    # eigenvectors: the chosen rows of W_n (eigenvalue 1), then the other rows (eigenvalue 0)
-    vecs = _positive_first(np.vstack([basis, others.reshape(-1, d)]).T)
-    lam = np.repeat([1.0, 0.0], [len(basis), d - len(basis)])
-    proj = PsdOperator(SymMatrix(basis.T @ basis), lam, vecs, False)
-    return Selection(len(chosen), chosen, proj, basis)
+    idx, chosen, basis = _choose(tree, scores.depth, scores.values, k)
+    return Selection(len(chosen), chosen, _rows_projection(tree, scores.depth, idx), basis)
 
 
 def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
@@ -198,8 +192,8 @@ def psnr(a: ImageBuffer, b: ImageBuffer) -> float:
 
 def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
     """Seeded i.i.d. Gaussian pixel noise; no clipping."""
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     return ImageBuffer(img.pixels + sigma * rng.standard_normal(img.pixels.shape))
 

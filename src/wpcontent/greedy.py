@@ -101,9 +101,8 @@ def conditional_expectation(a, tree: PacketTree, n: int) -> SymMatrix:
         raise DimensionMismatchError(
             f"matrix dim {e.shape[0]} != tree ambient dim {tree.ambient_dim}"
         )
-    w = tree.transform(n)
-    seg = np.arange(tree.ambient_dim) // (tree.ambient_dim // len(tree.nodes_at(n)))
-    blockdiag = (w @ e @ w.T) * (seg[:, None] == seg[None, :])
+    w, seg = tree.transform(n), tree.row_nodes(n)
+    blockdiag = (w @ e @ w.T) * (seg[:, None] == seg)
     return SymMatrix(w.T @ blockdiag @ w)
 
 

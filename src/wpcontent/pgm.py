@@ -2,51 +2,31 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import MalformedInputError
 from .denoise import ImageBuffer
 
 
-def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-            j += 1
-        yield data[i:j], j
-        i = j
+# Four header tokens (magic, width, height, maxval), each after any run of
+# whitespace and "#" comments; a missing token matches as empty.
+_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)" * 4)
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def read_pgm(path) -> ImageBuffer:
     """Read a P2 or P5 PGM; pixel values map to [0, 1] by v / maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
-    toks = _tokens(data)
-    try:
-        magic, _ = next(toks)
-    except StopIteration:
-        raise MalformedInputError("empty PGM file") from None
+    magic, *header = (head := _HEADER.match(data)).groups()
+    if not magic:
+        raise MalformedInputError("empty PGM file")
     if magic not in (b"P2", b"P5"):
         raise MalformedInputError(f"not a PGM file (magic {magic!r})")
-    header = []
-    end = 0
-    try:
-        while len(header) < 3:
-            tok, end = next(toks)
-            header.append(tok)
-    except StopIteration:
-        raise MalformedInputError("truncated PGM header") from None
+    if not all(header):
+        raise MalformedInputError("truncated PGM header")
     try:
         width, height, maxval = (int(t) for t in header)
     except ValueError:
@@ -57,21 +37,21 @@ def read_pgm(path) -> ImageBuffer:
         raise MalformedInputError(f"unsupported PGM maxval {maxval} (need 1..255)")
     count = width * height
     if magic == b"P5":
-        start = end + 1  # single whitespace byte after maxval
-        raw = data[start:]
+        raw = data[head.end() + 1 :]  # single whitespace byte after maxval
         if len(raw) != count:
             raise MalformedInputError(f"P5 payload has {len(raw)} bytes for {count} pixels")
         vals = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
-        pixels = [tok for tok, _ in toks]  # counted before anything sized by the header
+        # counted before anything sized by the header is allocated
+        pixels = _COMMENT.sub(b"", data[head.end() :]).split()
         if len(pixels) != count:
             raise MalformedInputError(f"P2 payload has {len(pixels)} pixels for {count}")
         try:
             vals = np.array([int(tok) for tok in pixels], dtype=np.float64)
         except ValueError as exc:
             raise MalformedInputError(f"non-integer P2 pixel: {exc}") from None
-        if np.any(vals < 0) or np.any(vals > maxval):
-            raise MalformedInputError("P2 pixel outside [0, maxval]")
+    if np.any(vals < 0) or np.any(vals > maxval):
+        raise MalformedInputError(f"{magic.decode()} pixel outside [0, maxval]")
     return ImageBuffer((vals / maxval).reshape(height, width))
 
 

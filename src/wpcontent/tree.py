@@ -27,8 +27,8 @@ Node ordering is lexicographic everywhere; 2D words are serialized as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import asdict, dataclass
+from itertools import product
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     MalformedInputError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, SymMatrix, make_psd, psd_from_spectrum
+from .psdcore import PsdOperator, SymMatrix, _positive_first, psd_from_spectrum
 
 _FILTER_TOL = 1e-10
 
@@ -112,7 +112,8 @@ class PacketTree:
     """Immutable tree of nodes with one read-only packet transform per depth."""
 
     __slots__ = (
-        "realization", "ambient_dim", "max_depth", "_levels", "_transforms", "_index", "_children"
+        "realization", "ambient_dim", "max_depth", "_levels", "_transforms", "_index",
+        "_children", "_identity", "_parents",
     )
 
     def __init__(self, realization, ambient_dim, max_depth, levels, transforms, children):
@@ -125,8 +126,16 @@ class PacketTree:
             nd.word: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)
         }
         self._children = children
+        # derived once: whether each W_n is exactly I (the frequency-band tree shares one
+        # array, scanned once), and each node's parent index, read off the child lists
+        identity = {}
         for w in transforms:
             w.setflags(write=False)
+            if id(w) not in identity:
+                identity[id(w)] = bool(np.all(w.diagonal() == 1)) and np.count_nonzero(w) == len(w)
+        self._identity = tuple(identity[id(w)] for w in transforms)
+        parent = {kid.word: self._index[w][1] for w, kids in children.items() for kid in kids}
+        self._parents = [np.array([parent.get(nd.word, -1) for nd in level]) for level in levels]
 
     @property
     def root(self) -> PacketNode:
@@ -142,15 +151,32 @@ class PacketTree:
         self.nodes_at(n)  # rejects an out-of-range depth
         return self._transforms[n]
 
+    def is_identity(self, n: int) -> bool:
+        """Whether W_n is exactly I (every depth of the frequency-band tree)."""
+        return self._identity[n]
+
+    def row_nodes(self, n: int) -> np.ndarray:
+        """Depth-n node index of each row of W_n."""
+        nn = len(self.nodes_at(n))
+        return np.repeat(np.arange(nn), self.ambient_dim // nn)
+
+    def parents(self, n: int) -> np.ndarray:
+        """Depth-(n-1) index of the parent of each depth-n node (-1 for the root)."""
+        return self._parents[n]
+
     def has_node(self, node: PacketNode) -> bool:
         return self._index.get(node.word, (None,))[0] == node.depth
 
-    def basis(self, node: PacketNode) -> np.ndarray:
-        """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
+    def _position(self, node: PacketNode) -> tuple[int, int]:
+        """(depth, index within the depth) of a node of this tree."""
         try:
-            n, i = self._index[node.word]
+            return self._index[node.word]
         except KeyError:
             raise UnknownNodeError(f"node {node.word!r} is not in this tree") from None
+
+    def basis(self, node: PacketNode) -> np.ndarray:
+        """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
+        n, i = self._position(node)
         s = self.ambient_dim // len(self._levels[n])
         return self._transforms[n][i * s : (i + 1) * s]
 
@@ -250,10 +276,25 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
     return PacketTree("filterbank-2d", dim, depth, tree_levels, transforms, children)
 
 
+def _rows_projection(tree: PacketTree, n: int, idx) -> PsdOperator:
+    """Projection onto the W_n rows of the depth-n nodes ``idx``, from its known spectrum.
+
+    Eigenvalue 1 on those rows, then 0 on the others in node order; the rows, signed by
+    `_positive_first`, are the eigenvectors (`sym_eigen`'s contract). No eigensolver runs.
+    """
+    d = tree.ambient_dim
+    segments = tree.transform(n).reshape(len(tree.nodes_at(n)), -1, d)
+    rows = segments[idx].reshape(-1, d)
+    others = np.delete(segments, idx, axis=0).reshape(-1, d)
+    vecs = _positive_first(np.vstack([rows, others]).T)
+    lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
+    return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
+
+
 def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
     """Orthogonal projection onto the node's subspace, as a PSD operator."""
-    b = tree.basis(node)
-    return make_psd(SymMatrix(b.T @ b))
+    n, i = tree._position(node)
+    return _rows_projection(tree, n, [i])
 
 
 @dataclass(frozen=True)
@@ -269,40 +310,34 @@ class TreeValidationReport:
         return max(self.partition, self.child_sum, self.child_orthogonality, self.basis_orthonormality)
 
     def as_dict(self) -> dict:
-        return {
-            "partition": self.partition,
-            "child_sum": self.child_sum,
-            "child_orthogonality": self.child_orthogonality,
-            "basis_orthonormality": self.basis_orthonormality,
-        }
+        return asdict(self)
+
+
+def _gram_defect(x: np.ndarray) -> np.ndarray:
+    """|x x^T - I|, formed without an identity matrix."""
+    g = x @ x.T
+    g.flat[:: len(g) + 1] -= 1.0
+    return np.abs(g)
 
 
 def validate_tree(tree: PacketTree) -> TreeValidationReport:
-    """Numerically check the partition, splitting, and orthonormality axioms."""
-    eye = np.eye(tree.ambient_dim)
-    proj = {}
-    for node in tree.all_nodes():
-        b = tree.basis(node)
-        proj[node.word] = b.T @ b
-    partition = 0.0
+    """Numerically check the partition, splitting, and orthonormality axioms, depth by depth.
+
+    Partition is |W_n^T W_n - I|. Basis orthonormality and child orthogonality are the
+    diagonal and off-diagonal node blocks of |W_n W_n^T - I|. The child sum is the part
+    of |W_{n+1} W_n^T| outside each child's parent block. No per-node projection is formed.
+    """
+    partition = child_sum = child_orth = ortho = 0.0
     for n in range(tree.max_depth + 1):
-        acc = sum(proj[nd.word] for nd in tree.nodes_at(n))
-        partition = max(partition, float(np.max(np.abs(acc - eye))))
-    child_sum = 0.0
-    child_orth = 0.0
-    for node in tree.all_nodes():
-        kids = tree.children(node)
-        if not kids:
-            continue
-        acc = sum(proj[k.word] for k in kids)
-        child_sum = max(child_sum, float(np.max(np.abs(proj[node.word] - acc))))
-        for u, w in combinations(kids, 2):
-            child_orth = max(child_orth, float(np.max(np.abs(proj[u.word] @ proj[w.word]))))
-    ortho = 0.0
-    for node in tree.all_nodes():
-        b = tree.basis(node)
-        gram = b @ b.T
-        ortho = max(ortho, float(np.max(np.abs(gram - np.eye(b.shape[0])))))
+        w, rows = tree.transform(n), tree.row_nodes(n)
+        partition = max(partition, float(_gram_defect(w.T).max()))
+        g, same = _gram_defect(w), rows[:, None] == rows
+        ortho = max(ortho, float(g[same].max()))
+        child_orth = max(child_orth, float(g[~same].max(initial=0.0)))
+        if n < tree.max_depth:
+            up = tree.parents(n + 1)[tree.row_nodes(n + 1)]
+            outside = np.abs(tree.transform(n + 1) @ w.T)[up[:, None] != rows]
+            child_sum = max(child_sum, float(outside.max(initial=0.0)))
     return TreeValidationReport(partition, child_sum, child_orth, ortho)
 
 

@@ -1,5 +1,7 @@
 """Shared independent oracles and constructions for the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 
 import wpcontent as w
@@ -69,6 +71,56 @@ def dense_pinching(a, tree, n):
 def dense_coefficient_energies(y, tree, n):
     """Per-node route: mean over patch rows y of ||y B^T||^2, per depth-n node."""
     return [float(np.mean(np.sum((y @ tree.basis(nd).T) ** 2, axis=1))) for nd in tree.nodes_at(n)]
+
+
+def dense_validate_tree(tree):
+    """Per-node route of validate_tree: one dense projection P = B^T B per node.
+
+    Returns the four violations as a dict: partition |sum_w P_w - I| per depth,
+    child sum |P_w - sum of child P|, sibling orthogonality |P_u P_v|, and
+    basis orthonormality |B B^T - I|.
+    """
+    proj = {nd.word: tree.basis(nd).T @ tree.basis(nd) for nd in tree.all_nodes()}
+    eye = np.eye(tree.ambient_dim)
+    fields = ("partition", "child_sum", "child_orthogonality", "basis_orthonormality")
+    out = dict.fromkeys(fields, 0.0)
+    for n in range(tree.max_depth + 1):
+        acc = sum(proj[nd.word] for nd in tree.nodes_at(n))
+        out["partition"] = max(out["partition"], float(np.max(np.abs(acc - eye))))
+    for node in tree.all_nodes():
+        b = tree.basis(node)
+        gram = b @ b.T - np.eye(b.shape[0])
+        out["basis_orthonormality"] = max(out["basis_orthonormality"], float(np.max(np.abs(gram))))
+        kids = tree.children(node)
+        if not kids:
+            continue
+        gap = proj[node.word] - sum(proj[k.word] for k in kids)
+        out["child_sum"] = max(out["child_sum"], float(np.max(np.abs(gap))))
+        for u, v in combinations(kids, 2):
+            both = np.max(np.abs(proj[u.word] @ proj[v.word]))
+            out["child_orthogonality"] = max(out["child_orthogonality"], float(both))
+    return out
+
+
+def swapped_children_tree(tree, n):
+    """Copy of ``tree`` with the rows of two depth-n non-siblings swapped in W_n.
+
+    The last child of the first depth-(n-1) node trades rows with the first
+    child of the second, so every W_n stays orthogonal but the two children
+    sit under the wrong parents.
+    """
+    above, nodes = tree.nodes_at(n - 1), tree.nodes_at(n)
+    i, j = nodes.index(tree.children(above[0])[-1]), nodes.index(tree.children(above[1])[0])
+    s = tree.ambient_dim // len(nodes)
+    wn = tree.transform(n).copy()
+    wn[[*range(i * s, (i + 1) * s), *range(j * s, (j + 1) * s)]] = wn[
+        [*range(j * s, (j + 1) * s), *range(i * s, (i + 1) * s)]
+    ]
+    transforms = [tree.transform(m) for m in range(tree.max_depth + 1)]
+    transforms[n] = wn
+    return w.tree.PacketTree(
+        tree.realization, tree.ambient_dim, tree.max_depth, tree._levels, transforms, tree._children
+    )
 
 
 def block_diagonal_gram(rng, tree, n, dim):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,36 @@ class TestGreedy:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    def test_thread_count_changes_no_node_and_only_rounding(self, tmp_path, rng):
+        # at d = 256 the two reports differ in their last bits; nodes and values may not
+        op = random_gram(rng, 256)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(w.matrix_to_json(op)))
+        src = str(Path(w.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            rep = tmp_path / f"t{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "wpcontent.cli", "greedy", "--in", str(path),
+                 "--mode", "trace", "--depth", "6", "--steps", "8", "--report", str(rep)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(rep.read_text()))
+        one, two = runs
+        assert [s["node"] for s in one["steps"]] == [s["node"] for s in two["steps"]]
+        assert len(one["steps"]) == 8
+        tol = 1e-9 * float(op.eigenvalues[0])
+        for key in ("trace", "hs"):
+            assert abs(one["initial"][key] - two["initial"][key]) <= tol
+        for a, b in zip(one["steps"], two["steps"]):
+            for key, val in a.items():
+                if isinstance(val, float):
+                    assert abs(val - b[key]) <= tol, (a["k"], key)
+
+
 class TestDenoise:
     def test_pipeline_with_clean_reference(self, image_files, tmp_path):
         clean, noisy = image_files
@@ -230,6 +264,31 @@ class TestDenoise:
                      "--out", str(tmp_path / "x.pgm")]) == 2
         err = capsys.readouterr().err
         assert "payload" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "magic, pixels", [(b"P2", b"50 200\n"), (b"P5", bytes([50, 200]))], ids=["p2", "p5"]
+    )
+    def test_pixel_above_maxval_exits_2(self, tmp_path, capsys, magic, pixels):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(magic + b"\n2 1\n100\n" + pixels)
+        assert main(["denoise", "--in", str(bad), "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert "outside [0, maxval]" in err and "Traceback" not in err
+
+    def test_p2_comments_between_pixels_read_as_p5(self, tmp_path):
+        raster = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
+        p5, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        p5.write_bytes(b"P5\n4 3\n255\n" + raster.tobytes())
+        body = b"".join(b"%d#c %d\n\t" % (v, v) if v % 3 else b"%d " % v for v in raster.ravel())
+        p2.write_bytes(b"P2 # magic\n4#w\n3\n255\n# first row\n" + body + b"# end")
+        assert np.array_equal(w.read_pgm(p2).pixels, w.read_pgm(p5).pixels)
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_5(self, image_files, tmp_path, capsys, sigma):
+        clean, _ = image_files
+        assert main(["denoise", "--in", clean, "--sigma", sigma,
+                     "--out", str(tmp_path / "x.pgm")]) == 5
+        assert "sigma" in capsys.readouterr().err
 
     def test_sigma_adds_noise_deterministically(self, image_files, tmp_path):
         clean, _ = image_files

@@ -150,23 +150,24 @@ class TestSelection:
         scores = w.BlockScores(2, tuple(tree.nodes_at(2)), rng.uniform(size=16))
 
         def no_eigh(*_):
-            raise AssertionError("select_top_k ran an eigensolver")
+            raise AssertionError("a projection ran an eigensolver")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         sel = w.select_top_k(scores, k, tree)
+        singles = [(w.projection(tree, nd), tree.basis(nd)) for nd in sel.nodes]
         monkeypatch.undo()
-        op = sel.projection
-        r = sel.basis.shape[0]
-        assert r == sum(tree.subspace_dim(nd) for nd in sel.nodes)
-        assert list(op.eigenvalues) == [1.0] * r + [0.0] * (64 - r)
-        vecs = op.eigenvectors
-        assert np.array_equal(np.abs(vecs[:, :r].T), np.abs(sel.basis))
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(64))) <= 1e-12
-        first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(64)]
-        assert np.all(first > 0.0)
-        assert np.max(np.abs((vecs * op.eigenvalues) @ vecs.T - op.matrix)) <= 1e-12
-        lam, _ = w.sym_eigen(op)
-        assert np.max(np.abs(lam - op.eigenvalues)) <= 1e-12
+        assert sel.basis.shape[0] == sum(tree.subspace_dim(nd) for nd in sel.nodes)
+        for op, rows in [(sel.projection, sel.basis)] + singles:
+            r = rows.shape[0]
+            assert list(op.eigenvalues) == [1.0] * r + [0.0] * (64 - r)
+            vecs = op.eigenvectors
+            assert np.array_equal(np.abs(vecs[:, :r].T), np.abs(rows))
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(64))) <= 1e-12
+            first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(64)]
+            assert np.all(first > 0.0)
+            assert np.max(np.abs((vecs * op.eigenvalues) @ vecs.T - op.matrix)) <= 1e-12
+            lam, _ = w.sym_eigen(op)
+            assert np.max(np.abs(lam - op.eigenvalues)) <= 1e-12
 
 
 class TestPsnrAndNoise:
@@ -200,6 +201,11 @@ class TestPsnrAndNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(w.ConfigError):
             w.add_gaussian_noise(piecewise_smooth_image(8), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(w.ConfigError, match="finite"):
+            w.add_gaussian_noise(piecewise_smooth_image(8), sigma, 0)
 
 
 class TestDenoisePipeline:

@@ -93,7 +93,7 @@ def test_identity_transform_skip_is_exact(rng, tree):
         assert np.array_equal(w.content.trace_scores(a, tree, n), trace_by_product)
         assert np.array_equal(w.content.hs_scores_squared(a, tree, n), np.sum(blocks**2, axis=(1, 2)))
     shannon = tree.realization == "shannon"
-    assert [w.content._is_identity(tree.transform(n)) for n in range(tree.max_depth + 1)] == [
+    assert [tree.is_identity(n) for n in range(tree.max_depth + 1)] == [
         True
     ] + [shannon] * tree.max_depth
 

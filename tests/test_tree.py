@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wpcontent as w
 from wpcontent.selftest import corrupted_tree_fixture
 
-from helpers import band_positions, shannon_band
+from helpers import band_positions, dense_validate_tree, shannon_band, swapped_children_tree
 
 
 def all_test_trees():
@@ -15,6 +17,19 @@ def all_test_trees():
         w.build_filter_tree_2d(w.haar_filter(), 4, 2),
         w.build_filter_tree_2d(w.d4_filter(), 8, 2),
     ]
+
+
+def corrupted_trees():
+    return [
+        corrupted_tree_fixture(),
+        swapped_children_tree(w.build_shannon_tree(3, 3), 2),
+        swapped_children_tree(w.build_filter_tree_1d(w.haar_filter(), 8, 3), 3),
+        swapped_children_tree(w.build_filter_tree_2d(w.d4_filter(), 8, 2), 2),
+    ]
+
+
+def tree_id(tree):
+    return f"{tree.realization}-{tree.ambient_dim}"
 
 
 class TestFilterPair:
@@ -136,12 +151,12 @@ class TestFilterTrees:
 
 
 class TestTreeAxioms:
-    @pytest.mark.parametrize("tree", all_test_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
+    @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
     def test_axioms_hold(self, tree):
         report = w.validate_tree(tree)
         assert report.max_violation() <= 1e-10, report.as_dict()
 
-    @pytest.mark.parametrize("tree", all_test_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
+    @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
     def test_depth_slice_counts(self, tree):
         branching = 4 if tree.realization == "filterbank-2d" else 2
         for n in range(tree.max_depth + 1):
@@ -165,6 +180,44 @@ class TestTreeAxioms:
         tree = w.build_shannon_tree(2, 1)
         with pytest.raises(w.UnknownNodeError):
             w.projection(tree, w.PacketNode("0101", 4))
+
+    @pytest.mark.parametrize("tree", all_test_trees() + corrupted_trees(), ids=tree_id)
+    def test_per_depth_checks_agree_with_dense_oracle(self, tree):
+        dense = dense_validate_tree(tree)
+        report = w.validate_tree(tree)
+        assert (report.max_violation() <= 1e-10) == (max(dense.values()) <= 1e-10), (
+            report.as_dict(),
+            dense,
+        )
+
+    @pytest.mark.parametrize("tree", corrupted_trees()[1:], ids=tree_id)
+    def test_child_sum_only_corruption(self, tree):
+        # non-siblings swapped: every W_n is still orthogonal, only the splitting fails
+        report = w.validate_tree(tree)
+        assert report.child_sum >= 0.5
+        others = (report.partition, report.child_orthogonality, report.basis_orthonormality)
+        assert max(others) <= 1e-10
+
+    @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
+    def test_parent_index_follows_child_lists(self, tree):
+        for n in range(1, tree.max_depth + 1):
+            above = tree.nodes_at(n - 1)
+            want = [
+                next(i for i, p in enumerate(above) if nd in tree.children(p))
+                for nd in tree.nodes_at(n)
+            ]
+            assert tree.parents(n).tolist() == want
+
+    def test_validation_memory_is_per_depth(self):
+        # a dense projection per node would hold 255 x 128 KB here
+        tree = w.build_shannon_tree(7, 7)
+        tracemalloc.start()
+        try:
+            w.validate_tree(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_corrupted_tree_detected(self):
         report = w.validate_tree(corrupted_tree_fixture())
