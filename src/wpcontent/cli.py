@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .content import cylinder_weights
@@ -109,6 +110,8 @@ def cmd_decompose(args) -> int:
 def cmd_greedy(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    if not (math.isfinite(args.stop_tol) and args.stop_tol >= 0.0):
+        raise ConfigError(f"--stop-tol must be finite and >= 0, got {args.stop_tol}")
     operator, levels_hint = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
     depth = args.depth if args.depth is not None else tree.max_depth

@@ -111,7 +111,7 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
 
 
 def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> ContentBlock:
-    """Dense content block sqrt(R) P_w sqrt(R), symmetrized and PSD-clamped."""
+    """Dense content block sqrt(R) P_w sqrt(R), symmetrized and PSD-checked."""
     _check_dims(r, tree)
     b = tree.basis(node)
     m = b @ r.sqrt_entries()

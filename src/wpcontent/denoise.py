@@ -227,7 +227,7 @@ def denoise_image(
     rhat = gram / (len(rows) * len(cols))
     scores = BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
     if cfg.mode == "hs":
-        sel_values = np.sqrt(hs_scores_squared(make_psd(SymMatrix(rhat)).matrix, tree, n))
+        sel_values = np.sqrt(hs_scores_squared(rhat, tree, n))
     else:
         sel_values = scores.values
     idx, chosen, basis = _choose(tree, n, sel_values, cfg.top_k)

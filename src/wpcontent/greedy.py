@@ -184,17 +184,18 @@ def _step(
 ) -> ExtractionTrace:
     """Remove ``node``'s block from the record's remainder; the record with the step added.
 
-    D = (B S)^T (B S) with S the square root of the remainder. The new
-    remainder's PSD clamp is referenced to ``scale``, the run-initial
-    lam_max: subtraction noise sits at that scale even once the
-    remainder itself has decayed to nothing. A step that leaves the PSD
-    cone or breaks a certified inequality raises NumericalBreakdownError.
+    D = M^T M with M = B sqrt(R) = ((B V) sqrt(lam)) V^T, taken from the
+    remainder's stored spectrum in O(s d^2). The new remainder R - D is
+    PSD-checked against ``scale``, the run-initial lam_max: subtraction
+    noise sits at that scale even once the remainder itself has decayed
+    to nothing. A step that leaves the PSD cone or breaks a certified
+    inequality raises NumericalBreakdownError.
     """
     k = len(tr.steps) + 1
     current = tr.final_remainder
-    m = tree.basis(node) @ current.sqrt_entries()
+    v = current.eigenvectors
+    m = ((tree.basis(node) @ v) * np.sqrt(current.eigenvalues)) @ v.T
     d = m.T @ m
-    d = 0.5 * (d + d.T)
     try:
         nxt = make_psd(SymMatrix(current.matrix - d), scale=scale)
     except NotPositiveError as exc:

@@ -27,10 +27,10 @@ def read_pgm(path) -> ImageBuffer:
         raise MalformedInputError(f"not a PGM file (magic {magic!r})")
     if not all(header):
         raise MalformedInputError("truncated PGM header")
-    try:
-        width, height, maxval = (int(t) for t in header)
-    except ValueError:
-        raise MalformedInputError(f"non-integer PGM header fields {header}") from None
+    # plain ASCII digits only: int() would also take "+20", "-0" and "2_55"
+    if not all(t.isdigit() for t in header):
+        raise MalformedInputError(f"non-integer PGM header fields {header}")
+    width, height, maxval = map(int, header)
     if width < 1 or height < 1:
         raise MalformedInputError(f"bad PGM dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
@@ -46,10 +46,10 @@ def read_pgm(path) -> ImageBuffer:
         pixels = _COMMENT.sub(b"", data[head.end() :]).split()
         if len(pixels) != count:
             raise MalformedInputError(f"P2 payload has {len(pixels)} pixels for {count}")
-        try:
-            vals = np.array([int(tok) for tok in pixels], dtype=np.float64)
-        except ValueError as exc:
-            raise MalformedInputError(f"non-integer P2 pixel: {exc}") from None
+        bad = [tok for tok in pixels if not tok.isdigit()]
+        if bad:
+            raise MalformedInputError(f"non-integer P2 pixel {bad[0]!r}")
+        vals = np.array([int(tok) for tok in pixels], dtype=np.float64)
     if np.any(vals < 0) or np.any(vals > maxval):
         raise MalformedInputError(f"{magic.decode()} pixel outside [0, maxval]")
     return ImageBuffer((vals / maxval).reshape(height, width))

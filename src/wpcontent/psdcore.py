@@ -2,8 +2,8 @@
 
 Everything downstream (content blocks, greedy extraction, denoising)
 reduces to a handful of primitives on real symmetric matrices:
-eigendecomposition, projection to the PSD cone, the operator square
-root, traces, Hilbert-Schmidt norms, and Loewner-order comparisons.
+eigendecomposition, the PSD check, the operator square root, traces,
+Hilbert-Schmidt norms, and Loewner-order comparisons.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
 repeated runs on identical input produce identical output. Eigenvalues
@@ -52,8 +52,9 @@ class PsdOperator:
 
     Construct via `make_psd` or `psd_from_spectrum`; ``eigenvalues`` are nonincreasing,
     ``eigenvectors`` holds the matching orthonormal columns, and
-    ``clamp_applied`` records whether negative rounding noise was
-    clipped to zero.
+    ``clamp_applied`` records whether negative rounding noise was zeroed
+    in ``eigenvalues``. The matrix itself is never edited: it is the
+    input, whose own spectrum may dip below zero by that noise.
     """
 
     __slots__ = ("base", "eigenvalues", "eigenvectors", "clamp_applied", "_sqrt")
@@ -79,7 +80,9 @@ class PsdOperator:
     def sqrt_entries(self) -> np.ndarray:
         """Dense entries of the PSD square root (computed once, cached)."""
         if self._sqrt is None:
-            s = _rebuild(self.eigenvectors, np.sqrt(self.eigenvalues))
+            v = self.eigenvectors
+            s = (v * np.sqrt(self.eigenvalues)) @ v.T
+            s = 0.5 * (s + s.T)
             s.setflags(write=False)
             self._sqrt = s
         return self._sqrt
@@ -98,12 +101,6 @@ def as_entries(a) -> np.ndarray:
     if isinstance(a, SymMatrix):
         return a.entries
     return np.asarray(a, dtype=np.float64)
-
-
-def _rebuild(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """V diag(vals) V^T, symmetrized."""
-    m = (vecs * vals) @ vecs.T
-    return 0.5 * (m + m.T)
 
 
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +124,7 @@ def _positive_first(vecs: np.ndarray) -> np.ndarray:
 
 
 def make_psd(m, scale: float | None = None) -> PsdOperator:
-    """Project a symmetric matrix to the PSD cone: `sym_eigen`, then `psd_from_spectrum`."""
+    """Check that a symmetric matrix is PSD: `sym_eigen`, then `psd_from_spectrum`."""
     if not isinstance(m, SymMatrix):
         m = SymMatrix(as_entries(m))
     lam, vecs = sym_eigen(m)
@@ -137,8 +134,9 @@ def make_psd(m, scale: float | None = None) -> PsdOperator:
 def psd_from_spectrum(m: SymMatrix, lam, vecs, scale: float | None = None) -> PsdOperator:
     """PSD operator from ``m`` and its spectrum, given in `sym_eigen`'s order and signs.
 
-    Eigenvalues in [-DEFAULT_CLAMP_TOL * lam_max, 0) are clamped to zero;
-    anything more negative raises NotPositiveError reporting the offending
+    A check, not an edit: eigenvalues in [-DEFAULT_CLAMP_TOL * lam_max, 0)
+    are zeroed in the stored spectrum and ``m`` is kept as given; anything
+    more negative raises NotPositiveError reporting the offending
     eigenvalue. ``scale`` optionally widens the clamp reference to an
     external scale: needed when ``m`` is a small difference of larger
     operators, whose rounding noise lives at the scale of the operands
@@ -148,12 +146,7 @@ def psd_from_spectrum(m: SymMatrix, lam, vecs, scale: float | None = None) -> Ps
     lam_min = float(lam[-1])
     if lam_min < -thresh:
         raise NotPositiveError(lam_min, thresh)
-    clamp = lam < 0.0
-    if np.any(clamp):
-        lam = np.where(clamp, 0.0, lam)
-        base = SymMatrix(_rebuild(vecs, lam))
-        return PsdOperator(base, lam, vecs, True)
-    return PsdOperator(m, lam, vecs, False)
+    return PsdOperator(m, np.maximum(lam, 0.0), vecs, lam_min < 0.0)
 
 
 def sqrt_psd(r: PsdOperator) -> PsdOperator:

@@ -157,6 +157,15 @@ class TestGreedy:
                      "--report", str(rep)]) == 5
         assert not rep.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-12", "inf"])
+    def test_bad_stop_tol_exits_5(self, tmp_path, capsys, tol):
+        rep = tmp_path / "g.json"
+        # checked before the (absent) input is read
+        assert main(["greedy", "--in", str(tmp_path / "absent.json"), "--depth", "1",
+                     f"--stop-tol={tol}", "--report", str(rep)]) == 5
+        assert "--stop-tol" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_filter_tree_modes(self, matrix_file, tmp_path):
         rep = tmp_path / "g.json"
         for tree_name in ("haar", "d4"):
@@ -255,6 +264,20 @@ class TestDenoise:
         assert "payload" in err and "Traceback" not in err
         bad.write_bytes(payload[:-2] if payload.startswith(b"P2") else payload[:-1])
         assert w.read_pgm(bad).pixels.shape == (4, 4)
+
+    @pytest.mark.parametrize("payload", [
+        b"P5\n4 4\n2_55\n" + bytes(16),
+        b"P5\n1_0 4\n255\n" + bytes(40),
+        b"P2\n4 4\n255\n+20" + b" 0" * 15,
+        b"P2\n4 4\n255\n" + b"0 " * 15 + b"-0\n",
+    ], ids=["maxval-underscore", "width-underscore", "p2-plus-sign", "p2-minus-zero"])
+    def test_non_decimal_digits_exit_2(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(payload)
+        assert main(["denoise", "--in", str(bad), "--patch-side", "4", "--depth", "1",
+                     "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert "non-integer" in err and "Traceback" not in err
 
     def test_short_payload_under_huge_header_exits_2(self, tmp_path, capsys):
         # the header declares 10^14 pixels; nothing sized by it may be allocated

@@ -355,3 +355,27 @@ class TestDecayReport:
         with pytest.raises(w.NumericalBreakdownError) as exc:
             w.hs_greedy(random_gram(rng, 8), tree, 2, max_steps=4)
         assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
+def test_one_eigensolver_per_step_and_no_square_root(rng, monkeypatch, mode):
+    tree = w.build_filter_tree_1d(w.d4_filter(), 8, 2)
+    r = random_gram(rng, 8)
+    real, calls = w.psdcore.sym_eigen, []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    def no_sqrt(_):
+        raise AssertionError("an extraction step formed the square root")
+
+    monkeypatch.setattr(w.psdcore, "sym_eigen", counted)
+    monkeypatch.setattr(w.PsdOperator, "sqrt_entries", no_sqrt)
+    if mode == "sequence":
+        seq = [tree.nodes_at(2)[0], tree.nodes_at(1)[1], tree.root, tree.nodes_at(2)[3]]
+        run = w.extract_sequence(r, tree, seq)
+    else:
+        extract = w.trace_greedy if mode == "trace-greedy" else w.hs_greedy
+        run = extract(r, tree, 2, max_steps=4)
+    assert len(run.steps) == 4 and len(calls) == 4

@@ -64,8 +64,11 @@ class TestMakePsd:
             assert np.all(op.eigenvalues >= 0)
 
     def test_clamp_applied_flag(self):
-        op = w.make_psd(w.SymMatrix(np.diag([1.0, -1e-12])))
+        # the clamp zeros the spectrum only; the matrix is kept bit for bit
+        m = np.diag([1.0, -1e-12])
+        op = w.make_psd(w.SymMatrix(m))
         assert op.clamp_applied and op.eigenvalues[-1] == 0.0
+        assert np.array_equal(op.matrix, m)
         clean = w.make_psd(w.SymMatrix(np.diag([2.0, 1.0])))
         assert not clean.clamp_applied
 
