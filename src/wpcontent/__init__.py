@@ -6,86 +6,112 @@ traces define consistent cylinder weights on the tree, greedy removal
 of the heaviest block contracts the remainder at a certified geometric
 rate (in trace or Hilbert-Schmidt norm), and the same block-selection
 rule drives a patch-based image denoiser.
+
+The public names load lazily (PEP 562): ``import wpcontent`` imports no
+submodule and not numpy, so ``wpcontent.cli`` can still choose the BLAS
+thread count before numpy starts.
 """
 
-from .content import (
-    ContentBlock,
-    ContentDecomposition,
-    CylinderWeights,
-    content_operator,
-    cylinder_weights,
-    depth_decomposition,
-    discrete_density,
-    parallelogram_check,
-    vector_weight,
-)
-from .denoise import (
-    BlockScores,
-    DenoiseConfig,
-    ImageBuffer,
-    PatchSet,
-    Selection,
-    add_gaussian_noise,
-    block_scores,
-    denoise_image,
-    extract_patches,
-    psnr,
-    second_moment,
-    select_top_k,
-)
-from .errors import (
-    AbsoluteContinuityViolation,
-    ConfigError,
-    DimensionMismatchError,
-    InvalidDepthError,
-    InvalidFilterError,
-    MalformedInputError,
-    NotPositiveError,
-    NumericalBreakdownError,
-    UndefinedCoherenceError,
-    UnknownNodeError,
-    WpcError,
-)
-from .greedy import (
-    CoherenceValue,
-    ExtractionStep,
-    ExtractionTrace,
-    coherence,
-    conditional_expectation,
-    decay_report,
-    extract_sequence,
-    hs_greedy,
-    trace_greedy,
-    trace_payload,
-)
-from .pgm import quantize, read_pgm, write_pgm
-from .psdcore import (
-    PsdOperator,
-    SymMatrix,
-    hs_norm,
-    loewner_leq,
-    make_psd,
-    matrix_from_json,
-    matrix_to_json,
-    sqrt_psd,
-    sym_eigen,
-    trace,
-)
-from .tree import (
-    FilterPair,
-    PacketNode,
-    PacketTree,
-    ShannonSymbol,
-    build_filter_tree_1d,
-    build_filter_tree_2d,
-    build_shannon_tree,
-    d4_filter,
-    filter_from_json,
-    haar_filter,
-    named_filter,
-    projection,
-    tree_description,
-    validate_tree,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "content": (
+        "ContentBlock",
+        "ContentDecomposition",
+        "CylinderWeights",
+        "content_operator",
+        "cylinder_weights",
+        "depth_decomposition",
+        "discrete_density",
+        "parallelogram_check",
+        "vector_weight",
+    ),
+    "denoise": (
+        "BlockScores",
+        "DenoiseConfig",
+        "ImageBuffer",
+        "PatchSet",
+        "Selection",
+        "add_gaussian_noise",
+        "block_scores",
+        "denoise_image",
+        "extract_patches",
+        "psnr",
+        "second_moment",
+        "select_top_k",
+    ),
+    "errors": (
+        "AbsoluteContinuityViolation",
+        "ConfigError",
+        "DimensionMismatchError",
+        "InvalidDepthError",
+        "InvalidFilterError",
+        "MalformedInputError",
+        "NotPositiveError",
+        "NumericalBreakdownError",
+        "UndefinedCoherenceError",
+        "UnknownNodeError",
+        "WpcError",
+    ),
+    "greedy": (
+        "CoherenceValue",
+        "ExtractionStep",
+        "ExtractionTrace",
+        "coherence",
+        "conditional_expectation",
+        "decay_report",
+        "extract_sequence",
+        "hs_greedy",
+        "trace_greedy",
+        "trace_payload",
+    ),
+    "pgm": ("quantize", "read_pgm", "write_pgm"),
+    "psdcore": (
+        "PsdOperator",
+        "SymMatrix",
+        "hs_norm",
+        "loewner_leq",
+        "make_psd",
+        "matrix_from_json",
+        "matrix_to_json",
+        "sqrt_psd",
+        "sym_eigen",
+        "trace",
+    ),
+    "tree": (
+        "FilterPair",
+        "PacketNode",
+        "PacketTree",
+        "ShannonSymbol",
+        "build_filter_tree_1d",
+        "build_filter_tree_2d",
+        "build_shannon_tree",
+        "d4_filter",
+        "filter_from_json",
+        "haar_filter",
+        "named_filter",
+        "projection",
+        "tree_description",
+        "validate_tree",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Load an exported name, or one of the submodules above, on first use."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

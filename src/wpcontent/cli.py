@@ -3,15 +3,29 @@
 Exit codes: 0 success, 1 selftest failure, 2 malformed input,
 3 not positive semidefinite, 4 bound violation / numerical breakdown,
 5 invalid configuration.
+
+The command runs BLAS on one thread unless one of _THREAD_VARS is set:
+on two cores one thread cost 26-48% less CPU than two at about the same
+wall time (BENCH_thread_policy.json), and its report bytes do not depend
+on the core count. OpenBLAS reads the
+variables when numpy loads, so the policy applies only to a process in
+which this module loads numpy; a caller that imported numpy first keeps
+its own threads and its environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
 from .content import cylinder_weights
 from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image
@@ -53,12 +67,21 @@ def _load_json(path):
         raise MalformedInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failed write of the output file ``path`` as a ConfigError (exit 5)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, payload) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if path == "-" or path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -123,7 +146,7 @@ def cmd_greedy(args) -> int:
     _write_json(args.report, payload)
     if args.csv:
         columns = ExtractionStep.ROW_FIELDS
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _writing(args.csv), open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for step in payload["steps"]:
@@ -152,7 +175,8 @@ def cmd_denoise(args) -> int:
     )
     out, report = denoise_image(noisy, cfg, clean)
     if args.out:
-        write_pgm(args.out, out)
+        with _writing(args.out):
+            write_pgm(args.out, out)
     if args.report:
         _write_json(args.report, report)
     return EXIT_OK

@@ -20,6 +20,7 @@ inequality: each step passes it before it is recorded, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     NotPositiveError,
     NumericalBreakdownError,
@@ -134,6 +136,14 @@ def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> Ex
     return ExtractionTrace(mode, depth, nn, trace(r), hs_norm(r), (), r)
 
 
+def _check_stop(max_steps: int, stop_tol: float) -> None:
+    """A greedy run's stopping rule must be able to fire: max_steps >= 0, stop_tol finite >= 0."""
+    if max_steps < 0:
+        raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
+    if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
+        raise ConfigError(f"stop_tol must be finite and >= 0, got {stop_tol}")
+
+
 def _violation(
     tr: ExtractionTrace, prev: ExtractionStep | None, step: ExtractionStep
 ) -> str | None:
@@ -231,6 +241,7 @@ def trace_greedy(
     (1 - 1/N)^k * trace(R) and is certified against it and against the
     one-step contraction.
     """
+    _check_stop(max_steps, stop_tol)
     tr = _start("trace-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
     ratio = 1.0 - 1.0 / len(nodes)
@@ -256,6 +267,7 @@ def hs_greedy(
     the contraction by (1 - 1/(gamma N)) and the envelope. Terminates
     cleanly when the remainder is numerically zero (undefined coherence).
     """
+    _check_stop(max_steps, stop_tol)
     tr = _start("hs-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
     uniform_ratio = 1.0 - 1.0 / len(nodes) ** 2

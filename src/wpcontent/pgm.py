@@ -18,8 +18,11 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 
 def read_pgm(path) -> ImageBuffer:
     """Read a P2 or P5 PGM; pixel values map to [0, 1] by v / maxval."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read PGM from {path}: {exc}") from exc
     magic, *header = (head := _HEADER.match(data)).groups()
     if not magic:
         raise MalformedInputError("empty PGM file")

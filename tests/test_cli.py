@@ -30,6 +30,40 @@ def symbol_file(tmp_path):
 
 
 @pytest.fixture
+def gram256_file(tmp_path, rng):
+    op = random_gram(rng, 256)
+    path = tmp_path / "m256.json"
+    path.write_text(json.dumps(w.matrix_to_json(op)))
+    return op, path
+
+
+def _child_env(**threads):
+    """Environment of a fresh process: ``src`` on the path, no *_THREADS variable but ``threads``."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    src = str(Path(w.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **threads}
+
+
+def _trace_greedy_report(path, rep, env) -> bytes:
+    """Report bytes of `wpc greedy --mode trace` (Shannon depth 6, 8 steps) run in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wpcontent.cli", "greedy", "--in", str(path),
+         "--mode", "trace", "--depth", "6", "--steps", "8", "--report", str(rep)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return rep.read_bytes()
+
+
+def _fresh(code, env) -> object:
+    """JSON printed by ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
 def image_files(tmp_path):
     clean = piecewise_smooth_image(32)
     noisy = w.add_gaussian_noise(clean, 0.1, 42)
@@ -185,25 +219,14 @@ class TestGreedy:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-    def test_thread_count_changes_no_node_and_only_rounding(self, tmp_path, rng):
+    def test_thread_count_changes_no_node_and_only_rounding(self, gram256_file, tmp_path):
         # at d = 256 the two reports differ in their last bits; nodes and values may not
-        op = random_gram(rng, 256)
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(w.matrix_to_json(op)))
-        src = str(Path(w.__file__).resolve().parents[1])
-        runs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            rep = tmp_path / f"t{threads}.json"
-            proc = subprocess.run(
-                [sys.executable, "-m", "wpcontent.cli", "greedy", "--in", str(path),
-                 "--mode", "trace", "--depth", "6", "--steps", "8", "--report", str(rep)],
-                capture_output=True, text=True, env=env,
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs.append(json.loads(rep.read_text()))
-        one, two = runs
+        op, path = gram256_file
+        one, two = (
+            json.loads(_trace_greedy_report(path, tmp_path / f"t{threads}.json",
+                                            _child_env(OPENBLAS_NUM_THREADS=threads)))
+            for threads in ("1", "2")
+        )
         assert [s["node"] for s in one["steps"]] == [s["node"] for s in two["steps"]]
         assert len(one["steps"]) == 8
         tol = 1e-9 * float(op.eigenvalues[0])
@@ -213,6 +236,14 @@ class TestGreedy:
             for key, val in a.items():
                 if isinstance(val, float):
                     assert abs(val - b[key]) <= tol, (a["k"], key)
+
+    def test_default_thread_count_is_one(self, gram256_file, tmp_path):
+        # with no thread variable set the CLI runs one BLAS thread, whatever the core count
+        _, path = gram256_file
+        default = _trace_greedy_report(path, tmp_path / "default.json", _child_env())
+        one = _trace_greedy_report(path, tmp_path / "one.json",
+                                   _child_env(OPENBLAS_NUM_THREADS="1"))
+        assert default == one
 
 
 class TestDenoise:
@@ -340,3 +371,87 @@ class TestSelftest:
         assert main(["selftest", "--quick", "--corrupt-tree"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  tree-axioms" in out
+
+
+class TestFileErrors:
+    def test_missing_input_pgm_exits_2(self, image_files, tmp_path, capsys):
+        _, noisy = image_files
+        missing = str(tmp_path / "missing.pgm")
+        for argv in (["--in", missing], ["--in", noisy, "--clean", missing]):
+            assert main(["denoise", *argv, "--out", str(tmp_path / "x.pgm")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_denoise_output_exits_5(self, image_files, tmp_path, capsys, flag):
+        _, noisy = image_files
+        assert main(["denoise", "--in", noisy, flag, str(tmp_path / "no-dir" / "x")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("decompose", "--report"), ("greedy", "--report"), ("greedy", "--csv"),
+    ])
+    def test_unwritable_report_or_csv_exits_5(self, symbol_file, tmp_path, capsys,
+                                              command, flag):
+        argv = [command, "--symbol", symbol_file, "--depth", "1", "--report", "-", flag,
+                str(tmp_path / "no-dir" / "x")]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SHOW_THREADS = f"import json, os; print(json.dumps([os.environ.get(v) for v in {THREAD_VARS!r}]))"
+
+
+class TestThreadPolicy:
+    @pytest.mark.parametrize("code, threads, want", [
+        ("import wpcontent.cli", {}, ["1", "1", "1"]),
+        ("import wpcontent.cli", {"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+        ("import numpy, wpcontent.cli", {}, [None, None, None]),
+    ], ids=["unset-means-one", "set-variable-wins", "numpy-first-keeps-environment"])
+    def test_environment_after_cli_import(self, code, threads, want):
+        assert _fresh(f"{code}; {SHOW_THREADS}", _child_env(**threads)) == want
+
+
+EXPORTED = sorted("""
+    AbsoluteContinuityViolation BlockScores CoherenceValue ConfigError ContentBlock
+    ContentDecomposition CylinderWeights DenoiseConfig DimensionMismatchError ExtractionStep
+    ExtractionTrace FilterPair ImageBuffer InvalidDepthError InvalidFilterError
+    MalformedInputError NotPositiveError NumericalBreakdownError PacketNode PacketTree
+    PatchSet PsdOperator Selection ShannonSymbol SymMatrix UndefinedCoherenceError
+    UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
+    build_filter_tree_2d build_shannon_tree coherence conditional_expectation
+    content_operator cylinder_weights d4_filter decay_report denoise_image
+    depth_decomposition discrete_density extract_patches extract_sequence filter_from_json
+    haar_filter hs_greedy hs_norm loewner_leq make_psd matrix_from_json matrix_to_json
+    named_filter parallelogram_check projection psnr quantize read_pgm second_moment
+    select_top_k sqrt_psd sym_eigen trace trace_greedy trace_payload tree_description
+    validate_tree vector_weight write_pgm
+""".split())
+
+
+class TestLazyPackage:
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import json, sys, wpcontent; print(json.dumps('numpy' in sys.modules))"
+        assert _fresh(code, _child_env()) is False
+
+    def test_every_exported_name_resolves_in_a_fresh_process(self):
+        code = (
+            "import json, wpcontent as w\n"
+            "from wpcontent import trace_greedy, psdcore\n"
+            "print(json.dumps([sorted(w.__all__), all(hasattr(w, n) for n in w.__all__),\n"
+            "    trace_greedy is w.greedy.trace_greedy, psdcore.trace is w.trace,\n"
+            "    set(w.__all__) <= set(dir(w))]))"
+        )
+        names, *resolved = _fresh(code, _child_env())
+        assert names == EXPORTED and len(names) == 69
+        assert all(resolved)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            w.no_such_name
+        with pytest.raises(ImportError):
+            exec("from wpcontent import no_such_name", {})

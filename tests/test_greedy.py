@@ -379,3 +379,14 @@ def test_one_eigensolver_per_step_and_no_square_root(rng, monkeypatch, mode):
         extract = w.trace_greedy if mode == "trace-greedy" else w.hs_greedy
         run = extract(r, tree, 2, max_steps=4)
     assert len(run.steps) == 4 and len(calls) == 4
+
+
+@pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
+@pytest.mark.parametrize("max_steps, stop_tol", [
+    (10, float("nan")), (10, -1e-12), (10, float("inf")), (-3, 1e-12),
+], ids=["nan-tol", "negative-tol", "inf-tol", "negative-steps"])
+def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract, max_steps, stop_tol):
+    # a NaN tolerance never stops the run, and a negative step count records nothing
+    r = w.make_psd(w.SymMatrix(np.diag([1.0, 1.0, 0.0, 0.0])))
+    with pytest.raises(w.ConfigError):
+        extract(r, w.build_shannon_tree(2, 1), 1, max_steps, stop_tol=stop_tol)
