@@ -85,11 +85,11 @@ def _write_json(path, payload) -> None:
             fh.write(text)
 
 
-def _load_operator(args):
-    """Matrix or symbol input -> (PsdOperator, levels hint or None)."""
+def _load_operator(args, dense=True):
+    """Matrix or symbol input -> (PsdOperator, levels hint or None); dense=False keeps a symbol."""
     if getattr(args, "symbol", None):
         sym = ShannonSymbol.from_json(_load_json(args.symbol))
-        return sym.to_operator(), sym.levels
+        return sym.to_operator() if dense else sym, sym.levels
     if not getattr(args, "input", None):
         raise ConfigError("one of --in or --symbol is required")
     return make_psd(matrix_from_json(_load_json(args.input))), None
@@ -112,7 +112,7 @@ def _build_matrix_tree(args, dim: int, levels_hint):
 
 
 def cmd_decompose(args) -> int:
-    operator, levels_hint = _load_operator(args)
+    operator, levels_hint = _load_operator(args, dense=False)
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
     weights = cylinder_weights(operator, tree)
     total = weights.source_trace

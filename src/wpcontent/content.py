@@ -29,7 +29,7 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .psdcore import PsdOperator, SymMatrix, as_entries, hs_norm, make_psd, trace
-from .tree import PacketNode, PacketTree
+from .tree import PacketNode, PacketTree, ShannonSymbol
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,14 @@ def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
     """Block trace weights tr(P_w A) for all depth-n nodes, in node order.
 
     Segment sums of diag(W_n A W_n^T), read off as the row sums of
-    (W_n A) * W_n without forming the full product.
+    (W_n A) * W_n without forming the full product. A 1-D ``a`` is diag(A): W_n A = W_n * a.
     """
-    a, w = as_entries(a), tree.transform(n)
-    diag = np.diagonal(a) if tree.is_identity(n) else np.sum((w @ a) * w, axis=1)
+    a = as_entries(a)
+    if tree.is_identity(n):
+        diag = a if a.ndim == 1 else np.diagonal(a)
+    else:
+        w = tree.transform(n)
+        diag = np.sum(((w * a) if a.ndim == 1 else (w @ a)) * w, axis=1)
     return _segment_sums(diag, len(tree.nodes_at(n)))
 
 
@@ -101,11 +105,10 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
 
     B A B^T is the node's diagonal s x s block of W_n A W_n^T.
     """
-    a, w = as_entries(a), tree.transform(n)
-    nn = len(tree.nodes_at(n))
+    a, nn = as_entries(a), len(tree.nodes_at(n))
     s = tree.ambient_dim // nn
     idx = np.arange(nn)
-    coords = a if tree.is_identity(n) else w @ a @ w.T
+    coords = a if tree.is_identity(n) else tree.transform(n) @ a @ tree.transform(n).T
     blocks = coords.reshape(nn, s, nn, s)[idx, :, idx, :]
     return np.sum(blocks * blocks, axis=(1, 2))
 
@@ -135,15 +138,17 @@ def depth_decomposition(r: PsdOperator, tree: PacketTree, n: int) -> ContentDeco
     return ContentDecomposition(n, blocks, trace(r))
 
 
-def cylinder_weights(r: PsdOperator, tree: PacketTree) -> CylinderWeights:
+def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> CylinderWeights:
     """Masses for every node with |w| <= max_depth; additivity verified.
 
     Tiny negative rounding noise is clamped to zero so all masses are
     nonnegative; the root mass equals trace(R) exactly by construction.
+    A ShannonSymbol is read through its values, diag(R): no d x d array on identity depths.
     """
     _check_dims(r, tree)
-    masses = [np.maximum(trace_scores(r.matrix, tree, n), 0.0) for n in range(tree.max_depth + 1)]
-    total = trace(r)
+    a = r.values if isinstance(r, ShannonSymbol) else r.matrix
+    masses = [np.maximum(trace_scores(a, tree, n), 0.0) for n in range(tree.max_depth + 1)]
+    total = float(np.sum(a)) if a.ndim == 1 else trace(a)
     budget = 1e-9 * (1.0 + abs(total))
     if abs(masses[0][0] - total) > budget:
         raise NumericalBreakdownError(None, f"root mass {masses[0][0]:.6e} != trace {total:.6e}")

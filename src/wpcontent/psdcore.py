@@ -142,11 +142,16 @@ def psd_from_spectrum(m: SymMatrix, lam, vecs, scale: float | None = None) -> Ps
     operators, whose rounding noise lives at the scale of the operands
     rather than of the difference.
     """
-    thresh = DEFAULT_CLAMP_TOL * max(float(lam[0]), scale if scale is not None else 0.0, 0.0)
-    lam_min = float(lam[-1])
+    clamped = check_clamp(float(lam[0]), float(lam[-1]), scale)
+    return PsdOperator(m, np.maximum(lam, 0.0), vecs, clamped)
+
+
+def check_clamp(lam_max: float, lam_min: float, scale: float | None = None) -> bool:
+    """The clamp rule of `psd_from_spectrum` on the extreme eigenvalues; True if lam_min < 0."""
+    thresh = DEFAULT_CLAMP_TOL * max(lam_max, scale if scale is not None else 0.0, 0.0)
     if lam_min < -thresh:
         raise NotPositiveError(lam_min, thresh)
-    return PsdOperator(m, np.maximum(lam, 0.0), vecs, lam_min < 0.0)
+    return lam_min < 0.0
 
 
 def sqrt_psd(r: PsdOperator) -> PsdOperator:

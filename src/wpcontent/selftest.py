@@ -29,7 +29,7 @@ DEFAULT_SEED = 20240801
 def corrupted_tree_fixture() -> PacketTree:
     """Frequency-band tree with one basis row of node "0" zeroed; must fail validation."""
     t = build_shannon_tree(3, 2)
-    transforms = list(t._transforms)
+    transforms = [t.transform(n) for n in range(t.max_depth + 1)]
     transforms[1] = transforms[1].copy()
     transforms[1][0, :] = 0.0
     return PacketTree(

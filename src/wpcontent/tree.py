@@ -13,8 +13,9 @@ Two realizations are shipped, both dyadic:
   where the node at word w and depth n owns the band of size 2**(levels-n)
   starting at offset m(w) * 2**(levels-n) (m(w) = the word read as a binary
   integer). Frequency index k lives at array position k + 2**(levels-1),
-  so W_n is the identity at every depth (one shared array) and projections
-  are exact diagonal 0/1 matrices.
+  so W_n is the identity at every depth (marked so when the tree is built;
+  one shared array, formed only when asked) and projections are exact
+  diagonal 0/1 matrices.
 * ``filterbank-1d`` / ``filterbank-2d``: orthogonal two-channel filter bank
   iterated along the word (lowpass taps for child 0, highpass for child 1)
   with periodic boundary; 2D uses the separable tensor product on square
@@ -38,7 +39,7 @@ from .errors import (
     MalformedInputError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, SymMatrix, _positive_first, psd_from_spectrum
+from .psdcore import PsdOperator, SymMatrix, _positive_first, check_clamp, psd_from_spectrum
 
 _FILTER_TOL = 1e-10
 
@@ -109,11 +110,14 @@ def filter_from_json(obj) -> FilterPair:
 
 
 class PacketTree:
-    """Immutable tree of nodes with one read-only packet transform per depth."""
+    """Immutable tree of nodes with one read-only packet transform per depth.
+
+    A ``None`` transform marks W_n = I; `transform` forms it once, shared, on first use.
+    """
 
     __slots__ = (
         "realization", "ambient_dim", "max_depth", "_levels", "_transforms", "_index",
-        "_children", "_identity", "_parents",
+        "_children", "_parents", "_eye",
     )
 
     def __init__(self, realization, ambient_dim, max_depth, levels, transforms, children):
@@ -126,14 +130,11 @@ class PacketTree:
             nd.word: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)
         }
         self._children = children
-        # derived once: whether each W_n is exactly I (the frequency-band tree shares one
-        # array, scanned once), and each node's parent index, read off the child lists
-        identity = {}
+        self._eye = None
         for w in transforms:
-            w.setflags(write=False)
-            if id(w) not in identity:
-                identity[id(w)] = bool(np.all(w.diagonal() == 1)) and np.count_nonzero(w) == len(w)
-        self._identity = tuple(identity[id(w)] for w in transforms)
+            if w is not None:
+                w.setflags(write=False)
+        # each node's parent index, read off the child lists
         parent = {kid.word: self._index[w][1] for w, kids in children.items() for kid in kids}
         self._parents = [np.array([parent.get(nd.word, -1) for nd in level]) for level in levels]
 
@@ -149,11 +150,16 @@ class PacketTree:
     def transform(self, n: int) -> np.ndarray:
         """W_n: the depth-n node bases stacked in node order, d x d orthogonal."""
         self.nodes_at(n)  # rejects an out-of-range depth
-        return self._transforms[n]
+        if self._transforms[n] is not None:
+            return self._transforms[n]
+        if self._eye is None:
+            self._eye = np.eye(self.ambient_dim)
+            self._eye.setflags(write=False)
+        return self._eye
 
     def is_identity(self, n: int) -> bool:
-        """Whether W_n is exactly I (every depth of the frequency-band tree)."""
-        return self._identity[n]
+        """Whether W_n was marked as I when the tree was built (every Shannon depth, depth 0)."""
+        return self._transforms[n] is None
 
     def row_nodes(self, n: int) -> np.ndarray:
         """Depth-n node index of each row of W_n."""
@@ -177,8 +183,8 @@ class PacketTree:
     def basis(self, node: PacketNode) -> np.ndarray:
         """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
         n, i = self._position(node)
-        s = self.ambient_dim // len(self._levels[n])
-        return self._transforms[n][i * s : (i + 1) * s]
+        s = self.subspace_dim(node)
+        return self.transform(n)[i * s : (i + 1) * s]
 
     def children(self, node: PacketNode) -> tuple[PacketNode, ...]:
         return self._children.get(node.word, ())
@@ -188,7 +194,7 @@ class PacketTree:
             yield from level
 
     def subspace_dim(self, node: PacketNode) -> int:
-        return self.basis(node).shape[0]
+        return self.ambient_dim // len(self._levels[self._position(node)[0]])
 
     def __repr__(self):
         return (
@@ -204,9 +210,9 @@ def _dyadic_levels(max_depth: int):
         for n in range(max_depth + 1)
     ]
     children = {
-        nd.word: (PacketNode(nd.word + "0", n + 1), PacketNode(nd.word + "1", n + 1))
+        nd.word: tuple(levels[n + 1][2 * i : 2 * i + 2])
         for n in range(max_depth)
-        for nd in levels[n]
+        for i, nd in enumerate(levels[n])
     }
     return levels, children
 
@@ -217,10 +223,9 @@ def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
         raise InvalidDepthError(f"levels must be >= 1, got {levels}")
     if not 1 <= max_depth <= levels:
         raise InvalidDepthError(f"max_depth must be in [1, levels={levels}], got {max_depth}")
-    dim = 2**levels
     tree_levels, children = _dyadic_levels(max_depth)
-    transforms = [np.eye(dim)] * (max_depth + 1)
-    return PacketTree("shannon", dim, max_depth, tree_levels, transforms, children)
+    transforms = [None] * (max_depth + 1)  # W_n = I at every depth
+    return PacketTree("shannon", 2**levels, max_depth, tree_levels, transforms, children)
 
 
 def _analysis_stage(taps: tuple[float, ...], d: int) -> np.ndarray:
@@ -241,13 +246,14 @@ def build_filter_tree_1d(filters: FilterPair, signal_len: int, depth: int) -> Pa
             f"2^depth = {2**depth} must divide signal_len = {signal_len}"
         )
     tree_levels, children = _dyadic_levels(depth)
-    transforms = [np.eye(signal_len)]
+    transforms, w = [None], np.eye(signal_len)
     for n in range(1, depth + 1):
         d = signal_len // 2 ** (n - 1)
         low = _analysis_stage(filters.h, d)
         high = _analysis_stage(filters.g, d)
-        parents = transforms[-1].reshape(2 ** (n - 1), d, signal_len)
-        transforms.append(np.vstack([f @ pb for pb in parents for f in (low, high)]))
+        parents = w.reshape(2 ** (n - 1), d, signal_len)
+        w = np.vstack([f @ pb for pb in parents for f in (low, high)])
+        transforms.append(w)
     return PacketTree("filterbank-1d", signal_len, depth, tree_levels, transforms, children)
 
 
@@ -259,21 +265,20 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
     row-major patch flattening.
     """
     one_d = build_filter_tree_1d(filters, patch_side, depth)
-    dim = patch_side * patch_side
-    tree_levels, transforms, children = [], [], {}
-    for n in range(depth + 1):
-        pairs = list(product(one_d.nodes_at(n), repeat=2))
-        nodes = [PacketNode(f"{row.word},{col.word}", n) for row, col in pairs]
-        tree_levels.append(nodes)
-        transforms.append(
-            np.vstack([np.kron(one_d.basis(row), one_d.basis(col)) for row, col in pairs])
-        )
-        if n < depth:
-            for node, (row, col) in zip(nodes, pairs):
-                children[node.word] = tuple(
-                    PacketNode(f"{row.word}{a},{col.word}{b}", n + 1) for a in "01" for b in "01"
-                )
-    return PacketTree("filterbank-2d", dim, depth, tree_levels, transforms, children)
+    grids = [
+        {(r, c): PacketNode(f"{r.word},{c.word}", n) for r, c in product(level, repeat=2)}
+        for n, level in enumerate(one_d._levels)
+    ]
+    transforms = [None] + [
+        np.vstack([np.kron(one_d.basis(r), one_d.basis(c)) for r, c in grid]) for grid in grids[1:]
+    ]
+    children = {
+        nd.word: tuple(grids[n + 1][rc] for rc in product(one_d.children(r), one_d.children(c)))
+        for n, grid in enumerate(grids[:-1])
+        for (r, c), nd in grid.items()
+    }
+    tree_levels = [list(grid.values()) for grid in grids]
+    return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, children)
 
 
 def _rows_projection(tree: PacketTree, n: int, idx) -> PsdOperator:
@@ -355,7 +360,10 @@ def tree_description(tree: PacketTree) -> dict:
 
 
 class ShannonSymbol:
-    """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1))."""
+    """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1)).
+
+    Values that break `psd_from_spectrum`'s clamp rule raise NotPositiveError.
+    """
 
     __slots__ = ("levels", "values")
 
@@ -372,16 +380,21 @@ class ShannonSymbol:
             )
         if not np.all(np.isfinite(vals)):
             raise MalformedInputError("symbol values must be finite")
+        check_clamp(float(vals.max()), float(vals.min()))
         self.levels = int(levels)
         self.values = vals
         self.values.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return len(self.values)
 
     def value(self, k: int) -> float:
         """r(k); index k counts from -2**(levels-1)."""
         return float(self.values[k + 2 ** (self.levels - 1)])
 
     def to_operator(self) -> PsdOperator:
-        """Diagonal PSD operator; negative symbol values raise NotPositiveError.
+        """Diagonal PSD operator, as a dense d x d matrix.
 
         No eigensolver runs: the spectrum is the values sorted nonincreasing,
         and the eigenvectors are the matching identity columns.

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,28 @@ class TestDecompose:
         path = tmp_path / "sym.json"
         path.write_text(json.dumps({"levels": 2, "r": [1.0, 0.5, -0.25, 2.0]}))
         assert main(["decompose", "--symbol", str(path)]) == 3
+
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    def test_symbol_clamp_boundary(self, tmp_path, capsys, command):
+        # the clamp threshold is 1e-10 * max = 1e-10
+        path, out = tmp_path / "sym.json", tmp_path / "out.json"
+        for low, code in [(-0.5e-10, 0), (-2e-10, 3)]:
+            path.write_text(json.dumps({"levels": 2, "r": [1.0, 0.5, low, 0.25]}))
+            assert main([command, "--symbol", str(path), "--report", str(out)]) == code
+        assert "eigenvalue -2.000000e-10" in capsys.readouterr().err
+
+    def test_symbol_memory_is_linear_in_dim(self, tmp_path, rng):
+        # levels 12: one d x d array is 134 MB; the dense route peaked at 423 MB
+        path, out = tmp_path / "sym.json", tmp_path / "dec.json"
+        path.write_text(json.dumps({"levels": 12, "r": rng.uniform(0.0, 1.0, 4096).tolist()}))
+        tracemalloc.start()
+        try:
+            code = main(["decompose", "--symbol", str(path), "--report", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 40e6
 
 
 class TestGreedy:

@@ -16,6 +16,21 @@ def content_trees():
     ]
 
 
+def symbol_values(rng, levels):
+    """Uniform values with zeros, ties and negative noise inside the 1e-10 clamp."""
+    v = rng.uniform(0.0, 1.0, 2**levels)
+    v[::5] = 0.0
+    v[1::7] = v[1]
+    v[3::11] = -3e-11 * v.max()
+    return v
+
+
+def weight_bits(cw):
+    """Every number of a CylinderWeights as float.hex, which tells -0.0 from 0.0."""
+    rows = [(word, depth, mass.hex()) for word, depth, mass in cw.rows]
+    return rows, cw.source_trace.hex(), cw.max_additivity_gap.hex()
+
+
 class TestContentOperator:
     def test_root_block_is_source(self, rng):
         tree = w.build_shannon_tree(3, 2)
@@ -130,6 +145,31 @@ class TestCylinderWeights:
         for node in tree.all_nodes():
             dense = w.content_operator(r, tree, node).trace_weight
             assert cw.mass(node) == pytest.approx(dense, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("levels", range(1, 11))
+    def test_symbol_route_is_bit_identical_on_shannon(self, rng, levels, monkeypatch):
+        sym = w.ShannonSymbol(levels, symbol_values(rng, levels))
+        dense = sym.to_operator()
+        trees = [w.build_shannon_tree(levels, depth) for depth in range(1, levels + 1)]
+        want = [weight_bits(w.cylinder_weights(dense, tree)) for tree in trees]
+
+        def no_eye(*_, **__):
+            raise AssertionError("the symbol route formed an identity matrix")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        assert [weight_bits(w.cylinder_weights(sym, tree)) for tree in trees] == want
+
+    @pytest.mark.parametrize("name", ["haar", "d4"])
+    @pytest.mark.parametrize("levels,depth", [(2, 1), (4, 4), (6, 3), (8, 2)])
+    def test_symbol_route_is_bit_identical_on_filter_trees(self, rng, name, levels, depth):
+        sym = w.ShannonSymbol(levels, symbol_values(rng, levels))
+        tree = w.build_filter_tree_1d(w.named_filter(name), 2**levels, depth)
+        got = weight_bits(w.cylinder_weights(sym, tree))
+        assert got == weight_bits(w.cylinder_weights(sym.to_operator(), tree))
+
+    def test_symbol_dimension_mismatch(self):
+        with pytest.raises(w.DimensionMismatchError):
+            w.cylinder_weights(geometric_symbol(3), w.build_shannon_tree(4, 2))
 
     def test_failure_is_not_labelled_with_a_step(self, rng):
         # the corrupted tree's node "0" misses one row, so additivity fails at the root

@@ -101,6 +101,27 @@ class TestShannonTree:
         report = w.validate_tree(tree)
         assert report.child_sum == 0.0 and report.partition == 0.0
 
+    def test_identity_is_formed_only_when_asked(self):
+        levels = 12
+        d = 2**levels
+        tracemalloc.start()
+        try:
+            tree = w.build_shannon_tree(levels, levels)
+            w.tree_description(tree)
+            assert all(tree.is_identity(n) for n in range(levels + 1))
+            built = tracemalloc.get_traced_memory()[1]
+            eye = tree.transform(0)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert built < 0.1 * d * d * 8  # one d x d array is 134 MB
+        assert grown >= d * d * 8
+        assert all(tree.transform(n) is eye for n in range(levels + 1))
+        assert not eye.flags.writeable
+        assert np.count_nonzero(eye) == d and np.all(eye.diagonal() == 1.0)
+        leaf = tree.nodes_at(levels)[-1]
+        assert np.shares_memory(tree.basis(leaf), eye) and tree.subspace_dim(leaf) == 1
+
     def test_depth_out_of_range(self):
         with pytest.raises(w.InvalidDepthError):
             w.build_shannon_tree(3, 4)
@@ -208,6 +229,16 @@ class TestTreeAxioms:
             ]
             assert tree.parents(n).tolist() == want
 
+    @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
+    def test_child_lists_hold_the_next_depths_nodes(self, tree):
+        for n in range(tree.max_depth):
+            below = {nd.word: nd for nd in tree.nodes_at(n + 1)}
+            kids = [k for nd in tree.nodes_at(n) for k in tree.children(nd)]
+            assert len(kids) == len(below)
+            assert all(k is below[k.word] for k in kids)
+            if tree.realization != "filterbank-2d":
+                assert all(a is b for a, b in zip(kids, tree.nodes_at(n + 1)))
+
     def test_validation_memory_is_per_depth(self):
         # a dense projection per node would hold 255 x 128 KB here
         tree = w.build_shannon_tree(7, 7)
@@ -260,6 +291,15 @@ class TestShannonSymbol:
     def test_negative_rejected(self):
         with pytest.raises(w.NotPositiveError):
             w.ShannonSymbol(1, [1.0, -1.0]).to_operator()
+
+    def test_clamp_rule_applies_on_construction(self):
+        # the rule of psd_from_spectrum: below -1e-10 * max raises, noise above it is kept
+        with pytest.raises(w.NotPositiveError) as err:
+            w.ShannonSymbol(2, [1.0, 0.5, -2e-10, 0.25])
+        assert err.value.eigenvalue == -2e-10 and err.value.threshold == 1e-10
+        sym = w.ShannonSymbol(2, [1.0, 0.5, -0.5e-10, 0.25])
+        assert sym.values[2] == -0.5e-10 and sym.dim == 4
+        assert sym.to_operator().clamp_applied
 
     def test_json_schema(self):
         sym = w.ShannonSymbol.from_json({"levels": 2, "r": [1, 2, 3, 4]})
