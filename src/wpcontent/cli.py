@@ -63,7 +63,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -77,7 +77,11 @@ def _writing(path):
 
 
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Strict JSON: a non-finite value is a numerical breakdown (exit 4), and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalBreakdownError(None, f"report holds a non-finite value ({exc})") from exc
     if path == "-" or path is None:
         sys.stdout.write(text)
     else:
@@ -141,8 +145,7 @@ def cmd_greedy(args) -> int:
     run = trace_greedy if args.mode == "trace" else hs_greedy
     record = run(operator, tree, depth, max_steps=args.steps, stop_tol=args.stop_tol)
     payload = trace_payload(record)
-    report = decay_report(record)
-    payload["summary"] = report["summary"]
+    payload["summary"] = decay_report(record)["summary"]
     _write_json(args.report, payload)
     if args.csv:
         columns = ExtractionStep.ROW_FIELDS
@@ -151,10 +154,6 @@ def cmd_greedy(args) -> int:
             writer.writerow(columns)
             for step in payload["steps"]:
                 writer.writerow(["" if step[c] is None else step[c] for c in columns])
-    violation = report["summary"]["first_violation"]
-    if violation is not None:
-        print(f"bound violation at step {violation}", file=sys.stderr)
-        return EXIT_BOUND
     return EXIT_OK
 
 

@@ -42,11 +42,12 @@ class ContentBlock:
 
 @dataclass(frozen=True)
 class ContentDecomposition:
-    """Depth-slice of content blocks, in lexicographic node order."""
+    """Depth-slice of content blocks in node order; ``max_error`` is the checked max |sum - R|."""
 
     depth: int
     blocks: tuple[ContentBlock, ...]
     source_trace: float
+    max_error: float
 
 
 @dataclass(frozen=True)
@@ -123,23 +124,22 @@ def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> Cont
 
 
 def depth_decomposition(r: PsdOperator, tree: PacketTree, n: int) -> ContentDecomposition:
-    """All depth-n content blocks; verifies that they sum back to R."""
+    """All depth-n content blocks; verifies that they sum back to R within 1e-8 ||R||."""
     _check_dims(r, tree)
     blocks = tuple(content_operator(r, tree, nd) for nd in tree.nodes_at(n))
     total = np.zeros_like(r.matrix)
     for blk in blocks:
         total = total + blk.operator.matrix
-    r_fro = hs_norm(r)
     err = float(np.max(np.abs(total - r.matrix)))
-    if err > 1e-8 * (1.0 + r_fro):
+    if err > 1e-8 * hs_norm(r):
         raise NumericalBreakdownError(
             None, f"depth-{n} blocks fail to reconstruct the source: max error {err:.3e}"
         )
-    return ContentDecomposition(n, blocks, trace(r))
+    return ContentDecomposition(n, blocks, trace(r), err)
 
 
 def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> CylinderWeights:
-    """Masses for every node with |w| <= max_depth; additivity verified.
+    """Masses for every node with |w| <= max_depth; additivity verified within 1e-9 tr(R).
 
     Tiny negative rounding noise is clamped to zero so all masses are
     nonnegative; the root mass equals trace(R) exactly by construction.
@@ -149,7 +149,7 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
     a = r.values if isinstance(r, ShannonSymbol) else r.matrix
     masses = [np.maximum(trace_scores(a, tree, n), 0.0) for n in range(tree.max_depth + 1)]
     total = float(np.sum(a)) if a.ndim == 1 else trace(a)
-    budget = 1e-9 * (1.0 + abs(total))
+    budget = 1e-9 * abs(total)
     if abs(masses[0][0] - total) > budget:
         raise NumericalBreakdownError(None, f"root mass {masses[0][0]:.6e} != trace {total:.6e}")
     max_gap = 0.0

@@ -116,13 +116,14 @@ def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> Coherenc
     hs_scores_squared(A, tree, n) when the caller already has them. The
     denominator equals the pinching trace tr(E_n(A) A), since in packet
     coordinates both are the same sum of squared diagonal-block entries.
-    Raises UndefinedCoherenceError when the operator is numerically zero.
+    Raises UndefinedCoherenceError when the block HS mass is at most
+    1e-28 ||A||^2, that is numerically zero relative to A itself.
     """
     num = hs_norm(a) ** 2
     if scores is None:
         scores = hs_scores_squared(a.matrix, tree, n)
     den = float(np.sum(scores))
-    if den <= 1e-28 * (1.0 + num):
+    if den <= 1e-28 * num:
         raise UndefinedCoherenceError(
             f"block HS mass {den:.3e} is numerically zero; coherence undefined"
         )
@@ -153,7 +154,11 @@ def _violation(
     the previous step's remainder (the initial values before step 1) and
     the step's own row. The extraction loops ask it before recording a
     step and `decay_report` asks it of every recorded step, so both
-    accept exactly the same steps. Sequence runs certify nothing.
+    accept exactly the same steps. Sequence runs certify nothing. The
+    slack is 1e-9 times the run's initial tr(R) for trace checks and
+    ||R||^2 for HS checks, with no absolute floor, so a run on cR
+    accepts exactly the steps of a run on R; gamma is dimensionless and
+    its range keeps an absolute 1e-9.
     """
     nn = tr.n_nodes
     prev_trace, prev_hs = (tr.initial_trace, tr.initial_hs) if prev is None else (
@@ -161,7 +166,7 @@ def _violation(
     )
     if tr.mode == "trace-greedy":
         rem = step.remainder_trace
-        slack = 1e-9 * (1.0 + tr.initial_trace)
+        slack = 1e-9 * tr.initial_trace
         ratio = 1.0 - 1.0 / nn
         if rem > ratio * prev_trace + slack:
             return (
@@ -172,7 +177,7 @@ def _violation(
             return f"trace envelope failed: {rem:.6e} > {step.bound_trace:.6e}"
     elif tr.mode == "hs-greedy":
         rem_sq, prev_sq, gamma = step.remainder_hs**2, prev_hs**2, step.gamma
-        slack = 1e-9 * (1.0 + prev_sq)
+        slack = 1e-9 * tr.initial_hs**2
         if not 1.0 - 1e-9 <= gamma <= nn + 1e-9:
             return f"coherence {gamma:.9f} outside [1, {nn}]"
         pythagorean = prev_sq - step.extracted_hs**2
@@ -184,7 +189,7 @@ def _violation(
                 f"coherence contraction failed: {rem_sq:.6e} > "
                 f"{step_ratio:.9f} * {prev_sq:.6e}"
             )
-        if rem_sq > step.bound_hs**2 + 1e-9 * (1.0 + tr.initial_hs**2):
+        if rem_sq > step.bound_hs**2 + slack:
             return f"uniform HS envelope failed: {rem_sq:.6e} > {step.bound_hs**2:.6e}"
     return None
 

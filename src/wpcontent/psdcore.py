@@ -27,7 +27,7 @@ _SIGN_EPS = 1e-12
 
 
 class SymMatrix:
-    """Real symmetric matrix; symmetrized exactly on construction."""
+    """Real symmetric matrix, symmetrized exactly on construction; its stored entries are finite."""
 
     __slots__ = ("dim", "entries")
 
@@ -37,10 +37,11 @@ class SymMatrix:
             raise MalformedInputError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise MalformedInputError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise MalformedInputError("matrix entries must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.entries = 0.5 * (a + a.T)
+        if not np.all(np.isfinite(self.entries)):
+            raise MalformedInputError("matrix entries must be finite, also after symmetrizing")
         self.dim = int(a.shape[0])
-        self.entries = 0.5 * (a + a.T)
         self.entries.setflags(write=False)
 
     def __repr__(self):
@@ -172,53 +173,58 @@ def hs_norm(a) -> float:
     return float(np.sqrt(np.sum(e * e)))
 
 
-def _lam_max(b) -> float:
+def _norm2(b) -> float:
+    """Spectral norm of a symmetric matrix; lam_max for a PsdOperator."""
     if isinstance(b, PsdOperator):
         return float(b.eigenvalues[0])
     lam, _ = sym_eigen(b)
-    return float(lam[0])
+    return float(max(lam[0], -lam[-1]))
 
 
 def loewner_leq(a, b, tol: float = 1e-8) -> bool:
-    """True iff b - a is PSD up to a relative tolerance.
+    """True iff b - a is PSD up to a tolerance relative to b.
 
-    The check is lam_min(b - a) >= -tol * (1 + lam_max(b)).
+    The check is lam_min(b - a) >= -tol * ||b||_2.
     """
     ea = as_entries(a)
     eb = as_entries(b)
     if ea.shape != eb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ea.shape} vs {eb.shape}")
     lam, _ = sym_eigen(SymMatrix(eb - ea))
-    return float(lam[-1]) >= -tol * (1.0 + _lam_max(b))
+    return float(lam[-1]) >= -tol * _norm2(b)
+
+
+def reals_from_json(values, what: str) -> np.ndarray:
+    """A JSON list of ints and floats as float64; anything else is malformed."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise MalformedInputError(f"{what} must be a list of numbers")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise MalformedInputError(f"{what}: {exc}") from exc
 
 
 def matrix_from_json(obj) -> SymMatrix:
     """Parse the {"dim": n, "data": [row-major reals]} wire format.
 
-    Rejects payloads whose data length is not dim^2, non-finite values,
-    and gross asymmetry (beyond rounding noise).
+    Rejects payloads whose data length is not dim^2, non-numeric or
+    non-finite values, and asymmetry beyond 1e-10 * max |a_ij|.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MalformedInputError('matrix JSON must have "dim" and "data" keys')
     dim = obj["dim"]
-    data = obj["data"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
-    if not isinstance(data, list) or len(data) != dim * dim:
-        raise MalformedInputError(
-            f'"data" must be a list of length dim^2 = {dim * dim}, got {len(data) if isinstance(data, list) else type(data).__name__}'
-        )
-    try:
-        a = np.asarray(data, dtype=np.float64).reshape(dim, dim)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"matrix data is not numeric: {exc}") from exc
-    if not np.all(np.isfinite(a)):
-        raise MalformedInputError("matrix entries must be finite")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-10 * (1.0 + scale):
+    a = reals_from_json(obj["data"], '"data"')
+    if a.size != dim * dim:
+        raise MalformedInputError(f'"data" must hold dim^2 = {dim * dim} values, got {a.size}')
+    a = a.reshape(dim, dim)
+    m = SymMatrix(a)
+    # a - (a + a^T)/2 = (a - a^T)/2 cannot overflow where a - a^T might
+    asym = 2.0 * float(np.max(np.abs(a - m.entries)))
+    if asym > 1e-10 * float(np.max(np.abs(a))):
         raise MalformedInputError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
-    return SymMatrix(a)
+    return m
 
 
 def matrix_to_json(m) -> dict:

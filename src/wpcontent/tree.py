@@ -39,7 +39,9 @@ from .errors import (
     MalformedInputError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, SymMatrix, _positive_first, check_clamp, psd_from_spectrum
+from .psdcore import (
+    PsdOperator, SymMatrix, _positive_first, check_clamp, psd_from_spectrum, reals_from_json,
+)
 
 _FILTER_TOL = 1e-10
 
@@ -106,7 +108,7 @@ def filter_from_json(obj) -> FilterPair:
     """Parse {"h": [...]} with g derived from h."""
     if not isinstance(obj, dict) or "h" not in obj:
         raise MalformedInputError('filter JSON must have an "h" key')
-    return FilterPair.from_lowpass(obj["h"])
+    return FilterPair.from_lowpass(reals_from_json(obj["h"], '"h"'))
 
 
 class PacketTree:
@@ -411,4 +413,4 @@ class ShannonSymbol:
         levels = obj["levels"]
         if not isinstance(levels, int) or isinstance(levels, bool):
             raise MalformedInputError('"levels" must be an integer')
-        return ShannonSymbol(levels, obj["r"])
+        return ShannonSymbol(levels, reals_from_json(obj["r"], '"r"'))

@@ -124,8 +124,10 @@ class TestDecompose:
         assert main(["decompose", "--symbol", str(path)]) == 2
 
     @pytest.mark.parametrize("command", ["decompose", "greedy"])
-    @pytest.mark.parametrize("values", [["a", "b"], [[1.0], [2.0, 3.0]], {"a": 1.0}],
-                             ids=["strings", "ragged", "object"])
+    @pytest.mark.parametrize("values", [
+        ["a", "b"], [[1.0], [2.0, 3.0]], {"a": 1.0}, ["1", True], [1, True], [10**400, 1.0],
+    ], ids=["strings", "ragged", "object", "string-and-boolean", "boolean",
+            "integer-beyond-float"])
     def test_non_numeric_symbol_exits_2(self, tmp_path, capsys, command, values):
         path = tmp_path / "sym.json"
         path.write_text(json.dumps({"levels": 1, "r": values}))
@@ -395,6 +397,16 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL  tree-axioms" in out
 
+    def test_library_breakdown_is_a_fail_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(w.greedy, "_violation", lambda *_: "injected contraction failure")
+        assert main(["selftest", "--quick"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [ln for ln in lines if ln.startswith("FAIL")]
+        assert [ln.split()[1] for ln in failed] == ["trace-greedy", "hs-greedy"]
+        assert all("at step 1: injected contraction failure" in ln for ln in failed)
+        assert lines[-1] == "selftest: FAIL"
+        assert any(ln.startswith("PASS  band-oracle") for ln in lines)
+
 
 class TestFileErrors:
     def test_missing_input_pgm_exits_2(self, image_files, tmp_path, capsys):
@@ -423,6 +435,54 @@ class TestFileErrors:
         assert main(argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+class TestNumericInput:
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "data": ["1", "0", "0", "1"]}',
+        '{"dim": 2, "data": [1, 0, 0, true]}',
+        '{"dim": true, "data": [1.0]}',
+        '{"dim": 1, "data": [1%s]}' % ("0" * 400),
+        '{"dim": 1, "data": [%s]}' % ("9" * 5000),
+    ], ids=["strings", "boolean", "boolean-dim", "integer-beyond-float",
+            "integer-beyond-digit-limit"])
+    def test_non_numeric_matrix_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main([command, "--in", str(path), "--report", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestStrictReports:
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("data", [
+        [1e308, 0.0, 0.0, 1e308], [0.0, 1e308, 1e308, 0.0], [0.0, 1e308, -1e308, 0.0],
+    ], ids=["diagonal", "off-diagonal", "antisymmetric"])
+    def test_overflow_when_symmetrizing_exits_2(self, tmp_path, capsys, command, data):
+        # each entry is finite, but a_ij + a_ji (or a_ij - a_ji) overflows
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "data": data}))
+        assert main([command, "--in", str(path), "--report", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    def test_non_finite_report_exits_4_and_writes_nothing(self, tmp_path):
+        # ||R||^2 = 4e320 overflows, so the report would hold "hs": Infinity
+        path, rep = tmp_path / "big.json", tmp_path / "rep.json"
+        path.write_text(json.dumps({"dim": 2, "data": [1e160] * 4}))
+        for target in ("-", str(rep)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wpcontent.cli", "greedy", "--in", str(path),
+                 "--report", target],
+                capture_output=True, text=True, env=_child_env(),
+            )
+            assert proc.returncode == 4, proc.stderr
+            assert proc.stdout == "" and not rep.exists()
+            assert "Traceback" not in proc.stderr
+            assert "error: numerical breakdown: report holds a non-finite value" in proc.stderr
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -390,3 +390,61 @@ def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract, max_steps, sto
     r = w.make_psd(w.SymMatrix(np.diag([1.0, 1.0, 0.0, 0.0])))
     with pytest.raises(w.ConfigError):
         extract(r, w.build_shannon_tree(2, 1), 1, max_steps, stop_tol=stop_tol)
+
+
+_SCALE_EXPONENTS = (-60, -40, -20, 0, 20, 40)
+_SCALED_FIELDS = (
+    "extracted_trace", "extracted_hs", "remainder_trace", "remainder_hs", "bound_trace", "bound_hs",
+)
+
+
+def _scale_tree(name):
+    if name == "shannon":
+        return w.build_shannon_tree(4, 2)
+    return w.build_filter_tree_1d(w.haar_filter() if name == "haar" else w.d4_filter(), 16, 2)
+
+
+def _scaled_runs(base, tree, c):
+    """Trace-greedy, HS-greedy and sequence runs on c * base."""
+    r = w.make_psd(w.SymMatrix(c * base))
+    seq = [tree.nodes_at(2)[0], tree.nodes_at(1)[1], tree.root, tree.nodes_at(2)[3]]
+    return (
+        w.trace_greedy(r, tree, 2, max_steps=12),
+        w.hs_greedy(r, tree, 2, max_steps=12),
+        w.extract_sequence(r, tree, seq),
+    )
+
+
+@pytest.mark.parametrize("tree_name", ["shannon", "haar", "d4"])
+def test_runs_on_a_power_of_two_multiple_scale_exactly(rng, tree_name):
+    # scaling by 2^k (k even, so sqrt(2^k) is exact too) commutes with every
+    # rounding, so a scale-relative rule must pick the same blocks and values
+    tree = _scale_tree(tree_name)
+    g = rng.standard_normal((16, 16))
+    base = g.T @ g / 16
+    unit = _scaled_runs(base, tree, 1.0)
+    assert [len(run.steps) for run in unit] == [12, 12, 4]
+    for k in _SCALE_EXPONENTS:
+        c = 2.0**k
+        for u, s in zip(unit, _scaled_runs(base, tree, c)):
+            assert [st.node for st in s.steps] == [st.node for st in u.steps], (k, u.mode)
+            assert (s.initial_trace, s.initial_hs) == (c * u.initial_trace, c * u.initial_hs)
+            for a, b in zip(u.steps, s.steps):
+                assert b.gamma == a.gamma
+                for f in _SCALED_FIELDS:
+                    ua, sb = getattr(a, f), getattr(b, f)
+                    assert sb == (None if ua is None else c * ua), (k, u.mode, b.k, f)
+
+
+@pytest.mark.parametrize("k", _SCALE_EXPONENTS)
+@pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
+def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
+    tree = _scale_tree("d4")
+    g = rng.standard_normal((16, 16))
+    run = extract(w.make_psd(w.SymMatrix(2.0**k * (g.T @ g) / 16)), tree, 2, max_steps=4)
+    prev, step = run.steps[0], run.steps[1]
+    stuck = dataclasses.replace(
+        step, remainder_trace=prev.remainder_trace, remainder_hs=prev.remainder_hs
+    )
+    rep = w.decay_report(dataclasses.replace(run, steps=(prev, stuck, *run.steps[2:])))
+    assert rep["summary"]["first_violation"] == 2

@@ -61,6 +61,12 @@ class TestFilterPair:
         with pytest.raises(w.MalformedInputError):
             w.filter_from_json({"taps": [1.0]})
 
+    @pytest.mark.parametrize("taps", [["0.7071067811865476"] * 2, "ab", [[0.5], [0.5]]],
+                             ids=["strings", "string", "nested"])
+    def test_filter_json_taps_are_numbers(self, taps):
+        with pytest.raises(w.MalformedInputError):
+            w.filter_from_json({"h": taps})
+
     def test_unknown_name(self):
         with pytest.raises(w.InvalidFilterError):
             w.named_filter("db8")
