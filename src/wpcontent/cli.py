@@ -11,6 +11,15 @@ on the core count. OpenBLAS reads the
 variables when numpy loads, so the policy applies only to a process in
 which this module loads numpy; a caller that imported numpy first keeps
 its own threads and its environment.
+
+Each subcommand executes only the layers it runs. `errors`, `psdcore`,
+`tree` and `content` load with this module (every subcommand needs them,
+and they load numpy). `greedy`, `denoise`, `pgm` and `selftest` are
+registered in sys.modules by a LazyLoader and execute on their first
+attribute access: `decompose` runs none of them, `greedy` runs `greedy`,
+`denoise` runs `denoise` and `pgm`, `selftest` runs `selftest` and
+`greedy`. Reports are the text of ``json.dumps(indent=2)``, produced by
+the C encoder (`_dumps`).
 """
 
 from __future__ import annotations
@@ -18,17 +27,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib.util
 import json
 import math
 import os
 import sys
+from itertools import chain
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
     os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
 from .content import cylinder_weights
-from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -39,10 +49,7 @@ from .errors import (
     NumericalBreakdownError,
     UnknownNodeError,
 )
-from .greedy import ExtractionStep, decay_report, hs_greedy, trace_greedy, trace_payload
-from .pgm import read_pgm, write_pgm
 from .psdcore import make_psd, matrix_from_json
-from .selftest import DEFAULT_SEED, format_rows, run_selftest
 from .tree import (
     ShannonSymbol,
     build_filter_tree_1d,
@@ -50,6 +57,22 @@ from .tree import (
     named_filter,
     tree_description,
 )
+
+
+def _lazy(name: str):
+    """Submodule ``name``, in sys.modules from now on but executed on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+denoise, greedy, pgm, selftest = map(_lazy, ("denoise", "greedy", "pgm", "selftest"))
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -76,10 +99,60 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _compact(value, sep: str) -> str:
+    """One C-encoder call: item separator ``sep`` at every level, strict about non-finite floats."""
+    return json.dumps(value, separators=(sep, ": "), allow_nan=False)
+
+
+def _scalars(values) -> bool:
+    """Whether every value is a JSON scalar (exact types; a subclass takes the general route)."""
+    return set(map(type, values)) <= _SCALAR_TYPES
+
+
+def _dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` for string-keyed JSON values, in C.
+
+    ``indent`` sends `json` to its pure-Python encoder. Here a container of
+    scalars is one C call whose item separator carries the indentation. So
+    is a list of non-empty flat dicts, whose row boundary ``},\\n<pad>{`` is
+    then re-indented: only a separator holds a raw newline, and no encoded
+    scalar ends in ``}``. Any other container recurses.
+    """
+    pad, inner = "  " * level, "  " * (level + 1)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return _compact(value, ",")
+    if not value:
+        return "{}" if is_dict else "[]"
+    items = value.values() if is_dict else value
+    if _scalars(items):
+        text = _compact(value, ",\n" + inner)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if (not is_dict and set(map(type, value)) == {dict} and all(value)
+            and _scalars(chain.from_iterable(map(dict.values, value)))):
+        row = inner + "  "
+        body = _compact(value, ",\n" + row)[2:-2]
+        body = body.replace("},\n" + row + "{", f"\n{inner}}},\n{inner}{{\n{row}")
+        return f"[\n{inner}{{\n{row}{body}\n{inner}}}\n{pad}]"
+    if is_dict:
+        parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_dumps(v, level + 1)}"
+                 for k, v in value.items()]
+    else:
+        parts = [_dumps(v, level + 1) for v in value]
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
+
+
 def _write_json(path, payload) -> None:
-    """Strict JSON: a non-finite value is a numerical breakdown (exit 4), and nothing is written."""
+    """Strict JSON: a non-finite value is a numerical breakdown (exit 4), and nothing is written.
+
+    The text is that of ``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte.
+    """
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = _dumps(payload) + "\n"
     except ValueError as exc:
         raise NumericalBreakdownError(None, f"report holds a non-finite value ({exc})") from exc
     if path == "-" or path is None:
@@ -142,13 +215,13 @@ def cmd_greedy(args) -> int:
     operator, levels_hint = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim, levels_hint)
     depth = args.depth if args.depth is not None else tree.max_depth
-    run = trace_greedy if args.mode == "trace" else hs_greedy
+    run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
     record = run(operator, tree, depth, max_steps=args.steps, stop_tol=args.stop_tol)
-    payload = trace_payload(record)
-    payload["summary"] = decay_report(record)["summary"]
+    payload = greedy.trace_payload(record)
+    payload["summary"] = greedy.decay_report(record)["summary"]
     _write_json(args.report, payload)
     if args.csv:
-        columns = ExtractionStep.ROW_FIELDS
+        columns = greedy.ExtractionStep.ROW_FIELDS
         with _writing(args.csv), open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
@@ -160,11 +233,11 @@ def cmd_greedy(args) -> int:
 def cmd_denoise(args) -> int:
     if args.tree == "shannon":
         raise ConfigError("denoise needs a patch filter bank: --tree haar or d4")
-    noisy = read_pgm(args.input)
+    noisy = pgm.read_pgm(args.input)
     if args.sigma is not None:
-        noisy = add_gaussian_noise(noisy, args.sigma, args.seed)
-    clean = read_pgm(args.clean) if args.clean else None
-    cfg = DenoiseConfig(
+        noisy = denoise.add_gaussian_noise(noisy, args.sigma, args.seed)
+    clean = pgm.read_pgm(args.clean) if args.clean else None
+    cfg = denoise.DenoiseConfig(
         patch_side=args.patch_side,
         depth=args.depth,
         top_k=args.topk,
@@ -172,18 +245,19 @@ def cmd_denoise(args) -> int:
         filter_name=args.tree,
         mode=args.mode,
     )
-    out, report = denoise_image(noisy, cfg, clean)
+    out, report = denoise.denoise_image(noisy, cfg, clean)
     if args.out:
         with _writing(args.out):
-            write_pgm(args.out, out)
+            pgm.write_pgm(args.out, out)
     if args.report:
         _write_json(args.report, report)
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    ok, rows = run_selftest(seed=args.seed, quick=args.quick, corrupt_tree=args.corrupt_tree)
-    print(format_rows(rows))
+    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
+    ok, rows = selftest.run_selftest(seed=seed, quick=args.quick, corrupt_tree=args.corrupt_tree)
+    print(selftest.format_rows(rows))
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_SELFTEST
 
@@ -233,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_denoise)
 
     sp = sub.add_parser("selftest", help="run the embedded invariant suite")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, help="default: the suite's fixed seed")
     sp.add_argument("--quick", action="store_true", help="small fast subset")
     sp.add_argument(
         "--corrupt-tree", action="store_true", help="inject a corrupted tree fixture"

@@ -184,7 +184,10 @@ def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
 
 def psnr(a: ImageBuffer, b: ImageBuffer) -> float:
     """Peak signal-to-noise ratio in dB (peak 1.0), capped at 99 dB."""
-    mse = _psnr_mse(a, b)
+    return _psnr_db(_psnr_mse(a, b))
+
+
+def _psnr_db(mse: float) -> float:
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / mse)))
@@ -265,8 +268,8 @@ def denoise_image(
     if clean is not None:
         mse_noisy = _psnr_mse(img, clean)
         mse_out = _psnr_mse(out, clean)
-        report["psnr_noisy"] = psnr(img, clean)
-        report["psnr_denoised"] = psnr(out, clean)
+        report["psnr_noisy"] = _psnr_db(mse_noisy)
+        report["psnr_denoised"] = _psnr_db(mse_out)
         report["psnr_noisy_capped"] = mse_noisy == 0.0
         report["psnr_denoised_capped"] = mse_out == 0.0
     return out, report

@@ -13,6 +13,8 @@ its first component with magnitude above 1e-12 is positive.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -24,6 +26,7 @@ from .errors import (
 
 DEFAULT_CLAMP_TOL = 1e-10
 _SIGN_EPS = 1e-12
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 class SymMatrix:
@@ -194,32 +197,53 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
     return float(lam[-1]) >= -tol * _norm2(b)
 
 
-def reals_from_json(values, what: str) -> np.ndarray:
-    """A JSON list of ints and floats as float64; anything else is malformed."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+def as_reals(values, what: str) -> np.ndarray:
+    """A flat list or tuple of numbers, or a 1-D real array, as a new float64 array.
+
+    Numbers are ints and floats (numpy's too), never booleans or strings; a
+    nested list, and an integer beyond the float range, are malformed.
+    """
+    if isinstance(values, np.ndarray):
+        ok = values.ndim == 1 and values.dtype.kind in "iuf"
+    else:
+        ok = isinstance(values, (list, tuple)) and all(
+            issubclass(t, _NUMBER_TYPES) and t is not bool for t in set(map(type, values))
+        )
+    if not ok:
         raise MalformedInputError(f"{what} must be a list of numbers")
     try:
-        return np.asarray(values, dtype=np.float64)
+        return np.array(values, dtype=np.float64)
     except OverflowError as exc:
         raise MalformedInputError(f"{what}: {exc}") from exc
+
+
+def check_square_sum(values: np.ndarray, what: str) -> None:
+    """Reject values whose sum of squares overflows: every HS norm and trace of a run then stays finite."""
+    flat = values.ravel()
+    with np.errstate(over="ignore"):
+        total = float(flat @ flat)
+    if not math.isfinite(total):
+        raise MalformedInputError(f"{what}: the sum of squares overflows")
 
 
 def matrix_from_json(obj) -> SymMatrix:
     """Parse the {"dim": n, "data": [row-major reals]} wire format.
 
     Rejects payloads whose data length is not dim^2, non-numeric or
-    non-finite values, and asymmetry beyond 1e-10 * max |a_ij|.
+    non-finite values, a sum of squared entries that overflows, and
+    asymmetry beyond 1e-10 * max |a_ij|.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MalformedInputError('matrix JSON must have "dim" and "data" keys')
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
-    a = reals_from_json(obj["data"], '"data"')
+    a = as_reals(obj["data"], '"data"')
     if a.size != dim * dim:
         raise MalformedInputError(f'"data" must hold dim^2 = {dim * dim} values, got {a.size}')
     a = a.reshape(dim, dim)
     m = SymMatrix(a)
+    check_square_sum(m.entries, "matrix entries")
     # a - (a + a^T)/2 = (a - a^T)/2 cannot overflow where a - a^T might
     asym = 2.0 * float(np.max(np.abs(a - m.entries)))
     if asym > 1e-10 * float(np.max(np.abs(a))):

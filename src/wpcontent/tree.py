@@ -40,7 +40,8 @@ from .errors import (
     UnknownNodeError,
 )
 from .psdcore import (
-    PsdOperator, SymMatrix, _positive_first, check_clamp, psd_from_spectrum, reals_from_json,
+    PsdOperator, SymMatrix, _positive_first, as_reals, check_clamp, check_square_sum,
+    psd_from_spectrum,
 )
 
 _FILTER_TOL = 1e-10
@@ -66,9 +67,9 @@ class FilterPair:
         """Derive g as the alternating-sign flip of h and validate both.
 
         Checks sum(h) = sqrt(2) and double-shift orthonormality
-        sum_k h[k] h[k+2j] = delta_{j,0} to 1e-10.
+        sum_k h[k] h[k+2j] = delta_{j,0} to 1e-10. Taps follow `as_reals`.
         """
-        h = tuple(float(x) for x in taps)
+        h = tuple(as_reals(taps, "filter taps").tolist())
         n = len(h)
         if n < 2 or n % 2 != 0:
             raise InvalidFilterError(f"tap count must be even and >= 2, got {n}")
@@ -108,7 +109,7 @@ def filter_from_json(obj) -> FilterPair:
     """Parse {"h": [...]} with g derived from h."""
     if not isinstance(obj, dict) or "h" not in obj:
         raise MalformedInputError('filter JSON must have an "h" key')
-    return FilterPair.from_lowpass(reals_from_json(obj["h"], '"h"'))
+    return FilterPair.from_lowpass(obj["h"])
 
 
 class PacketTree:
@@ -364,6 +365,7 @@ def tree_description(tree: PacketTree) -> dict:
 class ShannonSymbol:
     """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1)).
 
+    Values follow `as_reals`, and must be finite with a finite sum of squares.
     Values that break `psd_from_spectrum`'s clamp rule raise NotPositiveError.
     """
 
@@ -372,16 +374,14 @@ class ShannonSymbol:
     def __init__(self, levels: int, values):
         if levels < 1:
             raise MalformedInputError(f"levels must be >= 1, got {levels}")
-        try:
-            vals = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise MalformedInputError(f"symbol values are not numeric: {exc}") from exc
+        vals = as_reals(values, "symbol values")
         if vals.shape != (2**levels,):
             raise MalformedInputError(
                 f"symbol needs {2**levels} values for levels={levels}, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise MalformedInputError("symbol values must be finite")
+        check_square_sum(vals, "symbol values")
         check_clamp(float(vals.max()), float(vals.min()))
         self.levels = int(levels)
         self.values = vals
@@ -413,4 +413,4 @@ class ShannonSymbol:
         levels = obj["levels"]
         if not isinstance(levels, int) or isinstance(levels, bool):
             raise MalformedInputError('"levels" must be an integer')
-        return ShannonSymbol(levels, reals_from_json(obj["r"], '"r"'))
+        return ShannonSymbol(levels, obj["r"])

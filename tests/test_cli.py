@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wpcontent as w
+from wpcontent import cli
 from wpcontent.cli import main
 
 from helpers import geometric_symbol, piecewise_smooth_image, random_gram
@@ -469,20 +471,38 @@ class TestStrictReports:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
-    def test_non_finite_report_exits_4_and_writes_nothing(self, tmp_path):
-        # ||R||^2 = 4e320 overflows, so the report would hold "hs": Infinity
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("flag, doc", [
+        ("--in", {"dim": 2, "data": [1e160] * 4}),
+        ("--symbol", {"levels": 1, "r": [1e308, 1e308]}),
+    ], ids=["matrix", "symbol"])
+    def test_overflowing_square_sum_exits_2_without_warning(self, tmp_path, capsys, command,
+                                                            flag, doc):
+        # every value is finite, but the sum of squares (4e320, 2e616) is not
         path, rep = tmp_path / "big.json", tmp_path / "rep.json"
-        path.write_text(json.dumps({"dim": 2, "data": [1e160] * 4}))
+        path.write_text(json.dumps(doc))
         for target in ("-", str(rep)):
-            proc = subprocess.run(
-                [sys.executable, "-m", "wpcontent.cli", "greedy", "--in", str(path),
-                 "--report", target],
-                capture_output=True, text=True, env=_child_env(),
-            )
-            assert proc.returncode == 4, proc.stderr
-            assert proc.stdout == "" and not rep.exists()
-            assert "Traceback" not in proc.stderr
-            assert "error: numerical breakdown: report holds a non-finite value" in proc.stderr
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, flag, str(path), "--report", target]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and not rep.exists()
+            assert err.startswith("error:") and "sum of squares overflows" in err
+
+    def test_non_finite_report_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                           symbol_file):
+        rep = tmp_path / "rep.json"
+        for value in (float("inf"), float("-inf"), float("nan")):
+            # in a row of a list of flat dicts, and as a scalar of a nested dict
+            for payload in ({"nodes": [{"word": "", "x": value}]}, {"a": {"b": [1, value]}}):
+                monkeypatch.setattr(cli, "tree_description", lambda tree, p=payload: p)
+                for target in ("-", str(rep)):
+                    assert main(["decompose", "--symbol", symbol_file, "--report", target]) == 4
+                    out, err = capsys.readouterr()
+                    assert out == "" and not rep.exists()
+                    assert err.startswith(
+                        "error: numerical breakdown: report holds a non-finite value"
+                    )
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -538,3 +558,45 @@ class TestLazyPackage:
             w.no_such_name
         with pytest.raises(ImportError):
             exec("from wpcontent import no_such_name", {})
+
+
+SUBMODULES = sorted(f"wpcontent.{m}" for m in (
+    "cli", "content", "denoise", "errors", "greedy", "pgm", "psdcore", "selftest", "tree"))
+LAZY_LAYERS = ("denoise", "greedy", "pgm", "selftest")
+
+
+class TestLazyLayers:
+    def test_cli_import_registers_every_submodule(self):
+        # a tracer that wraps every wpcontent module in sys.modules relies on this
+        code = ("import json, sys, wpcontent.cli\n"
+                "print(json.dumps(sorted(n for n in sys.modules if n.startswith('wpcontent.'))))")
+        assert _fresh(code, _child_env()) == SUBMODULES
+
+    def test_each_subcommand_runs_only_its_layers(self, symbol_file, image_files, tmp_path):
+        clean, noisy = image_files
+        rep = str(tmp_path / "rep.json")
+        runs = [
+            ["decompose", "--symbol", symbol_file, "--report", rep],
+            ["greedy", "--symbol", symbol_file, "--steps", "2", "--report", rep],
+            ["denoise", "--in", noisy, "--clean", clean, "--report", rep],
+            ["selftest", "--quick"],
+        ]
+        code = (
+            "import json, sys, types\n"
+            "from wpcontent.cli import main\n"
+            "ran = []\n"
+            f"for argv in {runs!r}:\n"
+            "    code = main(argv)\n"
+            f"    ran.append([code] + [m for m in {LAZY_LAYERS!r}\n"
+            "                         if type(sys.modules['wpcontent.' + m]) is types.ModuleType])\n"
+            "print(json.dumps(ran), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [
+            [0],
+            [0, "greedy"],
+            [0, "denoise", "greedy", "pgm"],
+            [0, "denoise", "greedy", "pgm", "selftest"],
+        ]

@@ -67,6 +67,14 @@ class TestFilterPair:
         with pytest.raises(w.MalformedInputError):
             w.filter_from_json({"h": taps})
 
+    @pytest.mark.parametrize("taps", [["0.7071067811865476"] * 2, "ab", [[0.5], [0.5]],
+                                      [True, True], np.array(["0.5", "0.5"])],
+                             ids=["strings", "string", "nested", "booleans", "string-array"])
+    def test_lowpass_taps_are_numbers(self, taps):
+        with pytest.raises(w.MalformedInputError):
+            w.FilterPair.from_lowpass(taps)
+        assert w.FilterPair.from_lowpass(np.array(w.haar_filter().h)) == w.haar_filter()
+
     def test_unknown_name(self):
         with pytest.raises(w.InvalidFilterError):
             w.named_filter("db8")
@@ -306,6 +314,31 @@ class TestShannonSymbol:
         sym = w.ShannonSymbol(2, [1.0, 0.5, -0.5e-10, 0.25])
         assert sym.values[2] == -0.5e-10 and sym.dim == 4
         assert sym.to_operator().clamp_applied
+
+    @pytest.mark.parametrize("values", [
+        [True, False], ["1", "2"], [[1.0], [2.0]], np.array([True, False]),
+        np.array(["1", "2"]), np.ones((1, 2)), [10**400, 1.0],
+    ], ids=["booleans", "strings", "nested", "boolean-array", "string-array", "2d-array",
+            "integer-beyond-float"])
+    def test_python_values_follow_the_json_number_rule(self, values):
+        with pytest.raises(w.MalformedInputError):
+            w.ShannonSymbol(1, values)
+
+    @pytest.mark.parametrize("values", [
+        [1, 0.5], (1.0, 0.5), np.array([1.0, 0.5]), np.array([2, 1]) / 2, [np.float64(1.0), 0.5],
+        [np.int64(1), 0.5],
+    ], ids=["ints-and-floats", "tuple", "array", "int-array-halved", "numpy-float",
+            "numpy-int"])
+    def test_python_numbers_are_copied(self, values):
+        sym = w.ShannonSymbol(1, values)
+        assert sym.values.tolist() == [1.0, 0.5]
+        if isinstance(values, np.ndarray):
+            assert values.flags.writeable and not np.shares_memory(values, sym.values)
+
+    def test_overflowing_square_sum_rejected(self):
+        with pytest.raises(w.MalformedInputError, match="sum of squares overflows"):
+            w.ShannonSymbol(1, [1e308, 1e308])
+        assert w.ShannonSymbol(1, [1e153, 1e153]).values[0] == 1e153
 
     def test_json_schema(self):
         sym = w.ShannonSymbol.from_json({"levels": 2, "r": [1, 2, 3, 4]})
