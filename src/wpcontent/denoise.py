@@ -109,12 +109,49 @@ class DenoiseConfig:
 
 def _anchors(extent: int, m: int, stride: int) -> np.ndarray:
     """Offsets 0, stride, 2*stride, ... and the flush-to-edge offset extent - m."""
-    return np.unique(np.append(np.arange(0, extent - m + 1, stride), extent - m))
+    a = np.arange(0, extent - m + 1, stride)
+    return a if a[-1] == extent - m else np.append(a, extent - m)
 
 
-def _patches(windows: np.ndarray, rows, cols) -> np.ndarray:
-    """Flattened patches of a sliding-window view at every (row, col) anchor, row-major."""
-    return windows[np.ix_(rows, cols)].reshape(len(rows) * len(cols), -1)
+def _anchor_runs(extent: int, m: int, stride: int) -> list[range]:
+    """The offsets of `_anchors` as evenly spaced runs: the stride run, then the flush anchor."""
+    run = range(0, extent - m + 1, stride)
+    return [run] if run[-1] == extent - m else [run, range(extent - m, extent - m + 1)]
+
+
+def _cut(runs: list[range], lo: int, hi: int) -> list[range]:
+    """The anchors with index in [lo, hi) of the concatenated runs, as runs."""
+    out = []
+    for r in runs:
+        part = r[max(lo, 0) : max(hi, 0)]
+        if part:
+            out.append(part)
+        lo, hi = lo - len(r), hi - len(r)
+    return out
+
+
+def _placed(runs: list[range]) -> list[tuple[slice, range]]:
+    """Each run with the slice of grid positions its anchors take, in order."""
+    out, i = [], 0
+    for r in runs:
+        out.append((slice(i, i + len(r)), r))
+        i += len(r)
+    return out
+
+
+def _shift(r: range, d: int) -> slice:
+    """Basic slice of the pixels at offset d from the anchors of run r."""
+    return slice(r.start + d, r.stop + d, r.step)
+
+
+def _gather(windows: np.ndarray, rows: list[range], cols: list[range]) -> np.ndarray:
+    """Flattened patches of a sliding-window view on the anchor grid of the runs, row-major."""
+    m = windows.shape[-1]
+    out = np.empty((sum(map(len, rows)), sum(map(len, cols)), m, m))
+    for pi, r in _placed(rows):
+        for pj, c in _placed(cols):
+            out[pi, pj] = windows[_shift(r, 0), _shift(c, 0)]
+    return out.reshape(-1, m * m)
 
 
 def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
@@ -130,7 +167,8 @@ def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     rows = _anchors(img.height, m, stride).tolist()
     cols = _anchors(img.width, m, stride).tolist()
-    patches = _patches(sliding_window_view(img.pixels, (m, m)), rows, cols)
+    runs = (_anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride))
+    patches = _gather(sliding_window_view(img.pixels, (m, m)), *runs)
     return PatchSet(m, stride, tuple((r, c) for r in rows for c in cols), patches)
 
 
@@ -213,8 +251,12 @@ def denoise_image(
     always refer to the trace scores s_w.
 
     Two passes over bands of BAND_ROWS anchor rows (patch memory O(band * m^2)):
-    one sums Y_b^T Y_b into R_hat, one projects each band and adds it in with
-    one indexed add per patch offset, in the per-patch loop's anchor order.
+    one sums Y_b^T Y_b into R_hat, one projects each band offset-major,
+    B^T (Y_b B^T)^T, so each patch offset (di, dj) owns one contiguous slab,
+    and adds every slab into the image through basic strided slices: per
+    axis the anchors are one stride run plus at most one flush anchor, so a
+    (band, offset) add is at most 2 x 2 slice adds. Offsets run from m - 1
+    down to 0, so each pixel sums its patches in row-major anchor order.
     """
     cfg.validate(img.width, img.height)
     m, n = cfg.patch_side, cfg.depth
@@ -222,10 +264,11 @@ def denoise_image(
     tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, n)
     windows = sliding_window_view(img.pixels, (m, m))
     rows, cols = _anchors(img.height, m, stride), _anchors(img.width, m, stride)
-    bands = [rows[i : i + BAND_ROWS] for i in range(0, len(rows), BAND_ROWS)]
+    row_runs, col_runs = _anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride)
+    bands = [_cut(row_runs, i, i + BAND_ROWS) for i in range(0, len(rows), BAND_ROWS)]
     gram = np.zeros((m * m, m * m))
     for rb in bands:
-        y = _patches(windows, rb, cols)
+        y = _gather(windows, rb, col_runs)
         gram += y.T @ y
     rhat = gram / (len(rows) * len(cols))
     scores = BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
@@ -235,16 +278,19 @@ def denoise_image(
         sel_values = scores.values
     idx, chosen, basis = _choose(tree, n, sel_values, cfg.top_k)
 
-    acc = np.zeros(img.height * img.width)  # flat raster: offset (di, dj) is di * width + dj
+    acc = np.zeros((img.height, img.width))
     for rb in bands:
-        q = ((_patches(windows, rb, cols) @ basis.T) @ basis).reshape(len(rb), len(cols), m, m)
-        at = rb[:, None] * img.width + cols
+        y = _gather(windows, rb, col_runs)
+        # offset-major: q[di, dj] holds pixel (di, dj) of every patch of the band
+        q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, len(cols))
+        blocks = [(pi, pj, r, c) for pi, r in _placed(rb) for pj, c in _placed(col_runs)]
         # offsets descending, so each pixel adds its patches in row-major anchor order
         for di in range(m - 1, -1, -1):
             for dj in range(m - 1, -1, -1):
-                acc[at + (di * img.width + dj)] += q[:, :, di, dj]
+                for pi, pj, r, c in blocks:
+                    acc[_shift(r, di), _shift(c, dj)] += q[di, dj, pi, pj]
     cnt = np.outer(*(np.bincount((a[:, None] + np.arange(m)).ravel()) for a in (rows, cols)))
-    out = ImageBuffer(acc.reshape(cnt.shape) / cnt)
+    out = ImageBuffer(acc / cnt)
 
     total = scores.total()
     retained = float(np.sum(scores.values[idx]))

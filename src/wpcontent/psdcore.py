@@ -41,7 +41,8 @@ class SymMatrix:
         if a.shape[0] < 1:
             raise MalformedInputError("matrix dimension must be at least 1")
         with np.errstate(over="ignore", invalid="ignore"):
-            self.entries = 0.5 * (a + a.T)
+            self.entries = a + a.T
+            self.entries *= 0.5
         if not np.all(np.isfinite(self.entries)):
             raise MalformedInputError("matrix entries must be finite, also after symmetrizing")
         self.dim = int(a.shape[0])
@@ -122,9 +123,18 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positive_first(vecs: np.ndarray) -> np.ndarray:
-    """Columns sign-flipped so each first component above 1e-12 in magnitude is positive."""
-    first = np.argmax(np.abs(vecs) > _SIGN_EPS, axis=0)
-    return vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
+    """Columns sign-flipped so each first component above 1e-12 in magnitude is positive.
+
+    Row 0 decides every column where it is above 1e-12; only the other
+    columns are searched. A column with no such component keeps its sign
+    from row 0.
+    """
+    lead = vecs[0].copy()
+    weak = np.flatnonzero(~(np.abs(lead) > _SIGN_EPS))
+    if weak.size:
+        sub = vecs[:, weak]
+        lead[weak] = sub[np.argmax(np.abs(sub) > _SIGN_EPS, axis=0), np.arange(weak.size)]
+    return vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def make_psd(m, scale: float | None = None) -> PsdOperator:

@@ -600,3 +600,15 @@ class TestLazyLayers:
             [0, "denoise", "greedy", "pgm"],
             [0, "denoise", "greedy", "pgm", "selftest"],
         ]
+
+    def test_denoise_leaves_numpy_ma_unloaded(self, image_files, tmp_path):
+        # np.unique imports numpy.ma (numpy 2.4), a cost every fresh denoise job would pay
+        clean, noisy = image_files
+        argv = ["denoise", "--in", noisy, "--clean", clean, "--patch-side", "8", "--depth", "2",
+                "--stride", "5", "--out", str(tmp_path / "out.pgm"),
+                "--report", str(tmp_path / "rep.json")]
+        code = ("import json, sys\n"
+                "from wpcontent.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(json.dumps([code, 'numpy.ma' in sys.modules]))")
+        assert _fresh(code, _child_env()) == [0, False]

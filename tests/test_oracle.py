@@ -7,6 +7,7 @@ comparison allows 1e-12 * (1 + ||A||).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wpcontent as w
 
@@ -14,6 +15,7 @@ from helpers import (
     dense_blocks,
     dense_coefficient_energies,
     dense_pinching,
+    loop_anchors,
     loop_denoise,
     loop_extract_patches,
     random_gram,
@@ -106,7 +108,8 @@ def test_shannon_bases_share_one_array():
 
 # (height, width, patch side, depth, stride): non-square sides that are not
 # multiples of the stride (flush-edge anchors), fewer anchor rows than one
-# band, an exact multiple of the band, and a partial last band.
+# band, an exact multiple of the band, a partial last band, and a last band
+# that is the flush row alone (16 stride rows, then the flush row).
 DENOISE_CASES = [
     (37, 53, 4, 1, 1),
     (37, 53, 4, 1, 2),
@@ -118,6 +121,7 @@ DENOISE_CASES = [
     (150, 23, 8, 2, 3),
     (150, 23, 8, 2, 8),
     (64, 64, 8, 2, 3),
+    (35, 37, 4, 1, 2),
 ]
 
 
@@ -150,3 +154,30 @@ def test_extract_patches_matches_per_patch_loop(rng, h, wd, m, depth, stride):
     want = loop_extract_patches(img, m, stride)
     assert got.positions == want.positions
     assert np.array_equal(got.patches, want.patches)
+
+
+@st.composite
+def anchor_grids(draw):
+    extent = draw(st.integers(1, 300))
+    m = draw(st.integers(1, extent))
+    return extent, m, draw(st.integers(1, m)), draw(st.integers(1, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchor_grids())
+def test_anchor_runs_reproduce_anchors(grid):
+    extent, m, stride, band = grid
+    anchors = w.denoise._anchors(extent, m, stride)
+    runs = w.denoise._anchor_runs(extent, m, stride)
+    offsets = np.arange(extent)
+
+    def run_anchors(rs):
+        return [int(a) for r in rs for a in offsets[w.denoise._shift(r, 0)]]
+
+    assert run_anchors(runs) == anchors.tolist()
+    cuts = [w.denoise._cut(runs, i, i + band) for i in range(0, len(anchors), band)]
+    assert [run_anchors(c) for c in cuts] == [
+        anchors[i : i + band].tolist() for i in range(0, len(anchors), band)
+    ]
+    assert np.array_equal(anchors, np.unique(np.append(np.arange(0, extent - m + 1, stride), extent - m)))
+    assert anchors.tolist() == loop_anchors(extent, m, stride)

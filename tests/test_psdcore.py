@@ -5,7 +5,7 @@ import pytest
 
 import wpcontent as w
 
-from helpers import random_gram
+from helpers import full_scan_positive_first, random_gram
 
 
 class TestSymEigen:
@@ -46,6 +46,25 @@ class TestSymEigen:
     def test_dim_one(self):
         lam, vecs = w.sym_eigen(w.SymMatrix([[5.0]]))
         assert lam[0] == 5.0 and vecs[0, 0] == 1.0
+
+    @pytest.mark.parametrize("row0", [0.0, -0.0, 1e-12, -1e-12, 3e-13])
+    def test_sign_rule_matches_full_scan_below_threshold(self, rng, row0):
+        v = rng.standard_normal((7, 9))
+        v[0, ::2] = row0 * rng.choice([-1.0, 1.0], 5)
+        v[:3, 4] = -1e-13  # no entry above 1e-12 before row 3
+        v[:, 8] = 1e-13  # no entry above 1e-12 at all: row 0 decides
+        got = w.psdcore._positive_first(v)
+        assert np.array_equal(got, full_scan_positive_first(v))
+        assert np.array_equal(np.signbit(got), np.signbit(full_scan_positive_first(v)))
+
+    def test_sign_rule_on_eigenvectors_with_zero_first_row(self, rng):
+        # [c] (+) G: every eigenvector but one is zero in row 0
+        g = rng.standard_normal((6, 6))
+        a = np.zeros((7, 7))
+        a[0, 0], a[1:, 1:] = 0.5, g + g.T
+        _, raw = np.linalg.eigh(a)
+        _, vecs = w.sym_eigen(w.SymMatrix(a))
+        assert np.array_equal(vecs, full_scan_positive_first(raw[:, ::-1]))
 
 
 class TestMakePsd:
