@@ -81,6 +81,16 @@ def _check_dims(r: PsdOperator, tree: PacketTree) -> None:
         )
 
 
+def _root_images(r: PsdOperator, tree: PacketTree, vectors, mix=None) -> np.ndarray:
+    """Rows sqrt(R) x by `root_rows` for vectors x of shape (d,), or for the rows of mix @ X."""
+    _check_dims(r, tree)
+    for x in vectors:
+        if np.shape(x) != (r.dim,):
+            raise DimensionMismatchError(f"vector shape {np.shape(x)} != ({r.dim},)")
+    rows = np.array(vectors, dtype=np.float64)
+    return r.root_rows(rows if mix is None else mix @ rows)
+
+
 def _segment_sums(values: np.ndarray, n_nodes: int) -> np.ndarray:
     """Sums of the n_nodes equal contiguous segments along the first axis."""
     return values.reshape(n_nodes, -1, *values.shape[1:]).sum(axis=1)
@@ -115,10 +125,9 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
 
 
 def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> ContentBlock:
-    """Dense content block sqrt(R) P_w sqrt(R), symmetrized and PSD-checked."""
+    """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
     _check_dims(r, tree)
-    b = tree.basis(node)
-    m = b @ r.sqrt_entries()
+    m = r.root_rows(tree.basis(node))
     op = make_psd(SymMatrix(m.T @ m))
     return ContentBlock(node, op, trace(op), hs_norm(op))
 
@@ -168,11 +177,7 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
 
 def vector_weight(r: PsdOperator, tree: PacketTree, x, node: PacketNode) -> float:
     """Packet energy ||P_w sqrt(R) x||^2 of the vector x at node w."""
-    _check_dims(r, tree)
-    vx = np.asarray(x, dtype=np.float64)
-    if vx.shape != (r.dim,):
-        raise DimensionMismatchError(f"vector shape {vx.shape} != ({r.dim},)")
-    y = tree.basis(node) @ (r.sqrt_entries() @ vx)
+    y = tree.basis(node) @ _root_images(r, tree, [x])[0]
     return float(y @ y)
 
 
@@ -184,14 +189,11 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[Packet
     AbsoluteContinuityViolation (possible only through rounding defects,
     since a vanishing trace forces the whole block to vanish).
     """
-    _check_dims(r, tree)
-    vx = np.asarray(x, dtype=np.float64)
-    if vx.shape != (r.dim,):
-        raise DimensionMismatchError(f"vector shape {vx.shape} != ({r.dim},)")
+    img = _root_images(r, tree, [x])[0]
     eps = 1e-12 * trace(r)
     nodes = tree.nodes_at(n)
     mus = trace_scores(r.matrix, tree, n).tolist()
-    nus = _segment_sums((tree.transform(n) @ (r.sqrt_entries() @ vx)) ** 2, len(nodes)).tolist()
+    nus = _segment_sums((tree.transform(n) @ img) ** 2, len(nodes)).tolist()
     out = {}
     for node, mu, nu in zip(nodes, mus, nus):
         if mu > eps:
@@ -205,11 +207,8 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[Packet
 
 def parallelogram_check(r: PsdOperator, tree: PacketTree, x, y, n: int) -> float:
     """Max depth-n violation of the parallelogram law for vector weights."""
-    _check_dims(r, tree)
-    vx = np.asarray(x, dtype=np.float64)
-    vy = np.asarray(y, dtype=np.float64)
-    imgs = r.sqrt_entries() @ np.stack([vx + vy, vx - vy, vx, vy], axis=1)
+    imgs = _root_images(r, tree, [x, y], mix=[[1, 1], [1, -1], [1, 0], [0, 1]])  # x+y, x-y, x, y
     e_sum, e_diff, e_x, e_y = _segment_sums(
-        (tree.transform(n) @ imgs) ** 2, len(tree.nodes_at(n))
+        (tree.transform(n) @ imgs.T) ** 2, len(tree.nodes_at(n))
     ).T
     return float(np.max(np.abs(e_sum + e_diff - 2.0 * e_x - 2.0 * e_y)))

@@ -235,6 +235,8 @@ def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int) -> ImageBuffer
     """Seeded i.i.d. Gaussian pixel noise; no clipping."""
     if not 0.0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return ImageBuffer(img.pixels + sigma * rng.standard_normal(img.pixels.shape))
 

@@ -59,10 +59,11 @@ class PsdOperator:
     ``eigenvectors`` holds the matching orthonormal columns, and
     ``clamp_applied`` records whether negative rounding noise was zeroed
     in ``eigenvalues``. The matrix itself is never edited: it is the
-    input, whose own spectrum may dip below zero by that noise.
+    input, whose own spectrum may dip below zero by that noise. Products
+    with sqrt(A) come from the spectrum via `root_rows`; no root is kept.
     """
 
-    __slots__ = ("base", "eigenvalues", "eigenvectors", "clamp_applied", "_sqrt")
+    __slots__ = ("base", "eigenvalues", "eigenvectors", "clamp_applied")
 
     def __init__(self, base: SymMatrix, eigenvalues, eigenvectors, clamp_applied: bool):
         self.base = base
@@ -71,7 +72,6 @@ class PsdOperator:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
         self.clamp_applied = bool(clamp_applied)
-        self._sqrt = None
 
     @property
     def dim(self) -> int:
@@ -82,15 +82,15 @@ class PsdOperator:
         """Dense entries (read-only view)."""
         return self.base.entries
 
+    def root_rows(self, rows) -> np.ndarray:
+        """rows @ sqrt(A) as ((rows V) sqrt(lam)) V^T: O(s d^2) for s rows, no d x d root."""
+        v = self.eigenvectors
+        return ((rows @ v) * np.sqrt(self.eigenvalues)) @ v.T
+
     def sqrt_entries(self) -> np.ndarray:
-        """Dense entries of the PSD square root (computed once, cached)."""
-        if self._sqrt is None:
-            v = self.eigenvectors
-            s = (v * np.sqrt(self.eigenvalues)) @ v.T
-            s = 0.5 * (s + s.T)
-            s.setflags(write=False)
-            self._sqrt = s
-        return self._sqrt
+        """Dense PSD square root (V sqrt(lam)) V^T, symmetrized; formed on each call."""
+        s = (self.eigenvectors * np.sqrt(self.eigenvalues)) @ self.eigenvectors.T
+        return 0.5 * (s + s.T)
 
     def __repr__(self):
         return (

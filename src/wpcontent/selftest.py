@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .content import cylinder_weights, depth_decomposition, parallelogram_check
-from .errors import NumericalBreakdownError
+from .errors import ConfigError, NumericalBreakdownError
 from .greedy import hs_greedy, trace_greedy
 from .psdcore import SymMatrix, make_psd
 from .tree import (
@@ -77,6 +77,8 @@ def _certified_steps(extract, instances) -> int:
 
 def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False, corrupt_tree: bool = False):
     """Run the suite; returns (all_ok, rows) with one row per invariant."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     trees = [
         build_shannon_tree(3, 3),

@@ -392,8 +392,11 @@ class ShannonSymbol:
         return len(self.values)
 
     def value(self, k: int) -> float:
-        """r(k); index k counts from -2**(levels-1)."""
-        return float(self.values[k + 2 ** (self.levels - 1)])
+        """r(k) for k in [-2**(levels-1), 2**(levels-1)); IndexError outside that range."""
+        half = 2 ** (self.levels - 1)
+        if not -half <= k < half:
+            raise IndexError(f"symbol index {k} outside [{-half}, {half})")
+        return float(self.values[k + half])
 
     def to_operator(self) -> PsdOperator:
         """Diagonal PSD operator, as a dense d x d matrix.

@@ -294,7 +294,7 @@ class TestDenoise:
         code = main(["denoise", "--in", noisy, "--patch-side", "8", "--depth", "2",
                      "--topk", "16", "--stride", "4", "--out", str(out)])
         assert code == 0
-        assert out.read_bytes() == open(noisy, "rb").read()
+        assert out.read_bytes() == Path(noisy).read_bytes()
 
     def test_config_violation_exits_5(self, image_files, tmp_path):
         _, noisy = image_files
@@ -371,6 +371,13 @@ class TestDenoise:
                      "--out", str(tmp_path / "x.pgm")]) == 5
         assert "sigma" in capsys.readouterr().err
 
+    def test_negative_seed_exits_5(self, image_files, tmp_path, capsys):
+        clean, _ = image_files
+        assert main(["denoise", "--in", clean, "--sigma", "0.1", "--seed", "-1",
+                     "--out", str(tmp_path / "x.pgm")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+
     def test_sigma_adds_noise_deterministically(self, image_files, tmp_path):
         clean, _ = image_files
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -393,6 +400,12 @@ class TestSelftest:
 
     def test_seed_flag(self):
         assert main(["selftest", "--quick", "--seed", "7"]) == 0
+
+    def test_negative_seed_exits_5(self, capsys):
+        assert main(["selftest", "--quick", "--seed", "-1"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "seed" in err
 
     def test_corrupt_tree_fails_with_named_invariant(self, capsys):
         assert main(["selftest", "--quick", "--corrupt-tree"]) == 1

@@ -277,6 +277,13 @@ class TestParallelogram:
             budget = 1e-9 * (1.0 + lam_max * (np.linalg.norm(x) + np.linalg.norm(y)) ** 2)
             assert w.parallelogram_check(r, tree, x, y, tree.max_depth) <= budget
 
+    @pytest.mark.parametrize("x_len, y_len", [(4, 4), (8, 4), (4, 8)])
+    def test_rejects_bad_vectors(self, rng, x_len, y_len):
+        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        x, y = rng.standard_normal(x_len), rng.standard_normal(y_len)
+        with pytest.raises(w.DimensionMismatchError):
+            w.parallelogram_check(random_gram(rng, 8), tree, x, y, 2)
+
     def test_quadratic_homogeneity(self, rng):
         tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
         r = random_gram(rng, 8)
@@ -285,3 +292,43 @@ class TestParallelogram:
             w1 = w.vector_weight(r, tree, 2.0 * x, node)
             w2 = w.vector_weight(r, tree, x, node)
             assert w1 == pytest.approx(4.0 * w2, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("tree", [
+    w.build_shannon_tree(3, 2),
+    w.build_filter_tree_1d(w.haar_filter(), 8, 2),
+    w.build_filter_tree_1d(w.d4_filter(), 16, 2),
+], ids=lambda t: f"{t.realization}-{t.ambient_dim}")
+def test_content_layer_forms_no_dense_root(rng, monkeypatch, tree):
+    # dense route first: S = sqrt(R), C_w = (B S)^T (B S), energies ||B S x||^2
+    d, n = tree.ambient_dim, tree.max_depth
+    r = random_gram(rng, d)
+    x, y = rng.standard_normal(d), rng.standard_normal(d)
+    s = r.sqrt_entries()
+    nodes = tree.nodes_at(n)
+    blocks = [(tree.basis(nd) @ s).T @ (tree.basis(nd) @ s) for nd in nodes]
+    imgs = s @ np.stack([x + y, x - y, x, y], axis=1)
+    weights, para = [], 0.0
+    for nd in nodes:
+        e_sum, e_diff, e_x, e_y = np.sum((tree.basis(nd) @ imgs) ** 2, axis=0)
+        weights.append(float(e_x))
+        para = max(para, abs(e_sum + e_diff - 2.0 * e_x - 2.0 * e_y))
+    masses = [float(np.trace(b)) for b in blocks]
+    fro, lam_max = w.hs_norm(r), float(r.eigenvalues[0])
+    budget = 1e-9 * (1.0 + lam_max * (np.linalg.norm(x) + np.linalg.norm(y)) ** 2)
+
+    def no_sqrt(_):
+        raise AssertionError("the content layer formed the square root")
+
+    monkeypatch.setattr(w.PsdOperator, "sqrt_entries", no_sqrt)
+    for nd, block in zip(nodes, blocks):
+        got = w.content_operator(r, tree, nd).operator.matrix
+        assert np.linalg.norm(got - block) <= 1e-8 * (1.0 + fro)
+    for blk, block in zip(w.depth_decomposition(r, tree, n).blocks, blocks):
+        assert np.linalg.norm(blk.operator.matrix - block) <= 1e-8 * (1.0 + fro)
+    for nd, weight in zip(nodes, weights):
+        assert w.vector_weight(r, tree, x, nd) == pytest.approx(weight, rel=1e-9, abs=1e-12)
+    dens = w.discrete_density(r, tree, x, n)
+    for nd, weight, mass in zip(nodes, weights, masses):
+        assert dens[nd] == pytest.approx(weight / mass, rel=1e-9)
+    assert abs(w.parallelogram_check(r, tree, x, y, n) - para) <= budget

@@ -280,6 +280,9 @@ class TestShannonSymbol:
     def test_value_indexing(self):
         sym = w.ShannonSymbol(2, [1.0, 2.0, 3.0, 4.0])
         assert sym.value(-2) == 1.0 and sym.value(1) == 4.0
+        for k in (-3, 2):
+            with pytest.raises(IndexError, match=r"\[-2, 2\)"):
+                sym.value(k)
 
     def test_to_operator_diagonal(self):
         sym = w.ShannonSymbol(1, [0.5, 0.25])
