@@ -76,10 +76,11 @@ denoise, greedy, pgm, selftest = map(_lazy, ("denoise", "greedy", "pgm", "selfte
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
-EXIT_MALFORMED = 2
-EXIT_NOT_POSITIVE = 3
-EXIT_BOUND = 4
-EXIT_CONFIG = 5
+# exit code of each error class `main` reports as one ``error:`` line, first match wins
+EXIT_CODES = {
+    MalformedInputError: 2, NotPositiveError: 3, NumericalBreakdownError: 4, ConfigError: 5,
+    InvalidDepthError: 5, InvalidFilterError: 5, UnknownNodeError: 5, DimensionMismatchError: 5,
+}
 
 
 def _load_json(path):
@@ -163,34 +164,35 @@ def _write_json(path, payload) -> None:
 
 
 def _load_operator(args, dense=True):
-    """Matrix or symbol input -> (PsdOperator, levels hint or None); dense=False keeps a symbol."""
+    """Matrix or symbol input as a PsdOperator; dense=False keeps a symbol a ShannonSymbol."""
     if getattr(args, "symbol", None):
         sym = ShannonSymbol.from_json(_load_json(args.symbol))
-        return sym.to_operator() if dense else sym, sym.levels
+        return sym.to_operator() if dense else sym
     if not getattr(args, "input", None):
         raise ConfigError("one of --in or --symbol is required")
-    return make_psd(matrix_from_json(_load_json(args.input))), None
+    return make_psd(matrix_from_json(_load_json(args.input)))
 
 
-def _build_matrix_tree(args, dim: int, levels_hint):
+def _build_matrix_tree(args, dim: int):
+    """The --tree on dim; shannon levels default to log2(dim), as a symbol's levels are."""
     if args.tree == "shannon":
-        levels = args.levels if args.levels is not None else levels_hint
-        if levels is None:
-            levels = dim.bit_length() - 1
+        levels = args.levels if args.levels is not None else dim.bit_length() - 1
         if 2**levels != dim:
             raise ConfigError(
                 f"shannon tree needs dim = 2^levels; got dim {dim}, levels {levels}"
             )
         depth = args.depth if args.depth is not None else levels
         return build_shannon_tree(levels, depth)
+    if args.levels is not None:
+        raise ConfigError(f"--levels applies only to the shannon tree, not {args.tree}")
     if args.depth is None:
         raise ConfigError(f"--depth is required for the {args.tree} tree")
     return build_filter_tree_1d(named_filter(args.tree), dim, args.depth)
 
 
 def cmd_decompose(args) -> int:
-    operator, levels_hint = _load_operator(args, dense=False)
-    tree = _build_matrix_tree(args, operator.dim, levels_hint)
+    operator = _load_operator(args, dense=False)
+    tree = _build_matrix_tree(args, operator.dim)
     weights = cylinder_weights(operator, tree)
     total = weights.source_trace
     payload = {
@@ -210,13 +212,14 @@ def cmd_decompose(args) -> int:
 def cmd_greedy(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
-    if not (math.isfinite(args.stop_tol) and args.stop_tol >= 0.0):
-        raise ConfigError(f"--stop-tol must be finite and >= 0, got {args.stop_tol}")
-    operator, levels_hint = _load_operator(args)
-    tree = _build_matrix_tree(args, operator.dim, levels_hint)
+    stop_tol = greedy.DEFAULT_STOP_TOL if args.stop_tol is None else args.stop_tol
+    if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
+        raise ConfigError(f"--stop-tol must be finite and >= 0, got {stop_tol}")
+    operator = _load_operator(args)
+    tree = _build_matrix_tree(args, operator.dim)
     depth = args.depth if args.depth is not None else tree.max_depth
     run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
-    record = run(operator, tree, depth, max_steps=args.steps, stop_tol=args.stop_tol)
+    record = run(operator, tree, depth, max_steps=args.steps, stop_tol=stop_tol)
     payload = greedy.trace_payload(record)
     payload["summary"] = greedy.decay_report(record)["summary"]
     _write_json(args.report, payload)
@@ -287,7 +290,7 @@ def _parser() -> argparse.ArgumentParser:
     add_matrix_args(sp)
     sp.add_argument("--mode", choices=["trace", "hs"], default="trace")
     sp.add_argument("--steps", type=int, default=32, help="max extraction steps")
-    sp.add_argument("--stop-tol", type=float, default=1e-12)
+    sp.add_argument("--stop-tol", type=float, help="default: greedy.DEFAULT_STOP_TOL")
     sp.add_argument("--csv", help="also write the step table as CSV")
     sp.set_defaults(func=cmd_greedy)
 
@@ -320,24 +323,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedInputError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except NotPositiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_POSITIVE
-    except NumericalBreakdownError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except (
-        ConfigError,
-        InvalidDepthError,
-        InvalidFilterError,
-        UnknownNodeError,
-        DimensionMismatchError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

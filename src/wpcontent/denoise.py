@@ -12,6 +12,7 @@ R_hat and the discarded part stay PSD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -107,14 +108,8 @@ class DenoiseConfig:
             raise ConfigError(f"filter must be haar or d4, got {self.filter_name!r}")
 
 
-def _anchors(extent: int, m: int, stride: int) -> np.ndarray:
-    """Offsets 0, stride, 2*stride, ... and the flush-to-edge offset extent - m."""
-    a = np.arange(0, extent - m + 1, stride)
-    return a if a[-1] == extent - m else np.append(a, extent - m)
-
-
 def _anchor_runs(extent: int, m: int, stride: int) -> list[range]:
-    """The offsets of `_anchors` as evenly spaced runs: the stride run, then the flush anchor."""
+    """Anchor offsets 0, stride, 2*stride, ... then the flush anchor extent - m, as runs."""
     run = range(0, extent - m + 1, stride)
     return [run] if run[-1] == extent - m else [run, range(extent - m, extent - m + 1)]
 
@@ -165,11 +160,9 @@ def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
         raise ConfigError(f"patch side {m} exceeds image extent {img.width}x{img.height}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    rows = _anchors(img.height, m, stride).tolist()
-    cols = _anchors(img.width, m, stride).tolist()
-    runs = (_anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride))
-    patches = _gather(sliding_window_view(img.pixels, (m, m)), *runs)
-    return PatchSet(m, stride, tuple((r, c) for r in rows for c in cols), patches)
+    rows, cols = _anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride)
+    patches = _gather(sliding_window_view(img.pixels, (m, m)), rows, cols)
+    return PatchSet(m, stride, tuple(product(chain(*rows), chain(*cols))), patches)
 
 
 def second_moment(patches: PatchSet) -> PsdOperator:
@@ -265,14 +258,14 @@ def denoise_image(
     stride = cfg.effective_stride()
     tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, n)
     windows = sliding_window_view(img.pixels, (m, m))
-    rows, cols = _anchors(img.height, m, stride), _anchors(img.width, m, stride)
     row_runs, col_runs = _anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride)
-    bands = [_cut(row_runs, i, i + BAND_ROWS) for i in range(0, len(rows), BAND_ROWS)]
+    n_rows, n_cols = sum(map(len, row_runs)), sum(map(len, col_runs))
+    bands = [_cut(row_runs, i, i + BAND_ROWS) for i in range(0, n_rows, BAND_ROWS)]
     gram = np.zeros((m * m, m * m))
     for rb in bands:
         y = _gather(windows, rb, col_runs)
         gram += y.T @ y
-    rhat = gram / (len(rows) * len(cols))
+    rhat = gram / (n_rows * n_cols)
     scores = BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
     if cfg.mode == "hs":
         sel_values = np.sqrt(hs_scores_squared(rhat, tree, n))
@@ -284,14 +277,15 @@ def denoise_image(
     for rb in bands:
         y = _gather(windows, rb, col_runs)
         # offset-major: q[di, dj] holds pixel (di, dj) of every patch of the band
-        q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, len(cols))
+        q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, n_cols)
         blocks = [(pi, pj, r, c) for pi, r in _placed(rb) for pj, c in _placed(col_runs)]
         # offsets descending, so each pixel adds its patches in row-major anchor order
         for di in range(m - 1, -1, -1):
             for dj in range(m - 1, -1, -1):
                 for pi, pj, r, c in blocks:
                     acc[_shift(r, di), _shift(c, dj)] += q[di, dj, pi, pj]
-    cnt = np.outer(*(np.bincount((a[:, None] + np.arange(m)).ravel()) for a in (rows, cols)))
+    cnt = np.outer(*(np.bincount((np.hstack(runs)[:, None] + np.arange(m)).ravel())
+                     for runs in (row_runs, col_runs)))
     out = ImageBuffer(acc / cnt)
 
     total = scores.total()
@@ -304,7 +298,7 @@ def denoise_image(
         "filter": cfg.filter_name.lower(),
         "mode": cfg.mode,
         "N_n": len(scores.nodes),
-        "patches": len(rows) * len(cols),
+        "patches": n_rows * n_cols,
         "scores": [{"word": nd.word, "s_w": float(v)} for nd, v in zip(scores.nodes, scores.values)],
         "chosen": [nd.word for nd in chosen],
         "retained_energy_fraction": retained / total if total > 0.0 else 1.0,

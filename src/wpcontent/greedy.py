@@ -21,8 +21,7 @@ inequality: each step passes it before it is recorded, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import ClassVar
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,19 +42,7 @@ DEFAULT_STOP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExtractionStep:
-    """One extraction; ROW_FIELDS is the step-row schema of every report format."""
-
-    ROW_FIELDS: ClassVar[tuple[str, ...]] = (
-        "k",
-        "node",
-        "extracted_trace",
-        "extracted_hs",
-        "remainder_trace",
-        "remainder_hs",
-        "gamma",
-        "bound_trace",
-        "bound_hs",
-    )
+    """One extraction; ROW_FIELDS, its field names, is the step-row schema of every report."""
 
     k: int
     node: PacketNode
@@ -70,6 +57,9 @@ class ExtractionStep:
     def row(self) -> dict:
         """ROW_FIELDS in order, with the node given by its word."""
         return {f: self.node.word if f == "node" else getattr(self, f) for f in self.ROW_FIELDS}
+
+
+ExtractionStep.ROW_FIELDS = tuple(f.name for f in fields(ExtractionStep))
 
 
 @dataclass(frozen=True)
@@ -213,10 +203,7 @@ def _step(
         nxt = make_psd(SymMatrix(current.matrix - d), scale=scale)
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
-    step = ExtractionStep(
-        k, node, float(np.trace(d)), float(np.sqrt(np.sum(d * d))), trace(nxt), hs_norm(nxt),
-        **bounds,
-    )
+    step = ExtractionStep(k, node, trace(d), hs_norm(d), trace(nxt), hs_norm(nxt), **bounds)
     message = _violation(tr, tr.steps[-1] if tr.steps else None, step)
     if message is not None:
         raise NumericalBreakdownError(k, message)

@@ -37,7 +37,7 @@ def corrupted_tree_fixture() -> PacketTree:
     transforms[1] = transforms[1].copy()
     transforms[1][0, :] = 0.0
     return PacketTree(
-        t.realization, t.ambient_dim, t.max_depth, t._levels, transforms, t._children
+        t.realization, t.ambient_dim, t.max_depth, t._levels, transforms, t._parents
     )
 
 

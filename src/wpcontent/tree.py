@@ -116,14 +116,15 @@ class PacketTree:
     """Immutable tree of nodes with one read-only packet transform per depth.
 
     A ``None`` transform marks W_n = I; `transform` forms it once, shared, on first use.
+    The per-depth parent indices (see `parents`) are the tree's one record of its shape.
     """
 
     __slots__ = (
         "realization", "ambient_dim", "max_depth", "_levels", "_transforms", "_index",
-        "_children", "_parents", "_eye",
+        "_parents", "_eye",
     )
 
-    def __init__(self, realization, ambient_dim, max_depth, levels, transforms, children):
+    def __init__(self, realization, ambient_dim, max_depth, levels, transforms, parents):
         self.realization = realization
         self.ambient_dim = int(ambient_dim)
         self.max_depth = int(max_depth)
@@ -132,14 +133,11 @@ class PacketTree:
         self._index = {
             nd.word: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)
         }
-        self._children = children
+        self._parents = parents
         self._eye = None
-        for w in transforms:
-            if w is not None:
-                w.setflags(write=False)
-        # each node's parent index, read off the child lists
-        parent = {kid.word: self._index[w][1] for w, kids in children.items() for kid in kids}
-        self._parents = [np.array([parent.get(nd.word, -1) for nd in level]) for level in levels]
+        for a in (*transforms, *parents):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def root(self) -> PacketNode:
@@ -190,7 +188,11 @@ class PacketTree:
         return self.transform(n)[i * s : (i + 1) * s]
 
     def children(self, node: PacketNode) -> tuple[PacketNode, ...]:
-        return self._children.get(node.word, ())
+        """The depth-(n+1) nodes whose parent is ``node``, in node order."""
+        n, i = self._position(node)
+        if n == self.max_depth:
+            return ()
+        return tuple(self._levels[n + 1][j] for j in np.flatnonzero(self._parents[n + 1] == i))
 
     def all_nodes(self):
         for level in self._levels:
@@ -207,17 +209,13 @@ class PacketTree:
 
 
 def _dyadic_levels(max_depth: int):
-    """Binary-word levels 0..max_depth in lexicographic order, and child lists."""
+    """Binary-word levels 0..max_depth in lexicographic order; word i's parent is word i // 2."""
     levels = [
         [PacketNode("".join(bits), n) for bits in product("01", repeat=n)]
         for n in range(max_depth + 1)
     ]
-    children = {
-        nd.word: tuple(levels[n + 1][2 * i : 2 * i + 2])
-        for n in range(max_depth)
-        for i, nd in enumerate(levels[n])
-    }
-    return levels, children
+    parents = [np.array([-1])] + [np.arange(2**n) // 2 for n in range(1, max_depth + 1)]
+    return levels, parents
 
 
 def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
@@ -226,9 +224,9 @@ def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
         raise InvalidDepthError(f"levels must be >= 1, got {levels}")
     if not 1 <= max_depth <= levels:
         raise InvalidDepthError(f"max_depth must be in [1, levels={levels}], got {max_depth}")
-    tree_levels, children = _dyadic_levels(max_depth)
+    tree_levels, parents = _dyadic_levels(max_depth)
     transforms = [None] * (max_depth + 1)  # W_n = I at every depth
-    return PacketTree("shannon", 2**levels, max_depth, tree_levels, transforms, children)
+    return PacketTree("shannon", 2**levels, max_depth, tree_levels, transforms, parents)
 
 
 def _analysis_stage(taps: tuple[float, ...], d: int) -> np.ndarray:
@@ -248,16 +246,16 @@ def build_filter_tree_1d(filters: FilterPair, signal_len: int, depth: int) -> Pa
         raise InvalidDepthError(
             f"2^depth = {2**depth} must divide signal_len = {signal_len}"
         )
-    tree_levels, children = _dyadic_levels(depth)
+    tree_levels, parents = _dyadic_levels(depth)
     transforms, w = [None], np.eye(signal_len)
     for n in range(1, depth + 1):
         d = signal_len // 2 ** (n - 1)
         low = _analysis_stage(filters.h, d)
         high = _analysis_stage(filters.g, d)
-        parents = w.reshape(2 ** (n - 1), d, signal_len)
-        w = np.vstack([f @ pb for pb in parents for f in (low, high)])
+        above = w.reshape(2 ** (n - 1), d, signal_len)
+        w = np.vstack([f @ pb for pb in above for f in (low, high)])
         transforms.append(w)
-    return PacketTree("filterbank-1d", signal_len, depth, tree_levels, transforms, children)
+    return PacketTree("filterbank-1d", signal_len, depth, tree_levels, transforms, parents)
 
 
 def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> PacketTree:
@@ -265,23 +263,20 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
 
     Depth-n nodes are pairs of depth-n words (4**n nodes), serialized
     "row,col"; the basis is the Kronecker product of the 1D bases, matching
-    row-major patch flattening.
+    row-major patch flattening. Pair (r, c) sits under (parent(r), parent(c)),
+    whose row-major index is p[r] * (len(p) // 2) + p[c] for the 1D parents p.
     """
     one_d = build_filter_tree_1d(filters, patch_side, depth)
-    grids = [
-        {(r, c): PacketNode(f"{r.word},{c.word}", n) for r, c in product(level, repeat=2)}
-        for n, level in enumerate(one_d._levels)
+    pairs = [list(product(level, repeat=2)) for level in one_d._levels]
+    tree_levels = [
+        [PacketNode(f"{r.word},{c.word}", n) for r, c in level] for n, level in enumerate(pairs)
     ]
     transforms = [None] + [
-        np.vstack([np.kron(one_d.basis(r), one_d.basis(c)) for r, c in grid]) for grid in grids[1:]
+        np.vstack([np.kron(one_d.basis(r), one_d.basis(c)) for r, c in level])
+        for level in pairs[1:]
     ]
-    children = {
-        nd.word: tuple(grids[n + 1][rc] for rc in product(one_d.children(r), one_d.children(c)))
-        for n, grid in enumerate(grids[:-1])
-        for (r, c), nd in grid.items()
-    }
-    tree_levels = [list(grid.values()) for grid in grids]
-    return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, children)
+    parents = [(p[:, None] * (len(p) // 2) + p).ravel() for p in one_d._parents]
+    return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, parents)
 
 
 def _rows_projection(tree: PacketTree, n: int, idx) -> PsdOperator:

@@ -1,10 +1,20 @@
 """Shared independent oracles and constructions for the test suite."""
 
+import os
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 import wpcontent as w
+
+
+def child_env(**threads):
+    """Environment of a fresh process: ``src`` on the path, no *_THREADS variable but ``threads``."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    src = str(Path(w.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **threads}
 
 
 def full_scan_positive_first(vecs):
@@ -125,7 +135,7 @@ def swapped_children_tree(tree, n):
     transforms = [tree.transform(m) for m in range(tree.max_depth + 1)]
     transforms[n] = wn
     return w.tree.PacketTree(
-        tree.realization, tree.ambient_dim, tree.max_depth, tree._levels, transforms, tree._children
+        tree.realization, tree.ambient_dim, tree.max_depth, tree._levels, transforms, tree._parents
     )
 
 

@@ -18,6 +18,7 @@ import wpcontent as w
 from helpers import (
     band_positions,
     block_diagonal_gram,
+    child_env,
     piecewise_smooth_image,
     random_gram,
     spread_vector,
@@ -296,6 +297,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             [sys.executable, "-m", "wpcontent.cli", *args],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +12,7 @@ import wpcontent as w
 from wpcontent import cli
 from wpcontent.cli import main
 
-from helpers import geometric_symbol, piecewise_smooth_image, random_gram
+from helpers import child_env, geometric_symbol, piecewise_smooth_image, random_gram
 
 
 @pytest.fixture
@@ -38,14 +37,6 @@ def gram256_file(tmp_path, rng):
     path = tmp_path / "m256.json"
     path.write_text(json.dumps(w.matrix_to_json(op)))
     return op, path
-
-
-def _child_env(**threads):
-    """Environment of a fresh process: ``src`` on the path, no *_THREADS variable but ``threads``."""
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
-    src = str(Path(w.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return {**env, **threads}
 
 
 def _trace_greedy_report(path, rep, env) -> bytes:
@@ -251,7 +242,7 @@ class TestGreedy:
         op, path = gram256_file
         one, two = (
             json.loads(_trace_greedy_report(path, tmp_path / f"t{threads}.json",
-                                            _child_env(OPENBLAS_NUM_THREADS=threads)))
+                                            child_env(OPENBLAS_NUM_THREADS=threads)))
             for threads in ("1", "2")
         )
         assert [s["node"] for s in one["steps"]] == [s["node"] for s in two["steps"]]
@@ -267,9 +258,9 @@ class TestGreedy:
     def test_default_thread_count_is_one(self, gram256_file, tmp_path):
         # with no thread variable set the CLI runs one BLAS thread, whatever the core count
         _, path = gram256_file
-        default = _trace_greedy_report(path, tmp_path / "default.json", _child_env())
+        default = _trace_greedy_report(path, tmp_path / "default.json", child_env())
         one = _trace_greedy_report(path, tmp_path / "one.json",
-                                   _child_env(OPENBLAS_NUM_THREADS="1"))
+                                   child_env(OPENBLAS_NUM_THREADS="1"))
         assert default == one
 
 
@@ -452,6 +443,50 @@ class TestFileErrors:
         assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", [
+        (w.MalformedInputError("bad schema"), 2),
+        (w.NotPositiveError(-1.0, 1e-10), 3),
+        (w.NumericalBreakdownError(3, "bad step"), 4),
+        (w.ConfigError("bad flags"), 5),
+        (w.InvalidDepthError("bad depth"), 5),
+        (w.InvalidFilterError("bad taps"), 5),
+        (w.UnknownNodeError("bad node"), 5),
+        (w.DimensionMismatchError("bad dims"), 5),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_each_error_class_exits_with_its_code(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_decompose", fail)
+        assert main(["decompose", "--symbol", "unread.json"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {exc}"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [
+        w.AbsoluteContinuityViolation("zero mass"), w.UndefinedCoherenceError("zero"),
+    ], ids=lambda v: type(v).__name__)
+    def test_unmapped_errors_propagate(self, monkeypatch, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_decompose", fail)
+        with pytest.raises(type(exc)):
+            main(["decompose", "--symbol", "unread.json"])
+
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("tree", ["haar", "d4"])
+    def test_levels_with_a_filter_tree_exits_5(self, matrix_file, tmp_path, capsys,
+                                               command, tree):
+        rep = tmp_path / "out.json"
+        assert main([command, "--in", matrix_file, "--tree", tree, "--depth", "1",
+                     "--levels", "7", "--report", str(rep)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: --levels") and "Traceback" not in err
+        assert not rep.exists()
+
+
 class TestNumericInput:
     @pytest.mark.parametrize("command", ["decompose", "greedy"])
     @pytest.mark.parametrize("text", [
@@ -529,7 +564,7 @@ class TestThreadPolicy:
         ("import numpy, wpcontent.cli", {}, [None, None, None]),
     ], ids=["unset-means-one", "set-variable-wins", "numpy-first-keeps-environment"])
     def test_environment_after_cli_import(self, code, threads, want):
-        assert _fresh(f"{code}; {SHOW_THREADS}", _child_env(**threads)) == want
+        assert _fresh(f"{code}; {SHOW_THREADS}", child_env(**threads)) == want
 
 
 EXPORTED = sorted("""
@@ -552,7 +587,7 @@ EXPORTED = sorted("""
 class TestLazyPackage:
     def test_import_leaves_numpy_unloaded(self):
         code = "import json, sys, wpcontent; print(json.dumps('numpy' in sys.modules))"
-        assert _fresh(code, _child_env()) is False
+        assert _fresh(code, child_env()) is False
 
     def test_every_exported_name_resolves_in_a_fresh_process(self):
         code = (
@@ -562,7 +597,7 @@ class TestLazyPackage:
             "    trace_greedy is w.greedy.trace_greedy, psdcore.trace is w.trace,\n"
             "    set(w.__all__) <= set(dir(w))]))"
         )
-        names, *resolved = _fresh(code, _child_env())
+        names, *resolved = _fresh(code, child_env())
         assert names == EXPORTED and len(names) == 69
         assert all(resolved)
 
@@ -583,7 +618,7 @@ class TestLazyLayers:
         # a tracer that wraps every wpcontent module in sys.modules relies on this
         code = ("import json, sys, wpcontent.cli\n"
                 "print(json.dumps(sorted(n for n in sys.modules if n.startswith('wpcontent.'))))")
-        assert _fresh(code, _child_env()) == SUBMODULES
+        assert _fresh(code, child_env()) == SUBMODULES
 
     def test_each_subcommand_runs_only_its_layers(self, symbol_file, image_files, tmp_path):
         clean, noisy = image_files
@@ -605,7 +640,7 @@ class TestLazyLayers:
             "print(json.dumps(ran), file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_child_env())
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stderr.splitlines()[-1]) == [
             [0],
@@ -624,4 +659,4 @@ class TestLazyLayers:
                 "from wpcontent.cli import main\n"
                 f"code = main({argv!r})\n"
                 "print(json.dumps([code, 'numpy.ma' in sys.modules]))")
-        assert _fresh(code, _child_env()) == [0, False]
+        assert _fresh(code, child_env()) == [0, False]

@@ -233,15 +233,21 @@ class TestTreeAxioms:
         others = (report.partition, report.child_orthogonality, report.basis_orthonormality)
         assert max(others) <= 1e-10
 
-    @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
+    @pytest.mark.parametrize("tree", all_test_trees() + [
+        pytest.param(t, id=f"corrupted-{i}-{tree_id(t)}") for i, t in enumerate(corrupted_trees())
+    ], ids=tree_id)
     def test_parent_index_follows_child_lists(self, tree):
+        # the words alone fix each parent: a 1D word drops its last letter, "r,c" both
+        def parent_word(word):
+            return ",".join(part[:-1] for part in word.split(","))
+
         for n in range(1, tree.max_depth + 1):
-            above = tree.nodes_at(n - 1)
-            want = [
-                next(i for i, p in enumerate(above) if nd in tree.children(p))
-                for nd in tree.nodes_at(n)
-            ]
+            above = [nd.word for nd in tree.nodes_at(n - 1)]
+            want = [above.index(parent_word(nd.word)) for nd in tree.nodes_at(n)]
             assert tree.parents(n).tolist() == want
+            assert [tree.children(tree.nodes_at(n - 1)[i]) for i in range(len(above))] == [
+                tuple(nd for nd in tree.nodes_at(n) if parent_word(nd.word) == a) for a in above
+            ]
 
     @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
     def test_child_lists_hold_the_next_depths_nodes(self, tree):
