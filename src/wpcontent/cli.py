@@ -41,13 +41,9 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
 from .content import cylinder_weights
 from .errors import (
     ConfigError,
-    DimensionMismatchError,
-    InvalidDepthError,
-    InvalidFilterError,
     MalformedInputError,
     NotPositiveError,
     NumericalBreakdownError,
-    UnknownNodeError,
 )
 from .psdcore import make_psd, matrix_from_json
 from .tree import (
@@ -76,10 +72,9 @@ denoise, greedy, pgm, selftest = map(_lazy, ("denoise", "greedy", "pgm", "selfte
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
-# exit code of each error class `main` reports as one ``error:`` line, first match wins
+# exit code of each error class (and its subclasses) `main` reports as one ``error:`` line
 EXIT_CODES = {
     MalformedInputError: 2, NotPositiveError: 3, NumericalBreakdownError: 4, ConfigError: 5,
-    InvalidDepthError: 5, InvalidFilterError: 5, UnknownNodeError: 5, DimensionMismatchError: 5,
 }
 
 
@@ -174,17 +169,13 @@ def _load_operator(args, dense=True):
 
 
 def _build_matrix_tree(args, dim: int):
-    """The --tree on dim; shannon levels default to log2(dim), as a symbol's levels are."""
+    """The --tree on dim; the shannon tree takes levels = log2(dim), as a symbol's levels are."""
     if args.tree == "shannon":
-        levels = args.levels if args.levels is not None else dim.bit_length() - 1
+        levels = dim.bit_length() - 1
         if 2**levels != dim:
-            raise ConfigError(
-                f"shannon tree needs dim = 2^levels; got dim {dim}, levels {levels}"
-            )
+            raise ConfigError(f"shannon tree needs dim = 2^levels; got dim {dim}")
         depth = args.depth if args.depth is not None else levels
         return build_shannon_tree(levels, depth)
-    if args.levels is not None:
-        raise ConfigError(f"--levels applies only to the shannon tree, not {args.tree}")
     if args.depth is None:
         raise ConfigError(f"--depth is required for the {args.tree} tree")
     return build_filter_tree_1d(named_filter(args.tree), dim, args.depth)
@@ -217,9 +208,8 @@ def cmd_greedy(args) -> int:
         raise ConfigError(f"--stop-tol must be finite and >= 0, got {stop_tol}")
     operator = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim)
-    depth = args.depth if args.depth is not None else tree.max_depth
     run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
-    record = run(operator, tree, depth, max_steps=args.steps, stop_tol=stop_tol)
+    record = run(operator, tree, tree.max_depth, max_steps=args.steps, stop_tol=stop_tol)
     payload = greedy.trace_payload(record)
     payload["summary"] = greedy.decay_report(record)["summary"]
     _write_json(args.report, payload)
@@ -234,8 +224,6 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    if args.tree == "shannon":
-        raise ConfigError("denoise needs a patch filter bank: --tree haar or d4")
     noisy = pgm.read_pgm(args.input)
     if args.sigma is not None:
         noisy = denoise.add_gaussian_noise(noisy, args.sigma, args.seed)
@@ -278,7 +266,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--tree", choices=["shannon", "haar", "d4"], default="shannon"
         )
-        sp.add_argument("--levels", type=int, help="shannon levels (dim = 2^levels)")
         sp.add_argument("--depth", type=int, help="tree depth / slice depth")
         sp.add_argument("--report", default="-", help="output JSON path (- = stdout)")
 

@@ -74,16 +74,14 @@ class CylinderWeights:
         return [{"word": w, "depth": d, "mass": m} for w, d, m in self.rows]
 
 
-def _check_dims(r: PsdOperator, tree: PacketTree) -> None:
-    if r.dim != tree.ambient_dim:
-        raise DimensionMismatchError(
-            f"operator dim {r.dim} != tree ambient dim {tree.ambient_dim}"
-        )
+def _check_dims(dim: int, tree: PacketTree) -> None:
+    if dim != tree.ambient_dim:
+        raise DimensionMismatchError(f"dim {dim} != tree ambient dim {tree.ambient_dim}")
 
 
 def _root_images(r: PsdOperator, tree: PacketTree, vectors, mix=None) -> np.ndarray:
     """Rows sqrt(R) x by `root_rows` for vectors x of shape (d,), or for the rows of mix @ X."""
-    _check_dims(r, tree)
+    _check_dims(r.dim, tree)
     for x in vectors:
         if np.shape(x) != (r.dim,):
             raise DimensionMismatchError(f"vector shape {np.shape(x)} != ({r.dim},)")
@@ -126,7 +124,7 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
 
 def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> ContentBlock:
     """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
-    _check_dims(r, tree)
+    _check_dims(r.dim, tree)
     m = r.root_rows(tree.basis(node))
     op = make_psd(SymMatrix(m.T @ m))
     return ContentBlock(node, op, trace(op), hs_norm(op))
@@ -134,7 +132,7 @@ def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> Cont
 
 def depth_decomposition(r: PsdOperator, tree: PacketTree, n: int) -> ContentDecomposition:
     """All depth-n content blocks; verifies that they sum back to R within 1e-8 ||R||."""
-    _check_dims(r, tree)
+    _check_dims(r.dim, tree)
     blocks = tuple(content_operator(r, tree, nd) for nd in tree.nodes_at(n))
     total = np.zeros_like(r.matrix)
     for blk in blocks:
@@ -154,7 +152,7 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
     nonnegative; the root mass equals trace(R) exactly by construction.
     A ShannonSymbol is read through its values, diag(R): no d x d array on identity depths.
     """
-    _check_dims(r, tree)
+    _check_dims(r.dim, tree)
     a = r.values if isinstance(r, ShannonSymbol) else r.matrix
     masses = [np.maximum(trace_scores(a, tree, n), 0.0) for n in range(tree.max_depth + 1)]
     total = float(np.sum(a)) if a.ndim == 1 else trace(a)

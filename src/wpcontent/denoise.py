@@ -17,10 +17,13 @@ from itertools import chain, product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .content import hs_scores_squared, trace_scores
+from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
 from .psdcore import PsdOperator, SymMatrix, make_psd
-from .tree import PacketNode, PacketTree, _rows_projection, build_filter_tree_2d, named_filter
+from .tree import (
+    PacketNode, PacketTree, _rows_projection, build_filter_tree_2d, check_dyadic_depth,
+    named_filter,
+)
 
 PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
@@ -95,8 +98,7 @@ class DenoiseConfig:
         m = self.patch_side
         if m < 1 or m > min(width, height):
             raise ConfigError(f"patch side {m} must be in [1, {min(width, height)}]")
-        if self.depth < 1 or m % (2**self.depth) != 0:
-            raise ConfigError(f"2^depth = {2**self.depth} must divide patch side {m}")
+        check_dyadic_depth(self.depth, m)
         stride = self.effective_stride()
         if not 1 <= stride <= m:
             raise ConfigError(f"stride {stride} must be in [1, patch side {m}]")
@@ -104,8 +106,7 @@ class DenoiseConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.mode not in ("trace", "hs"):
             raise ConfigError(f"mode must be trace or hs, got {self.mode!r}")
-        if self.filter_name.lower() not in ("haar", "d4"):
-            raise ConfigError(f"filter must be haar or d4, got {self.filter_name!r}")
+        named_filter(self.filter_name)
 
 
 def _anchor_runs(extent: int, m: int, stride: int) -> list[range]:
@@ -178,11 +179,7 @@ def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
 
     R_hat is used raw (no PSD clamp), so scoring runs no eigendecomposition.
     """
-    m2 = patches.patch_side**2
-    if tree.ambient_dim != m2:
-        raise DimensionMismatchError(
-            f"tree ambient dim {tree.ambient_dim} != patch dim {m2}"
-        )
+    _check_dims(patches.patch_side**2, tree)
     y = patches.patches
     rhat = (y.T @ y) / y.shape[0]
     return BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))

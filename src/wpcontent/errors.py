@@ -21,20 +21,24 @@ class NotPositiveError(WpcError):
         )
 
 
-class DimensionMismatchError(WpcError):
+class ConfigError(WpcError):
+    """Invalid parameter combination rejected before any computation; `cli` exits 5 on it."""
+
+
+class DimensionMismatchError(ConfigError):
     """Operands have incompatible dimensions."""
 
 
-class InvalidDepthError(WpcError):
+class InvalidDepthError(ConfigError):
     """Requested tree depth is out of range or incompatible with the size."""
 
 
-class InvalidFilterError(WpcError):
-    """Filter taps violate the quadrature-mirror orthonormality conditions."""
+class InvalidFilterError(ConfigError):
+    """Filter name is unknown, or its taps are not an orthonormal quadrature-mirror pair."""
 
 
-class UnknownNodeError(WpcError):
-    """Node word does not belong to the tree."""
+class UnknownNodeError(ConfigError):
+    """Node (word and depth) does not belong to the tree."""
 
 
 class AbsoluteContinuityViolation(WpcError):
@@ -55,7 +59,3 @@ class NumericalBreakdownError(WpcError):
 
 class UndefinedCoherenceError(WpcError):
     """Coherence is undefined because the operator is numerically zero."""
-
-
-class ConfigError(WpcError):
-    """Invalid parameter combination rejected before any computation."""

@@ -28,7 +28,6 @@ import numpy as np
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import (
     ConfigError,
-    DimensionMismatchError,
     NotPositiveError,
     NumericalBreakdownError,
     UndefinedCoherenceError,
@@ -89,10 +88,7 @@ def conditional_expectation(a, tree: PacketTree, n: int) -> SymMatrix:
     rows and columns i*s:(i+1)*s of the packet-coordinate matrix.
     """
     e = as_entries(a)
-    if e.shape[0] != tree.ambient_dim:
-        raise DimensionMismatchError(
-            f"matrix dim {e.shape[0]} != tree ambient dim {tree.ambient_dim}"
-        )
+    _check_dims(e.shape[0], tree)
     w, seg = tree.transform(n), tree.row_nodes(n)
     blockdiag = (w @ e @ w.T) * (seg[:, None] == seg)
     return SymMatrix(w.T @ blockdiag @ w)
@@ -122,7 +118,7 @@ def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> Coherenc
 
 def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> ExtractionTrace:
     """Empty record of a run on ``r``; its final remainder is ``r`` itself."""
-    _check_dims(r, tree)
+    _check_dims(r.dim, tree)
     nn = None if depth is None else len(tree.nodes_at(depth))
     return ExtractionTrace(mode, depth, nn, trace(r), hs_norm(r), (), r)
 
@@ -148,7 +144,8 @@ def _violation(
     slack is 1e-9 times the run's initial tr(R) for trace checks and
     ||R||^2 for HS checks, with no absolute floor, so a run on cR
     accepts exactly the steps of a run on R; gamma is dimensionless and
-    its range keeps an absolute 1e-9.
+    its range keeps an absolute 1e-9. Each check is ``not value <= bound``,
+    so a NaN anywhere in it fails the step.
     """
     nn = tr.n_nodes
     prev_trace, prev_hs = (tr.initial_trace, tr.initial_hs) if prev is None else (
@@ -158,12 +155,12 @@ def _violation(
         rem = step.remainder_trace
         slack = 1e-9 * tr.initial_trace
         ratio = 1.0 - 1.0 / nn
-        if rem > ratio * prev_trace + slack:
+        if not rem <= ratio * prev_trace + slack:
             return (
                 f"one-step trace contraction failed: {rem:.6e} > "
                 f"{ratio:.6f} * {prev_trace:.6e}"
             )
-        if rem > step.bound_trace + slack:
+        if not rem <= step.bound_trace + slack:
             return f"trace envelope failed: {rem:.6e} > {step.bound_trace:.6e}"
     elif tr.mode == "hs-greedy":
         rem_sq, prev_sq, gamma = step.remainder_hs**2, prev_hs**2, step.gamma
@@ -171,15 +168,15 @@ def _violation(
         if not 1.0 - 1e-9 <= gamma <= nn + 1e-9:
             return f"coherence {gamma:.9f} outside [1, {nn}]"
         pythagorean = prev_sq - step.extracted_hs**2
-        if rem_sq > pythagorean + slack:
+        if not rem_sq <= pythagorean + slack:
             return f"pythagorean HS bound failed: {rem_sq:.6e} > {pythagorean:.6e}"
         step_ratio = 1.0 - 1.0 / (gamma * nn)
-        if rem_sq > step_ratio * prev_sq + slack:
+        if not rem_sq <= step_ratio * prev_sq + slack:
             return (
                 f"coherence contraction failed: {rem_sq:.6e} > "
                 f"{step_ratio:.9f} * {prev_sq:.6e}"
             )
-        if rem_sq > step.bound_hs**2 + slack:
+        if not rem_sq <= step.bound_hs**2 + slack:
             return f"uniform HS envelope failed: {rem_sq:.6e} > {step.bound_hs**2:.6e}"
     return None
 

@@ -130,9 +130,7 @@ class PacketTree:
         self.max_depth = int(max_depth)
         self._levels = levels
         self._transforms = transforms
-        self._index = {
-            nd.word: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)
-        }
+        self._index = {nd: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)}
         self._parents = parents
         self._eye = None
         for a in (*transforms, *parents):
@@ -172,14 +170,14 @@ class PacketTree:
         return self._parents[n]
 
     def has_node(self, node: PacketNode) -> bool:
-        return self._index.get(node.word, (None,))[0] == node.depth
+        return node in self._index
 
     def _position(self, node: PacketNode) -> tuple[int, int]:
-        """(depth, index within the depth) of a node of this tree."""
+        """(depth, index within the depth) of a node of this tree, found by word and depth."""
         try:
-            return self._index[node.word]
+            return self._index[node]
         except KeyError:
-            raise UnknownNodeError(f"node {node.word!r} is not in this tree") from None
+            raise UnknownNodeError(f"no node {node.word!r} at depth {node.depth}") from None
 
     def basis(self, node: PacketNode) -> np.ndarray:
         """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
@@ -218,12 +216,18 @@ def _dyadic_levels(max_depth: int):
     return levels, parents
 
 
+def check_dyadic_depth(depth: int, size: int) -> None:
+    """Require depth >= 1 and 2**depth | size, from the trailing zero bits: forms no 2**depth."""
+    top = (size & -size).bit_length() - 1 if size > 0 else 0
+    if not 1 <= depth <= top:
+        raise InvalidDepthError(f"depth {depth} outside [1, {top}]: 2^depth must divide the size")
+
+
 def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
     """Frequency-band tree with diagonal projections; ambient dim 2**levels."""
     if levels < 1:
         raise InvalidDepthError(f"levels must be >= 1, got {levels}")
-    if not 1 <= max_depth <= levels:
-        raise InvalidDepthError(f"max_depth must be in [1, levels={levels}], got {max_depth}")
+    check_dyadic_depth(max_depth, 2**levels)
     tree_levels, parents = _dyadic_levels(max_depth)
     transforms = [None] * (max_depth + 1)  # W_n = I at every depth
     return PacketTree("shannon", 2**levels, max_depth, tree_levels, transforms, parents)
@@ -240,12 +244,7 @@ def _analysis_stage(taps: tuple[float, ...], d: int) -> np.ndarray:
 
 def build_filter_tree_1d(filters: FilterPair, signal_len: int, depth: int) -> PacketTree:
     """Iterated two-channel filter bank; requires 2**depth | signal_len."""
-    if depth < 1:
-        raise InvalidDepthError(f"depth must be >= 1, got {depth}")
-    if signal_len < 1 or signal_len % (2**depth) != 0:
-        raise InvalidDepthError(
-            f"2^depth = {2**depth} must divide signal_len = {signal_len}"
-        )
+    check_dyadic_depth(depth, signal_len)
     tree_levels, parents = _dyadic_levels(depth)
     transforms, w = [None], np.eye(signal_len)
     for n in range(1, depth + 1):
@@ -370,10 +369,8 @@ class ShannonSymbol:
         if levels < 1:
             raise MalformedInputError(f"levels must be >= 1, got {levels}")
         vals = as_reals(values, "symbol values")
-        if vals.shape != (2**levels,):
-            raise MalformedInputError(
-                f"symbol needs {2**levels} values for levels={levels}, got {vals.shape}"
-            )
+        if not (levels < len(vals).bit_length() and len(vals) == 2**levels):
+            raise MalformedInputError(f"symbol needs 2^{levels} values, got {len(vals)}")
         if not np.all(np.isfinite(vals)):
             raise MalformedInputError("symbol values must be finite")
         check_square_sum(vals, "symbol values")

@@ -92,7 +92,7 @@ class TestDecompose:
         path = tmp_path / "z.json"
         path.write_text(json.dumps({"dim": 4, "data": [0.0] * 16}))
         out = tmp_path / "dec.json"
-        assert main(["decompose", "--in", str(path), "--levels", "2", "--report", str(out)]) == 0
+        assert main(["decompose", "--in", str(path), "--report", str(out)]) == 0
         assert all(r["mass"] == 0.0 for r in json.loads(out.read_text())["cylinders"])
 
     def test_malformed_exits_2(self, tmp_path):
@@ -106,10 +106,13 @@ class TestDecompose:
     def test_not_positive_exits_3(self, tmp_path):
         path = tmp_path / "neg.json"
         path.write_text(json.dumps({"dim": 2, "data": [1.0, 0.0, 0.0, -1.0]}))
-        assert main(["decompose", "--in", str(path), "--levels", "1"]) == 3
+        assert main(["decompose", "--in", str(path)]) == 3
 
-    def test_bad_levels_exits_5(self, matrix_file):
-        assert main(["decompose", "--in", matrix_file, "--levels", "4"]) == 5
+    def test_bad_levels_exits_5(self, tmp_path, rng):
+        # the shannon tree needs dim = 2^levels, and 6 is no power of two
+        path = tmp_path / "m6.json"
+        path.write_text(json.dumps(w.matrix_to_json(random_gram(rng, 6))))
+        assert main(["decompose", "--in", str(path)]) == 5
 
     def test_boolean_levels_exits_2(self, tmp_path):
         path = tmp_path / "sym.json"
@@ -475,16 +478,47 @@ class TestExitCodes:
         with pytest.raises(type(exc)):
             main(["decompose", "--symbol", "unread.json"])
 
+    @staticmethod
+    def _one_error_line(capsys):
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["decompose", "greedy"])
-    @pytest.mark.parametrize("tree", ["haar", "d4"])
-    def test_levels_with_a_filter_tree_exits_5(self, matrix_file, tmp_path, capsys,
-                                               command, tree):
+    @pytest.mark.parametrize("tree", ["shannon", "haar", "d4"])
+    def test_oversized_depth_exits_5(self, matrix_file, tmp_path, capsys, command, tree):
+        # 2**20000 has more digits than Python converts to a string
         rep = tmp_path / "out.json"
-        assert main([command, "--in", matrix_file, "--tree", tree, "--depth", "1",
-                     "--levels", "7", "--report", str(rep)]) == 5
-        err = capsys.readouterr().err
-        assert err.startswith("error: --levels") and "Traceback" not in err
+        assert main([command, "--in", matrix_file, "--tree", tree, "--depth", "20000",
+                     "--report", str(rep)]) == 5
+        self._one_error_line(capsys)
         assert not rep.exists()
+
+    def test_oversized_denoise_depth_exits_5(self, image_files, tmp_path, capsys):
+        _, noisy = image_files
+        out, rep = tmp_path / "x.pgm", tmp_path / "rep.json"
+        assert main(["denoise", "--in", noisy, "--depth", "20000", "--out", str(out),
+                     "--report", str(rep)]) == 5
+        self._one_error_line(capsys)
+        assert not out.exists() and not rep.exists()
+
+    def test_oversized_symbol_levels_exits_2(self, tmp_path, capsys):
+        path, rep = tmp_path / "sym.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"levels": 20000, "r": [1.0, 2.0]}))
+        assert main(["decompose", "--symbol", str(path), "--report", str(rep)]) == 2
+        self._one_error_line(capsys)
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    def test_no_levels_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--levels" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cls", [
+        w.InvalidDepthError, w.InvalidFilterError, w.UnknownNodeError, w.DimensionMismatchError,
+    ], ids=lambda c: c.__name__)
+    def test_rule_errors_are_config_errors(self, cls):
+        assert issubclass(cls, w.ConfigError)
 
 
 class TestNumericInput:

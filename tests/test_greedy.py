@@ -342,6 +342,21 @@ class TestDecayReport:
         rep = w.decay_report(dataclasses.replace(run, steps=steps))
         assert rep["summary"]["first_violation"] == k + 1
 
+    @pytest.mark.parametrize("run, field", [
+        (w.trace_greedy, "remainder_trace"),
+        (w.hs_greedy, "remainder_hs"),
+        (w.hs_greedy, "extracted_hs"),
+    ], ids=["trace-remainder_trace", "hs-remainder_hs", "hs-extracted_hs"])
+    def test_nan_is_flagged(self, rng, run, field):
+        # json.load accepts NaN, and every comparison with NaN is false
+        tree = w.build_shannon_tree(3, 2)
+        record = run(random_gram(rng, 8), tree, 2, max_steps=4)
+        bad = dataclasses.replace(record.steps[1], **{field: float("nan")})
+        steps = record.steps[:1] + (bad,) + record.steps[2:]
+        rep = w.decay_report(dataclasses.replace(record, steps=steps))
+        assert rep["summary"]["first_violation"] == 2
+        assert not rep["rows"][1]["bound_satisfied"]
+
     def test_coherence_out_of_range_stops_the_loop(self, rng, monkeypatch):
         tree = w.build_shannon_tree(3, 2)
         nn = len(tree.nodes_at(2))

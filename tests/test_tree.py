@@ -6,7 +6,9 @@ import pytest
 import wpcontent as w
 from wpcontent.selftest import corrupted_tree_fixture
 
-from helpers import band_positions, dense_validate_tree, shannon_band, swapped_children_tree
+from helpers import (
+    band_positions, dense_validate_tree, random_gram, shannon_band, swapped_children_tree,
+)
 
 
 def all_test_trees():
@@ -215,6 +217,17 @@ class TestTreeAxioms:
         tree = w.build_shannon_tree(2, 1)
         with pytest.raises(w.UnknownNodeError):
             w.projection(tree, w.PacketNode("0101", 4))
+
+    def test_node_with_wrong_depth_is_unknown(self, rng):
+        # the word "01" is in the tree, but at depth 2, not 5
+        tree, node = w.build_shannon_tree(3, 2), w.PacketNode("01", 5)
+        assert not tree.has_node(node)
+        r = random_gram(rng, 8)
+        calls = [tree.basis, tree.children, tree.subspace_dim, lambda nd: w.projection(tree, nd),
+                 lambda nd: w.content_operator(r, tree, nd)]
+        for call in calls:
+            with pytest.raises(w.UnknownNodeError):
+                call(node)
 
     @pytest.mark.parametrize("tree", all_test_trees() + corrupted_trees(), ids=tree_id)
     def test_per_depth_checks_agree_with_dense_oracle(self, tree):
