@@ -89,7 +89,6 @@ _EXPORTS = {
         "build_filter_tree_2d",
         "build_shannon_tree",
         "d4_filter",
-        "filter_from_json",
         "haar_filter",
         "named_filter",
         "projection",

@@ -11,7 +11,9 @@ R_hat and the discarded part stay PSD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 
 import numpy as np
@@ -47,14 +49,6 @@ class ImageBuffer:
 
     def __repr__(self):
         return f"ImageBuffer({self.width}x{self.height})"
-
-
-@dataclass(frozen=True)
-class PatchSet:
-    patch_side: int
-    stride: int
-    positions: tuple[tuple[int, int], ...]
-    patches: np.ndarray  # (M, patch_side**2), row-major flattening
 
 
 @dataclass(frozen=True)
@@ -94,10 +88,9 @@ class DenoiseConfig:
     def effective_stride(self) -> int:
         return self.stride if self.stride is not None else max(1, self.patch_side // 2)
 
-    def validate(self, width: int, height: int) -> None:
+    def validate(self) -> None:
+        """Configuration rules; `PatchSet` checks the patch side against the image."""
         m = self.patch_side
-        if m < 1 or m > min(width, height):
-            raise ConfigError(f"patch side {m} must be in [1, {min(width, height)}]")
         check_dyadic_depth(self.depth, m)
         stride = self.effective_stride()
         if not 1 <= stride <= m:
@@ -150,55 +143,86 @@ def _gather(windows: np.ndarray, rows: list[range], cols: list[range]) -> np.nda
     return out.reshape(-1, m * m)
 
 
-def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
-    """All m x m patches at stride offsets, plus flush-to-edge anchors.
+@dataclass(frozen=True)
+class PatchSet:
+    """The m x m patches of an image at the anchors of `_anchor_runs`, row-major by anchor.
 
-    Anchors run 0, stride, 2*stride, ... with a final anchor at the image
-    edge when the grid does not already reach it, so every pixel is covered
-    whenever stride <= m.
+    `bands` yields them BAND_ROWS anchor rows at a time and `patches`, all (M, m^2) of
+    them, is built only on request; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached.
     """
-    if m < 1 or m > min(img.width, img.height):
-        raise ConfigError(f"patch side {m} exceeds image extent {img.width}x{img.height}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    rows, cols = _anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride)
-    patches = _gather(sliding_window_view(img.pixels, (m, m)), rows, cols)
-    return PatchSet(m, stride, tuple(product(chain(*rows), chain(*cols))), patches)
+
+    image: ImageBuffer
+    patch_side: int
+    stride: int
+
+    def __post_init__(self):
+        m, img = self.patch_side, self.image
+        if m < 1 or m > min(img.width, img.height):
+            raise ConfigError(f"patch side {m} must be in [1, {min(img.width, img.height)}]")
+        if self.stride < 1:
+            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+
+    @cached_property
+    def runs(self) -> tuple[list[range], list[range]]:
+        """Anchor runs of the rows and of the columns."""
+        return tuple(_anchor_runs(e, self.patch_side, self.stride)
+                     for e in (self.image.height, self.image.width))
+
+    @property
+    def positions(self) -> tuple[tuple[int, int], ...]:
+        return tuple(product(*(chain(*r) for r in self.runs)))
+
+    def __len__(self) -> int:
+        return math.prod(sum(map(len, r)) for r in self.runs)
+
+    def bands(self):
+        """(row runs, patches) of each band of BAND_ROWS anchor rows, in order."""
+        rows, cols = self.runs
+        windows = sliding_window_view(self.image.pixels, (self.patch_side,) * 2)
+        for i in range(0, sum(map(len, rows)), BAND_ROWS):
+            band = _cut(rows, i, i + BAND_ROWS)
+            yield band, _gather(windows, band, cols)
+
+    @cached_property
+    def patches(self) -> np.ndarray:
+        """All patches, (M, patch_side**2), row-major flattening."""
+        windows = sliding_window_view(self.image.pixels, (self.patch_side,) * 2)
+        return _gather(windows, *self.runs)
+
+    @cached_property
+    def rhat(self) -> np.ndarray:
+        gram = np.zeros((self.patch_side**2,) * 2)
+        for _, y in self.bands():
+            gram += y.T @ y
+        return gram / len(self)
+
+
+def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
+    """Patches at anchors 0, stride, ... plus a flush-to-edge one: full cover if stride <= m."""
+    return PatchSet(img, m, stride)
 
 
 def second_moment(patches: PatchSet) -> PsdOperator:
     """Empirical second-moment operator (1/M) sum of y_i y_i^T."""
-    y = patches.patches
-    if y.shape[0] < 1:
-        raise ConfigError("empty patch set")
-    return make_psd(SymMatrix((y.T @ y) / y.shape[0]))
+    return make_psd(SymMatrix(patches.rhat))
 
 
 def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
-    """Average depth-n block energies s_w = tr(P_w R_hat), R_hat = Y^T Y / M.
+    """Average depth-n block energies s_w = tr(P_w R_hat).
 
     R_hat is used raw (no PSD clamp), so scoring runs no eigendecomposition.
     """
     _check_dims(patches.patch_side**2, tree)
-    y = patches.patches
-    rhat = (y.T @ y) / y.shape[0]
-    return BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
-
-
-def _choose(tree: PacketTree, n: int, values, k: int):
-    """Top-k depth-n nodes by value, ties in node order: (indices, nodes, their W_n rows)."""
-    nodes = tree.nodes_at(n)
-    idx = sorted(int(i) for i in np.argsort(-np.asarray(values), kind="stable")[:k])
-    segments = tree.transform(n).reshape(len(nodes), -1, tree.ambient_dim)
-    return idx, tuple(nodes[i] for i in idx), segments[idx].reshape(-1, tree.ambient_dim)
+    return BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(patches.rhat, tree, n))
 
 
 def select_top_k(scores: BlockScores, k: int, tree: PacketTree) -> Selection:
-    """Top-K scoring nodes and the projection onto their combined span, without an eigensolver."""
+    """Top-K scoring nodes (ties in node order), their W_n rows and their projection; no eigh."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    idx, chosen, basis = _choose(tree, scores.depth, scores.values, k)
-    return Selection(len(chosen), chosen, _rows_projection(tree, scores.depth, idx), basis)
+    idx = sorted(int(i) for i in np.argsort(-np.asarray(scores.values), kind="stable")[:k])
+    basis, proj = _rows_projection(tree, scores.depth, idx)
+    return Selection(len(idx), tuple(scores.nodes[i] for i in idx), proj, basis)
 
 
 def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
@@ -236,45 +260,31 @@ def denoise_image(
 ) -> tuple[ImageBuffer, dict]:
     """Project every patch onto the K highest-scoring packet blocks.
 
-    Returns the overlap-averaged image and a report with the score table,
-    chosen nodes, and the retained-energy fraction. In "hs" mode selection
-    ranks blocks by the Hilbert-Schmidt norm of the second-moment content
-    blocks instead of by s_w; the reported score table and energy fraction
-    always refer to the trace scores s_w.
-
-    Two passes over bands of BAND_ROWS anchor rows (patch memory O(band * m^2)):
-    one sums Y_b^T Y_b into R_hat, one projects each band offset-major,
-    B^T (Y_b B^T)^T, so each patch offset (di, dj) owns one contiguous slab,
-    and adds every slab into the image through basic strided slices: per
-    axis the anchors are one stride run plus at most one flush anchor, so a
-    (band, offset) add is at most 2 x 2 slice adds. Offsets run from m - 1
-    down to 0, so each pixel sums its patches in row-major anchor order.
+    Runs extract_patches -> block_scores -> select_top_k and returns the
+    overlap-averaged image and a report with the score table, chosen nodes
+    and retained-energy fraction, all by the trace scores s_w; "hs" mode
+    ranks blocks by the HS norms of the content blocks of the same R_hat.
+    Each band is projected offset-major, B^T (Y_b B^T)^T, so each patch
+    offset (di, dj) owns one contiguous slab, added into the image through
+    basic strided slices (per axis one stride run plus at most one flush
+    anchor: at most 2 x 2 slice adds). Offsets run from m - 1 down to 0, so
+    each pixel sums its patches in row-major anchor order.
     """
-    cfg.validate(img.width, img.height)
     m, n = cfg.patch_side, cfg.depth
-    stride = cfg.effective_stride()
+    patches = extract_patches(img, m, cfg.effective_stride())
+    cfg.validate()
     tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, n)
-    windows = sliding_window_view(img.pixels, (m, m))
-    row_runs, col_runs = _anchor_runs(img.height, m, stride), _anchor_runs(img.width, m, stride)
-    n_rows, n_cols = sum(map(len, row_runs)), sum(map(len, col_runs))
-    bands = [_cut(row_runs, i, i + BAND_ROWS) for i in range(0, n_rows, BAND_ROWS)]
-    gram = np.zeros((m * m, m * m))
-    for rb in bands:
-        y = _gather(windows, rb, col_runs)
-        gram += y.T @ y
-    rhat = gram / (n_rows * n_cols)
-    scores = BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(rhat, tree, n))
-    if cfg.mode == "hs":
-        sel_values = np.sqrt(hs_scores_squared(rhat, tree, n))
-    else:
-        sel_values = scores.values
-    idx, chosen, basis = _choose(tree, n, sel_values, cfg.top_k)
+    scores = block_scores(patches, tree, n)
+    rank = scores if cfg.mode == "trace" else BlockScores(
+        n, scores.nodes, np.sqrt(hs_scores_squared(patches.rhat, tree, n)))
+    sel = select_top_k(rank, cfg.top_k, tree)
 
+    col_runs = patches.runs[1]
+    n_cols = sum(map(len, col_runs))
     acc = np.zeros((img.height, img.width))
-    for rb in bands:
-        y = _gather(windows, rb, col_runs)
+    for rb, y in patches.bands():
         # offset-major: q[di, dj] holds pixel (di, dj) of every patch of the band
-        q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, n_cols)
+        q = (sel.basis.T @ (y @ sel.basis.T).T).reshape(m, m, -1, n_cols)
         blocks = [(pi, pj, r, c) for pi, r in _placed(rb) for pj, c in _placed(col_runs)]
         # offsets descending, so each pixel adds its patches in row-major anchor order
         for di in range(m - 1, -1, -1):
@@ -282,27 +292,27 @@ def denoise_image(
                 for pi, pj, r, c in blocks:
                     acc[_shift(r, di), _shift(c, dj)] += q[di, dj, pi, pj]
     cnt = np.outer(*(np.bincount((np.hstack(runs)[:, None] + np.arange(m)).ravel())
-                     for runs in (row_runs, col_runs)))
+                     for runs in patches.runs))
     out = ImageBuffer(acc / cnt)
 
     total = scores.total()
-    retained = float(np.sum(scores.values[idx]))
+    retained = float(np.sum(scores.values[[nd in sel.nodes for nd in scores.nodes]]))
     report = {
         "m": m,
         "n": cfg.depth,
-        "K": len(chosen),
-        "stride": stride,
+        "K": sel.k,
+        "stride": patches.stride,
         "filter": cfg.filter_name.lower(),
         "mode": cfg.mode,
         "N_n": len(scores.nodes),
-        "patches": n_rows * n_cols,
+        "patches": len(patches),
         "scores": [{"word": nd.word, "s_w": float(v)} for nd, v in zip(scores.nodes, scores.values)],
-        "chosen": [nd.word for nd in chosen],
+        "chosen": [nd.word for nd in sel.nodes],
         "retained_energy_fraction": retained / total if total > 0.0 else 1.0,
     }
     if cfg.mode == "hs":
         report["selection_scores"] = [
-            {"word": nd.word, "hs": float(v)} for nd, v in zip(scores.nodes, sel_values)
+            {"word": nd.word, "hs": float(v)} for nd, v in zip(rank.nodes, rank.values)
         ]
     if clean is not None:
         mse_noisy = _psnr_mse(img, clean)

@@ -105,13 +105,6 @@ def named_filter(name: str) -> FilterPair:
         raise InvalidFilterError(f"unknown filter {name!r}; expected haar or d4") from None
 
 
-def filter_from_json(obj) -> FilterPair:
-    """Parse {"h": [...]} with g derived from h."""
-    if not isinstance(obj, dict) or "h" not in obj:
-        raise MalformedInputError('filter JSON must have an "h" key')
-    return FilterPair.from_lowpass(obj["h"])
-
-
 class PacketTree:
     """Immutable tree of nodes with one read-only packet transform per depth.
 
@@ -278,8 +271,8 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
     return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, parents)
 
 
-def _rows_projection(tree: PacketTree, n: int, idx) -> PsdOperator:
-    """Projection onto the W_n rows of the depth-n nodes ``idx``, from its known spectrum.
+def _rows_projection(tree: PacketTree, n: int, idx) -> tuple[np.ndarray, PsdOperator]:
+    """The W_n rows of the depth-n nodes ``idx``, and the projection onto them from its spectrum.
 
     Eigenvalue 1 on those rows, then 0 on the others in node order; the rows, signed by
     `_positive_first`, are the eigenvectors (`sym_eigen`'s contract). No eigensolver runs.
@@ -290,13 +283,13 @@ def _rows_projection(tree: PacketTree, n: int, idx) -> PsdOperator:
     others = np.delete(segments, idx, axis=0).reshape(-1, d)
     vecs = _positive_first(np.vstack([rows, others]).T)
     lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
-    return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
+    return rows, PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
 
 
 def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
     """Orthogonal projection onto the node's subspace, as a PSD operator."""
     n, i = tree._position(node)
-    return _rows_projection(tree, n, [i])
+    return _rows_projection(tree, n, [i])[1]
 
 
 @dataclass(frozen=True)

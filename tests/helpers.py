@@ -1,6 +1,7 @@
 """Shared independent oracles and constructions for the test suite."""
 
 import os
+from collections import namedtuple
 from itertools import combinations
 from pathlib import Path
 
@@ -165,6 +166,9 @@ def loop_anchors(extent, m, stride):
     return out
 
 
+LoopPatches = namedtuple("LoopPatches", "patch_side stride positions patches")
+
+
 def loop_extract_patches(img, m, stride):
     """Per-patch route: walk the anchor grid row-major and copy one patch per anchor."""
     rows = loop_anchors(img.height, m, stride)
@@ -177,7 +181,13 @@ def loop_extract_patches(img, m, stride):
             positions.append((r, c))
             patches[i] = img.pixels[r : r + m, c : c + m].ravel()
             i += 1
-    return w.PatchSet(m, stride, tuple(positions), patches)
+    return LoopPatches(m, stride, tuple(positions), patches)
+
+
+def tiled_patches(y, m):
+    """`extract_patches` of the rows of y as m x m patches tiled side by side, at stride m."""
+    tiles = np.asarray(y, dtype=float).reshape(-1, m, m)
+    return w.extract_patches(w.ImageBuffer(np.hstack(tiles)), m, m)
 
 
 def loop_denoise(img, cfg, band_rows=None):

@@ -266,6 +266,15 @@ class TestGreedy:
                                    child_env(OPENBLAS_NUM_THREADS="1"))
         assert default == one
 
+    @pytest.mark.parametrize("asym, code", [(0.0, 0), (1e-8, 2)], ids=["symmetric", "1e-8"])
+    def test_input_asymmetry_of_1e_8_exits_2(self, tmp_path, capsys, asym, code):
+        a = np.diag([3.0, 2.0, 1.0, 1.0]) + 0.5
+        a[0, 1] += asym * np.max(np.abs(a))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 4, "data": a.ravel().tolist()}))
+        assert main(["greedy", "--in", str(path), "--depth", "1", "--report", "-"]) == code
+        assert ("not symmetric" in capsys.readouterr().err) == (code == 2)
+
 
 class TestDenoise:
     def test_pipeline_with_clean_reference(self, image_files, tmp_path):
@@ -610,7 +619,7 @@ EXPORTED = sorted("""
     UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
     build_filter_tree_2d build_shannon_tree coherence conditional_expectation
     content_operator cylinder_weights d4_filter decay_report denoise_image
-    depth_decomposition discrete_density extract_patches extract_sequence filter_from_json
+    depth_decomposition discrete_density extract_patches extract_sequence
     haar_filter hs_greedy hs_norm loewner_leq make_psd matrix_from_json matrix_to_json
     named_filter parallelogram_check projection psnr quantize read_pgm second_moment
     select_top_k sqrt_psd sym_eigen trace trace_greedy trace_payload tree_description
@@ -632,7 +641,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 69
+        assert names == EXPORTED and len(names) == 68
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

@@ -202,6 +202,26 @@ class TestCylinderWeights:
         assert len(rows) == 7
         assert set(rows[0]) == {"word", "depth", "mass"}
 
+    @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
+                             ids=["1e-6-breaks", "0.5e-9-passes"])
+    def test_moved_mass_against_the_additivity_budget(self, rng, monkeypatch, moved, raises):
+        # the budget is 1e-9 tr(R): one depth-1 mass moved by ``moved * tr(R)``
+        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        r = random_gram(rng, 8)
+        real = w.content.trace_scores
+
+        def shifted(a, tr_, n):
+            out = np.array(real(a, tr_, n))
+            out[0] += moved * w.trace(r) if n == 1 else 0.0
+            return out
+
+        monkeypatch.setattr(w.content, "trace_scores", shifted)
+        if raises:
+            with pytest.raises(w.NumericalBreakdownError, match="additivity"):
+                w.cylinder_weights(r, tree)
+        else:
+            assert w.cylinder_weights(r, tree).max_additivity_gap <= 1e-9 * w.trace(r)
+
 
 class TestVectorWeights:
     def test_zero_vector(self, rng):

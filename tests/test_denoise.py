@@ -3,7 +3,7 @@ import pytest
 
 import wpcontent as w
 
-from helpers import piecewise_smooth_image
+from helpers import piecewise_smooth_image, tiled_patches
 
 
 class TestExtractPatches:
@@ -42,7 +42,7 @@ class TestExtractPatches:
 
 class TestSecondMoment:
     def test_single_unit_patch(self):
-        ps = w.PatchSet(2, 1, ((0, 0),), np.array([[1.0, 0.0, 0.0, 0.0]]))
+        ps = tiled_patches(np.array([[1.0, 0.0, 0.0, 0.0]]), 2)
         op = w.second_moment(ps)
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
@@ -50,13 +50,13 @@ class TestSecondMoment:
 
     def test_sign_cancellation(self, rng):
         v = rng.standard_normal(4)
-        ps = w.PatchSet(2, 1, ((0, 0), (0, 1)), np.vstack([v, -v]))
+        ps = tiled_patches(np.vstack([v, -v]), 2)
         op = w.second_moment(ps)
         assert np.max(np.abs(op.matrix - np.outer(v, v))) <= 1e-12
 
     def test_positive_and_trace_identity(self, rng):
         y = rng.standard_normal((20, 16))
-        ps = w.PatchSet(4, 1, tuple((0, i) for i in range(20)), y)
+        ps = tiled_patches(y, 4)
         op = w.second_moment(ps)
         assert w.loewner_leq(np.zeros((16, 16)), op)
         mean_energy = float(np.mean(np.sum(y * y, axis=1)))
@@ -67,7 +67,7 @@ class TestBlockScores:
     def test_constant_patch_all_lowpass(self):
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
         patch = np.full(16, 0.5)
-        ps = w.PatchSet(4, 1, ((0, 0),), patch[None, :])
+        ps = tiled_patches(patch[None, :], 4)
         scores = w.block_scores(ps, tree, 1)
         table = scores.as_map()
         assert table["0,0"] == pytest.approx(float(patch @ patch), rel=1e-12)
@@ -77,7 +77,7 @@ class TestBlockScores:
     def test_energy_partition(self, rng):
         tree = w.build_filter_tree_2d(w.d4_filter(), 4, 1)
         y = rng.standard_normal((30, 16))
-        ps = w.PatchSet(4, 1, tuple((0, i) for i in range(30)), y)
+        ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
         mean_energy = float(np.mean(np.sum(y * y, axis=1)))
         assert scores.total() == pytest.approx(mean_energy, rel=1e-9)
@@ -85,7 +85,7 @@ class TestBlockScores:
     def test_cross_check_against_second_moment(self, rng):
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 2)
         y = rng.standard_normal((25, 16))
-        ps = w.PatchSet(4, 1, tuple((0, i) for i in range(25)), y)
+        ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 2)
         rhat = w.second_moment(ps)
         for nd, val in zip(scores.nodes, scores.values):
@@ -96,7 +96,7 @@ class TestBlockScores:
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
         m = 800
         y = rng.standard_normal((m, 16))
-        ps = w.PatchSet(4, 1, tuple((0, i) for i in range(m)), y)
+        ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
         for nd, val in zip(scores.nodes, scores.values):
             d = tree.subspace_dim(nd)
@@ -112,7 +112,7 @@ class TestSelection:
     def test_all_nodes_gives_identity(self, rng):
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
         y = rng.standard_normal((10, 16))
-        ps = w.PatchSet(4, 1, tuple((0, i) for i in range(10)), y)
+        ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
         sel = w.select_top_k(scores, 99, tree)  # oversized K truncates
         assert sel.k == 4
@@ -120,7 +120,7 @@ class TestSelection:
 
     def test_unique_max(self):
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
-        ps = w.PatchSet(4, 1, ((0, 0),), np.full((1, 16), 0.25))
+        ps = tiled_patches(np.full((1, 16), 0.25), 4)
         sel = w.select_top_k(w.block_scores(ps, tree, 1), 1, tree)
         assert [nd.word for nd in sel.nodes] == ["0,0"]
 
@@ -134,7 +134,7 @@ class TestSelection:
     def test_projection_invariants(self, rng):
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 2)
         y = rng.standard_normal((12, 16))
-        ps = w.PatchSet(4, 1, tuple((0, i) for i in range(12)), y)
+        ps = tiled_patches(y, 4)
         sel = w.select_top_k(w.block_scores(ps, tree, 2), 5, tree)
         p = sel.projection.matrix
         assert np.max(np.abs(p @ p - p)) <= 1e-9
@@ -285,6 +285,39 @@ class TestDenoisePipeline:
         rest = rhat.matrix - kept
         assert w.loewner_leq(np.zeros((16, 16)), w.SymMatrix(kept), tol=1e-8)
         assert w.loewner_leq(np.zeros((16, 16)), w.SymMatrix(rest), tol=1e-8)
+
+    @pytest.mark.parametrize("mode", ["trace", "hs"])
+    def test_runs_the_public_stages_once_each(self, monkeypatch, mode):
+        calls = []
+        for name in ("extract_patches", "block_scores", "select_top_k"):
+            real = getattr(w.denoise, name)
+            monkeypatch.setattr(w.denoise, name,
+                                lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        noisy = w.add_gaussian_noise(piecewise_smooth_image(32), 0.1, 3)
+        _, report = w.denoise_image(noisy, w.DenoiseConfig(8, 2, 4, 2, "d4", mode))
+        assert sorted(calls) == ["block_scores", "extract_patches", "select_top_k"]
+        assert report["patches"] == 13 * 13
+
+    def test_stages_hold_one_band_of_patches(self, monkeypatch):
+        # 45 anchor rows at stride 1: two full bands of 16 rows and a last one of 13
+        img = w.add_gaussian_noise(piecewise_smooth_image(48), 0.1, 4)
+        rows = []
+        real = w.denoise._gather
+
+        def gather(*args):
+            out = real(*args)
+            rows.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(w.denoise, "_gather", gather)
+        band = w.denoise.BAND_ROWS * 45
+        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        w.denoise_image(img, w.DenoiseConfig(4, 1, 2, 1))
+        assert rows == [band, band, 13 * 45] * 2
+        for stage in (w.second_moment, lambda ps: w.block_scores(ps, tree, 1)):
+            rows.clear()
+            stage(w.extract_patches(img, 4, 1))
+            assert rows == [band, band, 13 * 45]
 
 
 class TestPgm:

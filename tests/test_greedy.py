@@ -463,3 +463,68 @@ def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     )
     rep = w.decay_report(dataclasses.replace(run, steps=(prev, stuck, *run.steps[2:])))
     assert rep["summary"]["first_violation"] == 2
+
+
+def _one_step_record(mode, scale, **row):
+    """Hand-built record on N = 4 nodes; initial trace and HS norm both ``scale``, one step."""
+    fields = dict(k=1, node=w.PacketNode("00", 2), extracted_trace=0.0, extracted_hs=0.0,
+                  remainder_trace=0.0, remainder_hs=0.0)
+    step = w.ExtractionStep(**{**fields, **row})
+    return w.ExtractionTrace(mode, 2, 4, scale, scale, (step,), None)
+
+
+# Each record breaks one certified inequality by ``excess`` times the run's
+# scale (tr R for trace checks, ||R||^2 for HS checks) and keeps every other
+# one with room to spare; the slack is 1e-9 times that scale.
+_BROKEN = {
+    "trace-one-step": ("trace-greedy", "one-step trace contraction", lambda t, e: dict(
+        remainder_trace=(0.75 + e) * t, bound_trace=t)),
+    "trace-envelope": ("trace-greedy", "trace envelope", lambda t, e: dict(
+        remainder_trace=(0.5 + e) * t, bound_trace=0.5 * t)),
+    "pythagorean": ("hs-greedy", "pythagorean", lambda h, e: dict(
+        remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.5 + e) * h, gamma=1.0, bound_hs=h)),
+    "coherence-contraction": ("hs-greedy", "coherence contraction", lambda h, e: dict(
+        remainder_hs=np.sqrt(0.875 + e) * h, extracted_hs=np.sqrt(0.1) * h, gamma=2.0,
+        bound_hs=h)),
+    "hs-envelope": ("hs-greedy", "uniform HS envelope", lambda h, e: dict(
+        remainder_hs=np.sqrt(0.5 + e) * h, extracted_hs=np.sqrt(0.1) * h, gamma=1.0,
+        bound_hs=np.sqrt(0.5) * h)),
+}
+
+
+@pytest.mark.parametrize("scale", [3e-7, 1.0, 7.3e5])
+@pytest.mark.parametrize("excess, flagged", [(1e-6, True), (0.5e-9, False)],
+                         ids=["1e-6-flagged", "0.5e-9-passes"])
+@pytest.mark.parametrize("case", list(_BROKEN))
+def test_each_inequality_keeps_its_constant_and_slack(case, excess, flagged, scale):
+    # coherence-contraction uses gamma = 2, so it is 1 - 1/(gamma N) = 7/8 that is checked
+    mode, message, row = _BROKEN[case]
+    record = _one_step_record(mode, scale, **row(scale, excess))
+    found = w.greedy._violation(record, None, record.steps[0])
+    assert (found is not None and found.startswith(message)) if flagged else found is None
+    assert w.decay_report(record)["summary"]["first_violation"] == (1 if flagged else None)
+
+
+@pytest.mark.parametrize("tree_name", ["shannon", "d4"])
+def test_recorded_envelopes_are_the_closed_forms(rng, tree_name):
+    tree = _scale_tree(tree_name)
+    nn = len(tree.nodes_at(2))
+    r = random_gram(rng, 16)
+    trace_run = w.trace_greedy(r, tree, 2, max_steps=12)
+    hs_run = w.hs_greedy(r, tree, 2, max_steps=12)
+    assert len(trace_run.steps) == len(hs_run.steps) == 12
+    for t, h in zip(trace_run.steps, hs_run.steps):
+        want_t = (1.0 - 1.0 / nn) ** t.k * w.trace(r)
+        want_h = np.sqrt((1.0 - 1.0 / nn**2) ** h.k) * w.hs_norm(r)
+        assert abs(t.bound_trace - want_t) <= 4 * t.k * np.spacing(want_t)
+        assert abs(h.bound_hs - want_h) <= 4 * h.k * np.spacing(want_h)
+
+
+def test_trace_run_at_five_stop_tols_keeps_running():
+    # after step 1 the remainder trace is eps = 5 * stop_tol * tr(R), above the stop rule
+    stop_tol = 1e-3
+    eps = 5 * stop_tol / (1 - 5 * stop_tol)
+    r = w.make_psd(w.SymMatrix(np.diag([1.0, eps])))
+    run = w.trace_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
+    assert run.steps[0].remainder_trace == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
+    assert len(run.steps) == 2

@@ -19,6 +19,7 @@ from helpers import (
     loop_denoise,
     loop_extract_patches,
     random_gram,
+    tiled_patches,
 )
 
 
@@ -76,7 +77,7 @@ class TestPacketScoresMatchDenseRoute:
     def test_block_scores(self, rng, tree):
         side = int(np.sqrt(tree.ambient_dim))
         y = rng.standard_normal((40, tree.ambient_dim))
-        ps = w.PatchSet(side, 1, tuple((0, i) for i in range(40)), y)
+        ps = tiled_patches(y, side)
         rhat = y.T @ y / 40
         for n in range(tree.max_depth + 1):
             got = w.block_scores(ps, tree, n).values

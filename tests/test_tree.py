@@ -57,18 +57,6 @@ class TestFilterPair:
             s = np.sqrt(2.0) / 4.0
             w.FilterPair.from_lowpass([s, s, s, s])
 
-    def test_filter_json(self):
-        pair = w.filter_from_json({"h": list(w.d4_filter().h)})
-        assert pair == w.d4_filter()
-        with pytest.raises(w.MalformedInputError):
-            w.filter_from_json({"taps": [1.0]})
-
-    @pytest.mark.parametrize("taps", [["0.7071067811865476"] * 2, "ab", [[0.5], [0.5]]],
-                             ids=["strings", "string", "nested"])
-    def test_filter_json_taps_are_numbers(self, taps):
-        with pytest.raises(w.MalformedInputError):
-            w.filter_from_json({"h": taps})
-
     @pytest.mark.parametrize("taps", [["0.7071067811865476"] * 2, "ab", [[0.5], [0.5]],
                                       [True, True], np.array(["0.5", "0.5"])],
                              ids=["strings", "string", "nested", "booleans", "string-array"])
@@ -76,6 +64,14 @@ class TestFilterPair:
         with pytest.raises(w.MalformedInputError):
             w.FilterPair.from_lowpass(taps)
         assert w.FilterPair.from_lowpass(np.array(w.haar_filter().h)) == w.haar_filter()
+
+    @pytest.mark.parametrize("shift, match", [
+        ((1e-8, 0.0, 0.0, 0.0), "sum to sqrt"), ((1e-8, -1e-8, 0.0, 0.0), "orthonormality"),
+    ], ids=["sum", "orthonormality"])
+    def test_taps_off_by_1e_8_rejected(self, shift, match):
+        # the sum moves by 1e-8, or the sum stays and sum h_k^2 moves by about 7e-9
+        with pytest.raises(w.InvalidFilterError, match=match):
+            w.FilterPair.from_lowpass(np.array(w.d4_filter().h) + shift)
 
     def test_unknown_name(self):
         with pytest.raises(w.InvalidFilterError):
