@@ -28,7 +28,7 @@ from .errors import (
     DimensionMismatchError,
     NumericalBreakdownError,
 )
-from .psdcore import PsdOperator, SymMatrix, as_entries, hs_norm, make_psd, trace
+from .psdcore import PsdOperator, as_entries, hs_norm, make_psd, trace
 from .tree import PacketNode, PacketTree, ShannonSymbol
 
 
@@ -126,7 +126,7 @@ def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> Cont
     """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
     _check_dims(r.dim, tree)
     m = r.root_rows(tree.basis(node))
-    op = make_psd(SymMatrix(m.T @ m))
+    op = make_psd(m.T @ m)
     return ContentBlock(node, op, trace(op), hs_norm(op))
 
 

@@ -21,10 +21,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
-from .psdcore import PsdOperator, SymMatrix, make_psd
+from .psdcore import PsdOperator, make_psd
 from .tree import (
-    PacketNode, PacketTree, _rows_projection, build_filter_tree_2d, check_dyadic_depth,
-    named_filter,
+    PacketNode, PacketTree, build_filter_tree_2d, check_dyadic_depth, named_filter,
 )
 
 PSNR_CAP_DB = 99.0
@@ -68,12 +67,10 @@ class BlockScores:
 
 @dataclass(frozen=True)
 class Selection:
-    """Top-K nodes with the assembled projection onto their joint span."""
+    """Top-K nodes and their stacked W_n rows, an orthonormal basis of their joint span."""
 
-    k: int
     nodes: tuple[PacketNode, ...]
-    projection: PsdOperator
-    basis: np.ndarray  # stacked orthonormal rows of the chosen nodes
+    basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,7 +201,7 @@ def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
 
 def second_moment(patches: PatchSet) -> PsdOperator:
     """Empirical second-moment operator (1/M) sum of y_i y_i^T."""
-    return make_psd(SymMatrix(patches.rhat))
+    return make_psd(patches.rhat)
 
 
 def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
@@ -217,12 +214,12 @@ def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
 
 
 def select_top_k(scores: BlockScores, k: int, tree: PacketTree) -> Selection:
-    """Top-K scoring nodes (ties in node order), their W_n rows and their projection; no eigh."""
+    """Top-K scoring nodes (ties in node order) and their W_n rows."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     idx = sorted(int(i) for i in np.argsort(-np.asarray(scores.values), kind="stable")[:k])
-    basis, proj = _rows_projection(tree, scores.depth, idx)
-    return Selection(len(idx), tuple(scores.nodes[i] for i in idx), proj, basis)
+    nodes = tuple(scores.nodes[i] for i in idx)
+    return Selection(nodes, np.vstack([tree.basis(nd) for nd in nodes]))
 
 
 def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
@@ -300,7 +297,7 @@ def denoise_image(
     report = {
         "m": m,
         "n": cfg.depth,
-        "K": sel.k,
+        "K": len(sel.nodes),
         "stride": patches.stride,
         "filter": cfg.filter_name.lower(),
         "mode": cfg.mode,

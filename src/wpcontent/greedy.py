@@ -197,7 +197,7 @@ def _step(
     m = current.root_rows(tree.basis(node))
     d = m.T @ m
     try:
-        nxt = make_psd(SymMatrix(current.matrix - d), scale=scale)
+        nxt = make_psd(current.matrix - d, scale=scale)
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
     step = ExtractionStep(k, node, trace(d), hs_norm(d), trace(nxt), hs_norm(nxt), **bounds)

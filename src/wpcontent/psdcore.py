@@ -30,9 +30,9 @@ _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 class SymMatrix:
-    """Real symmetric matrix, symmetrized exactly on construction; its stored entries are finite."""
+    """Real symmetric matrix, symmetrized exactly on construction; its ``matrix`` is finite."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "matrix")
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=np.float64)
@@ -41,19 +41,19 @@ class SymMatrix:
         if a.shape[0] < 1:
             raise MalformedInputError("matrix dimension must be at least 1")
         with np.errstate(over="ignore", invalid="ignore"):
-            self.entries = a + a.T
-            self.entries *= 0.5
-        if not np.all(np.isfinite(self.entries)):
+            self.matrix = a + a.T
+            self.matrix *= 0.5
+        if not np.all(np.isfinite(self.matrix)):
             raise MalformedInputError("matrix entries must be finite, also after symmetrizing")
         self.dim = int(a.shape[0])
-        self.entries.setflags(write=False)
+        self.matrix.setflags(write=False)
 
     def __repr__(self):
         return f"SymMatrix(dim={self.dim})"
 
 
-class PsdOperator:
-    """Validated PSD matrix together with its spectral decomposition.
+class PsdOperator(SymMatrix):
+    """A `SymMatrix` checked PSD, together with its spectral decomposition.
 
     Construct via `make_psd` or `psd_from_spectrum`; ``eigenvalues`` are nonincreasing,
     ``eigenvectors`` holds the matching orthonormal columns, and
@@ -63,24 +63,16 @@ class PsdOperator:
     with sqrt(A) come from the spectrum via `root_rows`; no root is kept.
     """
 
-    __slots__ = ("base", "eigenvalues", "eigenvectors", "clamp_applied")
+    __slots__ = ("eigenvalues", "eigenvectors", "clamp_applied")
 
     def __init__(self, base: SymMatrix, eigenvalues, eigenvectors, clamp_applied: bool):
-        self.base = base
+        self.dim = base.dim
+        self.matrix = base.matrix
         self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         self.eigenvectors = np.asarray(eigenvectors, dtype=np.float64)
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
         self.clamp_applied = bool(clamp_applied)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense entries (read-only view)."""
-        return self.base.entries
 
     def root_rows(self, rows) -> np.ndarray:
         """rows @ sqrt(A) as ((rows V) sqrt(lam)) V^T: O(s d^2) for s rows, no d x d root."""
@@ -100,11 +92,9 @@ class PsdOperator:
 
 
 def as_entries(a) -> np.ndarray:
-    """Dense ndarray view of a SymMatrix, PsdOperator, or array."""
-    if isinstance(a, PsdOperator):
-        return a.matrix
+    """Dense ndarray view of a SymMatrix (a PsdOperator is one), or array."""
     if isinstance(a, SymMatrix):
-        return a.entries
+        return a.matrix
     return np.asarray(a, dtype=np.float64)
 
 
@@ -140,7 +130,7 @@ def _positive_first(vecs: np.ndarray) -> np.ndarray:
 def make_psd(m, scale: float | None = None) -> PsdOperator:
     """Check that a symmetric matrix is PSD: `sym_eigen`, then `psd_from_spectrum`."""
     if not isinstance(m, SymMatrix):
-        m = SymMatrix(as_entries(m))
+        m = SymMatrix(m)
     lam, vecs = sym_eigen(m)
     return psd_from_spectrum(m, lam, vecs, scale)
 
@@ -253,9 +243,9 @@ def matrix_from_json(obj) -> SymMatrix:
         raise MalformedInputError(f'"data" must hold dim^2 = {dim * dim} values, got {a.size}')
     a = a.reshape(dim, dim)
     m = SymMatrix(a)
-    check_square_sum(m.entries, "matrix entries")
+    check_square_sum(m.matrix, "matrix entries")
     # a - (a + a^T)/2 = (a - a^T)/2 cannot overflow where a - a^T might
-    asym = 2.0 * float(np.max(np.abs(a - m.entries)))
+    asym = 2.0 * float(np.max(np.abs(a - m.matrix)))
     if asym > 1e-10 * float(np.max(np.abs(a))):
         raise MalformedInputError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     return m

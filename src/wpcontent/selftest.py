@@ -16,7 +16,7 @@ import numpy as np
 from .content import cylinder_weights, depth_decomposition, parallelogram_check
 from .errors import ConfigError, NumericalBreakdownError
 from .greedy import hs_greedy, trace_greedy
-from .psdcore import SymMatrix, make_psd
+from .psdcore import make_psd
 from .tree import (
     PacketTree,
     build_filter_tree_1d,
@@ -43,7 +43,7 @@ def corrupted_tree_fixture() -> PacketTree:
 
 def _random_gram(rng, dim: int):
     g = rng.standard_normal((dim, dim))
-    return make_psd(SymMatrix(g.T @ g / dim))
+    return make_psd(g.T @ g / dim)
 
 
 def _band_sum(values: np.ndarray, levels: int, word: str) -> float:
@@ -130,7 +130,7 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False, corrupt_tree: bo
     oracle = 0.0
     for _ in range(2 if quick else 5):
         vals = rng.uniform(0.0, 1.0, size=2**levels)
-        r = make_psd(SymMatrix(np.diag(vals)))
+        r = make_psd(np.diag(vals))
         cw = cylinder_weights(r, sh_tree)
         for word, _, mass in cw.rows:
             oracle = max(oracle, abs(mass - _band_sum(vals, levels, word)))

@@ -271,25 +271,21 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
     return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, parents)
 
 
-def _rows_projection(tree: PacketTree, n: int, idx) -> tuple[np.ndarray, PsdOperator]:
-    """The W_n rows of the depth-n nodes ``idx``, and the projection onto them from its spectrum.
+def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
+    """Orthogonal projection onto the node's subspace, as a PSD operator from its spectrum.
 
-    Eigenvalue 1 on those rows, then 0 on the others in node order; the rows, signed by
-    `_positive_first`, are the eigenvectors (`sym_eigen`'s contract). No eigensolver runs.
+    Eigenvalue 1 on the node's W_n rows, then 0 on the other rows in node order; the
+    rows, signed by `_positive_first`, are the eigenvectors (`sym_eigen`'s contract).
+    No eigensolver runs.
     """
+    n, i = tree._position(node)
     d = tree.ambient_dim
     segments = tree.transform(n).reshape(len(tree.nodes_at(n)), -1, d)
-    rows = segments[idx].reshape(-1, d)
-    others = np.delete(segments, idx, axis=0).reshape(-1, d)
+    rows = segments[i]
+    others = np.delete(segments, i, axis=0).reshape(-1, d)
     vecs = _positive_first(np.vstack([rows, others]).T)
     lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
-    return rows, PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
-
-
-def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
-    """Orthogonal projection onto the node's subspace, as a PSD operator."""
-    n, i = tree._position(node)
-    return _rows_projection(tree, n, [i])[1]
+    return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
 
 
 @dataclass(frozen=True)

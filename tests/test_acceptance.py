@@ -179,7 +179,7 @@ def test_criterion_5_coherence(ensemble):
         for tree in trees[dim]:
             dec = w.depth_decomposition(op, tree, 2)
             dense_sum = sum(blk.hs_weight**2 for blk in dec.blocks)
-            pinched = w.conditional_expectation(op.matrix, tree, 2).entries
+            pinched = w.conditional_expectation(op.matrix, tree, 2).matrix
             cross = float(np.sum(pinched * op.matrix))
             ok = ok and abs(dense_sum - cross) <= 1e-8 * max(dense_sum, cross)
     elapsed = time.monotonic() - start

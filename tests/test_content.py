@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,30 @@ class TestDepthDecomposition:
             parent = w.content_operator(r, tree, node).operator.matrix
             total = sum(w.content_operator(r, tree, k).operator.matrix for k in kids)
             assert np.linalg.norm(parent - total) <= 1e-8 * (1.0 + fro)
+
+    @pytest.mark.parametrize("delta, raises", [(1e-6, True), (0.5e-8, False)],
+                             ids=["1e-6-breaks", "0.5e-8-passes"])
+    def test_moved_entry_against_the_reconstruction_budget(self, rng, monkeypatch, delta, raises):
+        # the budget is 1e-8 ||R||: the first depth-1 block gains ``delta * ||R||`` at (0, 0)
+        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        r = random_gram(rng, 8)
+        real = w.content.content_operator
+        first = tree.nodes_at(1)[0]
+
+        def shifted(r_, tr_, node):
+            blk = real(r_, tr_, node)
+            if node != first:
+                return blk
+            bump = np.zeros((8, 8))
+            bump[0, 0] = delta * w.hs_norm(r)
+            return dataclasses.replace(blk, operator=w.make_psd(blk.operator.matrix + bump))
+
+        monkeypatch.setattr(w.content, "content_operator", shifted)
+        if raises:
+            with pytest.raises(w.NumericalBreakdownError, match="reconstruct"):
+                w.depth_decomposition(r, tree, 1)
+        else:
+            assert w.depth_decomposition(r, tree, 1).max_error <= 1e-8 * w.hs_norm(r)
 
 
 class TestCylinderWeights:

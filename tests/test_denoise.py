@@ -115,8 +115,8 @@ class TestSelection:
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
         sel = w.select_top_k(scores, 99, tree)  # oversized K truncates
-        assert sel.k == 4
-        assert np.max(np.abs(sel.projection.matrix - np.eye(16))) <= 1e-10
+        assert len(sel.nodes) == 4
+        assert np.max(np.abs(sel.basis.T @ sel.basis - np.eye(16))) <= 1e-10
 
     def test_unique_max(self):
         tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
@@ -136,13 +136,12 @@ class TestSelection:
         y = rng.standard_normal((12, 16))
         ps = tiled_patches(y, 4)
         sel = w.select_top_k(w.block_scores(ps, tree, 2), 5, tree)
-        p = sel.projection.matrix
+        p = sel.basis.T @ sel.basis
         assert np.max(np.abs(p @ p - p)) <= 1e-9
         dims = sum(tree.subspace_dim(nd) for nd in sel.nodes)
         assert abs(np.trace(p) - dims) <= 1e-9
         for row in y:
             assert np.linalg.norm(p @ row) <= np.linalg.norm(row) + 1e-12
-
 
     @pytest.mark.parametrize("filt, k", [("haar", 1), ("d4", 5), ("d4", 16)])
     def test_projection_spectrum_without_eigensolver(self, rng, monkeypatch, filt, k):
@@ -156,8 +155,13 @@ class TestSelection:
         sel = w.select_top_k(scores, k, tree)
         singles = [(w.projection(tree, nd), tree.basis(nd)) for nd in sel.nodes]
         monkeypatch.undo()
-        assert sel.basis.shape[0] == sum(tree.subspace_dim(nd) for nd in sel.nodes)
-        for op, rows in [(sel.projection, sel.basis)] + singles:
+        total = sel.basis.shape[0]
+        assert total == sum(tree.subspace_dim(nd) for nd in sel.nodes)
+        assert np.array_equal(sel.basis, np.vstack([rows for _, rows in singles]))
+        assert np.max(np.abs(sel.basis @ sel.basis.T - np.eye(total))) <= 1e-12
+        lam, _ = w.sym_eigen(sel.basis.T @ sel.basis)
+        assert np.max(np.abs(lam - np.repeat([1.0, 0.0], [total, 64 - total]))) <= 1e-12
+        for op, rows in singles:
             r = rows.shape[0]
             assert list(op.eigenvalues) == [1.0] * r + [0.0] * (64 - r)
             vecs = op.eigenvectors

@@ -79,12 +79,12 @@ class TestConditionalExpectation:
         tree = w.build_shannon_tree(3, 1)
         a = block_diagonal_gram(rng, tree, 1, 8)
         pinched = w.conditional_expectation(a.matrix, tree, 1)
-        assert np.max(np.abs(pinched.entries - a.matrix)) <= 1e-9
+        assert np.max(np.abs(pinched.matrix - a.matrix)) <= 1e-9
 
     def test_masks_off_diagonal_quadrants(self):
         tree = w.build_shannon_tree(3, 1)
         ones = np.ones((8, 8))
-        pinched = w.conditional_expectation(ones, tree, 1).entries
+        pinched = w.conditional_expectation(ones, tree, 1).matrix
         expect = np.zeros((8, 8))
         expect[:4, :4] = 1.0
         expect[4:, 4:] = 1.0
@@ -96,14 +96,14 @@ class TestConditionalExpectation:
         a = w.SymMatrix(a + a.T)
         once = w.conditional_expectation(a, tree, 2)
         twice = w.conditional_expectation(once, tree, 2)
-        assert np.max(np.abs(twice.entries - once.entries)) <= 1e-9
+        assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-9
         assert w.hs_norm(once) <= w.hs_norm(a) + 1e-10
 
     def test_hs_orthogonal_projection(self, rng):
         tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
         a = rng.standard_normal((8, 8))
         a = 0.5 * (a + a.T)
-        e = w.conditional_expectation(a, tree, 2).entries
+        e = w.conditional_expectation(a, tree, 2).matrix
         inner = float(np.trace(e @ (a - e)))
         assert abs(inner) <= 1e-9 * (1.0 + float(np.sum(a * a)))
 
@@ -131,13 +131,29 @@ class TestCoherence:
         with pytest.raises(w.UndefinedCoherenceError):
             w.coherence(a, tree, 1)
 
+    @pytest.mark.parametrize("mass, defined", [(1e-20, True), (0.5e-28, False)],
+                             ids=["1e-20-defined", "0.5e-28-undefined"])
+    def test_block_mass_against_the_zero_test(self, rng, mass, defined):
+        # a PSD operator's own block HS mass is at least ||A||^2 / N, so the
+        # zero test (1e-28 ||A||^2) is reached here through given scores
+        tree = w.build_shannon_tree(3, 2)
+        a = random_gram(rng, 8)
+        num = w.hs_norm(a) ** 2
+        scores = np.full(4, mass * num / 4)
+        if defined:
+            gamma = w.coherence(a, tree, 2, scores=scores).gamma
+            assert gamma == pytest.approx(1.0 / mass, rel=1e-12)
+        else:
+            with pytest.raises(w.UndefinedCoherenceError):
+                w.coherence(a, tree, 2, scores=scores)
+
     def test_pinching_identity_and_sandwich(self, rng):
         # sum of squared block HS norms equals tr(E_n(A) A) and sits in
         # [||A||^2 / N, ||A||^2]
         tree = w.build_filter_tree_1d(w.haar_filter(), 16, 2)
         a = random_gram(rng, 16)
         coh = w.coherence(a, tree, 2)
-        pinched = w.conditional_expectation(a.matrix, tree, 2).entries
+        pinched = w.conditional_expectation(a.matrix, tree, 2).matrix
         cross = float(np.sum(pinched * a.matrix))
         assert coh.denominator == pytest.approx(cross, rel=1e-8)
         nn = len(tree.nodes_at(2))

@@ -50,7 +50,7 @@ class TestPacketScoresMatchDenseRoute:
     def test_conditional_expectation(self, rng, tree):
         a = random_gram(rng, tree.ambient_dim).matrix
         for n in range(tree.max_depth + 1):
-            got = w.conditional_expectation(a, tree, n).entries
+            got = w.conditional_expectation(a, tree, n).matrix
             assert close(got, dense_pinching(a, tree, n), a)
 
     def test_cylinder_weights(self, rng, tree):

@@ -181,7 +181,7 @@ class TestMatrixJson:
     def test_round_trip(self, rng):
         op = random_gram(rng, 5)
         again = w.matrix_from_json(json.loads(json.dumps(w.matrix_to_json(op))))
-        assert np.max(np.abs(again.entries - op.matrix)) <= 1e-15
+        assert np.max(np.abs(again.matrix - op.matrix)) <= 1e-15
 
     def test_rejects_wrong_length(self):
         with pytest.raises(w.MalformedInputError):
