@@ -160,10 +160,12 @@ def _write_json(path, payload) -> None:
 
 def _load_operator(args, dense=True):
     """Matrix or symbol input as a PsdOperator; dense=False keeps a symbol a ShannonSymbol."""
-    if getattr(args, "symbol", None):
+    if args.input and args.symbol:
+        raise ConfigError("give one of --in or --symbol, not both")
+    if args.symbol:
         sym = ShannonSymbol.from_json(_load_json(args.symbol))
         return sym.to_operator() if dense else sym
-    if not getattr(args, "input", None):
+    if not args.input:
         raise ConfigError("one of --in or --symbol is required")
     return make_psd(matrix_from_json(_load_json(args.input)))
 
@@ -247,7 +249,7 @@ def cmd_denoise(args) -> int:
 
 def cmd_selftest(args) -> int:
     seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
-    ok, rows = selftest.run_selftest(seed=seed, quick=args.quick, corrupt_tree=args.corrupt_tree)
+    ok, rows = selftest.run_selftest(seed=seed, quick=args.quick)
     print(selftest.format_rows(rows))
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_SELFTEST
@@ -299,9 +301,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the embedded invariant suite")
     sp.add_argument("--seed", type=int, help="default: the suite's fixed seed")
     sp.add_argument("--quick", action="store_true", help="small fast subset")
-    sp.add_argument(
-        "--corrupt-tree", action="store_true", help="inject a corrupted tree fixture"
-    )
     sp.set_defaults(func=cmd_selftest)
     return p
 

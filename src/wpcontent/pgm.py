@@ -1,4 +1,4 @@
-"""PGM image I/O: binary P5 and ASCII P2, 8-bit, linear [0, 1] mapping."""
+"""PGM image I/O: reads binary P5 and ASCII P2, writes P5; 8-bit, linear [0, 1] mapping."""
 
 from __future__ import annotations
 
@@ -64,14 +64,9 @@ def quantize(img: ImageBuffer) -> np.ndarray:
     return np.floor(clipped * 255.0 + 0.5).astype(np.uint8)
 
 
-def write_pgm(path, img: ImageBuffer, binary: bool = True) -> None:
-    """Write 8-bit PGM (P5 by default, P2 when binary=False), maxval 255."""
+def write_pgm(path, img: ImageBuffer) -> None:
+    """Write an 8-bit binary P5 PGM, maxval 255."""
     q = quantize(img)
-    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n255\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(q.tobytes())
-        else:
-            for row in q:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        fh.write(q.tobytes())

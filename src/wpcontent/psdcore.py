@@ -240,7 +240,8 @@ def matrix_from_json(obj) -> SymMatrix:
         raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
     a = as_reals(obj["data"], '"data"')
     if a.size != dim * dim:
-        raise MalformedInputError(f'"data" must hold dim^2 = {dim * dim} values, got {a.size}')
+        # no str(dim * dim): past 2150 digits, dim^2 exceeds the 4300-digit int-to-str limit
+        raise MalformedInputError(f'"data" must hold dim^2 values for "dim" {dim}, got {a.size}')
     a = a.reshape(dim, dim)
     m = SymMatrix(a)
     check_square_sum(m.matrix, "matrix entries")

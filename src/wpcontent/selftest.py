@@ -18,7 +18,6 @@ from .errors import ConfigError, NumericalBreakdownError
 from .greedy import hs_greedy, trace_greedy
 from .psdcore import make_psd
 from .tree import (
-    PacketTree,
     build_filter_tree_1d,
     build_filter_tree_2d,
     build_shannon_tree,
@@ -28,17 +27,6 @@ from .tree import (
 )
 
 DEFAULT_SEED = 20240801
-
-
-def corrupted_tree_fixture() -> PacketTree:
-    """Frequency-band tree with one basis row of node "0" zeroed; must fail validation."""
-    t = build_shannon_tree(3, 2)
-    transforms = [t.transform(n) for n in range(t.max_depth + 1)]
-    transforms[1] = transforms[1].copy()
-    transforms[1][0, :] = 0.0
-    return PacketTree(
-        t.realization, t.ambient_dim, t.max_depth, t._levels, transforms, t._parents
-    )
 
 
 def _random_gram(rng, dim: int):
@@ -75,7 +63,7 @@ def _certified_steps(extract, instances) -> int:
     )
 
 
-def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False, corrupt_tree: bool = False):
+def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
     """Run the suite; returns (all_ok, rows) with one row per invariant."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -86,8 +74,6 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False, corrupt_tree: bo
         build_filter_tree_1d(d4_filter(), 8, 2),
         build_filter_tree_2d(haar_filter(), 4, 2),
     ]
-    if corrupt_tree:
-        trees.append(corrupted_tree_fixture())
     rows = [_bounded("tree-axioms", max(validate_tree(t).max_violation() for t in trees), 1e-10)]
 
     if quick:

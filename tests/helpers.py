@@ -119,6 +119,17 @@ def dense_validate_tree(tree):
     return out
 
 
+def corrupted_tree_fixture():
+    """Frequency-band tree with one basis row of node "0" zeroed; must fail validation."""
+    t = w.build_shannon_tree(3, 2)
+    transforms = [t.transform(n) for n in range(t.max_depth + 1)]
+    transforms[1] = transforms[1].copy()
+    transforms[1][0, :] = 0.0
+    return w.tree.PacketTree(
+        t.realization, t.ambient_dim, t.max_depth, t._levels, transforms, t._parents
+    )
+
+
 def swapped_children_tree(tree, n):
     """Copy of ``tree`` with the rows of two depth-n non-siblings swapped in W_n.
 

@@ -1,4 +1,4 @@
-"""Mutation check of the certificates and tolerances: every mutant must fail Tier-1.
+"""Mutation check of the certificates, tolerances and input rules: every mutant must fail Tier-1.
 
 Not collected by pytest (the name does not match ``test_*.py``), and too
 slow for Tier-1: a mutant takes up to one full suite run. From the
@@ -7,9 +7,9 @@ repository root:
     python tests/mutants.py
 
 For each mutant it copies ``src/``, ``tests/`` (without ``test_mutants.py``,
-the Tier-1 check of this table) and ``pyproject.toml`` to a temporary
-directory, replaces one piece of source text, and runs
-``python -m pytest -x -q`` there. The mutant is killed when that run
+the Tier-1 check of this table), ``pyproject.toml`` and ``README.md`` (which
+a test reads) to a temporary directory, replaces one piece of source text,
+and runs ``python -m pytest -x -q`` there. The mutant is killed when that run
 fails. Exit status: 0 when every mutant is killed, 1 when one survives,
 2 when an edit no longer matches its source text exactly once.
 """
@@ -61,6 +61,8 @@ MUTANTS = [
     ("filter-tol-1e-4", "tree.py", "_FILTER_TOL = 1e-10", "_FILTER_TOL = 1e-4"),
     ("input-asymmetry-1e-4", "psdcore.py",
      "if asym > 1e-10 * float(np.max(np.abs(a))):", "if asym > 1e-4 * float(np.max(np.abs(a))):"),
+    # command-line input rules
+    ("in-symbol-conflict-removed", "cli.py", "if args.input and args.symbol:", "if False:"),
 ]
 
 
@@ -81,7 +83,8 @@ def run_mutant(name: str, filename: str, old: str, new: str) -> tuple[bool, str]
         )
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work / name)
         target = work / "src" / "wpcontent" / filename
         text = target.read_text(encoding="utf-8")
         if text.count(old) != 1:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +14,9 @@ import wpcontent as w
 from wpcontent import cli
 from wpcontent.cli import main
 
-from helpers import child_env, geometric_symbol, piecewise_smooth_image, random_gram
+from helpers import (
+    child_env, corrupted_tree_fixture, geometric_symbol, piecewise_smooth_image, random_gram,
+)
 
 
 @pytest.fixture
@@ -410,8 +414,10 @@ class TestSelftest:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "seed" in err
 
-    def test_corrupt_tree_fails_with_named_invariant(self, capsys):
-        assert main(["selftest", "--quick", "--corrupt-tree"]) == 1
+    def test_corrupt_tree_fails_with_named_invariant(self, capsys, monkeypatch):
+        # the quick suite builds its 2-d tree only for the tree-axioms row
+        monkeypatch.setattr(cli.selftest, "build_filter_tree_2d", lambda *_: corrupted_tree_fixture())
+        assert main(["selftest", "--quick"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  tree-axioms" in out
 
@@ -502,6 +508,18 @@ class TestExitCodes:
         self._one_error_line(capsys)
         assert not rep.exists()
 
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("in_exists", [True, False], ids=["existing-in", "missing-in"])
+    def test_in_and_symbol_together_exit_5(self, matrix_file, symbol_file, tmp_path, capsys,
+                                           command, in_exists):
+        # refused before either file is read, so a missing --in file does not exit 2
+        source = matrix_file if in_exists else str(tmp_path / "missing.json")
+        rep = tmp_path / "out.json"
+        assert main([command, "--in", source, "--symbol", symbol_file,
+                     "--report", str(rep)]) == 5
+        self._one_error_line(capsys)
+        assert not rep.exists()
+
     def test_oversized_denoise_depth_exits_5(self, image_files, tmp_path, capsys):
         _, noisy = image_files
         out, rep = tmp_path / "x.pgm", tmp_path / "rep.json"
@@ -514,6 +532,14 @@ class TestExitCodes:
         path, rep = tmp_path / "sym.json", tmp_path / "out.json"
         path.write_text(json.dumps({"levels": 20000, "r": [1.0, 2.0]}))
         assert main(["decompose", "--symbol", str(path), "--report", str(rep)]) == 2
+        self._one_error_line(capsys)
+        assert not rep.exists()
+
+    def test_oversized_matrix_dim_exits_2(self, tmp_path, capsys):
+        # dim^2 has more digits than Python converts to a string
+        path, rep = tmp_path / "m.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"dim": 10**3000, "data": [1.0]}))
+        assert main(["decompose", "--in", str(path), "--report", str(rep)]) == 2
         self._one_error_line(capsys)
         assert not rep.exists()
 
@@ -594,6 +620,17 @@ class TestStrictReports:
                     assert err.startswith(
                         "error: numerical breakdown: report holds a non-finite value"
                     )
+
+
+def test_every_option_is_named_in_the_readme():
+    # an option no user is told about is one only tests set
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sp in sub.choices.values() for a in sp._actions for opt in a.option_strings}
+    options -= {"-h", "--help"}
+    assert "--seed" in options and "--stop-tol" in options
+    missing = [o for o in sorted(options) if not re.search(rf"(?<![\w-]){o}(?![\w-])", readme)]
+    assert missing == []
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import wpcontent as w
-from wpcontent.selftest import corrupted_tree_fixture
 
-from helpers import band_positions, geometric_symbol, random_gram
+from helpers import band_positions, corrupted_tree_fixture, geometric_symbol, random_gram
 
 
 def content_trees():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wpcontent as w
 
@@ -544,3 +545,35 @@ def test_trace_run_at_five_stop_tols_keeps_running():
     run = w.trace_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
     assert run.steps[0].remainder_trace == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
     assert len(run.steps) == 2
+
+
+@st.composite
+def _gram_on_a_tree(draw):
+    """(R, tree, depth): a 2^k-scaled rank-r Gram matrix with repeated eigenvalues, dim 2-32."""
+    levels = draw(st.integers(1, 5))
+    dim, depth = 2**levels, draw(st.integers(1, levels))
+    name = draw(st.sampled_from(["shannon", "haar", "d4"]))
+    if name == "shannon":
+        tree = w.build_shannon_tree(levels, depth)
+    else:
+        tree = w.build_filter_tree_1d(w.named_filter(name), dim, depth)
+    rank = draw(st.integers(1, dim))
+    values = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=rank, max_size=rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    g = np.sqrt(values)[:, None] * q[:, :rank].T
+    return w.make_psd(2.0 ** draw(st.integers(-26, 26)) * (g.T @ g)), tree, depth
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_gram_on_a_tree())
+def test_greedy_certificates_hold_on_gram_matrices(case):
+    r, tree, depth = case
+    nn = len(tree.nodes_at(depth))
+    for extract in (w.trace_greedy, w.hs_greedy):
+        run = extract(r, tree, depth, max_steps=2 * nn)
+        assert w.decay_report(run)["summary"]["first_violation"] is None
+        traces = [run.initial_trace] + [s.remainder_trace for s in run.steps]
+        assert all(b <= a for a, b in zip(traces, traces[1:])), traces
+        if extract is w.hs_greedy:
+            assert all(1.0 - 1e-9 <= s.gamma <= nn + 1e-9 for s in run.steps)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import wpcontent as w
-from wpcontent.selftest import corrupted_tree_fixture
 
 from helpers import (
-    band_positions, dense_validate_tree, random_gram, shannon_band, swapped_children_tree,
+    band_positions, corrupted_tree_fixture, dense_validate_tree, random_gram, shannon_band,
+    swapped_children_tree,
 )
 
 
