@@ -7,8 +7,7 @@ Hilbert-Schmidt norms, and Loewner-order comparisons.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
 repeated runs on identical input produce identical output. Eigenvalues
-are returned nonincreasing and each eigenvector is normalized so that
-its first component with magnitude above 1e-12 is positive.
+are returned nonincreasing, with LAPACK's eigenvectors in the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import (
 )
 
 DEFAULT_CLAMP_TOL = 1e-10
-_SIGN_EPS = 1e-12
+LOEWNER_TOL = 1e-8
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
@@ -101,30 +100,16 @@ def as_entries(a) -> np.ndarray:
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Full spectral decomposition of a symmetric matrix.
 
-    Returns (eigenvalues nonincreasing, eigenvector columns), with each
-    column's first component of magnitude above 1e-12 positive. Raises
+    Returns (eigenvalues nonincreasing, LAPACK's eigenvector columns in
+    the same order, as a C-contiguous copy). Raises
     NumericalBreakdownError if LAPACK reports non-convergence.
     """
     try:
         lam, vecs = np.linalg.eigh(as_entries(m))
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError(None, f"eigensolver failed: {exc}") from exc
-    return lam[::-1], _positive_first(vecs[:, ::-1])
-
-
-def _positive_first(vecs: np.ndarray) -> np.ndarray:
-    """Columns sign-flipped so each first component above 1e-12 in magnitude is positive.
-
-    Row 0 decides every column where it is above 1e-12; only the other
-    columns are searched. A column with no such component keeps its sign
-    from row 0.
-    """
-    lead = vecs[0].copy()
-    weak = np.flatnonzero(~(np.abs(lead) > _SIGN_EPS))
-    if weak.size:
-        sub = vecs[:, weak]
-        lead[weak] = sub[np.argmax(np.abs(sub) > _SIGN_EPS, axis=0), np.arange(weak.size)]
-    return vecs * np.where(lead < 0.0, -1.0, 1.0)
+    # a copy, not the reversed view: matmul on a strided operand may sum in another order
+    return lam[::-1], np.ascontiguousarray(vecs[:, ::-1])
 
 
 def make_psd(m, scale: float | None = None) -> PsdOperator:
@@ -136,7 +121,7 @@ def make_psd(m, scale: float | None = None) -> PsdOperator:
 
 
 def psd_from_spectrum(m: SymMatrix, lam, vecs, scale: float | None = None) -> PsdOperator:
-    """PSD operator from ``m`` and its spectrum, given in `sym_eigen`'s order and signs.
+    """PSD operator from ``m`` and its spectrum, given in `sym_eigen`'s order.
 
     A check, not an edit: eigenvalues in [-DEFAULT_CLAMP_TOL * lam_max, 0)
     are zeroed in the stored spectrum and ``m`` is kept as given; anything
@@ -184,17 +169,17 @@ def _norm2(b) -> float:
     return float(max(lam[0], -lam[-1]))
 
 
-def loewner_leq(a, b, tol: float = 1e-8) -> bool:
+def loewner_leq(a, b) -> bool:
     """True iff b - a is PSD up to a tolerance relative to b.
 
-    The check is lam_min(b - a) >= -tol * ||b||_2.
+    The check is lam_min(b - a) >= -LOEWNER_TOL * ||b||_2.
     """
     ea = as_entries(a)
     eb = as_entries(b)
     if ea.shape != eb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ea.shape} vs {eb.shape}")
     lam, _ = sym_eigen(SymMatrix(eb - ea))
-    return float(lam[-1]) >= -tol * _norm2(b)
+    return float(lam[-1]) >= -LOEWNER_TOL * _norm2(b)
 
 
 def as_reals(values, what: str) -> np.ndarray:
@@ -218,20 +203,24 @@ def as_reals(values, what: str) -> np.ndarray:
 
 
 def check_square_sum(values: np.ndarray, what: str) -> None:
-    """Reject values whose sum of squares overflows: every HS norm and trace of a run then stays finite."""
+    """Reject values whose sum of squares overflows, or underflows while some value is nonzero.
+
+    Every HS norm and trace of a run is then finite, and a normal double unless zero."""
     flat = values.ravel()
     with np.errstate(over="ignore"):
         total = float(flat @ flat)
     if not math.isfinite(total):
         raise MalformedInputError(f"{what}: the sum of squares overflows")
+    if total < np.finfo(np.float64).tiny and np.any(flat):
+        raise MalformedInputError(f"{what}: the sum of squares underflows")
 
 
 def matrix_from_json(obj) -> SymMatrix:
     """Parse the {"dim": n, "data": [row-major reals]} wire format.
 
     Rejects payloads whose data length is not dim^2, non-numeric or
-    non-finite values, a sum of squared entries that overflows, and
-    asymmetry beyond 1e-10 * max |a_ij|.
+    non-finite values, a sum of squared entries that overflows or
+    underflows, and asymmetry beyond 1e-10 * max |a_ij|.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MalformedInputError('matrix JSON must have "dim" and "data" keys')

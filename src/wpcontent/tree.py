@@ -40,8 +40,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .psdcore import (
-    PsdOperator, SymMatrix, _positive_first, as_reals, check_clamp, check_square_sum,
-    psd_from_spectrum,
+    PsdOperator, SymMatrix, as_reals, check_clamp, check_square_sum, psd_from_spectrum,
 )
 
 _FILTER_TOL = 1e-10
@@ -275,15 +274,14 @@ def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
     """Orthogonal projection onto the node's subspace, as a PSD operator from its spectrum.
 
     Eigenvalue 1 on the node's W_n rows, then 0 on the other rows in node order; the
-    rows, signed by `_positive_first`, are the eigenvectors (`sym_eigen`'s contract).
-    No eigensolver runs.
+    rows are the eigenvectors, in `sym_eigen`'s order. No eigensolver runs.
     """
     n, i = tree._position(node)
     d = tree.ambient_dim
     segments = tree.transform(n).reshape(len(tree.nodes_at(n)), -1, d)
     rows = segments[i]
     others = np.delete(segments, i, axis=0).reshape(-1, d)
-    vecs = _positive_first(np.vstack([rows, others]).T)
+    vecs = np.vstack([rows, others]).T
     lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
     return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
 

@@ -18,12 +18,6 @@ def child_env(**threads):
     return {**env, **threads}
 
 
-def full_scan_positive_first(vecs):
-    """Sign rule of `sym_eigen` by a full scan: flip each column whose first entry above 1e-12 in magnitude is negative."""
-    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
-    return vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
-
-
 def random_gram(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim))
     return w.make_psd(w.SymMatrix(scale * (g.T @ g) / dim))

@@ -61,6 +61,8 @@ MUTANTS = [
     ("filter-tol-1e-4", "tree.py", "_FILTER_TOL = 1e-10", "_FILTER_TOL = 1e-4"),
     ("input-asymmetry-1e-4", "psdcore.py",
      "if asym > 1e-10 * float(np.max(np.abs(a))):", "if asym > 1e-4 * float(np.max(np.abs(a))):"),
+    ("square-sum-underflow-removed", "psdcore.py",
+     "if total < np.finfo(np.float64).tiny and np.any(flat):", "if False:"),
     # command-line input rules
     ("in-symbol-conflict-removed", "cli.py", "if args.input and args.symbol:", "if False:"),
 ]

@@ -276,8 +276,8 @@ def test_criterion_8_denoising(tmp_path):
     kept = sum(w.content_operator(rhat, tree, nd).operator.matrix for nd in sel.nodes)
     rest = rhat.matrix - kept
     zero = np.zeros_like(kept)
-    ok = ok and w.loewner_leq(zero, w.SymMatrix(kept), tol=1e-8)
-    ok = ok and w.loewner_leq(zero, w.SymMatrix(rest), tol=1e-8)
+    ok = ok and w.loewner_leq(zero, w.SymMatrix(kept))
+    ok = ok and w.loewner_leq(zero, w.SymMatrix(rest))
     elapsed = time.monotonic() - start
     _stamp(8, "denoising pipeline", ok and elapsed < 30.0, elapsed, 30.0)
 

@@ -606,6 +606,26 @@ class TestStrictReports:
             assert out == "" and not rep.exists()
             assert err.startswith("error:") and "sum of squares overflows" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose"], ["greedy", "--mode", "trace"], ["greedy", "--mode", "hs"],
+    ], ids=["decompose", "greedy-trace", "greedy-hs"])
+    @pytest.mark.parametrize("flag, doc", [
+        ("--in", {"dim": 2, "data": [5e-324] * 4}),
+        ("--in", "gram"),
+        ("--symbol", {"levels": 3, "r": [1e-200 * (1 + i) for i in range(8)]}),
+    ], ids=["subnormal-matrix", "gram-1e-200", "symbol-1e-200"])
+    def test_underflowing_square_sum_exits_2(self, tmp_path, capsys, rng, argv, flag, doc):
+        # nonzero values whose sum of squares falls below the normal range
+        if doc == "gram":
+            doc = w.matrix_to_json(1e-200 * random_gram(rng, 8).matrix)
+        path, rep = tmp_path / "tiny.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        assert main([*argv, flag, str(path), "--report", str(rep)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not rep.exists()
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "sum of squares underflows" in err
+
     def test_non_finite_report_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                            symbol_file):
         rep = tmp_path / "rep.json"

@@ -72,7 +72,7 @@ class TestContentOperator:
             assert blk.trace_weight == pytest.approx(w.trace(blk.operator), rel=1e-10)
             assert blk.hs_weight == pytest.approx(w.hs_norm(blk.operator), rel=1e-10)
             assert np.all(blk.operator.eigenvalues >= 0)
-            assert w.loewner_leq(blk.operator, r, tol=1e-8)
+            assert w.loewner_leq(blk.operator, r)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(w.DimensionMismatchError):

@@ -5,7 +5,7 @@ import pytest
 
 import wpcontent as w
 
-from helpers import full_scan_positive_first, random_gram
+from helpers import random_gram
 
 
 class TestSymEigen:
@@ -33,38 +33,53 @@ class TestSymEigen:
             assert np.all(np.diff(lam) <= 1e-12)
             assert np.max(np.abs(vecs.T @ vecs - np.eye(12))) <= 1e-10
 
-    def test_sign_convention_and_determinism(self, rng):
+    def test_determinism(self, rng):
         a = rng.standard_normal((9, 9))
         m = w.SymMatrix(a + a.T)
         lam1, v1 = w.sym_eigen(m)
         lam2, v2 = w.sym_eigen(m)
         assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
-        for j in range(9):
-            nz = np.nonzero(np.abs(v1[:, j]) > 1e-12)[0]
-            assert v1[nz[0], j] > 0
 
     def test_dim_one(self):
         lam, vecs = w.sym_eigen(w.SymMatrix([[5.0]]))
         assert lam[0] == 5.0 and vecs[0, 0] == 1.0
 
-    @pytest.mark.parametrize("row0", [0.0, -0.0, 1e-12, -1e-12, 3e-13])
-    def test_sign_rule_matches_full_scan_below_threshold(self, rng, row0):
-        v = rng.standard_normal((7, 9))
-        v[0, ::2] = row0 * rng.choice([-1.0, 1.0], 5)
-        v[:3, 4] = -1e-13  # no entry above 1e-12 before row 3
-        v[:, 8] = 1e-13  # no entry above 1e-12 at all: row 0 decides
-        got = w.psdcore._positive_first(v)
-        assert np.array_equal(got, full_scan_positive_first(v))
-        assert np.array_equal(np.signbit(got), np.signbit(full_scan_positive_first(v)))
 
-    def test_sign_rule_on_eigenvectors_with_zero_first_row(self, rng):
-        # [c] (+) G: every eigenvector but one is zero in row 0
-        g = rng.standard_normal((6, 6))
-        a = np.zeros((7, 7))
-        a[0, 0], a[1:, 1:] = 0.5, g + g.T
-        _, raw = np.linalg.eigh(a)
-        _, vecs = w.sym_eigen(w.SymMatrix(a))
-        assert np.array_equal(vecs, full_scan_positive_first(raw[:, ::-1]))
+@pytest.mark.parametrize("tree", [
+    w.build_shannon_tree(4, 3),
+    w.build_filter_tree_1d(w.haar_filter(), 16, 3),
+    w.build_filter_tree_1d(w.d4_filter(), 16, 2),
+], ids=["shannon", "haar", "d4"])
+@pytest.mark.parametrize("rank", [16, 5])
+def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank):
+    # every output forms (X V) diag(.) V^T, so flipping a column negates both factors exactly
+    g = rng.standard_normal((rank, 16))
+    matrix, x = g.T @ g / 16, rng.standard_normal(16)
+    depths = range(1, tree.max_depth + 1)
+
+    def outputs():
+        r = w.make_psd(matrix)
+        runs = [
+            w.trace_payload(extract(r, tree, n, 12))
+            for extract in (w.trace_greedy, w.hs_greedy) for n in depths
+        ]
+        blocks = [
+            blk.operator.matrix.tobytes()
+            for n in depths for blk in w.depth_decomposition(r, tree, n).blocks
+        ]
+        densities = [w.discrete_density(r, tree, x, n) for n in depths]
+        return runs, blocks, densities
+
+    plain = outputs()
+    flips = np.random.default_rng(7)
+    lapack = w.psdcore.sym_eigen
+
+    def flipped(m):
+        lam, vecs = lapack(m)
+        return lam, vecs * flips.choice([-1.0, 1.0], vecs.shape[1])
+
+    monkeypatch.setattr(w.psdcore, "sym_eigen", flipped)
+    assert repr(outputs()) == repr(plain)
 
 
 class TestMakePsd:

@@ -358,6 +358,12 @@ class TestShannonSymbol:
             w.ShannonSymbol(1, [1e308, 1e308])
         assert w.ShannonSymbol(1, [1e153, 1e153]).values[0] == 1e153
 
+    def test_underflowing_square_sum_rejected(self):
+        with pytest.raises(w.MalformedInputError, match="sum of squares underflows"):
+            w.ShannonSymbol(1, [1e-200, 5e-324])
+        assert w.ShannonSymbol(1, [0.0, 0.0]).values[1] == 0.0
+        assert w.ShannonSymbol(1, [1e-150, 0.0]).values[0] == 1e-150
+
     def test_json_schema(self):
         sym = w.ShannonSymbol.from_json({"levels": 2, "r": [1, 2, 3, 4]})
         assert sym.levels == 2
