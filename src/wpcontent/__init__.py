@@ -38,7 +38,6 @@ _EXPORTS = {
         "block_scores",
         "denoise_image",
         "extract_patches",
-        "psnr",
         "second_moment",
         "select_top_k",
     ),
@@ -56,11 +55,9 @@ _EXPORTS = {
         "WpcError",
     ),
     "greedy": (
-        "CoherenceValue",
         "ExtractionStep",
         "ExtractionTrace",
         "coherence",
-        "conditional_expectation",
         "decay_report",
         "extract_sequence",
         "hs_greedy",
@@ -72,11 +69,8 @@ _EXPORTS = {
         "PsdOperator",
         "SymMatrix",
         "hs_norm",
-        "loewner_leq",
         "make_psd",
         "matrix_from_json",
-        "matrix_to_json",
-        "sqrt_psd",
         "sym_eigen",
         "trace",
     ),

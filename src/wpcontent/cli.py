@@ -287,7 +287,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input", required=True, help="noisy PGM (P2 or P5)")
     sp.add_argument("--out", help="denoised PGM output path")
     sp.add_argument("--clean", help="clean reference PGM for PSNR reporting")
-    sp.add_argument("--tree", choices=["shannon", "haar", "d4"], default="haar")
+    sp.add_argument("--tree", choices=["haar", "d4"], default="haar")
     sp.add_argument("--patch-side", type=int, default=8)
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--topk", type=int, default=4)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
-from .psdcore import PsdOperator, make_psd
+from .psdcore import PsdOperator, check_square_sum, make_psd
 from .tree import (
     PacketNode, PacketTree, build_filter_tree_2d, check_dyadic_depth, named_filter,
 )
@@ -60,9 +59,6 @@ class BlockScores:
 
     def total(self) -> float:
         return float(np.sum(self.values))
-
-    def as_map(self) -> dict[str, float]:
-        return {nd.word: float(v) for nd, v in zip(self.nodes, self.values)}
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,8 @@ class PatchSet:
     """The m x m patches of an image at the anchors of `_anchor_runs`, row-major by anchor.
 
     `bands` yields them BAND_ROWS anchor rows at a time and `patches`, all (M, m^2) of
-    them, is built only on request; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached.
+    them, is built only on request; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached,
+    and its sum of squares must neither overflow nor underflow, as a matrix input's.
     """
 
     image: ImageBuffer
@@ -164,10 +161,6 @@ class PatchSet:
         """Anchor runs of the rows and of the columns."""
         return tuple(_anchor_runs(e, self.patch_side, self.stride)
                      for e in (self.image.height, self.image.width))
-
-    @property
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        return tuple(product(*(chain(*r) for r in self.runs)))
 
     def __len__(self) -> int:
         return math.prod(sum(map(len, r)) for r in self.runs)
@@ -189,9 +182,12 @@ class PatchSet:
     @cached_property
     def rhat(self) -> np.ndarray:
         gram = np.zeros((self.patch_side**2,) * 2)
-        for _, y in self.bands():
-            gram += y.T @ y
-        return gram / len(self)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, y in self.bands():
+                gram += y.T @ y
+            gram /= len(self)
+        check_square_sum(gram, "patch second moment")
+        return gram
 
 
 def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
@@ -231,12 +227,8 @@ def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
     return float(np.mean(diff * diff))
 
 
-def psnr(a: ImageBuffer, b: ImageBuffer) -> float:
-    """Peak signal-to-noise ratio in dB (peak 1.0), capped at 99 dB."""
-    return _psnr_db(_psnr_mse(a, b))
-
-
 def _psnr_db(mse: float) -> float:
+    """Peak signal-to-noise ratio in dB (peak 1.0) of a mean squared error, capped at 99 dB."""
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / mse)))
@@ -249,7 +241,8 @@ def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int) -> ImageBuffer
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    return ImageBuffer(img.pixels + sigma * rng.standard_normal(img.pixels.shape))
+    with np.errstate(over="ignore"):  # an overflow is ImageBuffer's non-finite pixel
+        return ImageBuffer(img.pixels + sigma * rng.standard_normal(img.pixels.shape))
 
 
 def denoise_image(

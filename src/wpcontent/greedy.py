@@ -33,7 +33,7 @@ from .errors import (
     UndefinedCoherenceError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, SymMatrix, as_entries, hs_norm, make_psd, trace
+from .psdcore import PsdOperator, hs_norm, make_psd, trace
 from .tree import PacketNode, PacketTree
 
 DEFAULT_STOP_TOL = 1e-12
@@ -74,34 +74,14 @@ class ExtractionTrace:
     final_remainder: PsdOperator
 
 
-@dataclass(frozen=True)
-class CoherenceValue:
-    gamma: float
-    numerator: float
-    denominator: float
-
-
-def conditional_expectation(a, tree: PacketTree, n: int) -> SymMatrix:
-    """Pinch onto the depth-n block diagonal: sum of P_w A P_w.
-
-    Computed as W_n^T blockdiag(W_n A W_n^T) W_n, node i's block being
-    rows and columns i*s:(i+1)*s of the packet-coordinate matrix.
-    """
-    e = as_entries(a)
-    _check_dims(e.shape[0], tree)
-    w, seg = tree.transform(n), tree.row_nodes(n)
-    blockdiag = (w @ e @ w.T) * (seg[:, None] == seg)
-    return SymMatrix(w.T @ blockdiag @ w)
-
-
-def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> CoherenceValue:
-    """Depth-n coherence ||A||_2^2 over the summed squared block HS norms.
+def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> float:
+    """Depth-n coherence gamma: ||A||_2^2 over the summed squared block HS norms.
 
     Always in [1, N] up to rounding: 1 exactly for block-diagonal A, N for
     maximally spread operators. ``scores`` are the block norms
     hs_scores_squared(A, tree, n) when the caller already has them. The
-    denominator equals the pinching trace tr(E_n(A) A), since in packet
-    coordinates both are the same sum of squared diagonal-block entries.
+    denominator equals the pinching trace tr(E_n(A) A), E_n(A) = sum_w P_w A P_w,
+    since in packet coordinates both are the same sum of squared diagonal-block entries.
     Raises UndefinedCoherenceError when the block HS mass is at most
     1e-28 ||A||^2, that is numerically zero relative to A itself.
     """
@@ -113,7 +93,7 @@ def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> Coherenc
         raise UndefinedCoherenceError(
             f"block HS mass {den:.3e} is numerically zero; coherence undefined"
         )
-    return CoherenceValue(num / den, num, den)
+    return num / den
 
 
 def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> ExtractionTrace:
@@ -265,13 +245,13 @@ def hs_greedy(
             break
         scores = hs_scores_squared(current.matrix, tree, n)
         try:
-            coh = coherence(current, tree, n, scores)
+            gamma = coherence(current, tree, n, scores)
         except UndefinedCoherenceError:
             break
         envelope_sq *= uniform_ratio
         tr = _step(
             tr, tree, nodes[int(np.argmax(scores))], float(r.eigenvalues[0]),
-            gamma=coh.gamma, bound_hs=float(np.sqrt(envelope_sq)),
+            gamma=gamma, bound_hs=float(np.sqrt(envelope_sq)),
         )
     return tr
 

@@ -2,8 +2,8 @@
 
 Everything downstream (content blocks, greedy extraction, denoising)
 reduces to a handful of primitives on real symmetric matrices:
-eigendecomposition, the PSD check, the operator square root, traces,
-Hilbert-Schmidt norms, and Loewner-order comparisons.
+eigendecomposition, the PSD check, products with the operator square
+root, traces and Hilbert-Schmidt norms.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
 repeated runs on identical input produce identical output. Eigenvalues
@@ -16,15 +16,9 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    MalformedInputError,
-    NotPositiveError,
-    NumericalBreakdownError,
-)
+from .errors import MalformedInputError, NotPositiveError, NumericalBreakdownError
 
 DEFAULT_CLAMP_TOL = 1e-10
-LOEWNER_TOL = 1e-8
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
@@ -143,13 +137,6 @@ def check_clamp(lam_max: float, lam_min: float, scale: float | None = None) -> b
     return lam_min < 0.0
 
 
-def sqrt_psd(r: PsdOperator) -> PsdOperator:
-    """PSD square root; squaring it reproduces ``r`` to rounding."""
-    s_entries = r.sqrt_entries()
-    base = SymMatrix(s_entries)
-    return PsdOperator(base, np.sqrt(r.eigenvalues), r.eigenvectors, False)
-
-
 def trace(a) -> float:
     """Sum of diagonal entries."""
     return float(np.trace(as_entries(a)))
@@ -159,27 +146,6 @@ def hs_norm(a) -> float:
     """Frobenius / Hilbert-Schmidt norm; for PSD inputs this is sqrt(tr(A^2))."""
     e = as_entries(a)
     return float(np.sqrt(np.sum(e * e)))
-
-
-def _norm2(b) -> float:
-    """Spectral norm of a symmetric matrix; lam_max for a PsdOperator."""
-    if isinstance(b, PsdOperator):
-        return float(b.eigenvalues[0])
-    lam, _ = sym_eigen(b)
-    return float(max(lam[0], -lam[-1]))
-
-
-def loewner_leq(a, b) -> bool:
-    """True iff b - a is PSD up to a tolerance relative to b.
-
-    The check is lam_min(b - a) >= -LOEWNER_TOL * ||b||_2.
-    """
-    ea = as_entries(a)
-    eb = as_entries(b)
-    if ea.shape != eb.shape:
-        raise DimensionMismatchError(f"shape mismatch: {ea.shape} vs {eb.shape}")
-    lam, _ = sym_eigen(SymMatrix(eb - ea))
-    return float(lam[-1]) >= -LOEWNER_TOL * _norm2(b)
 
 
 def as_reals(values, what: str) -> np.ndarray:
@@ -239,9 +205,3 @@ def matrix_from_json(obj) -> SymMatrix:
     if asym > 1e-10 * float(np.max(np.abs(a))):
         raise MalformedInputError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     return m
-
-
-def matrix_to_json(m) -> dict:
-    """Serialize to the {"dim", "data"} wire format."""
-    e = as_entries(m)
-    return {"dim": int(e.shape[0]), "data": [float(x) for x in e.ravel()]}

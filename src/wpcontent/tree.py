@@ -28,7 +28,7 @@ Node ordering is lexicographic everywhere; 2D words are serialized as
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -177,13 +177,6 @@ class PacketTree:
         s = self.subspace_dim(node)
         return self.transform(n)[i * s : (i + 1) * s]
 
-    def children(self, node: PacketNode) -> tuple[PacketNode, ...]:
-        """The depth-(n+1) nodes whose parent is ``node``, in node order."""
-        n, i = self._position(node)
-        if n == self.max_depth:
-            return ()
-        return tuple(self._levels[n + 1][j] for j in np.flatnonzero(self._parents[n + 1] == i))
-
     def all_nodes(self):
         for level in self._levels:
             yield from level
@@ -298,9 +291,6 @@ class TreeValidationReport:
     def max_violation(self) -> float:
         return max(self.partition, self.child_sum, self.child_orthogonality, self.basis_orthonormality)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _gram_defect(x: np.ndarray) -> np.ndarray:
     """|x x^T - I|, formed without an identity matrix."""
@@ -369,13 +359,6 @@ class ShannonSymbol:
     @property
     def dim(self) -> int:
         return len(self.values)
-
-    def value(self, k: int) -> float:
-        """r(k) for k in [-2**(levels-1), 2**(levels-1)); IndexError outside that range."""
-        half = 2 ** (self.levels - 1)
-        if not -half <= k < half:
-            raise IndexError(f"symbol index {k} outside [{-half}, {half})")
-        return float(self.values[k + half])
 
     def to_operator(self) -> PsdOperator:
         """Diagonal PSD operator, as a dense d x d matrix.

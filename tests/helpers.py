@@ -2,12 +2,14 @@
 
 import os
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import numpy as np
 
 import wpcontent as w
+
+LOEWNER_TOL = 1e-8
 
 
 def child_env(**threads):
@@ -16,6 +18,36 @@ def child_env(**threads):
     src = str(Path(w.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return {**env, **threads}
+
+
+def loewner_leq(a, b):
+    """True iff b - a is PSD up to a tolerance: lam_min(b - a) >= -LOEWNER_TOL * ||b||_2."""
+    ea, eb = (np.asarray(getattr(x, "matrix", x), dtype=float) for x in (a, b))
+    if ea.shape != eb.shape:
+        raise w.DimensionMismatchError(f"shape mismatch: {ea.shape} vs {eb.shape}")
+    diff = eb - ea
+    lam_min = np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]
+    return bool(lam_min >= -LOEWNER_TOL * np.max(np.abs(np.linalg.eigvalsh(eb))))
+
+
+def matrix_json(m):
+    """A matrix, or a SymMatrix's ``matrix``, in the {"dim", "data"} wire format."""
+    e = np.asarray(getattr(m, "matrix", m), dtype=float)
+    return {"dim": int(e.shape[0]), "data": e.ravel().tolist()}
+
+
+def children(tree, node):
+    """The depth-(n+1) nodes whose parent is ``node``, in node order, read from tree.parents."""
+    n = node.depth
+    if n == tree.max_depth:
+        return ()
+    below, i = tree.nodes_at(n + 1), tree.nodes_at(n).index(node)
+    return tuple(below[j] for j in np.flatnonzero(tree.parents(n + 1) == i))
+
+
+def positions(patch_set):
+    """Anchor (row, column) of each patch of a PatchSet, row-major: the product of its runs."""
+    return tuple(product(*(chain(*runs) for runs in patch_set.runs)))
 
 
 def random_gram(rng, dim, scale=1.0):
@@ -102,7 +134,7 @@ def dense_validate_tree(tree):
         b = tree.basis(node)
         gram = b @ b.T - np.eye(b.shape[0])
         out["basis_orthonormality"] = max(out["basis_orthonormality"], float(np.max(np.abs(gram))))
-        kids = tree.children(node)
+        kids = children(tree, node)
         if not kids:
             continue
         gap = proj[node.word] - sum(proj[k.word] for k in kids)
@@ -132,7 +164,7 @@ def swapped_children_tree(tree, n):
     sit under the wrong parents.
     """
     above, nodes = tree.nodes_at(n - 1), tree.nodes_at(n)
-    i, j = nodes.index(tree.children(above[0])[-1]), nodes.index(tree.children(above[1])[0])
+    i, j = nodes.index(children(tree, above[0])[-1]), nodes.index(children(tree, above[1])[0])
     s = tree.ambient_dim // len(nodes)
     wn = tree.transform(n).copy()
     wn[[*range(i * s, (i + 1) * s), *range(j * s, (j + 1) * s)]] = wn[
@@ -148,9 +180,7 @@ def swapped_children_tree(tree, n):
 def block_diagonal_gram(rng, tree, n, dim):
     """PSD operator that commutes with every depth-n projection."""
     g = rng.standard_normal((dim, dim))
-    a = (g.T @ g) / dim
-    pinched = w.conditional_expectation(a, tree, n)
-    return w.make_psd(pinched)
+    return w.make_psd(dense_pinching((g.T @ g) / dim, tree, n))
 
 
 def piecewise_smooth_image(size=64):

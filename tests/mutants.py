@@ -26,45 +26,69 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (name, file under src/wpcontent, source text, replacement)
+# (name, file relative to the repository root, source text, replacement)
 MUTANTS = [
     # certified inequalities and envelopes of greedy extraction
-    ("trace-envelope-ratio-2N", "greedy.py",
+    ("trace-envelope-ratio-2N", "src/wpcontent/greedy.py",
      "ratio = 1.0 - 1.0 / len(nodes)\n", "ratio = 1.0 - 1.0 / (2 * len(nodes))\n"),
-    ("trace-one-step-ratio-2N", "greedy.py",
+    ("trace-one-step-ratio-2N", "src/wpcontent/greedy.py",
      "ratio = 1.0 - 1.0 / nn\n", "ratio = 1.0 - 1.0 / (2 * nn)\n"),
-    ("gamma-range-2N", "greedy.py", "gamma <= nn + 1e-9", "gamma <= 2 * nn + 1e-9"),
-    ("pythagorean-removed", "greedy.py", "if not rem_sq <= pythagorean + slack:", "if False:"),
-    ("trace-rule-second-heaviest", "greedy.py",
+    ("gamma-range-2N", "src/wpcontent/greedy.py", "gamma <= nn + 1e-9", "gamma <= 2 * nn + 1e-9"),
+    ("pythagorean-removed", "src/wpcontent/greedy.py",
+     "if not rem_sq <= pythagorean + slack:", "if False:"),
+    ("trace-rule-second-heaviest", "src/wpcontent/greedy.py",
      "nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]",
      "nodes[int(np.argsort(trace_scores(current.matrix, tree, n))[-2])]"),
-    ("hs-rule-second-heaviest", "greedy.py",
+    ("hs-rule-second-heaviest", "src/wpcontent/greedy.py",
      "nodes[int(np.argmax(scores))]", "nodes[int(np.argsort(scores)[-2])]"),
-    ("clamp-tol-1e-6", "psdcore.py", "DEFAULT_CLAMP_TOL = 1e-10", "DEFAULT_CLAMP_TOL = 1e-6"),
-    ("trace-slack-1e-3", "greedy.py",
+    ("clamp-tol-1e-6", "src/wpcontent/psdcore.py",
+     "DEFAULT_CLAMP_TOL = 1e-10", "DEFAULT_CLAMP_TOL = 1e-6"),
+    ("trace-slack-1e-3", "src/wpcontent/greedy.py",
      "slack = 1e-9 * tr.initial_trace", "slack = 1e-3 * tr.initial_trace"),
-    ("hs-slack-1e-3", "greedy.py",
+    ("hs-slack-1e-3", "src/wpcontent/greedy.py",
      "slack = 1e-9 * tr.initial_hs**2", "slack = 1e-3 * tr.initial_hs**2"),
-    ("hs-envelope-ratio-N3", "greedy.py",
+    ("hs-envelope-ratio-N3", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / len(nodes) ** 2", "1.0 - 1.0 / len(nodes) ** 3"),
-    ("coherence-contraction-2gammaN", "greedy.py",
+    ("coherence-contraction-2gammaN", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / (gamma * nn)", "1.0 - 1.0 / (2 * gamma * nn)"),
-    ("trace-stop-rule-x10", "greedy.py",
+    ("trace-stop-rule-x10", "src/wpcontent/greedy.py",
      "if trace(current) <= stop_tol * tr.initial_trace:",
      "if trace(current) <= 10 * stop_tol * tr.initial_trace:"),
     # input and budget tolerances
-    ("additivity-budget-1e-4", "content.py",
+    ("additivity-budget-1e-4", "src/wpcontent/content.py",
      "budget = 1e-9 * abs(total)", "budget = 1e-4 * abs(total)"),
-    ("reconstruction-budget-1e-3", "content.py",
+    ("reconstruction-budget-1e-3", "src/wpcontent/content.py",
      "if err > 1e-8 * hs_norm(r):", "if err > 1e-3 * hs_norm(r):"),
-    ("coherence-zero-1e-12", "greedy.py", "if den <= 1e-28 * num:", "if den <= 1e-12 * num:"),
-    ("filter-tol-1e-4", "tree.py", "_FILTER_TOL = 1e-10", "_FILTER_TOL = 1e-4"),
-    ("input-asymmetry-1e-4", "psdcore.py",
+    ("coherence-zero-1e-12", "src/wpcontent/greedy.py",
+     "if den <= 1e-28 * num:", "if den <= 1e-12 * num:"),
+    ("filter-tol-1e-4", "src/wpcontent/tree.py", "_FILTER_TOL = 1e-10", "_FILTER_TOL = 1e-4"),
+    ("input-asymmetry-1e-4", "src/wpcontent/psdcore.py",
      "if asym > 1e-10 * float(np.max(np.abs(a))):", "if asym > 1e-4 * float(np.max(np.abs(a))):"),
-    ("square-sum-underflow-removed", "psdcore.py",
+    ("square-sum-underflow-removed", "src/wpcontent/psdcore.py",
      "if total < np.finfo(np.float64).tiny and np.any(flat):", "if False:"),
     # command-line input rules
-    ("in-symbol-conflict-removed", "cli.py", "if args.input and args.symbol:", "if False:"),
+    ("in-symbol-conflict-removed", "src/wpcontent/cli.py",
+     "if args.input and args.symbol:", "if False:"),
+    # checks outside the certificates: densities, cylinder masses, gamma's lower end, the
+    # default stop rule, the selftest's own rows and the tests' Loewner oracle
+    ("loewner-tol-1e-2", "tests/helpers.py", "LOEWNER_TOL = 1e-8", "LOEWNER_TOL = 1e-2"),
+    ("density-eps-1e-3", "src/wpcontent/content.py",
+     "eps = 1e-12 * trace(r)", "eps = 1e-3 * trace(r)"),
+    ("abs-continuity-removed", "src/wpcontent/content.py", "elif nu > eps:", "elif False:"),
+    ("root-mass-budget-removed", "src/wpcontent/content.py",
+     "if abs(masses[0][0] - total) > budget:", "if False:"),
+    ("gamma-lower-1e-3", "src/wpcontent/greedy.py", "1.0 - 1e-9 <= gamma", "1.0 - 1e-3 <= gamma"),
+    ("default-stop-tol-1e-6", "src/wpcontent/greedy.py",
+     "DEFAULT_STOP_TOL = 1e-12", "DEFAULT_STOP_TOL = 1e-6"),
+    ("selftest-tree-axioms-1e-2", "src/wpcontent/selftest.py",
+     "for t in trees), 1e-10)", "for t in trees), 1e-2)"),
+    ("selftest-parallelogram-1e-2", "src/wpcontent/selftest.py",
+     '_bounded("parallelogram", para, 1e-9)', '_bounded("parallelogram", para, 1e-2)'),
+    ("selftest-band-oracle-1e-3", "src/wpcontent/selftest.py",
+     '_bounded("band-oracle", oracle, 1e-12)', '_bounded("band-oracle", oracle, 1e-3)'),
+    # the denoiser's square-sum rule
+    ("patch-square-sum-removed", "src/wpcontent/denoise.py",
+     'check_square_sum(gram, "patch second moment")', "pass"),
 ]
 
 
@@ -85,9 +109,9 @@ def run_mutant(name: str, filename: str, old: str, new: str) -> tuple[bool, str]
         )
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
-        for name in ("pyproject.toml", "README.md"):
-            shutil.copy2(ROOT / name, work / name)
-        target = work / "src" / "wpcontent" / filename
+        for extra in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / extra, work / extra)
+        target = work / filename
         text = target.read_text(encoding="utf-8")
         if text.count(old) != 1:
             raise LookupError(f"{name}: {old!r} occurs {text.count(old)} times in {filename}")

@@ -19,6 +19,10 @@ from helpers import (
     band_positions,
     block_diagonal_gram,
     child_env,
+    children,
+    dense_pinching,
+    loewner_leq,
+    matrix_json,
     piecewise_smooth_image,
     random_gram,
     spread_vector,
@@ -161,7 +165,7 @@ def test_criterion_5_coherence(ensemble):
         for tree in trees[dim]:
             for n in DEPTHS:
                 nn = len(tree.nodes_at(n))
-                gamma = w.coherence(op, tree, n).gamma
+                gamma = w.coherence(op, tree, n)
                 ok = ok and (1.0 - 1e-9 <= gamma <= nn + 1e-9)
     rng = np.random.default_rng(ENSEMBLE_SEED + 5)
     for dim in (8, 16):
@@ -169,17 +173,17 @@ def test_criterion_5_coherence(ensemble):
             for n in (1, 2):
                 nn = len(tree.nodes_at(n))
                 block_diag = block_diagonal_gram(rng, tree, n, dim)
-                ok = ok and abs(w.coherence(block_diag, tree, n).gamma - 1.0) <= 1e-9
+                ok = ok and abs(w.coherence(block_diag, tree, n) - 1.0) <= 1e-9
                 v = spread_vector(tree, n)
                 rank_one = w.make_psd(w.SymMatrix(np.outer(v, v)))
-                ok = ok and abs(w.coherence(rank_one, tree, n).gamma - nn) <= 1e-6
+                ok = ok and abs(w.coherence(rank_one, tree, n) - nn) <= 1e-6
     # pinching identity, via the independent dense-block route
     for dim in (8, 16):
         op = random_gram(rng, dim)
         for tree in trees[dim]:
             dec = w.depth_decomposition(op, tree, 2)
             dense_sum = sum(blk.hs_weight**2 for blk in dec.blocks)
-            pinched = w.conditional_expectation(op.matrix, tree, 2).matrix
+            pinched = dense_pinching(op.matrix, tree, 2)
             cross = float(np.sum(pinched * op.matrix))
             ok = ok and abs(dense_sum - cross) <= 1e-8 * max(dense_sum, cross)
     elapsed = time.monotonic() - start
@@ -219,7 +223,7 @@ def test_criterion_7_measure_structure(ensemble):
             weights = w.cylinder_weights(op, tree)
             ok = ok and abs(weights.mass(tree.root) - total) <= 1e-9 * (1.0 + total)
             for node in tree.all_nodes():
-                kids = tree.children(node)
+                kids = children(tree, node)
                 if kids:
                     gap = abs(weights.mass(node) - sum(weights.mass(k) for k in kids))
                     ok = ok and gap <= 1e-9 * (1.0 + total)
@@ -276,8 +280,8 @@ def test_criterion_8_denoising(tmp_path):
     kept = sum(w.content_operator(rhat, tree, nd).operator.matrix for nd in sel.nodes)
     rest = rhat.matrix - kept
     zero = np.zeros_like(kept)
-    ok = ok and w.loewner_leq(zero, w.SymMatrix(kept))
-    ok = ok and w.loewner_leq(zero, w.SymMatrix(rest))
+    ok = ok and loewner_leq(zero, w.SymMatrix(kept))
+    ok = ok and loewner_leq(zero, w.SymMatrix(rest))
     elapsed = time.monotonic() - start
     _stamp(8, "denoising pipeline", ok and elapsed < 30.0, elapsed, 30.0)
 
@@ -287,7 +291,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     rng = np.random.default_rng(ENSEMBLE_SEED + 9)
     op = random_gram(rng, 16)
     matrix_path = tmp_path / "m.json"
-    matrix_path.write_text(json.dumps(w.matrix_to_json(op)))
+    matrix_path.write_text(json.dumps(matrix_json(op)))
     clean = piecewise_smooth_image(32)
     img_path = tmp_path / "img.pgm"
     w.write_pgm(img_path, clean)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import re
 import subprocess
@@ -15,7 +16,8 @@ from wpcontent import cli
 from wpcontent.cli import main
 
 from helpers import (
-    child_env, corrupted_tree_fixture, geometric_symbol, piecewise_smooth_image, random_gram,
+    child_env, corrupted_tree_fixture, geometric_symbol, matrix_json, piecewise_smooth_image,
+    random_gram,
 )
 
 
@@ -23,7 +25,7 @@ from helpers import (
 def matrix_file(tmp_path, rng):
     op = random_gram(rng, 8)
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(w.matrix_to_json(op)))
+    path.write_text(json.dumps(matrix_json(op)))
     return str(path)
 
 
@@ -39,7 +41,7 @@ def symbol_file(tmp_path):
 def gram256_file(tmp_path, rng):
     op = random_gram(rng, 256)
     path = tmp_path / "m256.json"
-    path.write_text(json.dumps(w.matrix_to_json(op)))
+    path.write_text(json.dumps(matrix_json(op)))
     return op, path
 
 
@@ -115,7 +117,7 @@ class TestDecompose:
     def test_bad_levels_exits_5(self, tmp_path, rng):
         # the shannon tree needs dim = 2^levels, and 6 is no power of two
         path = tmp_path / "m6.json"
-        path.write_text(json.dumps(w.matrix_to_json(random_gram(rng, 6))))
+        path.write_text(json.dumps(matrix_json(random_gram(rng, 6))))
         assert main(["decompose", "--in", str(path)]) == 5
 
     def test_boolean_levels_exits_2(self, tmp_path):
@@ -193,7 +195,7 @@ class TestGreedy:
 
         op = block_diagonal_gram(rng, tree, 1, 8)
         path = tmp_path / "bd.json"
-        path.write_text(json.dumps(w.matrix_to_json(op)))
+        path.write_text(json.dumps(matrix_json(op)))
         rep = tmp_path / "g.json"
         code = main(
             ["greedy", "--in", str(path), "--depth", "1", "--mode", "hs",
@@ -224,6 +226,13 @@ class TestGreedy:
                      f"--stop-tol={tol}", "--report", str(rep)]) == 5
         assert "--stop-tol" in capsys.readouterr().err
         assert not rep.exists()
+
+    def test_default_stop_tol_runs_on_a_remainder_of_1e_9_trace(self, tmp_path):
+        # after step 1 the remainder trace is 1e-9 tr(R), far above the default stop rule
+        path, rep = tmp_path / "sym.json", tmp_path / "g.json"
+        path.write_text(json.dumps({"levels": 1, "r": [1.0, 1e-9]}))
+        assert main(["greedy", "--symbol", str(path), "--steps", "5", "--report", str(rep)]) == 0
+        assert [s["node"] for s in json.loads(rep.read_text())["steps"]] == ["0", "1"]
 
     def test_filter_tree_modes(self, matrix_file, tmp_path):
         rep = tmp_path / "g.json"
@@ -307,8 +316,10 @@ class TestDenoise:
         _, noisy = image_files
         assert main(["denoise", "--in", noisy, "--patch-side", "8", "--depth", "4",
                      "--out", str(tmp_path / "x.pgm")]) == 5
-        assert main(["denoise", "--in", noisy, "--tree", "shannon",
-                     "--out", str(tmp_path / "x.pgm")]) == 5
+        # the denoiser's trees are filter banks: argparse rejects shannon
+        with pytest.raises(SystemExit) as exc:
+            main(["denoise", "--in", noisy, "--tree", "shannon", "--out", str(tmp_path / "x.pgm")])
+        assert exc.value.code == 2
 
     def test_malformed_pgm_exits_2(self, tmp_path):
         bad = tmp_path / "bad.pgm"
@@ -394,6 +405,38 @@ class TestDenoise:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode, sigma, code, message", [
+        ("hs", "1e70", 0, None),
+        ("hs", "1e80", 2, "patch second moment: the sum of squares overflows"),
+        ("trace", "1e150", 2, "patch second moment: the sum of squares overflows"),
+        ("trace", "1e200", 2, "patch second moment: the sum of squares overflows"),
+        ("trace", "1e308", 2, "image pixels must be finite"),
+    ])
+    def test_overflowing_sigma_exits_2_without_warning(self, image_files, tmp_path, capsys,
+                                                       mode, sigma, code, message):
+        # R_hat, or the noisy image itself, is held to the matrix inputs' square-sum rule
+        clean, _ = image_files
+        out, rep = tmp_path / "x.pgm", tmp_path / "rep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["denoise", "--in", clean, "--mode", mode, "--sigma", sigma,
+                         "--out", str(out), "--report", str(rep)]) == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == "" and out.exists() and rep.exists()
+        else:
+            assert err == f"error: {message}\n" and not out.exists() and not rep.exists()
+
+    def test_underflowing_patch_second_moment_exits_2(self, tmp_path, capsys):
+        # noise of 1e-160 on a black image: R_hat is nonzero, its sum of squares underflows
+        black = tmp_path / "black.pgm"
+        black.write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+        assert main(["denoise", "--in", str(black), "--sigma", "1e-160",
+                     "--out", str(tmp_path / "x.pgm")]) == 2
+        assert capsys.readouterr().err == (
+            "error: patch second moment: the sum of squares underflows\n"
+        )
+
 
 class TestSelftest:
     def test_quick_pass_within_budget(self, capsys):
@@ -420,6 +463,27 @@ class TestSelftest:
         assert main(["selftest", "--quick"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  tree-axioms" in out
+
+    @pytest.mark.parametrize("row, tol", [
+        ("tree-axioms", 1e-10), ("parallelogram", 1e-9), ("band-oracle", 1e-12),
+    ])
+    @pytest.mark.parametrize("fails", [False, True], ids=["half-tol", "1e-6"])
+    def test_own_checks_keep_their_thresholds(self, capsys, monkeypatch, row, tol, fails):
+        # each of the suite's own rows measures a violation of ``v``: half its threshold or 1e-6
+        v = 1e-6 if fails else tol / 2
+        st = cli.selftest
+        if row == "tree-axioms":
+            report = w.tree.TreeValidationReport(v, 0.0, 0.0, 0.0)
+            monkeypatch.setattr(st, "validate_tree", lambda tree: report)
+        elif row == "parallelogram":
+            # the row divides each check by lam_max (|x| + |y|)^2
+            monkeypatch.setattr(st, "parallelogram_check", lambda r, t, x, y, n: v * float(
+                r.eigenvalues[0]) * (np.linalg.norm(x) + np.linalg.norm(y)) ** 2)
+        else:
+            band_sum = st._band_sum
+            monkeypatch.setattr(st, "_band_sum", lambda *args: band_sum(*args) + v)
+        assert main(["selftest", "--quick"]) == (1 if fails else 0)
+        assert f"{'FAIL' if fails else 'PASS'}  {row} " in capsys.readouterr().out
 
     def test_library_breakdown_is_a_fail_row(self, capsys, monkeypatch):
         monkeypatch.setattr(w.greedy, "_violation", lambda *_: "injected contraction failure")
@@ -617,7 +681,7 @@ class TestStrictReports:
     def test_underflowing_square_sum_exits_2(self, tmp_path, capsys, rng, argv, flag, doc):
         # nonzero values whose sum of squares falls below the normal range
         if doc == "gram":
-            doc = w.matrix_to_json(1e-200 * random_gram(rng, 8).matrix)
+            doc = matrix_json(1e-200 * random_gram(rng, 8).matrix)
         path, rep = tmp_path / "tiny.json", tmp_path / "rep.json"
         path.write_text(json.dumps(doc))
         assert main([*argv, flag, str(path), "--report", str(rep)]) == 2
@@ -668,18 +732,18 @@ class TestThreadPolicy:
 
 
 EXPORTED = sorted("""
-    AbsoluteContinuityViolation BlockScores CoherenceValue ConfigError ContentBlock
+    AbsoluteContinuityViolation BlockScores ConfigError ContentBlock
     ContentDecomposition CylinderWeights DenoiseConfig DimensionMismatchError ExtractionStep
     ExtractionTrace FilterPair ImageBuffer InvalidDepthError InvalidFilterError
     MalformedInputError NotPositiveError NumericalBreakdownError PacketNode PacketTree
     PatchSet PsdOperator Selection ShannonSymbol SymMatrix UndefinedCoherenceError
     UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
-    build_filter_tree_2d build_shannon_tree coherence conditional_expectation
+    build_filter_tree_2d build_shannon_tree coherence
     content_operator cylinder_weights d4_filter decay_report denoise_image
     depth_decomposition discrete_density extract_patches extract_sequence
-    haar_filter hs_greedy hs_norm loewner_leq make_psd matrix_from_json matrix_to_json
-    named_filter parallelogram_check projection psnr quantize read_pgm second_moment
-    select_top_k sqrt_psd sym_eigen trace trace_greedy trace_payload tree_description
+    haar_filter hs_greedy hs_norm make_psd matrix_from_json
+    named_filter parallelogram_check projection quantize read_pgm second_moment
+    select_top_k sym_eigen trace trace_greedy trace_payload tree_description
     validate_tree vector_weight write_pgm
 """.split())
 
@@ -698,7 +762,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 68
+        assert names == EXPORTED and len(names) == 62
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):
@@ -706,6 +770,21 @@ class TestLazyPackage:
             w.no_such_name
         with pytest.raises(ImportError):
             exec("from wpcontent import no_such_name", {})
+
+    def test_nothing_is_exported_only_for_tests(self):
+        # an export is read by some other module of the package, or is one of the paper's
+        # objects that no command computes (vector densities, sequences, R_hat, P_w)
+        paper_only = {"discrete_density", "vector_weight", "extract_sequence", "second_moment",
+                      "projection"}
+        read = set()
+        for path in Path(w.__file__).resolve().parent.glob("*.py"):
+            if path.name != "__init__.py":
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Name):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        read.add(node.attr)
+        assert sorted(set(w.__all__) - read - paper_only) == []
 
 
 SUBMODULES = sorted(f"wpcontent.{m}" for m in (

@@ -5,7 +5,9 @@ import pytest
 
 import wpcontent as w
 
-from helpers import band_positions, corrupted_tree_fixture, geometric_symbol, random_gram
+from helpers import (
+    band_positions, children, corrupted_tree_fixture, geometric_symbol, loewner_leq, random_gram,
+)
 
 
 def content_trees():
@@ -72,7 +74,7 @@ class TestContentOperator:
             assert blk.trace_weight == pytest.approx(w.trace(blk.operator), rel=1e-10)
             assert blk.hs_weight == pytest.approx(w.hs_norm(blk.operator), rel=1e-10)
             assert np.all(blk.operator.eigenvalues >= 0)
-            assert w.loewner_leq(blk.operator, r)
+            assert loewner_leq(blk.operator, r)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(w.DimensionMismatchError):
@@ -116,7 +118,7 @@ class TestDepthDecomposition:
         r = random_gram(rng, 16)
         fro = w.hs_norm(r)
         for node in tree.all_nodes():
-            kids = tree.children(node)
+            kids = children(tree, node)
             if not kids:
                 continue
             parent = w.content_operator(r, tree, node).operator.matrix
@@ -156,7 +158,7 @@ class TestCylinderWeights:
         total = w.trace(r)
         assert cw.mass(tree.root) == pytest.approx(total, rel=1e-10)
         for node in tree.all_nodes():
-            kids = tree.children(node)
+            kids = children(tree, node)
             if kids:
                 child_sum = sum(cw.mass(k) for k in kids)
                 assert cw.mass(node) == pytest.approx(child_sum, rel=1e-9, abs=1e-9 * total)
@@ -247,6 +249,25 @@ class TestCylinderWeights:
         else:
             assert w.cylinder_weights(r, tree).max_additivity_gap <= 1e-9 * w.trace(r)
 
+    @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
+                             ids=["1e-6-breaks", "0.5e-9-passes"])
+    def test_moved_root_mass_against_the_trace(self, rng, monkeypatch, moved, raises):
+        # the root mass must equal tr(R) within 1e-9 tr(R); this moves the depth-0 mass
+        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        r = random_gram(rng, 8)
+        real = w.content.trace_scores
+
+        def shifted(a, tr_, n):
+            return real(a, tr_, n) + (moved * w.trace(r) if n == 0 else 0.0)
+
+        monkeypatch.setattr(w.content, "trace_scores", shifted)
+        if raises:
+            with pytest.raises(w.NumericalBreakdownError, match="root mass"):
+                w.cylinder_weights(r, tree)
+        else:
+            root = w.cylinder_weights(r, tree).mass(tree.root)
+            assert root == pytest.approx(w.trace(r) * (1.0 + moved), rel=1e-12)
+
 
 class TestVectorWeights:
     def test_zero_vector(self, rng):
@@ -303,6 +324,19 @@ class TestDensities:
         dens = w.discrete_density(r, tree, x, 1)
         assert w.PacketNode("0", 1) not in dens
         assert w.PacketNode("1", 1) in dens
+
+    def test_light_node_keeps_its_density(self):
+        # a mass of 1e-6 tr(R) is far above the 1e-12 tr(R) cut: x = (1, 1) gives nu/mu = 1
+        r = w.make_psd(np.diag([1.0, 1e-6]))
+        dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.ones(2), 1)
+        assert dens[w.PacketNode("1", 1)] == pytest.approx(1.0, rel=1e-9)
+
+    def test_vector_weight_on_a_massless_node_raises(self, rng, monkeypatch):
+        # a zero block trace forces a zero vector weight; fake the mass of node "1" away
+        real = w.content.trace_scores
+        monkeypatch.setattr(w.content, "trace_scores", lambda a, t, n: real(a, t, n) * [1.0, 0.0])
+        with pytest.raises(w.AbsoluteContinuityViolation, match="'1'"):
+            w.discrete_density(random_gram(rng, 8), w.build_shannon_tree(3, 1), np.ones(8), 1)
 
 
 class TestParallelogram:

@@ -2,25 +2,26 @@ import numpy as np
 import pytest
 
 import wpcontent as w
+from wpcontent.denoise import _psnr_db, _psnr_mse
 
-from helpers import piecewise_smooth_image, tiled_patches
+from helpers import loewner_leq, piecewise_smooth_image, positions, tiled_patches
 
 
 class TestExtractPatches:
     def test_single_patch(self):
         img = w.ImageBuffer(np.zeros((8, 8)))
         ps = w.extract_patches(img, 8, 8)
-        assert ps.positions == ((0, 0),)
+        assert positions(ps) == ((0, 0),)
 
     def test_exact_tiling(self):
         img = w.ImageBuffer(np.zeros((16, 16)))
         ps = w.extract_patches(img, 8, 8)
-        assert ps.positions == ((0, 0), (0, 8), (8, 0), (8, 8))
+        assert positions(ps) == ((0, 0), (0, 8), (8, 0), (8, 8))
 
     def test_flush_to_edge_anchor(self):
         img = w.ImageBuffer(np.zeros((12, 12)))
         ps = w.extract_patches(img, 8, 8)
-        assert ps.positions == ((0, 0), (0, 4), (4, 0), (4, 4))
+        assert positions(ps) == ((0, 0), (0, 4), (4, 0), (4, 4))
 
     def test_patch_values_row_major(self):
         img = w.ImageBuffer(np.arange(16.0).reshape(4, 4) / 16.0)
@@ -35,7 +36,7 @@ class TestExtractPatches:
         img = w.ImageBuffer(np.zeros((21, 13)))
         ps = w.extract_patches(img, 4, 3)
         cover = np.zeros((21, 13))
-        for r, c in ps.positions:
+        for r, c in positions(ps):
             cover[r : r + 4, c : c + 4] += 1
         assert np.all(cover >= 1)
 
@@ -58,9 +59,18 @@ class TestSecondMoment:
         y = rng.standard_normal((20, 16))
         ps = tiled_patches(y, 4)
         op = w.second_moment(ps)
-        assert w.loewner_leq(np.zeros((16, 16)), op)
+        assert loewner_leq(np.zeros((16, 16)), op)
         mean_energy = float(np.mean(np.sum(y * y, axis=1)))
         assert w.trace(op) == pytest.approx(mean_energy, rel=1e-10)
+
+
+    @pytest.mark.parametrize("pixel, word", [(1e160, "overflows"), (1e-100, "underflows")])
+    def test_square_sum_rule(self, pixel, word):
+        # R_hat's entries are pixel^2; the sum of their squares leaves the normal range
+        ps = w.extract_patches(w.ImageBuffer(np.full((8, 8), pixel)), 4, 4)
+        message = f"patch second moment: the sum of squares {word}"
+        with pytest.raises(w.MalformedInputError, match=message):
+            w.second_moment(ps)
 
 
 class TestBlockScores:
@@ -69,7 +79,7 @@ class TestBlockScores:
         patch = np.full(16, 0.5)
         ps = tiled_patches(patch[None, :], 4)
         scores = w.block_scores(ps, tree, 1)
-        table = scores.as_map()
+        table = {nd.word: float(v) for nd, v in zip(scores.nodes, scores.values)}
         assert table["0,0"] == pytest.approx(float(patch @ patch), rel=1e-12)
         for word in ("0,1", "1,0", "1,1"):
             assert table[word] <= 1e-12
@@ -176,13 +186,13 @@ class TestPsnrAndNoise:
     def test_psnr_examples(self):
         a = w.ImageBuffer(np.zeros((4, 4)))
         b = w.ImageBuffer(np.ones((4, 4)))
-        assert w.psnr(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert _psnr_db(_psnr_mse(a, b)) == pytest.approx(0.0, abs=1e-12)
         c = w.ImageBuffer(np.full((4, 4), 0.1))
-        assert w.psnr(a, c) == pytest.approx(20.0, rel=1e-12)  # MSE = 0.01
+        assert _psnr_db(_psnr_mse(a, c)) == pytest.approx(20.0, rel=1e-12)  # MSE = 0.01
 
     def test_psnr_cap(self):
         img = piecewise_smooth_image(16)
-        assert w.psnr(img, img) == 99.0
+        assert _psnr_db(_psnr_mse(img, img)) == 99.0
 
     def test_noise_zero_sigma(self):
         img = piecewise_smooth_image(16)
@@ -285,8 +295,8 @@ class TestDenoisePipeline:
             w.content_operator(rhat, tree, nd).operator.matrix for nd in sel.nodes
         )
         rest = rhat.matrix - kept
-        assert w.loewner_leq(np.zeros((16, 16)), w.SymMatrix(kept))
-        assert w.loewner_leq(np.zeros((16, 16)), w.SymMatrix(rest))
+        assert loewner_leq(np.zeros((16, 16)), w.SymMatrix(kept))
+        assert loewner_leq(np.zeros((16, 16)), w.SymMatrix(rest))
 
     @pytest.mark.parametrize("mode", ["trace", "hs"])
     def test_runs_the_public_stages_once_each(self, monkeypatch, mode):

@@ -8,7 +8,9 @@ import wpcontent as w
 
 from helpers import (
     block_diagonal_gram,
+    dense_pinching,
     geometric_symbol,
+    loewner_leq,
     random_gram,
     sequence_step,
     spread_vector,
@@ -58,7 +60,7 @@ class TestExtractSequence:
             block, remainder = sequence_step(r, tree, seq, step.k)
             partial += block
             assert np.max(np.abs(r.matrix - partial - remainder)) <= 1e-8 * (1 + fro)
-            assert w.loewner_leq(remainder, prev)
+            assert loewner_leq(remainder, prev)
             prev = remainder
 
     def test_unknown_node_rejected(self, rng):
@@ -75,45 +77,11 @@ class TestExtractSequence:
         assert all(b <= a + 1e-12 * traces[0] for a, b in zip(traces, traces[1:]))
 
 
-class TestConditionalExpectation:
-    def test_fixes_block_diagonal(self, rng):
-        tree = w.build_shannon_tree(3, 1)
-        a = block_diagonal_gram(rng, tree, 1, 8)
-        pinched = w.conditional_expectation(a.matrix, tree, 1)
-        assert np.max(np.abs(pinched.matrix - a.matrix)) <= 1e-9
-
-    def test_masks_off_diagonal_quadrants(self):
-        tree = w.build_shannon_tree(3, 1)
-        ones = np.ones((8, 8))
-        pinched = w.conditional_expectation(ones, tree, 1).matrix
-        expect = np.zeros((8, 8))
-        expect[:4, :4] = 1.0
-        expect[4:, 4:] = 1.0
-        assert np.max(np.abs(pinched - expect)) <= 1e-12
-
-    def test_idempotent_and_contractive(self, rng):
-        tree = w.build_filter_tree_1d(w.d4_filter(), 16, 2)
-        a = rng.standard_normal((16, 16))
-        a = w.SymMatrix(a + a.T)
-        once = w.conditional_expectation(a, tree, 2)
-        twice = w.conditional_expectation(once, tree, 2)
-        assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-9
-        assert w.hs_norm(once) <= w.hs_norm(a) + 1e-10
-
-    def test_hs_orthogonal_projection(self, rng):
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
-        a = rng.standard_normal((8, 8))
-        a = 0.5 * (a + a.T)
-        e = w.conditional_expectation(a, tree, 2).matrix
-        inner = float(np.trace(e @ (a - e)))
-        assert abs(inner) <= 1e-9 * (1.0 + float(np.sum(a * a)))
-
-
 class TestCoherence:
     def test_block_diagonal_gives_one(self, rng):
         tree = w.build_shannon_tree(3, 2)
         a = block_diagonal_gram(rng, tree, 2, 8)
-        assert w.coherence(a, tree, 2).gamma == pytest.approx(1.0, abs=1e-9)
+        assert w.coherence(a, tree, 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_equal_spread_rank_one_gives_node_count(self, rng):
         for tree in (
@@ -124,7 +92,7 @@ class TestCoherence:
             nn = len(tree.nodes_at(n))
             v = spread_vector(tree, n)
             a = w.make_psd(w.SymMatrix(np.outer(v, v)))
-            assert w.coherence(a, tree, n).gamma == pytest.approx(nn, abs=1e-6)
+            assert w.coherence(a, tree, n) == pytest.approx(nn, abs=1e-6)
 
     def test_zero_operator_undefined(self):
         tree = w.build_shannon_tree(3, 1)
@@ -142,31 +110,32 @@ class TestCoherence:
         num = w.hs_norm(a) ** 2
         scores = np.full(4, mass * num / 4)
         if defined:
-            gamma = w.coherence(a, tree, 2, scores=scores).gamma
+            gamma = w.coherence(a, tree, 2, scores=scores)
             assert gamma == pytest.approx(1.0 / mass, rel=1e-12)
         else:
             with pytest.raises(w.UndefinedCoherenceError):
                 w.coherence(a, tree, 2, scores=scores)
 
     def test_pinching_identity_and_sandwich(self, rng):
-        # sum of squared block HS norms equals tr(E_n(A) A) and sits in
-        # [||A||^2 / N, ||A||^2]
+        # gamma is ||A||^2 over the sum of squared block HS norms; that sum
+        # equals tr(E_n(A) A) and sits in [||A||^2 / N, ||A||^2]
         tree = w.build_filter_tree_1d(w.haar_filter(), 16, 2)
         a = random_gram(rng, 16)
-        coh = w.coherence(a, tree, 2)
-        pinched = w.conditional_expectation(a.matrix, tree, 2).matrix
-        cross = float(np.sum(pinched * a.matrix))
-        assert coh.denominator == pytest.approx(cross, rel=1e-8)
+        num = w.hs_norm(a) ** 2
+        den = float(np.sum(w.content.hs_scores_squared(a.matrix, tree, 2)))
+        cross = float(np.sum(dense_pinching(a.matrix, tree, 2) * a.matrix))
+        assert w.coherence(a, tree, 2) == pytest.approx(num / den, rel=1e-12)
+        assert den == pytest.approx(cross, rel=1e-8)
         nn = len(tree.nodes_at(2))
-        assert coh.denominator <= coh.numerator * (1 + 1e-9)
-        assert coh.denominator >= coh.numerator / nn * (1 - 1e-9)
+        assert den <= num * (1 + 1e-9)
+        assert den >= num / nn * (1 - 1e-9)
 
     def test_bounds_on_random_ensemble(self, rng):
         tree = w.build_shannon_tree(4, 2)
         nn = len(tree.nodes_at(2))
         for _ in range(10):
             a = random_gram(rng, 16)
-            gamma = w.coherence(a, tree, 2).gamma
+            gamma = w.coherence(a, tree, 2)
             assert 1.0 - 1e-9 <= gamma <= nn + 1e-9
 
 
@@ -380,8 +349,8 @@ class TestDecayReport:
         real = w.greedy.coherence
 
         def inflated(*args, **kwargs):
-            c = real(*args, **kwargs)
-            return w.CoherenceValue(nn + 1.0, c.numerator, c.denominator)
+            real(*args, **kwargs)
+            return nn + 1.0
 
         monkeypatch.setattr(w.greedy, "coherence", inflated)
         with pytest.raises(w.NumericalBreakdownError) as exc:
@@ -520,6 +489,16 @@ def test_each_inequality_keeps_its_constant_and_slack(case, excess, flagged, sca
     found = w.greedy._violation(record, None, record.steps[0])
     assert (found is not None and found.startswith(message)) if flagged else found is None
     assert w.decay_report(record)["summary"]["first_violation"] == (1 if flagged else None)
+
+
+@pytest.mark.parametrize("below, flagged", [(1e-6, True), (0.5e-9, False)],
+                         ids=["1e-6-flagged", "0.5e-9-passes"])
+def test_gamma_below_one_keeps_its_slack(below, flagged):
+    # gamma is dimensionless: [1, N] has an absolute slack of 1e-9; every other check has room
+    record = _one_step_record("hs-greedy", 1.0, remainder_hs=np.sqrt(0.5),
+                              extracted_hs=np.sqrt(0.1), gamma=1.0 - below, bound_hs=1.0)
+    found = w.greedy._violation(record, None, record.steps[0])
+    assert (found is not None and found.endswith("outside [1, 4]")) if flagged else found is None
 
 
 @pytest.mark.parametrize("tree_name", ["shannon", "d4"])

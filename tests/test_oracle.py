@@ -14,10 +14,10 @@ import wpcontent as w
 from helpers import (
     dense_blocks,
     dense_coefficient_energies,
-    dense_pinching,
     loop_anchors,
     loop_denoise,
     loop_extract_patches,
+    positions,
     random_gram,
     tiled_patches,
 )
@@ -46,12 +46,6 @@ class TestPacketScoresMatchDenseRoute:
             assert close(
                 w.content.hs_scores_squared(a, tree, n), [np.sum(b * b) for b in blocks], a
             )
-
-    def test_conditional_expectation(self, rng, tree):
-        a = random_gram(rng, tree.ambient_dim).matrix
-        for n in range(tree.max_depth + 1):
-            got = w.conditional_expectation(a, tree, n).matrix
-            assert close(got, dense_pinching(a, tree, n), a)
 
     def test_cylinder_weights(self, rng, tree):
         r = random_gram(rng, tree.ambient_dim)
@@ -153,7 +147,7 @@ def test_extract_patches_matches_per_patch_loop(rng, h, wd, m, depth, stride):
     img = w.ImageBuffer(rng.uniform(size=(h, wd)))
     got = w.extract_patches(img, m, stride)
     want = loop_extract_patches(img, m, stride)
-    assert got.positions == want.positions
+    assert positions(got) == want.positions
     assert np.array_equal(got.patches, want.patches)
 
 

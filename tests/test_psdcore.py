@@ -5,7 +5,7 @@ import pytest
 
 import wpcontent as w
 
-from helpers import random_gram
+from helpers import loewner_leq, matrix_json, random_gram
 
 
 class TestSymEigen:
@@ -114,25 +114,31 @@ class TestMakePsd:
         assert np.max(np.abs(op.eigenvectors.T @ op.eigenvectors - np.eye(16))) <= 1e-10
 
 
+def _root(entries):
+    """sqrt(A) by the package's own route: the rows of the identity times sqrt(A)."""
+    op = w.make_psd(entries)
+    return op.root_rows(np.eye(op.dim))
+
+
 class TestSqrt:
     def test_identity(self):
-        s = w.sqrt_psd(w.make_psd(w.SymMatrix(np.eye(4))))
-        assert np.max(np.abs(s.matrix - np.eye(4))) <= 1e-12
+        s = _root(np.eye(4))
+        assert np.max(np.abs(s - np.eye(4))) <= 1e-12
 
     def test_diagonal(self):
-        s = w.sqrt_psd(w.make_psd(w.SymMatrix(np.diag([4.0, 9.0]))))
-        assert np.allclose(s.matrix, np.diag([2.0, 3.0]), atol=1e-12)
+        s = _root(np.diag([4.0, 9.0]))
+        assert np.allclose(s, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_hand_derived_2x2(self):
-        s = w.sqrt_psd(w.make_psd(w.SymMatrix([[2.0, 1.0], [1.0, 2.0]])))
-        assert np.allclose(s.eigenvalues, [np.sqrt(3.0), 1.0], atol=1e-12)
+        s = _root([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(np.linalg.eigvalsh(s), [1.0, np.sqrt(3.0)], atol=1e-12)
 
     def test_involution_on_grams(self, rng):
         # squaring the root reproduces the operator across 200 random PSD inputs
         for i in range(200):
             dim = int(rng.integers(1, 33))
             op = random_gram(rng, dim)
-            s = w.sqrt_psd(op).matrix
+            s = op.root_rows(np.eye(dim))
             fro = w.hs_norm(op)
             assert np.linalg.norm(s @ s - op.matrix) <= 1e-8 * (1.0 + fro)
 
@@ -172,30 +178,39 @@ class TestScalars:
 class TestLoewner:
     def test_zero_below_any_psd(self, rng):
         op = random_gram(rng, 8)
-        assert w.loewner_leq(np.zeros((8, 8)), op)
+        assert loewner_leq(np.zeros((8, 8)), op)
 
     def test_counterexample(self):
         a = w.make_psd(w.SymMatrix(np.diag([2.0, 0.0])))
         b = w.make_psd(w.SymMatrix(np.diag([1.0, 1.0])))
-        assert not w.loewner_leq(a, b)
+        assert not loewner_leq(a, b)
 
     def test_reflexive_and_antisymmetric(self, rng):
         for _ in range(10):
             a = random_gram(rng, 6)
-            assert w.loewner_leq(a, a)
+            assert loewner_leq(a, a)
             bigger = w.make_psd(w.SymMatrix(a.matrix + 0.5 * np.eye(6)))
-            assert w.loewner_leq(a, bigger)
-            assert not w.loewner_leq(bigger, a)
+            assert loewner_leq(a, bigger)
+            assert not loewner_leq(bigger, a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(w.DimensionMismatchError):
-            w.loewner_leq(np.zeros((2, 2)), np.zeros((3, 3)))
+            loewner_leq(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("dip, holds", [(1e-6, False), (0.5e-8, True)],
+                             ids=["1e-6-fails", "0.5e-8-holds"])
+    def test_tolerance_is_1e_8_of_the_spectral_norm(self, rng, dip, holds):
+        # b - a = -dip ||b||_2 v v^T, so lam_min(b - a) = -dip ||b||_2
+        b = random_gram(rng, 6)
+        v = rng.standard_normal(6)
+        a = b.matrix + dip * b.eigenvalues[0] * np.outer(v, v) / (v @ v)
+        assert loewner_leq(a, b) is holds
 
 
 class TestMatrixJson:
     def test_round_trip(self, rng):
         op = random_gram(rng, 5)
-        again = w.matrix_from_json(json.loads(json.dumps(w.matrix_to_json(op))))
+        again = w.matrix_from_json(json.loads(json.dumps(matrix_json(op))))
         assert np.max(np.abs(again.matrix - op.matrix)) <= 1e-15
 
     def test_rejects_wrong_length(self):
