@@ -158,6 +158,12 @@ def _write_json(path, payload) -> None:
             fh.write(text)
 
 
+def _distinct_outputs(report, path) -> None:
+    """A --report file ("-" is stdout) and the other output (a file, even "-") may not be one."""
+    if report not in (None, "-") and path and os.path.realpath(report) == os.path.realpath(path):
+        raise ConfigError(f"two outputs would write the same file: {report} and {path}")
+
+
 def _load_operator(args, dense=True):
     """Matrix or symbol input as a PsdOperator; dense=False keeps a symbol a ShannonSymbol."""
     if args.input and args.symbol:
@@ -203,6 +209,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    _distinct_outputs(args.report, args.csv)
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     stop_tol = greedy.DEFAULT_STOP_TOL if args.stop_tol is None else args.stop_tol
@@ -226,6 +233,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    _distinct_outputs(args.report, args.out)
     noisy = pgm.read_pgm(args.input)
     if args.sigma is not None:
         noisy = denoise.add_gaussian_noise(noisy, args.sigma, args.seed)

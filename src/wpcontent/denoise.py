@@ -6,7 +6,8 @@ depth-n packet blocks by average patch energy s_w = (1/M) sum ||P_w y_i||^2
 R_hat), keep the K highest-scoring blocks, project every patch onto
 their span, and rebuild the image by overlap-averaging. Keeping blocks
 instead of thresholding coefficients means both the retained part of
-R_hat and the discarded part stay PSD.
+R_hat and the discarded part stay PSD. A `DenoiseConfig` is checked when
+it is made, and a `PatchSet` checks the patch side against its image.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ class DenoiseConfig:
     filter_name: str = "haar"
     mode: str = "trace"
 
-    def effective_stride(self) -> int:
-        return self.stride if self.stride is not None else max(1, self.patch_side // 2)
-
-    def validate(self) -> None:
-        """Configuration rules; `PatchSet` checks the patch side against the image."""
+    def __post_init__(self):
         m = self.patch_side
         check_dyadic_depth(self.depth, m)
         stride = self.effective_stride()
@@ -93,6 +90,9 @@ class DenoiseConfig:
         if self.mode not in ("trace", "hs"):
             raise ConfigError(f"mode must be trace or hs, got {self.mode!r}")
         named_filter(self.filter_name)
+
+    def effective_stride(self) -> int:
+        return self.stride if self.stride is not None else max(1, self.patch_side // 2)
 
 
 def _anchor_runs(extent: int, m: int, stride: int) -> list[range]:
@@ -262,7 +262,6 @@ def denoise_image(
     """
     m, n = cfg.patch_side, cfg.depth
     patches = extract_patches(img, m, cfg.effective_stride())
-    cfg.validate()
     tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, n)
     scores = block_scores(patches, tree, n)
     rank = scores if cfg.mode == "trace" else BlockScores(

@@ -2,7 +2,8 @@
 
 Everything downstream (content blocks, greedy extraction, denoising)
 reduces to a handful of primitives on real symmetric matrices:
-eigendecomposition, the PSD check, products with the operator square
+eigendecomposition, the PSD check (run by the `PsdOperator` constructor,
+the one way to make an operator), products with the operator square
 root, traces and Hilbert-Schmidt norms.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
@@ -48,24 +49,30 @@ class SymMatrix:
 class PsdOperator(SymMatrix):
     """A `SymMatrix` checked PSD, together with its spectral decomposition.
 
-    Construct via `make_psd` or `psd_from_spectrum`; ``eigenvalues`` are nonincreasing,
-    ``eigenvectors`` holds the matching orthonormal columns, and
-    ``clamp_applied`` records whether negative rounding noise was zeroed
-    in ``eigenvalues``. The matrix itself is never edited: it is the
+    The spectrum comes in `sym_eigen`'s order: ``eigenvalues`` nonincreasing,
+    ``eigenvectors`` the matching orthonormal columns. The constructor runs
+    the clamp rule, `check_clamp`: eigenvalues in
+    [-DEFAULT_CLAMP_TOL * lam_max, 0) are zeroed in the stored spectrum, and
+    ``clamp_applied`` records whether one was; anything more negative raises
+    NotPositiveError. ``scale`` optionally widens the clamp reference to an
+    external scale: needed when ``m`` is a small difference of larger
+    operators, whose rounding noise lives at the scale of the operands rather
+    than of the difference. The matrix itself is never edited: it is the
     input, whose own spectrum may dip below zero by that noise. Products
     with sqrt(A) come from the spectrum via `root_rows`; no root is kept.
     """
 
     __slots__ = ("eigenvalues", "eigenvectors", "clamp_applied")
 
-    def __init__(self, base: SymMatrix, eigenvalues, eigenvectors, clamp_applied: bool):
-        self.dim = base.dim
-        self.matrix = base.matrix
-        self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    def __init__(self, m: SymMatrix, eigenvalues, eigenvectors, scale: float | None = None):
+        lam = np.asarray(eigenvalues, dtype=np.float64)
+        self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)
+        self.dim = m.dim
+        self.matrix = m.matrix
+        self.eigenvalues = np.maximum(lam, 0.0)
         self.eigenvectors = np.asarray(eigenvectors, dtype=np.float64)
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
-        self.clamp_applied = bool(clamp_applied)
 
     def root_rows(self, rows) -> np.ndarray:
         """rows @ sqrt(A) as ((rows V) sqrt(lam)) V^T: O(s d^2) for s rows, no d x d root."""
@@ -107,30 +114,14 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_psd(m, scale: float | None = None) -> PsdOperator:
-    """Check that a symmetric matrix is PSD: `sym_eigen`, then `psd_from_spectrum`."""
+    """Check that a symmetric matrix is PSD: `sym_eigen`, then the `PsdOperator` clamp rule."""
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
-    lam, vecs = sym_eigen(m)
-    return psd_from_spectrum(m, lam, vecs, scale)
-
-
-def psd_from_spectrum(m: SymMatrix, lam, vecs, scale: float | None = None) -> PsdOperator:
-    """PSD operator from ``m`` and its spectrum, given in `sym_eigen`'s order.
-
-    A check, not an edit: eigenvalues in [-DEFAULT_CLAMP_TOL * lam_max, 0)
-    are zeroed in the stored spectrum and ``m`` is kept as given; anything
-    more negative raises NotPositiveError reporting the offending
-    eigenvalue. ``scale`` optionally widens the clamp reference to an
-    external scale: needed when ``m`` is a small difference of larger
-    operators, whose rounding noise lives at the scale of the operands
-    rather than of the difference.
-    """
-    clamped = check_clamp(float(lam[0]), float(lam[-1]), scale)
-    return PsdOperator(m, np.maximum(lam, 0.0), vecs, clamped)
+    return PsdOperator(m, *sym_eigen(m), scale)
 
 
 def check_clamp(lam_max: float, lam_min: float, scale: float | None = None) -> bool:
-    """The clamp rule of `psd_from_spectrum` on the extreme eigenvalues; True if lam_min < 0."""
+    """The clamp rule of `PsdOperator` on the extreme eigenvalues; True if lam_min < 0."""
     thresh = DEFAULT_CLAMP_TOL * max(lam_max, scale if scale is not None else 0.0, 0.0)
     if lam_min < -thresh:
         raise NotPositiveError(lam_min, thresh)

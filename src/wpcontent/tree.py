@@ -39,9 +39,7 @@ from .errors import (
     MalformedInputError,
     UnknownNodeError,
 )
-from .psdcore import (
-    PsdOperator, SymMatrix, as_reals, check_clamp, check_square_sum, psd_from_spectrum,
-)
+from .psdcore import PsdOperator, SymMatrix, as_reals, check_clamp, check_square_sum
 
 _FILTER_TOL = 1e-10
 
@@ -267,7 +265,8 @@ def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
     """Orthogonal projection onto the node's subspace, as a PSD operator from its spectrum.
 
     Eigenvalue 1 on the node's W_n rows, then 0 on the other rows in node order; the
-    rows are the eigenvectors, in `sym_eigen`'s order. No eigensolver runs.
+    rows are the eigenvectors, in `sym_eigen`'s order. No eigensolver runs; the
+    `PsdOperator` constructor checks this spectrum as it checks any other.
     """
     n, i = tree._position(node)
     d = tree.ambient_dim
@@ -276,7 +275,7 @@ def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
     others = np.delete(segments, i, axis=0).reshape(-1, d)
     vecs = np.vstack([rows, others]).T
     lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
-    return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs, False)
+    return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs)
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,7 @@ class ShannonSymbol:
     """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1)).
 
     Values follow `as_reals`, and must be finite with a finite sum of squares.
-    Values that break `psd_from_spectrum`'s clamp rule raise NotPositiveError.
+    Values that break `PsdOperator`'s clamp rule raise NotPositiveError.
     """
 
     __slots__ = ("levels", "values")
@@ -364,10 +363,11 @@ class ShannonSymbol:
         """Diagonal PSD operator, as a dense d x d matrix.
 
         No eigensolver runs: the spectrum is the values sorted nonincreasing,
-        and the eigenvectors are the matching identity columns.
+        and the eigenvectors are the matching identity columns; the
+        `PsdOperator` constructor applies the clamp rule to it.
         """
         order = np.argsort(-self.values, kind="stable")
-        return psd_from_spectrum(
+        return PsdOperator(
             SymMatrix(np.diag(self.values)), self.values[order], np.eye(len(order))[:, order]
         )
 

@@ -7,8 +7,9 @@ repository root:
     python tests/mutants.py
 
 For each mutant it copies ``src/``, ``tests/`` (without ``test_mutants.py``,
-the Tier-1 check of this table), ``pyproject.toml`` and ``README.md`` (which
-a test reads) to a temporary directory, replaces one piece of source text,
+the Tier-1 check of this table), ``wpcbench/`` (whose workloads ``golden.py``
+names), ``pyproject.toml`` and ``README.md`` (which a test reads) to a
+temporary directory, replaces one piece of source text,
 and runs ``python -m pytest -x -q`` there. The mutant is killed when that run
 fails. Exit status: 0 when every mutant is killed, 1 when one survives,
 2 when an edit no longer matches its source text exactly once.
@@ -43,6 +44,9 @@ MUTANTS = [
      "nodes[int(np.argmax(scores))]", "nodes[int(np.argsort(scores)[-2])]"),
     ("clamp-tol-1e-6", "src/wpcontent/psdcore.py",
      "DEFAULT_CLAMP_TOL = 1e-10", "DEFAULT_CLAMP_TOL = 1e-6"),
+    ("constructor-clamp-skipped", "src/wpcontent/psdcore.py",
+     "self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)",
+     "self.clamp_applied = bool(lam[-1] < 0.0)"),
     ("trace-slack-1e-3", "src/wpcontent/greedy.py",
      "slack = 1e-9 * tr.initial_trace", "slack = 1e-3 * tr.initial_trace"),
     ("hs-slack-1e-3", "src/wpcontent/greedy.py",
@@ -109,6 +113,7 @@ def run_mutant(name: str, filename: str, old: str, new: str) -> tuple[bool, str]
         )
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copytree(ROOT / "wpcbench", work / "wpcbench", ignore=ignore)
         for extra in ("pyproject.toml", "README.md"):
             shutil.copy2(ROOT / extra, work / extra)
         target = work / filename

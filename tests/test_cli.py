@@ -592,6 +592,32 @@ class TestExitCodes:
         self._one_error_line(capsys)
         assert not out.exists() and not rep.exists()
 
+    @pytest.mark.parametrize("command, first, second, alias", [
+        ("greedy", "--report", "--csv", "r.json"),
+        ("greedy", "--report", "--csv", "sub/../r.json"),
+        ("greedy", "--report", "--csv", "link.json"),
+        ("denoise", "--out", "--report", "r.json"),
+        ("denoise", "--out", "--report", "link.json"),
+    ])
+    def test_two_outputs_on_one_file_exit_5(self, tmp_path, capsys, command, first, second,
+                                            alias):
+        # refused before the (missing) input is read, and nothing is written
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "r.json")
+        argv = [command, "--in", str(tmp_path / "missing"), first, str(tmp_path / "r.json"),
+                second, str(tmp_path / alias)]
+        assert main(argv) == 5
+        self._one_error_line(capsys)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_report_on_stdout_shares_no_file(self, tmp_path, monkeypatch):
+        # --report - is stdout; --csv - and --out - are files named "-"
+        monkeypatch.chdir(tmp_path)
+        cli._distinct_outputs("-", "-")
+        cli._distinct_outputs(None, "x")
+        with pytest.raises(w.ConfigError):
+            cli._distinct_outputs("./-", "-")
+
     def test_oversized_symbol_levels_exits_2(self, tmp_path, capsys):
         path, rep = tmp_path / "sym.json", tmp_path / "out.json"
         path.write_text(json.dumps({"levels": 20000, "r": [1.0, 2.0]}))

@@ -269,6 +269,13 @@ class TestDenoisePipeline:
         with pytest.raises(w.ConfigError):
             w.denoise_image(img, w.DenoiseConfig(patch_side=8, depth=2, top_k=2, mode="l1"))
 
+    @pytest.mark.parametrize("rule", [
+        dict(top_k=0), dict(depth=4), dict(stride=9), dict(mode="l1"), dict(filter_name="db8"),
+    ])
+    def test_config_is_checked_when_made(self, rule):
+        with pytest.raises(w.ConfigError):
+            w.DenoiseConfig(**{"patch_side": 8, "depth": 2, "top_k": 2, **rule})
+
     def test_default_stride_half_overlap(self):
         cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=4)
         assert cfg.effective_stride() == 4

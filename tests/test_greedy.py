@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -526,22 +527,36 @@ def test_trace_run_at_five_stop_tols_keeps_running():
     assert len(run.steps) == 2
 
 
-@st.composite
-def _gram_on_a_tree(draw, max_levels=5):
-    """(R, tree, depth): a 2^k-scaled rank-r Gram matrix with repeated eigenvalues, dim 2-2^max_levels."""
+def _draw_tree(draw, names, max_levels):
+    """(tree, depth): a tree of one of ``names``; 1-D dims 2-2^max_levels, 2-D sides 2-8."""
+    name = draw(st.sampled_from(names))
+    if name.endswith("-2d"):
+        side = 2 ** draw(st.integers(1, 3))
+        depth = draw(st.integers(1, side.bit_length() - 1))
+        return w.build_filter_tree_2d(w.named_filter(name[:-3]), side, depth), depth
     levels = draw(st.integers(1, max_levels))
-    dim, depth = 2**levels, draw(st.integers(1, levels))
-    name = draw(st.sampled_from(["shannon", "haar", "d4"]))
+    depth = draw(st.integers(1, levels))
     if name == "shannon":
-        tree = w.build_shannon_tree(levels, depth)
-    else:
-        tree = w.build_filter_tree_1d(w.named_filter(name), dim, depth)
+        return w.build_shannon_tree(levels, depth), depth
+    return w.build_filter_tree_1d(w.named_filter(name), 2**levels, depth), depth
+
+
+def _draw_gram(draw, dim):
+    """A rank-r Gram matrix whose nonzero eigenvalues, drawn from {0.5, 1, 3}, repeat."""
     rank = draw(st.integers(1, dim))
     values = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=rank, max_size=rank))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     g = np.sqrt(values)[:, None] * q[:, :rank].T
-    return w.make_psd(2.0 ** draw(st.integers(-26, 26)) * (g.T @ g)), tree, depth
+    return g.T @ g
+
+
+@st.composite
+def _gram_on_a_tree(draw, max_levels=5):
+    """(R, tree, depth): a 2^k-scaled Gram matrix of `_draw_gram` on a 1-D tree."""
+    tree, depth = _draw_tree(draw, ("shannon", "haar", "d4"), max_levels)
+    gram = _draw_gram(draw, tree.ambient_dim)
+    return w.make_psd(2.0 ** draw(st.integers(-26, 26)) * gram), tree, depth
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -556,6 +571,41 @@ def test_greedy_certificates_hold_on_gram_matrices(case):
         assert all(b <= a for a, b in zip(traces, traces[1:])), traces
         if extract is w.hs_greedy:
             assert all(1.0 - 1e-9 <= s.gamma <= nn + 1e-9 for s in run.steps)
+
+
+@st.composite
+def _gram_at_any_scale(draw):
+    """(R, tree, depth): a `_draw_gram` matrix times 10^u, u in [-8, 8], on a 1-D or 2-D tree."""
+    tree, depth = _draw_tree(draw, ("shannon", "haar", "d4", "haar-2d", "d4-2d"), 5)
+    gram = _draw_gram(draw, tree.ambient_dim)
+    return w.make_psd(10.0 ** draw(st.floats(-8.0, 8.0)) * gram), tree, depth
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_gram_at_any_scale())
+def test_remainders_stay_psd_under_their_envelope_on_any_tree_and_scale(case):
+    # each remainder is checked by its own eigvalsh, against 1e-10 of the run-initial lam_max;
+    # each rule's closed-form envelope is recomputed here, with the rule's own slack
+    r, tree, depth = case
+    nn = len(tree.nodes_at(depth))
+    lam_max, t0, h0 = r.eigenvalues[0], w.trace(r), w.hs_norm(r)
+    for extract in (w.trace_greedy, w.hs_greedy):
+        remainders = []
+
+        def recording(*args, _make=w.greedy.make_psd, **kwargs):
+            remainders.append(_make(*args, **kwargs))
+            return remainders[-1]
+
+        with mock.patch.object(w.greedy, "make_psd", recording):
+            run = extract(r, tree, depth, max_steps=min(2 * nn, 24))
+        assert w.decay_report(run)["summary"]["first_violation"] is None
+        assert len(remainders) == len(run.steps)
+        for step, rem in zip(run.steps, remainders):
+            assert np.linalg.eigvalsh(rem.matrix)[0] >= -1e-10 * lam_max
+            if extract is w.trace_greedy:
+                assert step.remainder_trace <= (1.0 - 1.0 / nn) ** step.k * t0 + 1e-9 * t0
+            else:
+                assert step.remainder_hs**2 <= (1.0 - 1.0 / nn**2) ** step.k * h0**2 + 1e-9 * h0**2
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -114,6 +114,36 @@ class TestMakePsd:
         assert np.max(np.abs(op.eigenvectors.T @ op.eigenvectors - np.eye(16))) <= 1e-10
 
 
+class TestPsdOperator:
+    """The constructor runs the clamp rule on a stated spectrum, as on one from `sym_eigen`."""
+
+    def test_stated_negative_eigenvalue_raises(self):
+        with pytest.raises(w.NotPositiveError) as err:
+            w.PsdOperator(w.SymMatrix(np.diag([1, -1e-6])), [1, -1e-6], np.eye(2))
+        assert err.value.eigenvalue == -1e-6 and err.value.threshold == 1e-10
+
+    def test_stated_noise_tail_is_zeroed(self):
+        m = np.diag([1.0, -1e-12])
+        op = w.PsdOperator(w.SymMatrix(m), [1.0, -1e-12], np.eye(2))
+        assert op.clamp_applied and list(op.eigenvalues) == [1.0, 0.0]
+        assert np.array_equal(op.matrix, m)
+
+    def test_scale_widens_the_clamp_reference(self):
+        m = w.SymMatrix(np.diag([1.0, -1e-6]))
+        op = w.PsdOperator(m, [1.0, -1e-6], np.eye(2), scale=1e5)
+        assert op.clamp_applied and op.eigenvalues[-1] == 0.0
+
+    def test_every_route_to_an_operator_runs_the_rule(self, monkeypatch):
+        calls = []
+        real = w.psdcore.check_clamp
+        monkeypatch.setattr(w.psdcore, "check_clamp", lambda *a: calls.append(a) or real(*a))
+        tree = w.build_shannon_tree(2, 1)
+        w.make_psd(np.eye(4))
+        w.projection(tree, tree.nodes_at(1)[0])
+        w.ShannonSymbol(2, [1.0, 0.5, 0.0, 2.0]).to_operator()
+        assert calls == [(1.0, 1.0, None), (1.0, 0.0, None), (2.0, 0.0, None)]
+
+
 def _root(entries):
     """sqrt(A) by the package's own route: the rows of the identity times sqrt(A)."""
     op = w.make_psd(entries)

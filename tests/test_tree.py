@@ -318,7 +318,7 @@ class TestShannonSymbol:
             w.ShannonSymbol(1, [1.0, -1.0]).to_operator()
 
     def test_clamp_rule_applies_on_construction(self):
-        # the rule of psd_from_spectrum: below -1e-10 * max raises, noise above it is kept
+        # the rule of the PsdOperator constructor: below -1e-10 * max raises, noise above it is kept
         with pytest.raises(w.NotPositiveError) as err:
             w.ShannonSymbol(2, [1.0, 0.5, -2e-10, 0.25])
         assert err.value.eigenvalue == -2e-10 and err.value.threshold == 1e-10
