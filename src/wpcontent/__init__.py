@@ -75,16 +75,13 @@ _EXPORTS = {
         "trace",
     ),
     "tree": (
-        "FilterPair",
         "PacketNode",
         "PacketTree",
         "ShannonSymbol",
         "build_filter_tree_1d",
         "build_filter_tree_2d",
         "build_shannon_tree",
-        "d4_filter",
-        "haar_filter",
-        "named_filter",
+        "filter_taps",
         "projection",
         "tree_description",
         "validate_tree",

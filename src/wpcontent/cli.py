@@ -29,7 +29,6 @@ import contextlib
 import csv
 import importlib.util
 import json
-import math
 import os
 import sys
 from itertools import chain
@@ -50,7 +49,6 @@ from .tree import (
     ShannonSymbol,
     build_filter_tree_1d,
     build_shannon_tree,
-    named_filter,
     tree_description,
 )
 
@@ -158,8 +156,13 @@ def _write_json(path, payload) -> None:
             fh.write(text)
 
 
-def _distinct_outputs(report, path) -> None:
-    """A --report file ("-" is stdout) and the other output (a file, even "-") may not be one."""
+def _distinct_outputs(report, path, option) -> None:
+    """``option`` writes the file ``path``, which takes no "-" and may not be the --report file.
+
+    Only --report takes "-" for stdout; a file named "-" is ``./-``.
+    """
+    if path == "-":
+        raise ConfigError(f"{option} takes a file, not - (stdout); write ./- for a file named -")
     if report not in (None, "-") and path and os.path.realpath(report) == os.path.realpath(path):
         raise ConfigError(f"two outputs would write the same file: {report} and {path}")
 
@@ -186,7 +189,7 @@ def _build_matrix_tree(args, dim: int):
         return build_shannon_tree(levels, depth)
     if args.depth is None:
         raise ConfigError(f"--depth is required for the {args.tree} tree")
-    return build_filter_tree_1d(named_filter(args.tree), dim, args.depth)
+    return build_filter_tree_1d(args.tree, dim, args.depth)
 
 
 def cmd_decompose(args) -> int:
@@ -209,12 +212,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_greedy(args) -> int:
-    _distinct_outputs(args.report, args.csv)
-    if args.steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    _distinct_outputs(args.report, args.csv, "--csv")
     stop_tol = greedy.DEFAULT_STOP_TOL if args.stop_tol is None else args.stop_tol
-    if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
-        raise ConfigError(f"--stop-tol must be finite and >= 0, got {stop_tol}")
+    greedy._check_stop(args.steps, stop_tol, ("--steps", "--stop-tol"))
     operator = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim)
     run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
@@ -233,7 +233,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    _distinct_outputs(args.report, args.out)
+    _distinct_outputs(args.report, args.out, "--out")
     noisy = pgm.read_pgm(args.input)
     if args.sigma is not None:
         noisy = denoise.add_gaussian_noise(noisy, args.sigma, args.seed)

@@ -22,9 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
 from .psdcore import PsdOperator, check_square_sum, make_psd
-from .tree import (
-    PacketNode, PacketTree, build_filter_tree_2d, check_dyadic_depth, named_filter,
-)
+from .tree import PacketNode, PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
 
 PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
@@ -89,7 +87,7 @@ class DenoiseConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.mode not in ("trace", "hs"):
             raise ConfigError(f"mode must be trace or hs, got {self.mode!r}")
-        named_filter(self.filter_name)
+        filter_taps(self.filter_name)
 
     def effective_stride(self) -> int:
         return self.stride if self.stride is not None else max(1, self.patch_side // 2)
@@ -262,7 +260,7 @@ def denoise_image(
     """
     m, n = cfg.patch_side, cfg.depth
     patches = extract_patches(img, m, cfg.effective_stride())
-    tree = build_filter_tree_2d(named_filter(cfg.filter_name), m, n)
+    tree = build_filter_tree_2d(cfg.filter_name, m, n)
     scores = block_scores(patches, tree, n)
     rank = scores if cfg.mode == "trace" else BlockScores(
         n, scores.nodes, np.sqrt(hs_scores_squared(patches.rhat, tree, n)))

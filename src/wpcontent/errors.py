@@ -34,7 +34,7 @@ class InvalidDepthError(ConfigError):
 
 
 class InvalidFilterError(ConfigError):
-    """Filter name is unknown, or its taps are not an orthonormal quadrature-mirror pair."""
+    """Filter name is unknown."""
 
 
 class UnknownNodeError(ConfigError):

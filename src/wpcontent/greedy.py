@@ -103,12 +103,15 @@ def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> Ex
     return ExtractionTrace(mode, depth, nn, trace(r), hs_norm(r), (), r)
 
 
-def _check_stop(max_steps: int, stop_tol: float) -> None:
-    """A greedy run's stopping rule must be able to fire: max_steps >= 0, stop_tol finite >= 0."""
+def _check_stop(max_steps: int, stop_tol: float, names=("max_steps", "stop_tol")) -> None:
+    """A greedy run's stopping rule must be able to fire: max_steps >= 0, stop_tol finite >= 0.
+
+    ``names`` are the two values' names in the error message (`cli` gives its options).
+    """
     if max_steps < 0:
-        raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
+        raise ConfigError(f"{names[0]} must be >= 0, got {max_steps}")
     if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
-        raise ConfigError(f"stop_tol must be finite and >= 0, got {stop_tol}")
+        raise ConfigError(f"{names[1]} must be finite and >= 0, got {stop_tol}")
 
 
 def _violation(

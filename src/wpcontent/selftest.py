@@ -17,14 +17,7 @@ from .content import cylinder_weights, depth_decomposition, parallelogram_check
 from .errors import ConfigError, NumericalBreakdownError
 from .greedy import hs_greedy, trace_greedy
 from .psdcore import make_psd
-from .tree import (
-    build_filter_tree_1d,
-    build_filter_tree_2d,
-    build_shannon_tree,
-    d4_filter,
-    haar_filter,
-    validate_tree,
-)
+from .tree import build_filter_tree_1d, build_filter_tree_2d, build_shannon_tree, validate_tree
 
 DEFAULT_SEED = 20240801
 
@@ -70,21 +63,21 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
     rng = np.random.default_rng(seed)
     trees = [
         build_shannon_tree(3, 3),
-        build_filter_tree_1d(haar_filter(), 8, 2),
-        build_filter_tree_1d(d4_filter(), 8, 2),
-        build_filter_tree_2d(haar_filter(), 4, 2),
+        build_filter_tree_1d("haar", 8, 2),
+        build_filter_tree_1d("d4", 8, 2),
+        build_filter_tree_2d("haar", 4, 2),
     ]
     rows = [_bounded("tree-axioms", max(validate_tree(t).max_violation() for t in trees), 1e-10)]
 
     if quick:
-        cases = [(build_shannon_tree(3, 2), 8), (build_filter_tree_1d(haar_filter(), 8, 2), 8)]
+        cases = [(build_shannon_tree(3, 2), 8), (build_filter_tree_1d("haar", 8, 2), 8)]
         grams_per_case = 1
     else:
         cases = [
             (build_shannon_tree(3, 3), 8),
-            (build_filter_tree_1d(haar_filter(), 16, 3), 16),
-            (build_filter_tree_1d(d4_filter(), 16, 3), 16),
-            (build_filter_tree_2d(haar_filter(), 4, 2), 16),
+            (build_filter_tree_1d("haar", 16, 3), 16),
+            (build_filter_tree_1d("d4", 16, 3), 16),
+            (build_filter_tree_2d("haar", 4, 2), 16),
         ]
         grams_per_case = 2
     instances = [

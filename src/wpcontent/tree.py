@@ -19,7 +19,8 @@ Two realizations are shipped, both dyadic:
 * ``filterbank-1d`` / ``filterbank-2d``: orthogonal two-channel filter bank
   iterated along the word (lowpass taps for child 0, highpass for child 1)
   with periodic boundary; 2D uses the separable tensor product on square
-  patches, nodes being pairs of equal-length words.
+  patches, nodes being pairs of equal-length words. The builders take a
+  filter name, haar or d4; `filter_taps` looks up its fixed taps.
 
 Node ordering is lexicographic everywhere; 2D words are serialized as
 "row,col" which preserves pair-lexicographic order under string compare.
@@ -41,8 +42,6 @@ from .errors import (
 )
 from .psdcore import PsdOperator, SymMatrix, as_reals, check_clamp, check_square_sum
 
-_FILTER_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class PacketNode:
@@ -52,54 +51,26 @@ class PacketNode:
     depth: int
 
 
-@dataclass(frozen=True)
-class FilterPair:
-    """Orthogonal two-channel filter pair (lowpass h, highpass g)."""
-
-    h: tuple[float, ...]
-    g: tuple[float, ...]
-
-    @staticmethod
-    def from_lowpass(taps) -> "FilterPair":
-        """Derive g as the alternating-sign flip of h and validate both.
-
-        Checks sum(h) = sqrt(2) and double-shift orthonormality
-        sum_k h[k] h[k+2j] = delta_{j,0} to 1e-10. Taps follow `as_reals`.
-        """
-        h = tuple(as_reals(taps, "filter taps").tolist())
-        n = len(h)
-        if n < 2 or n % 2 != 0:
-            raise InvalidFilterError(f"tap count must be even and >= 2, got {n}")
-        if abs(sum(h) - math.sqrt(2.0)) > _FILTER_TOL:
-            raise InvalidFilterError(f"taps must sum to sqrt(2), got {sum(h):.12f}")
-        for j in range(n // 2):
-            acc = sum(h[k] * h[k + 2 * j] for k in range(n - 2 * j))
-            want = 1.0 if j == 0 else 0.0
-            if abs(acc - want) > _FILTER_TOL:
-                raise InvalidFilterError(
-                    f"double-shift orthonormality fails at shift {2 * j}: {acc:.3e}"
-                )
-        g = tuple((-1.0) ** k * h[n - 1 - k] for k in range(n))
-        return FilterPair(h, g)
+# Lowpass taps h of the two shipped filters: Haar, and Daubechies' four-tap D4
+# ("Orthonormal bases of compactly supported wavelets", CPAM 41, 1988).
+_ROOT3, _D4_SCALE = math.sqrt(3.0), 4.0 * math.sqrt(2.0)
+_LOWPASS = {
+    "haar": (1.0 / math.sqrt(2.0),) * 2,
+    "d4": (
+        (1.0 + _ROOT3) / _D4_SCALE, (3.0 + _ROOT3) / _D4_SCALE,
+        (3.0 - _ROOT3) / _D4_SCALE, (1.0 - _ROOT3) / _D4_SCALE,
+    ),
+}
 
 
-def haar_filter() -> FilterPair:
-    return FilterPair.from_lowpass([1.0 / math.sqrt(2.0)] * 2)
-
-
-def d4_filter() -> FilterPair:
-    s3 = math.sqrt(3.0)
-    scale = 4.0 * math.sqrt(2.0)
-    return FilterPair.from_lowpass(
-        [(1.0 + s3) / scale, (3.0 + s3) / scale, (3.0 - s3) / scale, (1.0 - s3) / scale]
-    )
-
-
-def named_filter(name: str) -> FilterPair:
+def filter_taps(name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(h, g) of the filter ``name`` (haar or d4, any case): g[k] = (-1)^k h[n-1-k]."""
     try:
-        return {"haar": haar_filter, "d4": d4_filter}[name.lower()]()
+        h = _LOWPASS[name.lower()]
     except KeyError:
         raise InvalidFilterError(f"unknown filter {name!r}; expected haar or d4") from None
+    n = len(h)
+    return h, tuple((-1.0) ** k * h[n - 1 - k] for k in range(n))
 
 
 class PacketTree:
@@ -225,22 +196,23 @@ def _analysis_stage(taps: tuple[float, ...], d: int) -> np.ndarray:
     return out
 
 
-def build_filter_tree_1d(filters: FilterPair, signal_len: int, depth: int) -> PacketTree:
-    """Iterated two-channel filter bank; requires 2**depth | signal_len."""
+def build_filter_tree_1d(name: str, signal_len: int, depth: int) -> PacketTree:
+    """Iterated two-channel filter bank of the filter ``name``; requires 2**depth | signal_len."""
+    h, g = filter_taps(name)
     check_dyadic_depth(depth, signal_len)
     tree_levels, parents = _dyadic_levels(depth)
     transforms, w = [None], np.eye(signal_len)
     for n in range(1, depth + 1):
         d = signal_len // 2 ** (n - 1)
-        low = _analysis_stage(filters.h, d)
-        high = _analysis_stage(filters.g, d)
+        low = _analysis_stage(h, d)
+        high = _analysis_stage(g, d)
         above = w.reshape(2 ** (n - 1), d, signal_len)
         w = np.vstack([f @ pb for pb in above for f in (low, high)])
         transforms.append(w)
     return PacketTree("filterbank-1d", signal_len, depth, tree_levels, transforms, parents)
 
 
-def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> PacketTree:
+def build_filter_tree_2d(name: str, patch_side: int, depth: int) -> PacketTree:
     """Separable tensor-product tree on patch_side x patch_side patches.
 
     Depth-n nodes are pairs of depth-n words (4**n nodes), serialized
@@ -248,7 +220,7 @@ def build_filter_tree_2d(filters: FilterPair, patch_side: int, depth: int) -> Pa
     row-major patch flattening. Pair (r, c) sits under (parent(r), parent(c)),
     whose row-major index is p[r] * (len(p) // 2) + p[c] for the 1D parents p.
     """
-    one_d = build_filter_tree_1d(filters, patch_side, depth)
+    one_d = build_filter_tree_1d(name, patch_side, depth)
     pairs = [list(product(level, repeat=2)) for level in one_d._levels]
     tree_levels = [
         [PacketNode(f"{r.word},{c.word}", n) for r, c in level] for n, level in enumerate(pairs)

@@ -123,8 +123,8 @@ def _tree(name: str):
     if name == "shannon":
         return w.build_shannon_tree(4, 3)
     if name.endswith("-2d"):
-        return w.build_filter_tree_2d(w.named_filter(name[:-3]), 4, 2)
-    return w.build_filter_tree_1d(w.named_filter(name), 16, 3)
+        return w.build_filter_tree_2d(name[:-3], 4, 2)
+    return w.build_filter_tree_1d(name, 16, 3)
 
 
 @lru_cache(maxsize=None)

@@ -235,7 +235,7 @@ def loop_denoise(img, cfg, band_rows=None):
     of that many anchor rows.
     """
     m, n = cfg.patch_side, cfg.depth
-    tree = w.build_filter_tree_2d(w.named_filter(cfg.filter_name), m, n)
+    tree = w.build_filter_tree_2d(cfg.filter_name, m, n)
     ps = loop_extract_patches(img, m, cfg.effective_stride())
     y = ps.patches
     rhat = (y.T @ y) / y.shape[0]

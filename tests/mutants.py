@@ -65,7 +65,6 @@ MUTANTS = [
      "if err > 1e-8 * hs_norm(r):", "if err > 1e-3 * hs_norm(r):"),
     ("coherence-zero-1e-12", "src/wpcontent/greedy.py",
      "if den <= 1e-28 * num:", "if den <= 1e-12 * num:"),
-    ("filter-tol-1e-4", "src/wpcontent/tree.py", "_FILTER_TOL = 1e-10", "_FILTER_TOL = 1e-4"),
     ("input-asymmetry-1e-4", "src/wpcontent/psdcore.py",
      "if asym > 1e-10 * float(np.max(np.abs(a))):", "if asym > 1e-4 * float(np.max(np.abs(a))):"),
     ("square-sum-underflow-removed", "src/wpcontent/psdcore.py",
@@ -90,6 +89,9 @@ MUTANTS = [
      '_bounded("parallelogram", para, 1e-9)', '_bounded("parallelogram", para, 1e-2)'),
     ("selftest-band-oracle-1e-3", "src/wpcontent/selftest.py",
      '_bounded("band-oracle", oracle, 1e-12)', '_bounded("band-oracle", oracle, 1e-3)'),
+    # the shipped filter taps (one D4 tap moved by about 2e-10)
+    ("d4-tap-off-by-2e-10", "src/wpcontent/tree.py",
+     "(3.0 - _ROOT3) / _D4_SCALE", "(3.0 - _ROOT3 + 1e-9) / _D4_SCALE"),
     # the denoiser's square-sum rule
     ("patch-square-sum-removed", "src/wpcontent/denoise.py",
      'check_square_sum(gram, "patch second moment")', "pass"),

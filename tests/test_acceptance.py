@@ -36,8 +36,8 @@ def _trees_for(dim):
     levels = dim.bit_length() - 1
     return [
         w.build_shannon_tree(levels, 3),
-        w.build_filter_tree_1d(w.haar_filter(), dim, 3),
-        w.build_filter_tree_1d(w.d4_filter(), dim, 3),
+        w.build_filter_tree_1d("haar", dim, 3),
+        w.build_filter_tree_1d("d4", dim, 3),
     ]
 
 
@@ -273,7 +273,7 @@ def test_criterion_8_denoising(tmp_path):
 
     # the selected and discarded parts of the second-moment operator stay PSD
     patches = w.extract_patches(noisy, 8, 4)
-    tree = w.build_filter_tree_2d(w.haar_filter(), 8, 2)
+    tree = w.build_filter_tree_2d("haar", 8, 2)
     rhat = w.second_moment(patches)
     scores = w.block_scores(patches, tree, 2)
     sel = w.select_top_k(scores, 4, tree)

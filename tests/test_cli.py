@@ -611,12 +611,28 @@ class TestExitCodes:
         assert not (tmp_path / "r.json").exists()
 
     def test_a_report_on_stdout_shares_no_file(self, tmp_path, monkeypatch):
-        # --report - is stdout; --csv - and --out - are files named "-"
+        # --report - is stdout; a file named "-" is ./-
         monkeypatch.chdir(tmp_path)
-        cli._distinct_outputs("-", "-")
-        cli._distinct_outputs(None, "x")
+        cli._distinct_outputs("-", "./-", "--csv")
+        cli._distinct_outputs(None, "x", "--out")
         with pytest.raises(w.ConfigError):
-            cli._distinct_outputs("./-", "-")
+            cli._distinct_outputs("./-", "./-", "--csv")
+        with pytest.raises(w.ConfigError, match="--csv"):
+            cli._distinct_outputs("-", "-", "--csv")
+
+    @pytest.mark.parametrize("command, option", [("greedy", "--csv"), ("denoise", "--out")])
+    def test_dash_is_not_a_file_output_exit_5(self, matrix_file, image_files, tmp_path,
+                                              monkeypatch, capsys, command, option):
+        # refused before the (missing) input is read, and no file named "-" is written;
+        # ./- still names that file
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--in", "missing", option, "-", "--report", "r.json"]) == 5
+        self._one_error_line(capsys)
+        assert not (tmp_path / "-").exists() and not (tmp_path / "r.json").exists()
+        source = matrix_file if command == "greedy" else image_files[1]
+        extra = ["--depth", "1", "--steps", "2"] if command == "greedy" else []
+        assert main([command, "--in", source, *extra, option, "./-", "--report", "r.json"]) == 0
+        assert (tmp_path / "-").stat().st_size > 0
 
     def test_oversized_symbol_levels_exits_2(self, tmp_path, capsys):
         path, rep = tmp_path / "sym.json", tmp_path / "out.json"
@@ -760,15 +776,15 @@ class TestThreadPolicy:
 EXPORTED = sorted("""
     AbsoluteContinuityViolation BlockScores ConfigError ContentBlock
     ContentDecomposition CylinderWeights DenoiseConfig DimensionMismatchError ExtractionStep
-    ExtractionTrace FilterPair ImageBuffer InvalidDepthError InvalidFilterError
+    ExtractionTrace ImageBuffer InvalidDepthError InvalidFilterError
     MalformedInputError NotPositiveError NumericalBreakdownError PacketNode PacketTree
     PatchSet PsdOperator Selection ShannonSymbol SymMatrix UndefinedCoherenceError
     UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
     build_filter_tree_2d build_shannon_tree coherence
-    content_operator cylinder_weights d4_filter decay_report denoise_image
+    content_operator cylinder_weights decay_report denoise_image
     depth_decomposition discrete_density extract_patches extract_sequence
-    haar_filter hs_greedy hs_norm make_psd matrix_from_json
-    named_filter parallelogram_check projection quantize read_pgm second_moment
+    filter_taps hs_greedy hs_norm make_psd matrix_from_json
+    parallelogram_check projection quantize read_pgm second_moment
     select_top_k sym_eigen trace trace_greedy trace_payload tree_description
     validate_tree vector_weight write_pgm
 """.split())
@@ -788,7 +804,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 62
+        assert names == EXPORTED and len(names) == 59
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

@@ -13,9 +13,9 @@ from helpers import (
 def content_trees():
     return [
         w.build_shannon_tree(3, 3),
-        w.build_filter_tree_1d(w.haar_filter(), 8, 3),
-        w.build_filter_tree_1d(w.d4_filter(), 16, 2),
-        w.build_filter_tree_2d(w.haar_filter(), 4, 2),
+        w.build_filter_tree_1d("haar", 8, 3),
+        w.build_filter_tree_1d("d4", 16, 2),
+        w.build_filter_tree_2d("haar", 4, 2),
     ]
 
 
@@ -55,7 +55,7 @@ class TestContentOperator:
             assert np.max(np.abs(blk.operator.matrix - expect)) <= 1e-12
 
     def test_rank_one_formula(self, rng):
-        tree = w.build_filter_tree_1d(w.d4_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("d4", 8, 2)
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
         r = w.make_psd(w.SymMatrix(np.outer(v, v)))
@@ -67,7 +67,7 @@ class TestContentOperator:
             assert np.max(np.abs(blk.operator.matrix - weight * np.outer(v, v))) <= 1e-7
 
     def test_block_invariants(self, rng):
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         for node in tree.nodes_at(2):
             blk = w.content_operator(r, tree, node)
@@ -114,7 +114,7 @@ class TestDepthDecomposition:
             )
 
     def test_child_telescoping(self, rng):
-        tree = w.build_filter_tree_1d(w.d4_filter(), 16, 2)
+        tree = w.build_filter_tree_1d("d4", 16, 2)
         r = random_gram(rng, 16)
         fro = w.hs_norm(r)
         for node in tree.all_nodes():
@@ -129,7 +129,7 @@ class TestDepthDecomposition:
                              ids=["1e-6-breaks", "0.5e-8-passes"])
     def test_moved_entry_against_the_reconstruction_budget(self, rng, monkeypatch, delta, raises):
         # the budget is 1e-8 ||R||: the first depth-1 block gains ``delta * ||R||`` at (0, 0)
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         real = w.content.content_operator
         first = tree.nodes_at(1)[0]
@@ -166,7 +166,7 @@ class TestCylinderWeights:
 
     def test_matches_dense_block_traces(self, rng):
         # dual route: the fast projection-trace path vs dense block construction
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 2)
+        tree = w.build_filter_tree_2d("haar", 4, 2)
         r = random_gram(rng, 16)
         cw = w.cylinder_weights(r, tree)
         for node in tree.all_nodes():
@@ -190,7 +190,7 @@ class TestCylinderWeights:
     @pytest.mark.parametrize("levels,depth", [(2, 1), (4, 4), (6, 3), (8, 2)])
     def test_symbol_route_is_bit_identical_on_filter_trees(self, rng, name, levels, depth):
         sym = w.ShannonSymbol(levels, symbol_values(rng, levels))
-        tree = w.build_filter_tree_1d(w.named_filter(name), 2**levels, depth)
+        tree = w.build_filter_tree_1d(name, 2**levels, depth)
         got = weight_bits(w.cylinder_weights(sym, tree))
         assert got == weight_bits(w.cylinder_weights(sym.to_operator(), tree))
 
@@ -233,7 +233,7 @@ class TestCylinderWeights:
                              ids=["1e-6-breaks", "0.5e-9-passes"])
     def test_moved_mass_against_the_additivity_budget(self, rng, monkeypatch, moved, raises):
         # the budget is 1e-9 tr(R): one depth-1 mass moved by ``moved * tr(R)``
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         real = w.content.trace_scores
 
@@ -253,7 +253,7 @@ class TestCylinderWeights:
                              ids=["1e-6-breaks", "0.5e-9-passes"])
     def test_moved_root_mass_against_the_trace(self, rng, monkeypatch, moved, raises):
         # the root mass must equal tr(R) within 1e-9 tr(R); this moves the depth-0 mass
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         real = w.content.trace_scores
 
@@ -358,13 +358,13 @@ class TestParallelogram:
 
     @pytest.mark.parametrize("x_len, y_len", [(4, 4), (8, 4), (4, 8)])
     def test_rejects_bad_vectors(self, rng, x_len, y_len):
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         x, y = rng.standard_normal(x_len), rng.standard_normal(y_len)
         with pytest.raises(w.DimensionMismatchError):
             w.parallelogram_check(random_gram(rng, 8), tree, x, y, 2)
 
     def test_quadratic_homogeneity(self, rng):
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         x = rng.standard_normal(8)
         for node in tree.nodes_at(2):
@@ -375,8 +375,8 @@ class TestParallelogram:
 
 @pytest.mark.parametrize("tree", [
     w.build_shannon_tree(3, 2),
-    w.build_filter_tree_1d(w.haar_filter(), 8, 2),
-    w.build_filter_tree_1d(w.d4_filter(), 16, 2),
+    w.build_filter_tree_1d("haar", 8, 2),
+    w.build_filter_tree_1d("d4", 16, 2),
 ], ids=lambda t: f"{t.realization}-{t.ambient_dim}")
 def test_content_layer_forms_no_dense_root(rng, monkeypatch, tree):
     # dense route first: S = sqrt(R), C_w = (B S)^T (B S), energies ||B S x||^2

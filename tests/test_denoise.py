@@ -75,7 +75,7 @@ class TestSecondMoment:
 
 class TestBlockScores:
     def test_constant_patch_all_lowpass(self):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         patch = np.full(16, 0.5)
         ps = tiled_patches(patch[None, :], 4)
         scores = w.block_scores(ps, tree, 1)
@@ -85,7 +85,7 @@ class TestBlockScores:
             assert table[word] <= 1e-12
 
     def test_energy_partition(self, rng):
-        tree = w.build_filter_tree_2d(w.d4_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("d4", 4, 1)
         y = rng.standard_normal((30, 16))
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
@@ -93,7 +93,7 @@ class TestBlockScores:
         assert scores.total() == pytest.approx(mean_energy, rel=1e-9)
 
     def test_cross_check_against_second_moment(self, rng):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 2)
+        tree = w.build_filter_tree_2d("haar", 4, 2)
         y = rng.standard_normal((25, 16))
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 2)
@@ -103,7 +103,7 @@ class TestBlockScores:
             assert val == pytest.approx(float(np.sum((b @ rhat.matrix) * b)), rel=1e-8)
 
     def test_white_noise_scores_scale_with_subspace_dim(self, rng):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         m = 800
         y = rng.standard_normal((m, 16))
         ps = tiled_patches(y, 4)
@@ -113,14 +113,14 @@ class TestBlockScores:
             assert abs(val - d) <= 3.0 * np.sqrt(2.0 * d / m)
 
     def test_zero_image(self):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         ps = w.extract_patches(w.ImageBuffer(np.zeros((8, 8))), 4, 4)
         assert w.block_scores(ps, tree, 1).total() == 0.0
 
 
 class TestSelection:
     def test_all_nodes_gives_identity(self, rng):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         y = rng.standard_normal((10, 16))
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
@@ -129,20 +129,20 @@ class TestSelection:
         assert np.max(np.abs(sel.basis.T @ sel.basis - np.eye(16))) <= 1e-10
 
     def test_unique_max(self):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         ps = tiled_patches(np.full((1, 16), 0.25), 4)
         sel = w.select_top_k(w.block_scores(ps, tree, 1), 1, tree)
         assert [nd.word for nd in sel.nodes] == ["0,0"]
 
     def test_tie_break_lexicographic(self):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         nodes = tuple(tree.nodes_at(1))
         scores = w.BlockScores(1, nodes, np.ones(4))
         sel = w.select_top_k(scores, 2, tree)
         assert [nd.word for nd in sel.nodes] == ["0,0", "0,1"]
 
     def test_projection_invariants(self, rng):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 2)
+        tree = w.build_filter_tree_2d("haar", 4, 2)
         y = rng.standard_normal((12, 16))
         ps = tiled_patches(y, 4)
         sel = w.select_top_k(w.block_scores(ps, tree, 2), 5, tree)
@@ -155,7 +155,7 @@ class TestSelection:
 
     @pytest.mark.parametrize("filt, k", [("haar", 1), ("d4", 5), ("d4", 16)])
     def test_projection_spectrum_without_eigensolver(self, rng, monkeypatch, filt, k):
-        tree = w.build_filter_tree_2d(w.named_filter(filt), 8, 2)
+        tree = w.build_filter_tree_2d(filt, 8, 2)
         scores = w.BlockScores(2, tuple(tree.nodes_at(2)), rng.uniform(size=16))
 
         def no_eigh(*_):
@@ -294,7 +294,7 @@ class TestDenoisePipeline:
         clean = piecewise_smooth_image(32)
         noisy = w.add_gaussian_noise(clean, 0.1, 21)
         patches = w.extract_patches(noisy, 4, 2)
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         rhat = w.second_moment(patches)
         scores = w.block_scores(patches, tree, 1)
         sel = w.select_top_k(scores, 2, tree)
@@ -330,7 +330,7 @@ class TestDenoisePipeline:
 
         monkeypatch.setattr(w.denoise, "_gather", gather)
         band = w.denoise.BAND_ROWS * 45
-        tree = w.build_filter_tree_2d(w.haar_filter(), 4, 1)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
         w.denoise_image(img, w.DenoiseConfig(4, 1, 2, 1))
         assert rows == [band, band, 13 * 45] * 2
         for stage in (w.second_moment, lambda ps: w.block_scores(ps, tree, 1)):

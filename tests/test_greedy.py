@@ -50,7 +50,7 @@ class TestExtractSequence:
         assert run.steps[1].extracted_trace <= 1e-14 * w.trace(r)
 
     def test_telescoping_and_loewner_chain(self, rng):
-        tree = w.build_filter_tree_1d(w.d4_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("d4", 8, 2)
         r = random_gram(rng, 8)
         fro = w.hs_norm(r)
         seq = [tree.nodes_at(2)[0], tree.nodes_at(1)[1], tree.nodes_at(2)[3]]
@@ -87,7 +87,7 @@ class TestCoherence:
     def test_equal_spread_rank_one_gives_node_count(self, rng):
         for tree in (
             w.build_shannon_tree(3, 2),
-            w.build_filter_tree_1d(w.d4_filter(), 16, 2),
+            w.build_filter_tree_1d("d4", 16, 2),
         ):
             n = tree.max_depth
             nn = len(tree.nodes_at(n))
@@ -120,7 +120,7 @@ class TestCoherence:
     def test_pinching_identity_and_sandwich(self, rng):
         # gamma is ||A||^2 over the sum of squared block HS norms; that sum
         # equals tr(E_n(A) A) and sits in [||A||^2 / N, ||A||^2]
-        tree = w.build_filter_tree_1d(w.haar_filter(), 16, 2)
+        tree = w.build_filter_tree_1d("haar", 16, 2)
         a = random_gram(rng, 16)
         num = w.hs_norm(a) ** 2
         den = float(np.sum(w.content.hs_scores_squared(a.matrix, tree, 2)))
@@ -172,7 +172,7 @@ class TestTraceGreedy:
         assert run.steps == ()
 
     def test_envelope_on_random_ensemble(self, rng):
-        for tree in (w.build_shannon_tree(3, 2), w.build_filter_tree_1d(w.d4_filter(), 8, 2)):
+        for tree in (w.build_shannon_tree(3, 2), w.build_filter_tree_1d("d4", 8, 2)):
             nn = len(tree.nodes_at(2))
             ratio = 1.0 - 1.0 / nn
             for _ in range(5):
@@ -190,7 +190,7 @@ class TestTraceGreedy:
         assert run.steps[0].extracted_trace >= w.trace(r) / nn - 1e-10
 
     def test_deterministic(self, rng):
-        tree = w.build_filter_tree_1d(w.haar_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         a = w.trace_greedy(r, tree, 2, max_steps=10)
         b = w.trace_greedy(r, tree, 2, max_steps=10)
@@ -229,7 +229,7 @@ class TestHsGreedy:
         assert w.hs_greedy(r, tree, 1, max_steps=5).steps == ()
 
     def test_envelopes_on_random_ensemble(self, rng):
-        for tree in (w.build_shannon_tree(3, 2), w.build_filter_tree_1d(w.d4_filter(), 8, 2)):
+        for tree in (w.build_shannon_tree(3, 2), w.build_filter_tree_1d("d4", 8, 2)):
             nn = len(tree.nodes_at(2))
             uniform = 1.0 - 1.0 / nn**2
             for _ in range(5):
@@ -248,7 +248,7 @@ class TestHsGreedy:
     def test_pythagorean_property_on_projected_pairs(self, rng):
         # pairs (A, D = sqrt(A) Q sqrt(A)) with Q a packet projection satisfy
         # ||A - D||^2 <= ||A||^2 - ||D||^2
-        trees = [w.build_shannon_tree(3, 2), w.build_filter_tree_1d(w.d4_filter(), 8, 2)]
+        trees = [w.build_shannon_tree(3, 2), w.build_filter_tree_1d("d4", 8, 2)]
         for _ in range(50):
             tree = trees[int(rng.integers(len(trees)))]
             a = random_gram(rng, 8)
@@ -361,7 +361,7 @@ class TestDecayReport:
 
 @pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
 def test_one_eigensolver_per_step_and_no_square_root(rng, monkeypatch, mode):
-    tree = w.build_filter_tree_1d(w.d4_filter(), 8, 2)
+    tree = w.build_filter_tree_1d("d4", 8, 2)
     r = random_gram(rng, 8)
     real, calls = w.psdcore.sym_eigen, []
 
@@ -403,7 +403,7 @@ _SCALED_FIELDS = (
 def _scale_tree(name):
     if name == "shannon":
         return w.build_shannon_tree(4, 2)
-    return w.build_filter_tree_1d(w.haar_filter() if name == "haar" else w.d4_filter(), 16, 2)
+    return w.build_filter_tree_1d(name, 16, 2)
 
 
 def _scaled_runs(base, tree, c):
@@ -533,12 +533,12 @@ def _draw_tree(draw, names, max_levels):
     if name.endswith("-2d"):
         side = 2 ** draw(st.integers(1, 3))
         depth = draw(st.integers(1, side.bit_length() - 1))
-        return w.build_filter_tree_2d(w.named_filter(name[:-3]), side, depth), depth
+        return w.build_filter_tree_2d(name[:-3], side, depth), depth
     levels = draw(st.integers(1, max_levels))
     depth = draw(st.integers(1, levels))
     if name == "shannon":
         return w.build_shannon_tree(levels, depth), depth
-    return w.build_filter_tree_1d(w.named_filter(name), 2**levels, depth), depth
+    return w.build_filter_tree_1d(name, 2**levels, depth), depth
 
 
 def _draw_gram(draw, dim):

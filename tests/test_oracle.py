@@ -25,9 +25,9 @@ from helpers import (
 
 ORACLE_TREES = {
     "shannon": lambda: w.build_shannon_tree(4, 4),
-    "haar-1d": lambda: w.build_filter_tree_1d(w.haar_filter(), 16, 4),
-    "d4-1d": lambda: w.build_filter_tree_1d(w.d4_filter(), 16, 3),
-    "haar-2d": lambda: w.build_filter_tree_2d(w.haar_filter(), 8, 2),
+    "haar-1d": lambda: w.build_filter_tree_1d("haar", 16, 4),
+    "d4-1d": lambda: w.build_filter_tree_1d("d4", 16, 3),
+    "haar-2d": lambda: w.build_filter_tree_2d("haar", 8, 2),
 }
 
 

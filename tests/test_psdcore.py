@@ -47,8 +47,8 @@ class TestSymEigen:
 
 @pytest.mark.parametrize("tree", [
     w.build_shannon_tree(4, 3),
-    w.build_filter_tree_1d(w.haar_filter(), 16, 3),
-    w.build_filter_tree_1d(w.d4_filter(), 16, 2),
+    w.build_filter_tree_1d("haar", 16, 3),
+    w.build_filter_tree_1d("d4", 16, 2),
 ], ids=["shannon", "haar", "d4"])
 @pytest.mark.parametrize("rank", [16, 5])
 def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank):

@@ -14,10 +14,10 @@ from helpers import (
 def all_test_trees():
     return [
         w.build_shannon_tree(3, 3),
-        w.build_filter_tree_1d(w.haar_filter(), 8, 3),
-        w.build_filter_tree_1d(w.d4_filter(), 16, 2),
-        w.build_filter_tree_2d(w.haar_filter(), 4, 2),
-        w.build_filter_tree_2d(w.d4_filter(), 8, 2),
+        w.build_filter_tree_1d("haar", 8, 3),
+        w.build_filter_tree_1d("d4", 16, 2),
+        w.build_filter_tree_2d("haar", 4, 2),
+        w.build_filter_tree_2d("d4", 8, 2),
     ]
 
 
@@ -25,8 +25,8 @@ def corrupted_trees():
     return [
         corrupted_tree_fixture(),
         swapped_children_tree(w.build_shannon_tree(3, 3), 2),
-        swapped_children_tree(w.build_filter_tree_1d(w.haar_filter(), 8, 3), 3),
-        swapped_children_tree(w.build_filter_tree_2d(w.d4_filter(), 8, 2), 2),
+        swapped_children_tree(w.build_filter_tree_1d("haar", 8, 3), 3),
+        swapped_children_tree(w.build_filter_tree_2d("d4", 8, 2), 2),
     ]
 
 
@@ -34,48 +34,20 @@ def tree_id(tree):
     return f"{tree.realization}-{tree.ambient_dim}"
 
 
-class TestFilterPair:
-    def test_haar_and_d4_satisfy_invariants(self):
-        for pair in (w.haar_filter(), w.d4_filter()):
-            h = np.array(pair.h)
-            g = np.array(pair.g)
-            n = len(h)
-            assert abs(h.sum() - np.sqrt(2.0)) <= 1e-10
-            for j in range(n // 2):
-                acc = float(np.sum(h[: n - 2 * j] * h[2 * j :]))
-                assert abs(acc - (1.0 if j == 0 else 0.0)) <= 1e-10
-            flip = [(-1.0) ** k * h[n - 1 - k] for k in range(n)]
-            assert np.allclose(g, flip)
-
-    def test_bad_taps_rejected(self):
-        with pytest.raises(w.InvalidFilterError):
-            w.FilterPair.from_lowpass([1.0, 0.0])  # sum != sqrt(2)
-        with pytest.raises(w.InvalidFilterError):
-            w.FilterPair.from_lowpass([np.sqrt(2.0)])  # odd length
-        with pytest.raises(w.InvalidFilterError):
-            # right sum, violates double-shift orthonormality
-            s = np.sqrt(2.0) / 4.0
-            w.FilterPair.from_lowpass([s, s, s, s])
-
-    @pytest.mark.parametrize("taps", [["0.7071067811865476"] * 2, "ab", [[0.5], [0.5]],
-                                      [True, True], np.array(["0.5", "0.5"])],
-                             ids=["strings", "string", "nested", "booleans", "string-array"])
-    def test_lowpass_taps_are_numbers(self, taps):
-        with pytest.raises(w.MalformedInputError):
-            w.FilterPair.from_lowpass(taps)
-        assert w.FilterPair.from_lowpass(np.array(w.haar_filter().h)) == w.haar_filter()
-
-    @pytest.mark.parametrize("shift, match", [
-        ((1e-8, 0.0, 0.0, 0.0), "sum to sqrt"), ((1e-8, -1e-8, 0.0, 0.0), "orthonormality"),
-    ], ids=["sum", "orthonormality"])
-    def test_taps_off_by_1e_8_rejected(self, shift, match):
-        # the sum moves by 1e-8, or the sum stays and sum h_k^2 moves by about 7e-9
-        with pytest.raises(w.InvalidFilterError, match=match):
-            w.FilterPair.from_lowpass(np.array(w.d4_filter().h) + shift)
+class TestFilterTaps:
+    @pytest.mark.parametrize("name", ["haar", "d4", "HAAR"])
+    def test_taps_are_an_orthonormal_pair(self, name):
+        h, g = map(np.array, w.filter_taps(name))
+        n = len(h)
+        assert n % 2 == 0 and abs(h.sum() - np.sqrt(2.0)) <= 1e-14
+        for j in range(n // 2):
+            acc = float(np.sum(h[: n - 2 * j] * h[2 * j :]))
+            assert abs(acc - (1.0 if j == 0 else 0.0)) <= 1e-14
+        assert g.tolist() == [(-1.0) ** k * h[n - 1 - k] for k in range(n)]
 
     def test_unknown_name(self):
         with pytest.raises(w.InvalidFilterError):
-            w.named_filter("db8")
+            w.filter_taps("db8")
 
 
 class TestShannonTree:
@@ -143,13 +115,13 @@ class TestShannonTree:
 
 class TestFilterTrees:
     def test_haar_len2_by_hand(self):
-        tree = w.build_filter_tree_1d(w.haar_filter(), 2, 1)
+        tree = w.build_filter_tree_1d("haar", 2, 1)
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(tree.basis(w.PacketNode("0", 1)), [[s, s]])
         assert np.allclose(tree.basis(w.PacketNode("1", 1)), [[s, -s]])
 
     def test_d4_len8_depth2_orthonormal(self):
-        tree = w.build_filter_tree_1d(w.d4_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("d4", 8, 2)
         nodes = tree.nodes_at(2)
         assert len(nodes) == 4
         stacked = np.vstack([tree.basis(nd) for nd in nodes])
@@ -158,10 +130,10 @@ class TestFilterTrees:
 
     def test_divisibility_required(self):
         with pytest.raises(w.InvalidDepthError):
-            w.build_filter_tree_1d(w.haar_filter(), 6, 2)
+            w.build_filter_tree_1d("haar", 6, 2)
 
     def test_2d_haar_2x2(self):
-        tree = w.build_filter_tree_2d(w.haar_filter(), 2, 1)
+        tree = w.build_filter_tree_2d("haar", 2, 1)
         nodes = tree.nodes_at(1)
         assert [nd.word for nd in nodes] == ["0,0", "0,1", "1,0", "1,1"]
         stacked = np.vstack([tree.basis(nd) for nd in nodes])
@@ -170,14 +142,14 @@ class TestFilterTrees:
         assert np.allclose(tree.basis(w.PacketNode("0,0", 1)), [[0.5, 0.5, 0.5, 0.5]])
 
     def test_2d_tensor_structure(self):
-        one_d = w.build_filter_tree_1d(w.d4_filter(), 8, 1)
-        two_d = w.build_filter_tree_2d(w.d4_filter(), 8, 1)
+        one_d = w.build_filter_tree_1d("d4", 8, 1)
+        two_d = w.build_filter_tree_2d("d4", 8, 1)
         b0 = one_d.basis(w.PacketNode("0", 1))
         b1 = one_d.basis(w.PacketNode("1", 1))
         assert np.allclose(two_d.basis(w.PacketNode("0,1", 1)), np.kron(b0, b1))
 
     def test_2d_d4_depth2_counts(self):
-        tree = w.build_filter_tree_2d(w.d4_filter(), 8, 2)
+        tree = w.build_filter_tree_2d("d4", 8, 2)
         nodes = tree.nodes_at(2)
         assert len(nodes) == 16
         assert all(tree.subspace_dim(nd) == 4 for nd in nodes)
@@ -199,7 +171,7 @@ class TestTreeAxioms:
             assert words == sorted(words)
 
     def test_projection_idempotent(self, rng):
-        tree = w.build_filter_tree_1d(w.d4_filter(), 8, 2)
+        tree = w.build_filter_tree_1d("d4", 8, 2)
         for node in tree.all_nodes():
             p = w.projection(tree, node).matrix
             assert np.max(np.abs(p @ p - p)) <= 1e-9
