@@ -55,7 +55,6 @@ _EXPORTS = {
         "WpcError",
     ),
     "greedy": (
-        "ExtractionStep",
         "ExtractionTrace",
         "coherence",
         "decay_report",

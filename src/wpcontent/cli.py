@@ -220,10 +220,10 @@ def cmd_greedy(args) -> int:
     run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
     record = run(operator, tree, tree.max_depth, max_steps=args.steps, stop_tol=stop_tol)
     payload = greedy.trace_payload(record)
-    payload["summary"] = greedy.decay_report(record)["summary"]
+    payload["summary"] = greedy.decay_report(payload)["summary"]
     _write_json(args.report, payload)
     if args.csv:
-        columns = greedy.ExtractionStep.ROW_FIELDS
+        columns = greedy.ROW_FIELDS
         with _writing(args.csv), open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)

@@ -256,8 +256,10 @@ def denoise_image(
     offset (di, dj) owns one contiguous slab, added into the image through
     basic strided slices (per axis one stride run plus at most one flush
     anchor: at most 2 x 2 slice adds). Offsets run from m - 1 down to 0, so
-    each pixel sums its patches in row-major anchor order.
+    each pixel sums its patches in row-major anchor order. A ``clean``
+    image of another size is refused before any patch is read.
     """
+    mse_noisy = None if clean is None else _psnr_mse(img, clean)
     m, n = cfg.patch_side, cfg.depth
     patches = extract_patches(img, m, cfg.effective_stride())
     tree = build_filter_tree_2d(cfg.filter_name, m, n)
@@ -302,7 +304,6 @@ def denoise_image(
             {"word": nd.word, "hs": float(v)} for nd, v in zip(rank.nodes, rank.values)
         ]
     if clean is not None:
-        mse_noisy = _psnr_mse(img, clean)
         mse_out = _psnr_mse(out, clean)
         report["psnr_noisy"] = _psnr_db(mse_noisy)
         report["psnr_denoised"] = _psnr_db(mse_out)

@@ -13,15 +13,17 @@ largest Hilbert-Schmidt norm; its per-step contraction is
 (1 - 1/(gamma * N)) in squared HS norm, where gamma in [1, N] is the
 depth-n coherence (1 exactly when the remainder is block-diagonal, in
 which case the factor improves to 1 - 1/N). Both certified envelopes
-are recorded per step. One checker, `_violation`, holds every certified
+are recorded per step. A step is its report row, a dict with the keys
+ROW_FIELDS. One checker, `_violation`, holds every certified
 inequality: each step passes it before it is recorded, and
-`decay_report` re-runs it on the record alone.
+`decay_report` re-runs it on the `trace_payload` dict alone, which is
+what `json.load` returns for a saved report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,39 +40,24 @@ from .tree import PacketNode, PacketTree
 
 DEFAULT_STOP_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class ExtractionStep:
-    """One extraction; ROW_FIELDS, its field names, is the step-row schema of every report."""
-
-    k: int
-    node: PacketNode
-    extracted_trace: float
-    extracted_hs: float
-    remainder_trace: float
-    remainder_hs: float
-    gamma: float | None = None
-    bound_trace: float | None = None
-    bound_hs: float | None = None
-
-    def row(self) -> dict:
-        """ROW_FIELDS in order, with the node given by its word."""
-        return {f: self.node.word if f == "node" else getattr(self, f) for f in self.ROW_FIELDS}
-
-
-ExtractionStep.ROW_FIELDS = tuple(f.name for f in fields(ExtractionStep))
+# The step-row schema of the JSON report, the CSV and `decay_report`, in order.
+# "node" is the node's word; a rule's unused gamma or bound is None.
+ROW_FIELDS = (
+    "k", "node", "extracted_trace", "extracted_hs", "remainder_trace", "remainder_hs",
+    "gamma", "bound_trace", "bound_hs",
+)
 
 
 @dataclass(frozen=True)
 class ExtractionTrace:
-    """Ordered record of an extraction run plus the final remainder."""
+    """Ordered record of an extraction run, its steps ROW_FIELDS dicts, plus the final remainder."""
 
     mode: str
     depth: int | None
     n_nodes: int | None
     initial_trace: float
     initial_hs: float
-    steps: tuple[ExtractionStep, ...]
+    steps: tuple[dict, ...]
     final_remainder: PsdOperator
 
 
@@ -114,43 +101,47 @@ def _check_stop(max_steps: int, stop_tol: float, names=("max_steps", "stop_tol")
         raise ConfigError(f"{names[1]} must be finite and >= 0, got {stop_tol}")
 
 
-def _violation(
-    tr: ExtractionTrace, prev: ExtractionStep | None, step: ExtractionStep
-) -> str | None:
-    """Message naming the first certified inequality ``step`` breaks, or None.
+def _remainder(tr: ExtractionTrace, key: str) -> float:
+    """The current remainder's recorded "trace" or "hs" (``key``): last row's, else initial."""
+    return tr.steps[-1][f"remainder_{key}"] if tr.steps else getattr(tr, f"initial_{key}")
 
-    Reads recorded numbers only: the run's mode, N and initial values,
-    the previous step's remainder (the initial values before step 1) and
-    the step's own row. The extraction loops ask it before recording a
-    step and `decay_report` asks it of every recorded step, so both
-    accept exactly the same steps. Sequence runs certify nothing. The
+
+def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
+    """Message naming the first certified inequality step ``row`` breaks, or None.
+
+    Reads recorded numbers only, under their `trace_payload` names: the
+    run's "mode", "N_n" and "initial" trace and HS, the previous row's
+    remainder (the initial values before step 1) and the step's own row.
+    The extraction loops ask it before recording a step and
+    `decay_report` asks it of every recorded step, so both accept
+    exactly the same steps. Sequence runs certify nothing. The
     slack is 1e-9 times the run's initial tr(R) for trace checks and
     ||R||^2 for HS checks, with no absolute floor, so a run on cR
     accepts exactly the steps of a run on R; gamma is dimensionless and
     its range keeps an absolute 1e-9. Each check is ``not value <= bound``,
     so a NaN anywhere in it fails the step.
     """
-    nn = tr.n_nodes
-    prev_trace, prev_hs = (tr.initial_trace, tr.initial_hs) if prev is None else (
-        prev.remainder_trace, prev.remainder_hs
+    nn, initial = run["N_n"], run["initial"]
+    prev_trace, prev_hs = (initial["trace"], initial["hs"]) if prev is None else (
+        prev["remainder_trace"], prev["remainder_hs"]
     )
-    if tr.mode == "trace-greedy":
-        rem = step.remainder_trace
-        slack = 1e-9 * tr.initial_trace
+    if run["mode"] == "trace-greedy":
+        rem, bound = row["remainder_trace"], row["bound_trace"]
+        slack = 1e-9 * initial["trace"]
         ratio = 1.0 - 1.0 / nn
         if not rem <= ratio * prev_trace + slack:
             return (
                 f"one-step trace contraction failed: {rem:.6e} > "
                 f"{ratio:.6f} * {prev_trace:.6e}"
             )
-        if not rem <= step.bound_trace + slack:
-            return f"trace envelope failed: {rem:.6e} > {step.bound_trace:.6e}"
-    elif tr.mode == "hs-greedy":
-        rem_sq, prev_sq, gamma = step.remainder_hs**2, prev_hs**2, step.gamma
-        slack = 1e-9 * tr.initial_hs**2
+        if not rem <= bound + slack:
+            return f"trace envelope failed: {rem:.6e} > {bound:.6e}"
+    elif run["mode"] == "hs-greedy":
+        rem_sq, prev_sq, gamma = row["remainder_hs"] ** 2, prev_hs**2, row["gamma"]
+        slack = 1e-9 * initial["hs"] ** 2
         if not 1.0 - 1e-9 <= gamma <= nn + 1e-9:
             return f"coherence {gamma:.9f} outside [1, {nn}]"
-        pythagorean = prev_sq - step.extracted_hs**2
+        pythagorean = prev_sq - row["extracted_hs"] ** 2
         if not rem_sq <= pythagorean + slack:
             return f"pythagorean HS bound failed: {rem_sq:.6e} > {pythagorean:.6e}"
         step_ratio = 1.0 - 1.0 / (gamma * nn)
@@ -159,21 +150,23 @@ def _violation(
                 f"coherence contraction failed: {rem_sq:.6e} > "
                 f"{step_ratio:.9f} * {prev_sq:.6e}"
             )
-        if not rem_sq <= step.bound_hs**2 + slack:
-            return f"uniform HS envelope failed: {rem_sq:.6e} > {step.bound_hs**2:.6e}"
+        envelope_sq = row["bound_hs"] ** 2
+        if not rem_sq <= envelope_sq + slack:
+            return f"uniform HS envelope failed: {rem_sq:.6e} > {envelope_sq:.6e}"
     return None
 
 
 def _step(
     tr: ExtractionTrace, tree: PacketTree, node: PacketNode, scale: float, **bounds
 ) -> ExtractionTrace:
-    """Remove ``node``'s block from the record's remainder; the record with the step added.
+    """Remove ``node``'s block from the record's remainder; the record with its row added.
 
     D = M^T M with M = B sqrt(R) from the remainder's `root_rows`, in
     O(s d^2). The new remainder R - D is PSD-checked against ``scale``,
     the run-initial lam_max: subtraction noise sits at that scale even
     once the remainder itself has decayed to nothing. A step that leaves
     the PSD cone or breaks a certified inequality raises NumericalBreakdownError.
+    ``bounds`` fill the row's gamma and bound fields.
     """
     k = len(tr.steps) + 1
     current = tr.final_remainder
@@ -183,11 +176,13 @@ def _step(
         nxt = make_psd(current.matrix - d, scale=scale)
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
-    step = ExtractionStep(k, node, trace(d), hs_norm(d), trace(nxt), hs_norm(nxt), **bounds)
-    message = _violation(tr, tr.steps[-1] if tr.steps else None, step)
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update(k=k, node=node.word, extracted_trace=trace(d), extracted_hs=hs_norm(d),
+               remainder_trace=trace(nxt), remainder_hs=hs_norm(nxt), **bounds)
+    message = _violation(trace_payload(tr), tr.steps[-1] if tr.steps else None, row)
     if message is not None:
         raise NumericalBreakdownError(k, message)
-    return replace(tr, steps=(*tr.steps, step), final_remainder=nxt)
+    return replace(tr, steps=(*tr.steps, row), final_remainder=nxt)
 
 
 def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[PacketNode]) -> ExtractionTrace:
@@ -217,9 +212,9 @@ def trace_greedy(
     ratio = 1.0 - 1.0 / len(nodes)
     envelope = tr.initial_trace
     for _ in range(max_steps):
-        current = tr.final_remainder
-        if trace(current) <= stop_tol * tr.initial_trace:
+        if _remainder(tr, "trace") <= stop_tol * tr.initial_trace:
             break
+        current = tr.final_remainder
         node = nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]
         envelope *= ratio
         tr = _step(tr, tree, node, float(r.eigenvalues[0]), bound_trace=envelope)
@@ -243,9 +238,9 @@ def hs_greedy(
     uniform_ratio = 1.0 - 1.0 / len(nodes) ** 2
     envelope_sq = tr.initial_hs**2
     for _ in range(max_steps):
-        current = tr.final_remainder
-        if hs_norm(current) <= stop_tol * tr.initial_hs:
+        if _remainder(tr, "hs") <= stop_tol * tr.initial_hs:
             break
+        current = tr.final_remainder
         scores = hs_scores_squared(current.matrix, tree, n)
         try:
             gamma = coherence(current, tree, n, scores)
@@ -259,35 +254,37 @@ def hs_greedy(
     return tr
 
 
-def decay_report(tr: ExtractionTrace) -> dict:
-    """Re-check every recorded step with the extraction loops' own checker.
+def decay_report(payload: dict) -> dict:
+    """Re-check every step row of a `trace_payload` dict with the extraction loops' own checker.
 
-    Returns {"rows": [...], "summary": {...}}; each row carries a
-    bound_satisfied flag and the summary names the first violating step
-    (expected: none).
+    ``payload`` may be a saved report as `json.load` returns it; other keys
+    are ignored. Returns {"rows": [...], "summary": {...}}; each row
+    carries a bound_satisfied flag and the summary names the first
+    violating step (expected: none).
     """
+    steps = payload["steps"]
     rows = []
     first_violation = None
-    for prev, step in zip((None, *tr.steps), tr.steps):
-        ok = _violation(tr, prev, step) is None
-        rows.append({**step.row(), "bound_satisfied": ok})
+    for prev, row in zip((None, *steps), steps):
+        ok = _violation(payload, prev, row) is None
+        rows.append({**row, "bound_satisfied": ok})
         if not ok and first_violation is None:
-            first_violation = step.k
+            first_violation = row["k"]
     summary = {
-        "mode": tr.mode,
-        "steps": len(tr.steps),
+        "mode": payload["mode"],
+        "steps": len(steps),
         "first_violation": first_violation,
-        "note": "no steps" if not tr.steps else None,
+        "note": "no steps" if not steps else None,
     }
     return {"rows": rows, "summary": summary}
 
 
 def trace_payload(tr: ExtractionTrace) -> dict:
-    """Decay-report wire format: {mode, depth, N_n, initial, steps}."""
+    """Decay-report wire format: {mode, depth, N_n, initial, steps}; the steps are row copies."""
     return {
         "mode": tr.mode,
         "depth": tr.depth,
         "N_n": tr.n_nodes,
         "initial": {"trace": tr.initial_trace, "hs": tr.initial_hs},
-        "steps": [s.row() for s in tr.steps],
+        "steps": [dict(row) for row in tr.steps],
     }

@@ -48,16 +48,19 @@ MUTANTS = [
      "self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)",
      "self.clamp_applied = bool(lam[-1] < 0.0)"),
     ("trace-slack-1e-3", "src/wpcontent/greedy.py",
-     "slack = 1e-9 * tr.initial_trace", "slack = 1e-3 * tr.initial_trace"),
+     'slack = 1e-9 * initial["trace"]', 'slack = 1e-3 * initial["trace"]'),
     ("hs-slack-1e-3", "src/wpcontent/greedy.py",
-     "slack = 1e-9 * tr.initial_hs**2", "slack = 1e-3 * tr.initial_hs**2"),
+     'slack = 1e-9 * initial["hs"] ** 2', 'slack = 1e-3 * initial["hs"] ** 2'),
     ("hs-envelope-ratio-N3", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / len(nodes) ** 2", "1.0 - 1.0 / len(nodes) ** 3"),
     ("coherence-contraction-2gammaN", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / (gamma * nn)", "1.0 - 1.0 / (2 * gamma * nn)"),
     ("trace-stop-rule-x10", "src/wpcontent/greedy.py",
-     "if trace(current) <= stop_tol * tr.initial_trace:",
-     "if trace(current) <= 10 * stop_tol * tr.initial_trace:"),
+     'if _remainder(tr, "trace") <= stop_tol * tr.initial_trace:',
+     'if _remainder(tr, "trace") <= 10 * stop_tol * tr.initial_trace:'),
+    # the re-check of a report: decay_report must run the checker on every row
+    ("decay-report-unchecked", "src/wpcontent/greedy.py",
+     "ok = _violation(payload, prev, row) is None", "ok = True"),
     # input and budget tolerances
     ("additivity-budget-1e-4", "src/wpcontent/content.py",
      "budget = 1e-9 * abs(total)", "budget = 1e-4 * abs(total)"),

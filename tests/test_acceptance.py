@@ -104,8 +104,8 @@ def test_criterion_3_trace_greedy_envelope(ensemble):
                 nn = len(tree.nodes_at(n))
                 run = w.trace_greedy(op, tree, n, max_steps=4 * nn)
                 for step in run.steps:
-                    bound = (1.0 - 1.0 / nn) ** step.k * total * (1.0 + 1e-9)
-                    ok = ok and step.remainder_trace <= bound
+                    bound = (1.0 - 1.0 / nn) ** step["k"] * total * (1.0 + 1e-9)
+                    ok = ok and step["remainder_trace"] <= bound
     # diagonal multipliers: the greedy zeroes one band per step, so the
     # remainder is numerically zero after at most one step per node
     rng = np.random.default_rng(ENSEMBLE_SEED + 3)
@@ -134,10 +134,10 @@ def test_criterion_4_hs_greedy_envelopes(ensemble):
                 run = w.hs_greedy(op, tree, n, max_steps=4 * nn)
                 prev_sq = init_sq
                 for step in run.steps:
-                    rem_sq = step.remainder_hs**2
-                    per_step = 1.0 - 1.0 / (step.gamma * nn)
+                    rem_sq = step["remainder_hs"] ** 2
+                    per_step = 1.0 - 1.0 / (step["gamma"] * nn)
                     ok = ok and rem_sq <= per_step * prev_sq + 1e-9 * (1.0 + prev_sq)
-                    uniform = (1.0 - 1.0 / nn**2) ** step.k * init_sq
+                    uniform = (1.0 - 1.0 / nn**2) ** step["k"] * init_sq
                     ok = ok and rem_sq <= uniform + 1e-9 * (1.0 + init_sq)
                     prev_sq = rem_sq
     # block-diagonal inputs keep coherence 1, so every step contracts by 1 - 1/N
@@ -150,7 +150,7 @@ def test_criterion_4_hs_greedy_envelopes(ensemble):
                 run = w.hs_greedy(op, tree, n, max_steps=2 * nn)
                 prev_sq = w.hs_norm(op) ** 2
                 for step in run.steps:
-                    rem_sq = step.remainder_hs**2
+                    rem_sq = step["remainder_hs"] ** 2
                     ok = ok and rem_sq <= (1.0 - 1.0 / nn) * prev_sq + 1e-9 * (1.0 + prev_sq)
                     prev_sq = rem_sq
     elapsed = time.monotonic() - start

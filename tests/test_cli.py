@@ -189,6 +189,23 @@ class TestGreedy:
         assert len(lines) == len(payload["steps"]) + 1
         assert list(payload["steps"][0]) == lines[0].split(",")  # one step-row schema
 
+    @pytest.mark.parametrize("tree", ["shannon", "haar", "d4"])
+    @pytest.mark.parametrize("mode", ["trace", "hs"])
+    def test_a_saved_report_checks_as_the_run_does(self, tmp_path, rng, mode, tree):
+        # json writes floats by repr, so the report read back is the run's payload bit for bit
+        path, rep = tmp_path / "m.json", tmp_path / "g.json"
+        path.write_text(json.dumps(matrix_json(random_gram(rng, 16))))
+        assert main(["greedy", "--in", str(path), "--tree", tree, "--depth", "2", "--mode", mode,
+                     "--steps", "8", "--report", str(rep)]) == 0
+        with open(rep, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        op = w.make_psd(w.matrix_from_json(json.loads(path.read_text())))
+        t = w.build_shannon_tree(4, 2) if tree == "shannon" else w.build_filter_tree_1d(tree, 16, 2)
+        record = (w.trace_greedy if mode == "trace" else w.hs_greedy)(op, t, 2, max_steps=8)
+        assert len(record.steps) == 8
+        assert w.decay_report(saved) == w.decay_report(w.trace_payload(record))
+        assert w.decay_report(saved)["summary"] == saved["summary"]
+
     def test_hs_mode_block_diagonal_gamma_one(self, tmp_path, rng):
         tree = w.build_shannon_tree(3, 1)
         from helpers import block_diagonal_gram
@@ -303,6 +320,24 @@ class TestDenoise:
         payload = json.loads(rep.read_text())
         assert payload["psnr_denoised"] > payload["psnr_noisy"]
         assert out.exists()
+
+    def test_clean_of_another_size_exits_5_before_any_patch(
+        self, image_files, tmp_path, capsys, monkeypatch
+    ):
+        _, noisy = image_files
+        small = tmp_path / "small.pgm"
+        w.write_pgm(small, w.ImageBuffer(np.zeros((4, 4))))
+
+        def unread(self):
+            raise AssertionError("patches were read")
+
+        monkeypatch.setattr(w.PatchSet, "bands", unread)
+        monkeypatch.setattr(w.PatchSet, "rhat", property(unread))
+        assert main(["denoise", "--in", noisy, "--clean", str(small),
+                     "--out", str(tmp_path / "x.pgm")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: image sizes differ"), err
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_identity_at_full_selection(self, image_files, tmp_path):
         _, noisy = image_files
@@ -759,6 +794,13 @@ def test_every_option_is_named_in_the_readme():
     assert missing == []
 
 
+def test_every_export_is_named_in_the_readme():
+    # an export no reader is told about is one only its own module knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [n for n in w.__all__ if not re.search(rf"(?<!\w){n}(?!\w)", readme)]
+    assert missing == []
+
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHOW_THREADS = f"import json, os; print(json.dumps([os.environ.get(v) for v in {THREAD_VARS!r}]))"
 
@@ -775,7 +817,7 @@ class TestThreadPolicy:
 
 EXPORTED = sorted("""
     AbsoluteContinuityViolation BlockScores ConfigError ContentBlock
-    ContentDecomposition CylinderWeights DenoiseConfig DimensionMismatchError ExtractionStep
+    ContentDecomposition CylinderWeights DenoiseConfig DimensionMismatchError
     ExtractionTrace ImageBuffer InvalidDepthError InvalidFilterError
     MalformedInputError NotPositiveError NumericalBreakdownError PacketNode PacketTree
     PatchSet PsdOperator Selection ShannonSymbol SymMatrix UndefinedCoherenceError
@@ -804,7 +846,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 59
+        assert names == EXPORTED and len(names) == 58
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

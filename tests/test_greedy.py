@@ -1,4 +1,4 @@
-import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -46,8 +46,8 @@ class TestExtractSequence:
         tree = w.build_shannon_tree(3, 1)
         node = w.PacketNode("0", 1)
         run = w.extract_sequence(r, tree, [node, node])
-        assert run.steps[1].extracted_trace <= run.steps[0].extracted_trace
-        assert run.steps[1].extracted_trace <= 1e-14 * w.trace(r)
+        assert run.steps[1]["extracted_trace"] <= run.steps[0]["extracted_trace"]
+        assert run.steps[1]["extracted_trace"] <= 1e-14 * w.trace(r)
 
     def test_telescoping_and_loewner_chain(self, rng):
         tree = w.build_filter_tree_1d("d4", 8, 2)
@@ -58,7 +58,7 @@ class TestExtractSequence:
         partial = np.zeros((8, 8))
         prev = r.matrix
         for step in run.steps:
-            block, remainder = sequence_step(r, tree, seq, step.k)
+            block, remainder = sequence_step(r, tree, seq, step["k"])
             partial += block
             assert np.max(np.abs(r.matrix - partial - remainder)) <= 1e-8 * (1 + fro)
             assert loewner_leq(remainder, prev)
@@ -74,7 +74,7 @@ class TestExtractSequence:
         r = random_gram(rng, 8)
         nodes = [tree.nodes_at(2)[i % 4] for i in range(8)]
         run = w.extract_sequence(r, tree, nodes)
-        traces = [w.trace(r)] + [s.remainder_trace for s in run.steps]
+        traces = [w.trace(r)] + [s["remainder_trace"] for s in run.steps]
         assert all(b <= a + 1e-12 * traces[0] for a, b in zip(traces, traces[1:]))
 
 
@@ -148,13 +148,13 @@ class TestTraceGreedy:
         total = w.trace(r)
         assert total == pytest.approx(45.0 / 16.0, abs=1e-14)
         run = w.trace_greedy(r, tree, 1, max_steps=4)
-        assert run.steps[0].node.word == "1"
-        assert run.steps[0].extracted_trace == pytest.approx(15.0 / 8.0, abs=1e-12)
-        assert run.steps[0].remainder_trace == pytest.approx(15.0 / 16.0, abs=1e-12)
-        assert run.steps[0].remainder_trace <= 0.5 * total
-        assert run.steps[0].bound_trace == pytest.approx(0.5 * total, abs=1e-12)
-        assert run.steps[1].node.word == "0"
-        assert run.steps[1].remainder_trace <= 1e-12 * total
+        assert run.steps[0]["node"] == "1"
+        assert run.steps[0]["extracted_trace"] == pytest.approx(15.0 / 8.0, abs=1e-12)
+        assert run.steps[0]["remainder_trace"] == pytest.approx(15.0 / 16.0, abs=1e-12)
+        assert run.steps[0]["remainder_trace"] <= 0.5 * total
+        assert run.steps[0]["bound_trace"] == pytest.approx(0.5 * total, abs=1e-12)
+        assert run.steps[1]["node"] == "0"
+        assert run.steps[1]["remainder_trace"] <= 1e-12 * total
 
     def test_diagonal_exhausts_in_node_count_steps(self, rng):
         tree = w.build_shannon_tree(4, 2)
@@ -180,22 +180,22 @@ class TestTraceGreedy:
                 total = w.trace(r)
                 run = w.trace_greedy(r, tree, 2, max_steps=3 * nn)
                 for step in run.steps:
-                    assert step.remainder_trace <= ratio**step.k * total * (1 + 1e-9)
+                    assert step["remainder_trace"] <= ratio**step["k"] * total * (1 + 1e-9)
 
     def test_first_step_dominates_average(self, rng):
         tree = w.build_shannon_tree(4, 3)
         nn = len(tree.nodes_at(3))
         r = random_gram(rng, 16)
         run = w.trace_greedy(r, tree, 3, max_steps=1)
-        assert run.steps[0].extracted_trace >= w.trace(r) / nn - 1e-10
+        assert run.steps[0]["extracted_trace"] >= w.trace(r) / nn - 1e-10
 
     def test_deterministic(self, rng):
         tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
         a = w.trace_greedy(r, tree, 2, max_steps=10)
         b = w.trace_greedy(r, tree, 2, max_steps=10)
-        assert [s.node for s in a.steps] == [s.node for s in b.steps]
-        assert [s.remainder_trace for s in a.steps] == [s.remainder_trace for s in b.steps]
+        assert [s["node"] for s in a.steps] == [s["node"] for s in b.steps]
+        assert [s["remainder_trace"] for s in a.steps] == [s["remainder_trace"] for s in b.steps]
 
     def test_max_steps_zero(self, rng):
         tree = w.build_shannon_tree(3, 1)
@@ -211,17 +211,17 @@ class TestHsGreedy:
         run = w.hs_greedy(r, tree, 1, max_steps=6)
         prev_sq = run.initial_hs**2
         for step in run.steps:
-            assert step.gamma == pytest.approx(1.0, abs=1e-9)
-            assert step.remainder_hs**2 <= (1.0 - 1.0 / nn) * prev_sq * (1 + 1e-9) + 1e-15
-            prev_sq = step.remainder_hs**2
+            assert step["gamma"] == pytest.approx(1.0, abs=1e-9)
+            assert step["remainder_hs"] ** 2 <= (1.0 - 1.0 / nn) * prev_sq * (1 + 1e-9) + 1e-15
+            prev_sq = step["remainder_hs"] ** 2
 
     def test_shannon_symbol_picks_heaviest_hs_block(self):
         # block l2 masses: sqrt(85/256) for "0" vs sqrt(85/64) for "1"
         r = geometric_symbol(3).to_operator()
         tree = w.build_shannon_tree(3, 1)
         run = w.hs_greedy(r, tree, 1, max_steps=1)
-        assert run.steps[0].node.word == "1"
-        assert run.steps[0].extracted_hs == pytest.approx(np.sqrt(85.0 / 64.0), rel=1e-12)
+        assert run.steps[0]["node"] == "1"
+        assert run.steps[0]["extracted_hs"] == pytest.approx(np.sqrt(85.0 / 64.0), rel=1e-12)
 
     def test_zero_operator_empty(self):
         tree = w.build_shannon_tree(3, 1)
@@ -237,13 +237,13 @@ class TestHsGreedy:
                 run = w.hs_greedy(r, tree, 2, max_steps=3 * nn)
                 prev_sq = run.initial_hs**2
                 for step in run.steps:
-                    assert 1.0 - 1e-9 <= step.gamma <= nn + 1e-9
-                    per_step = 1.0 - 1.0 / (step.gamma * nn)
-                    assert step.remainder_hs**2 <= per_step * prev_sq + 1e-9 * (1 + prev_sq)
-                    assert step.remainder_hs**2 <= uniform**step.k * run.initial_hs**2 + 1e-9 * (
-                        1 + run.initial_hs**2
+                    assert 1.0 - 1e-9 <= step["gamma"] <= nn + 1e-9
+                    per_step = 1.0 - 1.0 / (step["gamma"] * nn)
+                    assert step["remainder_hs"] ** 2 <= per_step * prev_sq + 1e-9 * (1 + prev_sq)
+                    assert step["remainder_hs"] ** 2 <= (
+                        uniform**step["k"] * run.initial_hs**2 + 1e-9 * (1 + run.initial_hs**2)
                     )
-                    prev_sq = step.remainder_hs**2
+                    prev_sq = step["remainder_hs"] ** 2
 
     def test_pythagorean_property_on_projected_pairs(self, rng):
         # pairs (A, D = sqrt(A) Q sqrt(A)) with Q a packet projection satisfy
@@ -268,7 +268,7 @@ class TestDecayReport:
     def test_empty_trace(self):
         tree = w.build_shannon_tree(3, 1)
         r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
-        rep = w.decay_report(w.trace_greedy(r, tree, 1, max_steps=3))
+        rep = w.decay_report(w.trace_payload(w.trace_greedy(r, tree, 1, max_steps=3)))
         assert rep["rows"] == []
         assert rep["summary"]["note"] == "no steps"
         assert rep["summary"]["first_violation"] is None
@@ -276,7 +276,7 @@ class TestDecayReport:
     def test_trace_rows_within_envelope(self, rng):
         tree = w.build_shannon_tree(3, 2)
         r = random_gram(rng, 8)
-        rep = w.decay_report(w.trace_greedy(r, tree, 2, max_steps=12))
+        rep = w.decay_report(w.trace_payload(w.trace_greedy(r, tree, 2, max_steps=12)))
         assert rep["summary"]["first_violation"] is None
         for row in rep["rows"]:
             assert row["bound_satisfied"]
@@ -286,7 +286,7 @@ class TestDecayReport:
         tree = w.build_shannon_tree(3, 2)
         nn = len(tree.nodes_at(2))
         r = random_gram(rng, 8)
-        rep = w.decay_report(w.hs_greedy(r, tree, 2, max_steps=12))
+        rep = w.decay_report(w.trace_payload(w.hs_greedy(r, tree, 2, max_steps=12)))
         assert rep["summary"]["first_violation"] is None
         for row in rep["rows"]:
             assert 1.0 - 1e-9 <= row["gamma"] <= nn + 1e-9
@@ -303,13 +303,13 @@ class TestDecayReport:
     def test_pythagorean_break_is_flagged(self, rng):
         tree = w.build_shannon_tree(3, 2)
         run = w.hs_greedy(random_gram(rng, 8), tree, 2, max_steps=6)
-        prev_sq = run.steps[1].remainder_hs ** 2
+        prev_sq = run.steps[1]["remainder_hs"] ** 2
         step = run.steps[2]
         # ||D||^2 1% past the room ||A||^2 - ||A - D||^2 (plus slack) the bound leaves
-        room = prev_sq - step.remainder_hs**2 + 1e-9 * (1 + prev_sq)
-        bad = dataclasses.replace(step, extracted_hs=float(np.sqrt(1.01 * room)))
+        room = prev_sq - step["remainder_hs"] ** 2 + 1e-9 * (1 + prev_sq)
+        bad = {**step, "extracted_hs": float(np.sqrt(1.01 * room))}
         steps = run.steps[:2] + (bad,) + run.steps[3:]
-        rep = w.decay_report(dataclasses.replace(run, steps=steps))
+        rep = w.decay_report({**w.trace_payload(run), "steps": steps})
         assert rep["summary"]["first_violation"] == 3
         assert [row["bound_satisfied"] for row in rep["rows"]][:4] == [True, True, False, True]
 
@@ -319,14 +319,14 @@ class TestDecayReport:
         ratio = 1.0 - 1.0 / len(tree.nodes_at(2))
         k = next(
             i for i in range(1, len(run.steps))
-            if run.steps[i].bound_trace - ratio * run.steps[i - 1].remainder_trace
+            if run.steps[i]["bound_trace"] - ratio * run.steps[i - 1]["remainder_trace"]
             > 1e-6 * (1 + run.initial_trace)
         )
-        one_step = ratio * run.steps[k - 1].remainder_trace
+        one_step = ratio * run.steps[k - 1]["remainder_trace"]
         step = run.steps[k]
-        bad = dataclasses.replace(step, remainder_trace=0.5 * (one_step + step.bound_trace))
+        bad = {**step, "remainder_trace": 0.5 * (one_step + step["bound_trace"])}
         steps = run.steps[:k] + (bad,) + run.steps[k + 1 :]
-        rep = w.decay_report(dataclasses.replace(run, steps=steps))
+        rep = w.decay_report({**w.trace_payload(run), "steps": steps})
         assert rep["summary"]["first_violation"] == k + 1
 
     @pytest.mark.parametrize("run, field", [
@@ -338,9 +338,9 @@ class TestDecayReport:
         # json.load accepts NaN, and every comparison with NaN is false
         tree = w.build_shannon_tree(3, 2)
         record = run(random_gram(rng, 8), tree, 2, max_steps=4)
-        bad = dataclasses.replace(record.steps[1], **{field: float("nan")})
+        bad = {**record.steps[1], field: float("nan")}
         steps = record.steps[:1] + (bad,) + record.steps[2:]
-        rep = w.decay_report(dataclasses.replace(record, steps=steps))
+        rep = w.decay_report({**w.trace_payload(record), "steps": steps})
         assert rep["summary"]["first_violation"] == 2
         assert not rep["rows"][1]["bound_satisfied"]
 
@@ -357,6 +357,31 @@ class TestDecayReport:
         with pytest.raises(w.NumericalBreakdownError) as exc:
             w.hs_greedy(random_gram(rng, 8), tree, 2, max_steps=4)
         assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("case, params", [
+    ("test_pythagorean_break_is_flagged", {}),
+    ("test_one_step_trace_break_inside_envelope_is_flagged", {}),
+    ("test_nan_is_flagged", {"run": w.trace_greedy, "field": "remainder_trace"}),
+    ("test_nan_is_flagged", {"run": w.hs_greedy, "field": "remainder_hs"}),
+    ("test_nan_is_flagged", {"run": w.hs_greedy, "field": "extracted_hs"}),
+], ids=["pythagorean", "trace-one-step", "nan-trace-remainder_trace", "nan-hs-remainder_hs",
+        "nan-hs-extracted_hs"])
+def test_a_saved_corruption_is_flagged_at_the_same_step(rng, tmp_path, monkeypatch, case, params):
+    # each corruption test of TestDecayReport, with decay_report reading its payload back from
+    # a file: json writes floats by repr and reads NaN, so the test's own assertions must hold
+    real, saved = w.decay_report, []
+
+    def from_file(payload):
+        with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with open(tmp_path / "report.json", encoding="utf-8") as fh:
+            saved.append(json.load(fh))
+        return real(saved[-1])
+
+    monkeypatch.setattr(w, "decay_report", from_file)
+    getattr(TestDecayReport(), case)(rng, **params)
+    assert len(saved) == 1
 
 
 @pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
@@ -429,13 +454,13 @@ def test_runs_on_a_power_of_two_multiple_scale_exactly(rng, tree_name):
     for k in _SCALE_EXPONENTS:
         c = 2.0**k
         for u, s in zip(unit, _scaled_runs(base, tree, c)):
-            assert [st.node for st in s.steps] == [st.node for st in u.steps], (k, u.mode)
+            assert [st["node"] for st in s.steps] == [st["node"] for st in u.steps], (k, u.mode)
             assert (s.initial_trace, s.initial_hs) == (c * u.initial_trace, c * u.initial_hs)
             for a, b in zip(u.steps, s.steps):
-                assert b.gamma == a.gamma
+                assert b["gamma"] == a["gamma"]
                 for f in _SCALED_FIELDS:
-                    ua, sb = getattr(a, f), getattr(b, f)
-                    assert sb == (None if ua is None else c * ua), (k, u.mode, b.k, f)
+                    ua, sb = a[f], b[f]
+                    assert sb == (None if ua is None else c * ua), (k, u.mode, b["k"], f)
 
 
 @pytest.mark.parametrize("k", _SCALE_EXPONENTS)
@@ -445,19 +470,20 @@ def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     g = rng.standard_normal((16, 16))
     run = extract(w.make_psd(w.SymMatrix(2.0**k * (g.T @ g) / 16)), tree, 2, max_steps=4)
     prev, step = run.steps[0], run.steps[1]
-    stuck = dataclasses.replace(
-        step, remainder_trace=prev.remainder_trace, remainder_hs=prev.remainder_hs
-    )
-    rep = w.decay_report(dataclasses.replace(run, steps=(prev, stuck, *run.steps[2:])))
+    stuck = {
+        **step, "remainder_trace": prev["remainder_trace"], "remainder_hs": prev["remainder_hs"]
+    }
+    rep = w.decay_report({**w.trace_payload(run), "steps": (prev, stuck, *run.steps[2:])})
     assert rep["summary"]["first_violation"] == 2
 
 
 def _one_step_record(mode, scale, **row):
-    """Hand-built record on N = 4 nodes; initial trace and HS norm both ``scale``, one step."""
-    fields = dict(k=1, node=w.PacketNode("00", 2), extracted_trace=0.0, extracted_hs=0.0,
+    """Hand-built payload on N = 4 nodes; initial trace and HS norm both ``scale``, one step."""
+    fields = dict(k=1, node="00", extracted_trace=0.0, extracted_hs=0.0,
                   remainder_trace=0.0, remainder_hs=0.0)
-    step = w.ExtractionStep(**{**fields, **row})
-    return w.ExtractionTrace(mode, 2, 4, scale, scale, (step,), None)
+    step = {**dict.fromkeys(w.greedy.ROW_FIELDS), **fields, **row}
+    return {"mode": mode, "depth": 2, "N_n": 4, "initial": {"trace": scale, "hs": scale},
+            "steps": [step]}
 
 
 # Each record breaks one certified inequality by ``excess`` times the run's
@@ -487,7 +513,7 @@ def test_each_inequality_keeps_its_constant_and_slack(case, excess, flagged, sca
     # coherence-contraction uses gamma = 2, so it is 1 - 1/(gamma N) = 7/8 that is checked
     mode, message, row = _BROKEN[case]
     record = _one_step_record(mode, scale, **row(scale, excess))
-    found = w.greedy._violation(record, None, record.steps[0])
+    found = w.greedy._violation(record, None, record["steps"][0])
     assert (found is not None and found.startswith(message)) if flagged else found is None
     assert w.decay_report(record)["summary"]["first_violation"] == (1 if flagged else None)
 
@@ -498,7 +524,7 @@ def test_gamma_below_one_keeps_its_slack(below, flagged):
     # gamma is dimensionless: [1, N] has an absolute slack of 1e-9; every other check has room
     record = _one_step_record("hs-greedy", 1.0, remainder_hs=np.sqrt(0.5),
                               extracted_hs=np.sqrt(0.1), gamma=1.0 - below, bound_hs=1.0)
-    found = w.greedy._violation(record, None, record.steps[0])
+    found = w.greedy._violation(record, None, record["steps"][0])
     assert (found is not None and found.endswith("outside [1, 4]")) if flagged else found is None
 
 
@@ -511,10 +537,10 @@ def test_recorded_envelopes_are_the_closed_forms(rng, tree_name):
     hs_run = w.hs_greedy(r, tree, 2, max_steps=12)
     assert len(trace_run.steps) == len(hs_run.steps) == 12
     for t, h in zip(trace_run.steps, hs_run.steps):
-        want_t = (1.0 - 1.0 / nn) ** t.k * w.trace(r)
-        want_h = np.sqrt((1.0 - 1.0 / nn**2) ** h.k) * w.hs_norm(r)
-        assert abs(t.bound_trace - want_t) <= 4 * t.k * np.spacing(want_t)
-        assert abs(h.bound_hs - want_h) <= 4 * h.k * np.spacing(want_h)
+        want_t = (1.0 - 1.0 / nn) ** t["k"] * w.trace(r)
+        want_h = np.sqrt((1.0 - 1.0 / nn**2) ** h["k"]) * w.hs_norm(r)
+        assert abs(t["bound_trace"] - want_t) <= 4 * t["k"] * np.spacing(want_t)
+        assert abs(h["bound_hs"] - want_h) <= 4 * h["k"] * np.spacing(want_h)
 
 
 def test_trace_run_at_five_stop_tols_keeps_running():
@@ -523,7 +549,7 @@ def test_trace_run_at_five_stop_tols_keeps_running():
     eps = 5 * stop_tol / (1 - 5 * stop_tol)
     r = w.make_psd(w.SymMatrix(np.diag([1.0, eps])))
     run = w.trace_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
-    assert run.steps[0].remainder_trace == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
+    assert run.steps[0]["remainder_trace"] == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
     assert len(run.steps) == 2
 
 
@@ -566,11 +592,11 @@ def test_greedy_certificates_hold_on_gram_matrices(case):
     nn = len(tree.nodes_at(depth))
     for extract in (w.trace_greedy, w.hs_greedy):
         run = extract(r, tree, depth, max_steps=2 * nn)
-        assert w.decay_report(run)["summary"]["first_violation"] is None
-        traces = [run.initial_trace] + [s.remainder_trace for s in run.steps]
+        assert w.decay_report(w.trace_payload(run))["summary"]["first_violation"] is None
+        traces = [run.initial_trace] + [s["remainder_trace"] for s in run.steps]
         assert all(b <= a for a, b in zip(traces, traces[1:])), traces
         if extract is w.hs_greedy:
-            assert all(1.0 - 1e-9 <= s.gamma <= nn + 1e-9 for s in run.steps)
+            assert all(1.0 - 1e-9 <= s["gamma"] <= nn + 1e-9 for s in run.steps)
 
 
 @st.composite
@@ -598,14 +624,16 @@ def test_remainders_stay_psd_under_their_envelope_on_any_tree_and_scale(case):
 
         with mock.patch.object(w.greedy, "make_psd", recording):
             run = extract(r, tree, depth, max_steps=min(2 * nn, 24))
-        assert w.decay_report(run)["summary"]["first_violation"] is None
+        assert w.decay_report(w.trace_payload(run))["summary"]["first_violation"] is None
         assert len(remainders) == len(run.steps)
         for step, rem in zip(run.steps, remainders):
             assert np.linalg.eigvalsh(rem.matrix)[0] >= -1e-10 * lam_max
             if extract is w.trace_greedy:
-                assert step.remainder_trace <= (1.0 - 1.0 / nn) ** step.k * t0 + 1e-9 * t0
+                assert step["remainder_trace"] <= (1.0 - 1.0 / nn) ** step["k"] * t0 + 1e-9 * t0
             else:
-                assert step.remainder_hs**2 <= (1.0 - 1.0 / nn**2) ** step.k * h0**2 + 1e-9 * h0**2
+                assert step["remainder_hs"] ** 2 <= (
+                    (1.0 - 1.0 / nn**2) ** step["k"] * h0**2 + 1e-9 * h0**2
+                )
 
 
 @settings(max_examples=100, deadline=None, database=None)
