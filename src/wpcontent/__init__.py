@@ -61,7 +61,6 @@ _EXPORTS = {
         "extract_sequence",
         "hs_greedy",
         "trace_greedy",
-        "trace_payload",
     ),
     "pgm": ("quantize", "read_pgm", "write_pgm"),
     "psdcore": (

@@ -199,7 +199,7 @@ def cmd_decompose(args) -> int:
     total = weights.source_trace
     payload = {
         "tree": tree_description(tree),
-        "cylinders": weights.to_rows(),
+        "cylinders": weights.rows,
         "validation": {
             "root_mass": weights.mass(tree.root),
             "trace": total,
@@ -219,15 +219,14 @@ def cmd_greedy(args) -> int:
     tree = _build_matrix_tree(args, operator.dim)
     run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
     record = run(operator, tree, tree.max_depth, max_steps=args.steps, stop_tol=stop_tol)
-    payload = greedy.trace_payload(record)
-    payload["summary"] = greedy.decay_report(payload)["summary"]
-    _write_json(args.report, payload)
+    summary = greedy.decay_report(record.report)["summary"]
+    _write_json(args.report, {**record.report, "summary": summary})
     if args.csv:
         columns = greedy.ROW_FIELDS
         with _writing(args.csv), open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for step in payload["steps"]:
+            for step in record.steps:
                 writer.writerow(["" if step[c] is None else step[c] for c in columns])
     return EXIT_OK
 

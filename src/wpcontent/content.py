@@ -54,24 +54,23 @@ class ContentDecomposition:
 class CylinderWeights:
     """Masses tr(C_w(R)) for every node up to the tree's max depth.
 
+    ``rows`` are the `decompose` report's "cylinders": one {"word", "depth",
+    "mass"} dict per node, in `PacketTree.all_nodes` order.
     ``max_additivity_gap`` is the largest |mass(w) - sum of child masses|
     measured when the weights were computed.
     """
 
     max_depth: int
     source_trace: float
-    rows: tuple[tuple[str, int, float], ...]
+    rows: tuple[dict, ...]
     max_additivity_gap: float
 
     @cached_property
     def _by_word(self) -> dict[str, float]:
-        return {w: m for w, _, m in self.rows}
+        return {row["word"]: row["mass"] for row in self.rows}
 
     def mass(self, node) -> float:
         return self._by_word[node.word if isinstance(node, PacketNode) else node]
-
-    def to_rows(self) -> list[dict]:
-        return [{"word": w, "depth": d, "mass": m} for w, d, m in self.rows]
 
 
 def _check_dims(dim: int, tree: PacketTree) -> None:
@@ -89,9 +88,9 @@ def _root_images(r: PsdOperator, tree: PacketTree, vectors, mix=None) -> np.ndar
     return r.root_rows(rows if mix is None else mix @ rows)
 
 
-def _segment_sums(values: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Sums of the n_nodes equal contiguous segments along the first axis."""
-    return values.reshape(n_nodes, -1, *values.shape[1:]).sum(axis=1)
+def _segment_sums(values: np.ndarray, count: int) -> np.ndarray:
+    """Sums of ``count`` equal contiguous segments along the first axis."""
+    return values.reshape(count, -1, *values.shape[1:]).sum(axis=1)
 
 
 def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
@@ -169,7 +168,8 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
             raise NumericalBreakdownError(None, msg)
         max_gap = max(max_gap, float(gaps.max()))
     flat = np.concatenate(masses).tolist()
-    rows = tuple((nd.word, nd.depth, m) for nd, m in zip(tree.all_nodes(), flat))
+    rows = tuple({"word": nd.word, "depth": nd.depth, "mass": m}
+                 for nd, m in zip(tree.all_nodes(), flat))
     return CylinderWeights(tree.max_depth, total, rows, max_gap)
 
 

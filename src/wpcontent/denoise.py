@@ -304,9 +304,8 @@ def denoise_image(
             {"word": nd.word, "hs": float(v)} for nd, v in zip(rank.nodes, rank.values)
         ]
     if clean is not None:
-        mse_out = _psnr_mse(out, clean)
-        report["psnr_noisy"] = _psnr_db(mse_noisy)
-        report["psnr_denoised"] = _psnr_db(mse_out)
-        report["psnr_noisy_capped"] = mse_noisy == 0.0
-        report["psnr_denoised_capped"] = mse_out == 0.0
+        psnr = {"psnr_noisy": _psnr_db(mse_noisy), "psnr_denoised": _psnr_db(_psnr_mse(out, clean))}
+        report.update(psnr)
+        # a flag is true exactly when its value is the cap, whatever the MSE
+        report.update({f"{key}_capped": db == PSNR_CAP_DB for key, db in psnr.items()})
     return out, report

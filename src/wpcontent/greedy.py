@@ -16,14 +16,14 @@ which case the factor improves to 1 - 1/N). Both certified envelopes
 are recorded per step. A step is its report row, a dict with the keys
 ROW_FIELDS. One checker, `_violation`, holds every certified
 inequality: each step passes it before it is recorded, and
-`decay_report` re-runs it on the `trace_payload` dict alone, which is
-what `json.load` returns for a saved report.
+`decay_report` re-runs it on the run's report alone, which is what
+`json.load` returns for a saved `wpc greedy` report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,19 @@ ROW_FIELDS = (
 
 @dataclass(frozen=True)
 class ExtractionTrace:
-    """Ordered record of an extraction run, its steps ROW_FIELDS dicts, plus the final remainder."""
+    """An extraction run as its report, plus the final remainder.
 
-    mode: str
-    depth: int | None
-    n_nodes: int | None
-    initial_trace: float
-    initial_hs: float
-    steps: tuple[dict, ...]
+    ``report`` is the dict `wpc greedy` writes and `decay_report` reads:
+    {"mode", "depth", "N_n", "initial": {"trace", "hs"}, "steps"}, the
+    steps a tuple of ROW_FIELDS dicts in order.
+    """
+
+    report: dict
     final_remainder: PsdOperator
+
+    @property
+    def steps(self) -> tuple[dict, ...]:
+        return self.report["steps"]
 
 
 def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> float:
@@ -87,7 +91,9 @@ def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> Ex
     """Empty record of a run on ``r``; its final remainder is ``r`` itself."""
     _check_dims(r.dim, tree)
     nn = None if depth is None else len(tree.nodes_at(depth))
-    return ExtractionTrace(mode, depth, nn, trace(r), hs_norm(r), (), r)
+    report = {"mode": mode, "depth": depth, "N_n": nn,
+              "initial": {"trace": trace(r), "hs": hs_norm(r)}, "steps": ()}
+    return ExtractionTrace(report, r)
 
 
 def _check_stop(max_steps: int, stop_tol: float, names=("max_steps", "stop_tol")) -> None:
@@ -103,55 +109,54 @@ def _check_stop(max_steps: int, stop_tol: float, names=("max_steps", "stop_tol")
 
 def _remainder(tr: ExtractionTrace, key: str) -> float:
     """The current remainder's recorded "trace" or "hs" (``key``): last row's, else initial."""
-    return tr.steps[-1][f"remainder_{key}"] if tr.steps else getattr(tr, f"initial_{key}")
+    return tr.steps[-1][f"remainder_{key}"] if tr.steps else tr.report["initial"][key]
 
 
 def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
     """Message naming the first certified inequality step ``row`` breaks, or None.
 
-    Reads recorded numbers only, under their `trace_payload` names: the
-    run's "mode", "N_n" and "initial" trace and HS, the previous row's
-    remainder (the initial values before step 1) and the step's own row.
-    The extraction loops ask it before recording a step and
-    `decay_report` asks it of every recorded step, so both accept
-    exactly the same steps. Sequence runs certify nothing. The
-    slack is 1e-9 times the run's initial tr(R) for trace checks and
-    ||R||^2 for HS checks, with no absolute floor, so a run on cR
-    accepts exactly the steps of a run on R; gamma is dimensionless and
-    its range keeps an absolute 1e-9. Each check is ``not value <= bound``,
-    so a NaN anywhere in it fails the step.
+    Reads recorded numbers only: the report's "mode", "N_n" and "initial",
+    the previous row's remainder (the initial values before step 1) and
+    the step's own row. The loops ask it before recording a step and
+    `decay_report` asks it of every recorded step. Every mode is held to
+    the trace identity, Pythagoras ||A - D||^2 <= ||A||^2 - ||D||^2 and
+    the triangle inequality ||A|| <= ||D|| + ||A - D||; each greedy rule
+    adds its own. The slack is 1e-9 times the initial tr(R) for trace
+    checks and ||R||^2 for HS checks, with no absolute floor, so a run on
+    cR accepts exactly the steps of a run on R; the dimensionless gamma
+    keeps an absolute 1e-9. Each check is ``not value <= bound``, so a NaN fails it.
     """
     nn, initial = run["N_n"], run["initial"]
     prev_trace, prev_hs = (initial["trace"], initial["hs"]) if prev is None else (
         prev["remainder_trace"], prev["remainder_hs"]
     )
+    trace_slack, hs_slack = 1e-9 * initial["trace"], 1e-9 * initial["hs"] ** 2
+    defect = abs(prev_trace - row["extracted_trace"] - row["remainder_trace"])
+    if not defect <= trace_slack:
+        return f"trace identity failed: |tr A - tr D - tr(A - D)| = {defect:.6e}"
+    rem_sq, prev_sq = row["remainder_hs"] ** 2, prev_hs**2
+    pythagorean = prev_sq - row["extracted_hs"] ** 2
+    if not rem_sq <= pythagorean + hs_slack:
+        return f"pythagorean HS bound failed: {rem_sq:.6e} > {pythagorean:.6e}"
+    triangle = (row["extracted_hs"] + row["remainder_hs"]) ** 2
+    if not prev_sq <= triangle + hs_slack:
+        return f"HS triangle inequality failed: {prev_sq:.6e} > {triangle:.6e}"
     if run["mode"] == "trace-greedy":
         rem, bound = row["remainder_trace"], row["bound_trace"]
-        slack = 1e-9 * initial["trace"]
         ratio = 1.0 - 1.0 / nn
-        if not rem <= ratio * prev_trace + slack:
-            return (
-                f"one-step trace contraction failed: {rem:.6e} > "
-                f"{ratio:.6f} * {prev_trace:.6e}"
-            )
-        if not rem <= bound + slack:
+        if not rem <= ratio * prev_trace + trace_slack:
+            return f"one-step trace contraction failed: {rem:.6e} > {ratio:.6f} * {prev_trace:.6e}"
+        if not rem <= bound + trace_slack:
             return f"trace envelope failed: {rem:.6e} > {bound:.6e}"
     elif run["mode"] == "hs-greedy":
-        rem_sq, prev_sq, gamma = row["remainder_hs"] ** 2, prev_hs**2, row["gamma"]
-        slack = 1e-9 * initial["hs"] ** 2
+        gamma = row["gamma"]
         if not 1.0 - 1e-9 <= gamma <= nn + 1e-9:
             return f"coherence {gamma:.9f} outside [1, {nn}]"
-        pythagorean = prev_sq - row["extracted_hs"] ** 2
-        if not rem_sq <= pythagorean + slack:
-            return f"pythagorean HS bound failed: {rem_sq:.6e} > {pythagorean:.6e}"
         step_ratio = 1.0 - 1.0 / (gamma * nn)
-        if not rem_sq <= step_ratio * prev_sq + slack:
-            return (
-                f"coherence contraction failed: {rem_sq:.6e} > "
-                f"{step_ratio:.9f} * {prev_sq:.6e}"
-            )
+        if not rem_sq <= step_ratio * prev_sq + hs_slack:
+            return f"coherence contraction failed: {rem_sq:.6e} > {step_ratio:.9f} * {prev_sq:.6e}"
         envelope_sq = row["bound_hs"] ** 2
-        if not rem_sq <= envelope_sq + slack:
+        if not rem_sq <= envelope_sq + hs_slack:
             return f"uniform HS envelope failed: {rem_sq:.6e} > {envelope_sq:.6e}"
     return None
 
@@ -179,10 +184,10 @@ def _step(
     row = dict.fromkeys(ROW_FIELDS)
     row.update(k=k, node=node.word, extracted_trace=trace(d), extracted_hs=hs_norm(d),
                remainder_trace=trace(nxt), remainder_hs=hs_norm(nxt), **bounds)
-    message = _violation(trace_payload(tr), tr.steps[-1] if tr.steps else None, row)
+    message = _violation(tr.report, tr.steps[-1] if tr.steps else None, row)
     if message is not None:
         raise NumericalBreakdownError(k, message)
-    return replace(tr, steps=(*tr.steps, row), final_remainder=nxt)
+    return ExtractionTrace({**tr.report, "steps": (*tr.steps, row)}, nxt)
 
 
 def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[PacketNode]) -> ExtractionTrace:
@@ -210,9 +215,9 @@ def trace_greedy(
     tr = _start("trace-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
     ratio = 1.0 - 1.0 / len(nodes)
-    envelope = tr.initial_trace
+    envelope = initial = tr.report["initial"]["trace"]
     for _ in range(max_steps):
-        if _remainder(tr, "trace") <= stop_tol * tr.initial_trace:
+        if _remainder(tr, "trace") <= stop_tol * initial:
             break
         current = tr.final_remainder
         node = nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]
@@ -228,17 +233,18 @@ def hs_greedy(
 
     Records the coherence gamma of the remainder before each step and the
     uniform envelope (1 - 1/N^2)^k ||R||_2^2; each step is certified for
-    gamma in [1, N], the pythagorean bound ||A - D||^2 <= ||A||^2 - ||D||^2,
-    the contraction by (1 - 1/(gamma N)) and the envelope. Terminates
+    gamma in [1, N], the contraction by (1 - 1/(gamma N)) and the envelope,
+    besides the relations `_violation` holds in every mode. Terminates
     cleanly when the remainder is numerically zero (undefined coherence).
     """
     _check_stop(max_steps, stop_tol)
     tr = _start("hs-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
     uniform_ratio = 1.0 - 1.0 / len(nodes) ** 2
-    envelope_sq = tr.initial_hs**2
+    initial = tr.report["initial"]["hs"]
+    envelope_sq = initial**2
     for _ in range(max_steps):
-        if _remainder(tr, "hs") <= stop_tol * tr.initial_hs:
+        if _remainder(tr, "hs") <= stop_tol * initial:
             break
         current = tr.final_remainder
         scores = hs_scores_squared(current.matrix, tree, n)
@@ -255,9 +261,10 @@ def hs_greedy(
 
 
 def decay_report(payload: dict) -> dict:
-    """Re-check every step row of a `trace_payload` dict with the extraction loops' own checker.
+    """Re-check every step row of a run's report with the extraction loops' own checker.
 
-    ``payload`` may be a saved report as `json.load` returns it; other keys
+    ``payload`` is an `ExtractionTrace.report`, or a saved `wpc greedy`
+    report as `json.load` returns it; other keys
     are ignored. Returns {"rows": [...], "summary": {...}}; each row
     carries a bound_satisfied flag and the summary names the first
     violating step (expected: none).
@@ -278,13 +285,3 @@ def decay_report(payload: dict) -> dict:
     }
     return {"rows": rows, "summary": summary}
 
-
-def trace_payload(tr: ExtractionTrace) -> dict:
-    """Decay-report wire format: {mode, depth, N_n, initial, steps}; the steps are row copies."""
-    return {
-        "mode": tr.mode,
-        "depth": tr.depth,
-        "N_n": tr.n_nodes,
-        "initial": {"trace": tr.initial_trace, "hs": tr.initial_hs},
-        "steps": [dict(row) for row in tr.steps],
-    }

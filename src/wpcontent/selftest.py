@@ -111,8 +111,8 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
         vals = rng.uniform(0.0, 1.0, size=2**levels)
         r = make_psd(np.diag(vals))
         cw = cylinder_weights(r, sh_tree)
-        for word, _, mass in cw.rows:
-            oracle = max(oracle, abs(mass - _band_sum(vals, levels, word)))
+        for row in cw.rows:
+            oracle = max(oracle, abs(row["mass"] - _band_sum(vals, levels, row["word"])))
     rows.append(_bounded("band-oracle", oracle, 1e-12))
 
     return all(row["ok"] for row in rows), rows

@@ -15,9 +15,10 @@ It runs numpy on one BLAS thread and regenerates, in process:
   ``wpc selftest --seed 7``;
 * a library corpus on Shannon, Haar, D4 and 2-D Haar and D4 trees, each
   with a full-rank and a rank-deficient Gram matrix (and the Shannon tree
-  with a diagonal symbol too): ``trace_payload`` of both greedy rules, the
-  ``depth_decomposition`` block bytes, the cylinder rows and
-  ``discrete_density``.
+  with a diagonal symbol too): the ``report`` of both greedy rules'
+  ``ExtractionTrace``, the ``depth_decomposition`` block bytes, the
+  ``CylinderWeights.rows`` and ``discrete_density``. The item names
+  (``trace-payload-*`` and ``cylinder-rows``) keep the manifest's keys.
 
 The manifest also stores a fingerprint of the machine: the Python and
 numpy versions, numpy's BLAS, the CPU model and the thread variables.
@@ -145,7 +146,7 @@ def _library_item(tree_name: str, kind: str, item: str) -> bytes:
     n = tree.max_depth
     if item.startswith("trace-payload-"):
         run = w.trace_greedy if item.endswith("-trace") else w.hs_greedy
-        return _json(w.trace_payload(run(r, tree, n, max_steps=12)))
+        return _json(run(r, tree, n, max_steps=12).report)
     if item == "depth-blocks":
         parts = []
         for depth in range(1, n + 1):
@@ -157,7 +158,7 @@ def _library_item(tree_name: str, kind: str, item: str) -> bytes:
         return b"".join(parts)
     if item == "cylinder-rows":
         weights = w.cylinder_weights(r, tree)
-        return _json([weights.to_rows(), weights.max_additivity_gap])
+        return _json([weights.rows, weights.max_additivity_gap])
     x = np.random.default_rng(11).standard_normal(r.dim)
     return _json([
         {nd.word: v for nd, v in w.discrete_density(r, tree, x, depth).items()}

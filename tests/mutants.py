@@ -36,7 +36,7 @@ MUTANTS = [
      "ratio = 1.0 - 1.0 / nn\n", "ratio = 1.0 - 1.0 / (2 * nn)\n"),
     ("gamma-range-2N", "src/wpcontent/greedy.py", "gamma <= nn + 1e-9", "gamma <= 2 * nn + 1e-9"),
     ("pythagorean-removed", "src/wpcontent/greedy.py",
-     "if not rem_sq <= pythagorean + slack:", "if False:"),
+     "if not rem_sq <= pythagorean + hs_slack:", "if False:"),
     ("trace-rule-second-heaviest", "src/wpcontent/greedy.py",
      "nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]",
      "nodes[int(np.argsort(trace_scores(current.matrix, tree, n))[-2])]"),
@@ -48,16 +48,35 @@ MUTANTS = [
      "self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)",
      "self.clamp_applied = bool(lam[-1] < 0.0)"),
     ("trace-slack-1e-3", "src/wpcontent/greedy.py",
-     'slack = 1e-9 * initial["trace"]', 'slack = 1e-3 * initial["trace"]'),
+     'trace_slack, hs_slack = 1e-9 * initial["trace"],',
+     'trace_slack, hs_slack = 1e-3 * initial["trace"],'),
     ("hs-slack-1e-3", "src/wpcontent/greedy.py",
-     'slack = 1e-9 * initial["hs"] ** 2', 'slack = 1e-3 * initial["hs"] ** 2'),
+     ', 1e-9 * initial["hs"] ** 2\n', ', 1e-3 * initial["hs"] ** 2\n'),
     ("hs-envelope-ratio-N3", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / len(nodes) ** 2", "1.0 - 1.0 / len(nodes) ** 3"),
     ("coherence-contraction-2gammaN", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / (gamma * nn)", "1.0 - 1.0 / (2 * gamma * nn)"),
     ("trace-stop-rule-x10", "src/wpcontent/greedy.py",
-     'if _remainder(tr, "trace") <= stop_tol * tr.initial_trace:',
-     'if _remainder(tr, "trace") <= 10 * stop_tol * tr.initial_trace:'),
+     'if _remainder(tr, "trace") <= stop_tol * initial:',
+     'if _remainder(tr, "trace") <= 10 * stop_tol * initial:'),
+    ("hs-stop-rule-x10", "src/wpcontent/greedy.py",
+     'if _remainder(tr, "hs") <= stop_tol * initial:',
+     'if _remainder(tr, "hs") <= 10 * stop_tol * initial:'),
+    # the relations every mode is held to: the trace identity, Pythagoras (also outside the
+    # HS rule) and the triangle inequality
+    ("trace-identity-removed", "src/wpcontent/greedy.py",
+     "if not defect <= trace_slack:", "if False:"),
+    ("pythagorean-hs-only", "src/wpcontent/greedy.py",
+     "if not rem_sq <= pythagorean + hs_slack:",
+     'if run["mode"] == "hs-greedy" and not rem_sq <= pythagorean + hs_slack:'),
+    ("triangle-removed", "src/wpcontent/greedy.py",
+     "if not prev_sq <= triangle + hs_slack:", "if False:"),
+    # a run's report states its input, and an undefined coherence ends an HS run cleanly
+    ("payload-initial-hs-x2", "src/wpcontent/greedy.py",
+     '"hs": hs_norm(r)}', '"hs": 2 * hs_norm(r)}'),
+    ("coherence-undefined-raises", "src/wpcontent/greedy.py",
+     "except UndefinedCoherenceError:\n            break\n",
+     "except UndefinedCoherenceError:\n            raise\n"),
     # the re-check of a report: decay_report must run the checker on every row
     ("decay-report-unchecked", "src/wpcontent/greedy.py",
      "ok = _violation(payload, prev, row) is None", "ok = True"),
@@ -95,9 +114,22 @@ MUTANTS = [
     # the shipped filter taps (one D4 tap moved by about 2e-10)
     ("d4-tap-off-by-2e-10", "src/wpcontent/tree.py",
      "(3.0 - _ROOT3) / _D4_SCALE", "(3.0 - _ROOT3 + 1e-9) / _D4_SCALE"),
-    # the denoiser's square-sum rule
+    # the denoiser's square-sum rule, HS ranking, retained fraction and PSNR cap
     ("patch-square-sum-removed", "src/wpcontent/denoise.py",
      'check_square_sum(gram, "patch second moment")', "pass"),
+    ("hs-selection-score-squared", "src/wpcontent/denoise.py",
+     "np.sqrt(hs_scores_squared(patches.rhat, tree, n))",
+     "hs_scores_squared(patches.rhat, tree, n)"),
+    ("retained-fraction-total", "src/wpcontent/denoise.py",
+     "if total > 0.0 else 1.0", "if total > 0.0 else 0.0"),
+    ("psnr-cap-off", "src/wpcontent/denoise.py",
+     "return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / mse)))",
+     "return float(10.0 * np.log10(1.0 / mse))"),
+    # cylinder masses are clamped at zero, and every tree depth is at least 1
+    ("cylinder-clamp-removed", "src/wpcontent/content.py",
+     "np.maximum(trace_scores(a, tree, n), 0.0)", "trace_scores(a, tree, n)"),
+    ("dyadic-depth-0", "src/wpcontent/tree.py",
+     "if not 1 <= depth <= top:", "if not 0 <= depth <= top:"),
 ]
 
 

@@ -86,9 +86,9 @@ def test_criterion_2_shannon_oracle():
         vals = rng.uniform(0.0, 1.0, size=2**levels)
         op = w.ShannonSymbol(levels, vals).to_operator()
         weights = w.cylinder_weights(op, tree)
-        for word, _, mass in weights.rows:
-            direct = float(sum(vals[p] for p in band_positions(levels, word)))
-            worst = max(worst, abs(mass - direct))
+        for row in weights.rows:
+            direct = float(sum(vals[p] for p in band_positions(levels, row["word"])))
+            worst = max(worst, abs(row["mass"] - direct))
     elapsed = time.monotonic() - start
     _stamp(2, "band-sum oracle", worst <= 1e-12 and elapsed < 5.0, elapsed, 5.0)
 

@@ -203,7 +203,7 @@ class TestGreedy:
         t = w.build_shannon_tree(4, 2) if tree == "shannon" else w.build_filter_tree_1d(tree, 16, 2)
         record = (w.trace_greedy if mode == "trace" else w.hs_greedy)(op, t, 2, max_steps=8)
         assert len(record.steps) == 8
-        assert w.decay_report(saved) == w.decay_report(w.trace_payload(record))
+        assert w.decay_report(saved) == w.decay_report(record.report)
         assert w.decay_report(saved)["summary"] == saved["summary"]
 
     def test_hs_mode_block_diagonal_gamma_one(self, tmp_path, rng):
@@ -221,6 +221,26 @@ class TestGreedy:
         assert code == 0
         for step in json.loads(rep.read_text())["steps"]:
             assert step["gamma"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_undefined_coherence_ends_an_hs_run_cleanly(self, matrix_file, tmp_path,
+                                                         monkeypatch):
+        # coherence raises at step 3: the run keeps the two steps before it, and exits 0
+        real, calls = w.greedy.coherence, []
+
+        def undefined_at_step_3(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise w.UndefinedCoherenceError("block HS mass is numerically zero")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(w.greedy, "coherence", undefined_at_step_3)
+        rep = tmp_path / "g.json"
+        assert main(["greedy", "--in", matrix_file, "--depth", "2", "--mode", "hs",
+                     "--steps", "8", "--report", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert [step["k"] for step in payload["steps"]] == [1, 2]
+        assert payload["summary"]["first_violation"] is None
+        assert len(calls) == 3
 
     def test_zero_steps(self, matrix_file, tmp_path):
         rep = tmp_path / "g.json"
@@ -608,6 +628,24 @@ class TestExitCodes:
         assert not rep.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "greedy"])
+    @pytest.mark.parametrize("tree", ["shannon", "haar", "d4"])
+    def test_depth_0_exits_5(self, matrix_file, tmp_path, capsys, command, tree):
+        # every tree needs depth >= 1: depth 0 would be the root alone
+        rep = tmp_path / "out.json"
+        assert main([command, "--in", matrix_file, "--tree", tree, "--depth", "0",
+                     "--report", str(rep)]) == 5
+        self._one_error_line(capsys)
+        assert not rep.exists()
+
+    def test_denoise_depth_0_exits_5(self, image_files, tmp_path, capsys):
+        _, noisy = image_files
+        out, rep = tmp_path / "x.pgm", tmp_path / "rep.json"
+        assert main(["denoise", "--in", noisy, "--depth", "0", "--out", str(out),
+                     "--report", str(rep)]) == 5
+        self._one_error_line(capsys)
+        assert not out.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "greedy"])
     @pytest.mark.parametrize("in_exists", [True, False], ids=["existing-in", "missing-in"])
     def test_in_and_symbol_together_exit_5(self, matrix_file, symbol_file, tmp_path, capsys,
                                            command, in_exists):
@@ -827,7 +865,7 @@ EXPORTED = sorted("""
     depth_decomposition discrete_density extract_patches extract_sequence
     filter_taps hs_greedy hs_norm make_psd matrix_from_json
     parallelogram_check projection quantize read_pgm second_moment
-    select_top_k sym_eigen trace trace_greedy trace_payload tree_description
+    select_top_k sym_eigen trace trace_greedy tree_description
     validate_tree vector_weight write_pgm
 """.split())
 
@@ -846,7 +884,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 58
+        assert names == EXPORTED and len(names) == 57
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

@@ -30,7 +30,7 @@ def symbol_values(rng, levels):
 
 def weight_bits(cw):
     """Every number of a CylinderWeights as float.hex, which tells -0.0 from 0.0."""
-    rows = [(word, depth, mass.hex()) for word, depth, mass in cw.rows]
+    rows = [(row["word"], row["depth"], row["mass"].hex()) for row in cw.rows]
     return rows, cw.source_trace.hex(), cw.max_additivity_gap.hex()
 
 
@@ -210,7 +210,7 @@ class TestCylinderWeights:
         tree = w.build_shannon_tree(3, 2)
         r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
         cw = w.cylinder_weights(r, tree)
-        assert all(mass == 0.0 for _, _, mass in cw.rows)
+        assert all(row["mass"] == 0.0 for row in cw.rows)
 
     def test_zero_trace_rigidity(self):
         # a band with zero symbol mass carries a zero block
@@ -225,9 +225,17 @@ class TestCylinderWeights:
     def test_export_rows(self, rng):
         tree = w.build_shannon_tree(2, 2)
         cw = w.cylinder_weights(random_gram(rng, 4), tree)
-        rows = cw.to_rows()
+        rows = cw.rows
         assert len(rows) == 7
         assert set(rows[0]) == {"word", "depth", "mass"}
+
+    def test_masses_are_nonnegative_on_a_rank_one_input_inside_one_node(self, rng):
+        # the other nodes' raw masses tr(P_w R) are rounding noise of either sign
+        tree = w.build_filter_tree_1d("d4", 16, 3)
+        for node in tree.nodes_at(3):
+            v = rng.standard_normal(2) @ tree.basis(node)
+            cw = w.cylinder_weights(w.make_psd(np.outer(v, v)), tree)
+            assert min(row["mass"] for row in cw.rows) >= 0.0, node.word
 
     @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
                              ids=["1e-6-breaks", "0.5e-9-passes"])

@@ -4,7 +4,10 @@ import pytest
 import wpcontent as w
 from wpcontent.denoise import _psnr_db, _psnr_mse
 
-from helpers import loewner_leq, piecewise_smooth_image, positions, tiled_patches
+from helpers import (
+    dense_blocks, loewner_leq, loop_extract_patches, piecewise_smooth_image, positions,
+    tiled_patches,
+)
 
 
 class TestExtractPatches:
@@ -194,6 +197,10 @@ class TestPsnrAndNoise:
         img = piecewise_smooth_image(16)
         assert _psnr_db(_psnr_mse(img, img)) == 99.0
 
+    @pytest.mark.parametrize("mse", [1e-10, 1e-12, 1e-300])
+    def test_a_nonzero_mse_above_99_db_is_capped(self, mse):
+        assert _psnr_db(mse) == w.denoise.PSNR_CAP_DB == 99.0
+
     def test_noise_zero_sigma(self):
         img = piecewise_smooth_image(16)
         out = w.add_gaussian_noise(img, 0.0, 7)
@@ -233,6 +240,39 @@ class TestDenoisePipeline:
         z = w.ImageBuffer(np.zeros((16, 16)))
         out, _ = w.denoise_image(z, w.DenoiseConfig(patch_side=4, depth=1, top_k=2))
         assert np.array_equal(out.pixels, np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("mode", ["trace", "hs"])
+    def test_an_all_black_image_retains_all_of_its_zero_energy(self, mode):
+        z = w.ImageBuffer(np.zeros((16, 16)))
+        _, report = w.denoise_image(z, w.DenoiseConfig(patch_side=4, depth=1, top_k=2, mode=mode))
+        assert report["retained_energy_fraction"] == 1.0
+
+    def test_capped_flags_are_true_exactly_at_the_cap(self):
+        # noise of 1e-7 leaves an MSE near 1e-14, nonzero but above 99 dB; a full selection
+        # reproduces the noisy image to rounding, so both values sit at the cap
+        clean = piecewise_smooth_image(32)
+        cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=16, stride=4)
+        for sigma, capped in ((1e-7, True), (0.1, False)):
+            noisy = w.add_gaussian_noise(clean, sigma, 5)
+            _, report = w.denoise_image(noisy, cfg, clean=clean)
+            assert _psnr_mse(noisy, clean) > 0.0
+            for key in ("psnr_noisy", "psnr_denoised"):
+                assert (report[key] == 99.0) is capped, (sigma, key)
+                assert report[f"{key}_capped"] is capped, (sigma, key)
+
+    def test_hs_selection_scores_are_the_block_hs_norms(self):
+        # ||B R_hat B^T||_F per node, from R_hat = Y^T Y / M of the per-patch route
+        noisy = w.add_gaussian_noise(piecewise_smooth_image(32), 0.1, 9)
+        cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=4, mode="hs")
+        _, report = w.denoise_image(noisy, cfg)
+        y = loop_extract_patches(noisy, 8, cfg.effective_stride()).patches
+        rhat = y.T @ y / len(y)
+        tree = w.build_filter_tree_2d("haar", 8, 2)
+        want = [float(np.linalg.norm(b)) for b in dense_blocks(rhat, tree, 2)]
+        rows = report["selection_scores"]
+        assert [row["word"] for row in rows] == [nd.word for nd in tree.nodes_at(2)]
+        got = np.array([row["hs"] for row in rows])
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.linalg.norm(rhat))
 
     def test_noise_reduction_on_smooth_image(self):
         clean = piecewise_smooth_image(64)

@@ -209,7 +209,7 @@ class TestHsGreedy:
         r = block_diagonal_gram(rng, tree, 1, 8)
         nn = 2
         run = w.hs_greedy(r, tree, 1, max_steps=6)
-        prev_sq = run.initial_hs**2
+        prev_sq = run.report["initial"]["hs"] ** 2
         for step in run.steps:
             assert step["gamma"] == pytest.approx(1.0, abs=1e-9)
             assert step["remainder_hs"] ** 2 <= (1.0 - 1.0 / nn) * prev_sq * (1 + 1e-9) + 1e-15
@@ -235,13 +235,13 @@ class TestHsGreedy:
             for _ in range(5):
                 r = random_gram(rng, 8)
                 run = w.hs_greedy(r, tree, 2, max_steps=3 * nn)
-                prev_sq = run.initial_hs**2
+                h0_sq = prev_sq = run.report["initial"]["hs"] ** 2
                 for step in run.steps:
                     assert 1.0 - 1e-9 <= step["gamma"] <= nn + 1e-9
                     per_step = 1.0 - 1.0 / (step["gamma"] * nn)
                     assert step["remainder_hs"] ** 2 <= per_step * prev_sq + 1e-9 * (1 + prev_sq)
                     assert step["remainder_hs"] ** 2 <= (
-                        uniform**step["k"] * run.initial_hs**2 + 1e-9 * (1 + run.initial_hs**2)
+                        uniform**step["k"] * h0_sq + 1e-9 * (1 + h0_sq)
                     )
                     prev_sq = step["remainder_hs"] ** 2
 
@@ -268,7 +268,7 @@ class TestDecayReport:
     def test_empty_trace(self):
         tree = w.build_shannon_tree(3, 1)
         r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
-        rep = w.decay_report(w.trace_payload(w.trace_greedy(r, tree, 1, max_steps=3)))
+        rep = w.decay_report(w.trace_greedy(r, tree, 1, max_steps=3).report)
         assert rep["rows"] == []
         assert rep["summary"]["note"] == "no steps"
         assert rep["summary"]["first_violation"] is None
@@ -276,7 +276,7 @@ class TestDecayReport:
     def test_trace_rows_within_envelope(self, rng):
         tree = w.build_shannon_tree(3, 2)
         r = random_gram(rng, 8)
-        rep = w.decay_report(w.trace_payload(w.trace_greedy(r, tree, 2, max_steps=12)))
+        rep = w.decay_report(w.trace_greedy(r, tree, 2, max_steps=12).report)
         assert rep["summary"]["first_violation"] is None
         for row in rep["rows"]:
             assert row["bound_satisfied"]
@@ -286,7 +286,7 @@ class TestDecayReport:
         tree = w.build_shannon_tree(3, 2)
         nn = len(tree.nodes_at(2))
         r = random_gram(rng, 8)
-        rep = w.decay_report(w.trace_payload(w.hs_greedy(r, tree, 2, max_steps=12)))
+        rep = w.decay_report(w.hs_greedy(r, tree, 2, max_steps=12).report)
         assert rep["summary"]["first_violation"] is None
         for row in rep["rows"]:
             assert 1.0 - 1e-9 <= row["gamma"] <= nn + 1e-9
@@ -294,7 +294,7 @@ class TestDecayReport:
     def test_payload_schema(self, rng):
         tree = w.build_shannon_tree(3, 1)
         run = w.trace_greedy(random_gram(rng, 8), tree, 1, max_steps=3)
-        payload = w.trace_payload(run)
+        payload = run.report
         assert payload["mode"] == "trace-greedy"
         assert payload["depth"] == 1 and payload["N_n"] == 2
         assert set(payload["initial"]) == {"trace", "hs"}
@@ -309,7 +309,7 @@ class TestDecayReport:
         room = prev_sq - step["remainder_hs"] ** 2 + 1e-9 * (1 + prev_sq)
         bad = {**step, "extracted_hs": float(np.sqrt(1.01 * room))}
         steps = run.steps[:2] + (bad,) + run.steps[3:]
-        rep = w.decay_report({**w.trace_payload(run), "steps": steps})
+        rep = w.decay_report({**run.report, "steps": steps})
         assert rep["summary"]["first_violation"] == 3
         assert [row["bound_satisfied"] for row in rep["rows"]][:4] == [True, True, False, True]
 
@@ -320,13 +320,13 @@ class TestDecayReport:
         k = next(
             i for i in range(1, len(run.steps))
             if run.steps[i]["bound_trace"] - ratio * run.steps[i - 1]["remainder_trace"]
-            > 1e-6 * (1 + run.initial_trace)
+            > 1e-6 * (1 + run.report["initial"]["trace"])
         )
         one_step = ratio * run.steps[k - 1]["remainder_trace"]
         step = run.steps[k]
         bad = {**step, "remainder_trace": 0.5 * (one_step + step["bound_trace"])}
         steps = run.steps[:k] + (bad,) + run.steps[k + 1 :]
-        rep = w.decay_report({**w.trace_payload(run), "steps": steps})
+        rep = w.decay_report({**run.report, "steps": steps})
         assert rep["summary"]["first_violation"] == k + 1
 
     @pytest.mark.parametrize("run, field", [
@@ -340,7 +340,7 @@ class TestDecayReport:
         record = run(random_gram(rng, 8), tree, 2, max_steps=4)
         bad = {**record.steps[1], field: float("nan")}
         steps = record.steps[:1] + (bad,) + record.steps[2:]
-        rep = w.decay_report({**w.trace_payload(record), "steps": steps})
+        rep = w.decay_report({**record.report, "steps": steps})
         assert rep["summary"]["first_violation"] == 2
         assert not rep["rows"][1]["bound_satisfied"]
 
@@ -382,6 +382,56 @@ def test_a_saved_corruption_is_flagged_at_the_same_step(rng, tmp_path, monkeypat
     monkeypatch.setattr(w, "decay_report", from_file)
     getattr(TestDecayReport(), case)(rng, **params)
     assert len(saved) == 1
+
+
+# (field, forgery, step, relation the checker names): one recorded number of a saved
+# report changed; each is flagged at the step whose row (or, for "initial", whose
+# previous values) it changed, by a relation that every mode is held to
+_FORGERIES = {
+    "extracted_trace-0": ("extracted_trace", lambda v: 0.0, 5, "trace identity"),
+    "extracted_trace-x100": ("extracted_trace", lambda v: 100 * v, 5, "trace identity"),
+    "extracted_hs-0": ("extracted_hs", lambda v: 0.0, 5, "HS triangle"),
+    "extracted_hs-x100": ("extracted_hs", lambda v: 100 * v, 5, "pythagorean"),
+    "remainder_hs-0": ("remainder_hs", lambda v: 0.0, 5, "HS triangle"),
+    "initial-trace-x2": ("trace", lambda v: 2 * v, 1, "trace identity"),
+    "initial-hs-x2": ("hs", lambda v: 2 * v, 1, "HS triangle"),
+}
+
+
+def _forged(report, forgery):
+    """``report`` with the forgery of `_FORGERIES` applied, and the step it must be flagged at."""
+    field, forge, k, _ = _FORGERIES[forgery]
+    if k == 1:
+        return {**report, "initial": {**report["initial"], field: forge(report["initial"][field])}}
+    steps = list(report["steps"])
+    steps[k - 1] = {**steps[k - 1], field: forge(steps[k - 1][field])}
+    return {**report, "steps": steps}
+
+
+@pytest.mark.parametrize("forgery", list(_FORGERIES))
+@pytest.mark.parametrize("mode", ["trace-greedy", "hs-greedy", "sequence"])
+def test_a_forged_number_in_a_saved_report_is_flagged_at_its_own_step(rng, tmp_path, mode, forgery):
+    # a d = 32 Gram matrix on the D4 tree, depth 3, 12 steps; the forged report goes
+    # through a file, and decay_report reads what json.load returns
+    tree = w.build_filter_tree_1d("d4", 32, 3)
+    r = random_gram(rng, 32)
+    if mode == "sequence":
+        at = tree.nodes_at
+        nodes = [at(3)[6], at(1)[0], at(2)[3], at(3)[1], at(2)[1], at(3)[4],
+                 at(0)[0], at(3)[2], at(1)[1], at(2)[0], at(3)[7], at(3)[5]]
+        run = w.extract_sequence(r, tree, nodes)
+    else:
+        run = (w.trace_greedy if mode == "trace-greedy" else w.hs_greedy)(r, tree, 3, 12)
+    assert len(run.steps) == 12
+    assert w.decay_report(run.report)["summary"]["first_violation"] is None
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_forged(run.report, forgery)), encoding="utf-8")
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    k, relation = _FORGERIES[forgery][2:]
+    rep = w.decay_report(saved)
+    assert rep["summary"]["first_violation"] == k
+    prev = saved["steps"][k - 2] if k > 1 else None
+    assert w.greedy._violation(saved, prev, saved["steps"][k - 1]).startswith(relation)
 
 
 @pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
@@ -454,13 +504,14 @@ def test_runs_on_a_power_of_two_multiple_scale_exactly(rng, tree_name):
     for k in _SCALE_EXPONENTS:
         c = 2.0**k
         for u, s in zip(unit, _scaled_runs(base, tree, c)):
-            assert [st["node"] for st in s.steps] == [st["node"] for st in u.steps], (k, u.mode)
-            assert (s.initial_trace, s.initial_hs) == (c * u.initial_trace, c * u.initial_hs)
+            mode, su, ss = u.report["mode"], u.report["initial"], s.report["initial"]
+            assert [st["node"] for st in s.steps] == [st["node"] for st in u.steps], (k, mode)
+            assert (ss["trace"], ss["hs"]) == (c * su["trace"], c * su["hs"])
             for a, b in zip(u.steps, s.steps):
                 assert b["gamma"] == a["gamma"]
                 for f in _SCALED_FIELDS:
                     ua, sb = a[f], b[f]
-                    assert sb == (None if ua is None else c * ua), (k, u.mode, b["k"], f)
+                    assert sb == (None if ua is None else c * ua), (k, mode, b["k"], f)
 
 
 @pytest.mark.parametrize("k", _SCALE_EXPONENTS)
@@ -473,15 +524,21 @@ def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     stuck = {
         **step, "remainder_trace": prev["remainder_trace"], "remainder_hs": prev["remainder_hs"]
     }
-    rep = w.decay_report({**w.trace_payload(run), "steps": (prev, stuck, *run.steps[2:])})
+    rep = w.decay_report({**run.report, "steps": (prev, stuck, *run.steps[2:])})
     assert rep["summary"]["first_violation"] == 2
 
 
 def _one_step_record(mode, scale, **row):
-    """Hand-built payload on N = 4 nodes; initial trace and HS norm both ``scale``, one step."""
-    fields = dict(k=1, node="00", extracted_trace=0.0, extracted_hs=0.0,
-                  remainder_trace=0.0, remainder_hs=0.0)
+    """Hand-built report on N = 4 nodes; initial trace and HS norm both ``scale``, one step.
+
+    The fields ``row`` leaves out keep the relations of every mode with room: the
+    extracted trace is ``scale`` less the remainder trace (half of it by default), and
+    the HS norms default to sqrt(0.5) and sqrt(0.4) times ``scale`` (extracted, remainder).
+    """
+    fields = dict(k=1, node="00", remainder_trace=0.5 * scale,
+                  extracted_hs=np.sqrt(0.5) * scale, remainder_hs=np.sqrt(0.4) * scale)
     step = {**dict.fromkeys(w.greedy.ROW_FIELDS), **fields, **row}
+    step["extracted_trace"] = scale - step["remainder_trace"]
     return {"mode": mode, "depth": 2, "N_n": 4, "initial": {"trace": scale, "hs": scale},
             "steps": [step]}
 
@@ -553,6 +610,34 @@ def test_trace_run_at_five_stop_tols_keeps_running():
     assert len(run.steps) == 2
 
 
+def test_hs_run_at_five_stop_tols_keeps_running():
+    # after step 1 the remainder HS norm is eps = 5 * stop_tol * ||R||, above the stop rule
+    stop_tol = 1e-3
+    eps = 5 * stop_tol / np.sqrt(1 - 25 * stop_tol**2)
+    r = w.make_psd(w.SymMatrix(np.diag([1.0, eps])))
+    run = w.hs_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
+    assert run.steps[0]["remainder_hs"] == pytest.approx(5 * stop_tol * w.hs_norm(r), rel=1e-12)
+    assert len(run.steps) == 2
+
+
+@pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
+def test_the_report_states_its_input_exactly(rng, mode):
+    # the checker holds "initial" only through step 1's relations, and not at all without steps
+    tree = w.build_filter_tree_1d("d4", 16, 2)
+    r = random_gram(rng, 16)
+    for steps in (0, 4):
+        if mode == "sequence":
+            run = w.extract_sequence(r, tree, tree.nodes_at(2)[:steps])
+        else:
+            run = (w.trace_greedy if mode == "trace-greedy" else w.hs_greedy)(r, tree, 2, steps)
+        depth, nn = (None, None) if mode == "sequence" else (2, 4)
+        assert len(run.steps) == steps
+        assert {k: v for k, v in run.report.items() if k != "steps"} == {
+            "mode": mode, "depth": depth, "N_n": nn,
+            "initial": {"trace": w.trace(r), "hs": w.hs_norm(r)},
+        }
+
+
 def _draw_tree(draw, names, max_levels):
     """(tree, depth): a tree of one of ``names``; 1-D dims 2-2^max_levels, 2-D sides 2-8."""
     name = draw(st.sampled_from(names))
@@ -592,8 +677,8 @@ def test_greedy_certificates_hold_on_gram_matrices(case):
     nn = len(tree.nodes_at(depth))
     for extract in (w.trace_greedy, w.hs_greedy):
         run = extract(r, tree, depth, max_steps=2 * nn)
-        assert w.decay_report(w.trace_payload(run))["summary"]["first_violation"] is None
-        traces = [run.initial_trace] + [s["remainder_trace"] for s in run.steps]
+        assert w.decay_report(run.report)["summary"]["first_violation"] is None
+        traces = [run.report["initial"]["trace"]] + [s["remainder_trace"] for s in run.steps]
         assert all(b <= a for a, b in zip(traces, traces[1:])), traces
         if extract is w.hs_greedy:
             assert all(1.0 - 1e-9 <= s["gamma"] <= nn + 1e-9 for s in run.steps)
@@ -624,7 +709,7 @@ def test_remainders_stay_psd_under_their_envelope_on_any_tree_and_scale(case):
 
         with mock.patch.object(w.greedy, "make_psd", recording):
             run = extract(r, tree, depth, max_steps=min(2 * nn, 24))
-        assert w.decay_report(w.trace_payload(run))["summary"]["first_violation"] is None
+        assert w.decay_report(run.report)["summary"]["first_violation"] is None
         assert len(remainders) == len(run.steps)
         for step, rem in zip(run.steps, remainders):
             assert np.linalg.eigvalsh(rem.matrix)[0] >= -1e-10 * lam_max

@@ -60,7 +60,7 @@ def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank
     def outputs():
         r = w.make_psd(matrix)
         runs = [
-            w.trace_payload(extract(r, tree, n, 12))
+            extract(r, tree, n, 12).report
             for extract in (w.trace_greedy, w.hs_greedy) for n in depths
         ]
         blocks = [
