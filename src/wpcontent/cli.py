@@ -156,15 +156,25 @@ def _write_json(path, payload) -> None:
             fh.write(text)
 
 
-def _distinct_outputs(report, path, option) -> None:
-    """``option`` writes the file ``path``, which takes no "-" and may not be the --report file.
+def _check_files(args, *outputs) -> None:
+    """Refuse an output whose file another output or an input (--in, --symbol, --clean) names.
 
-    Only --report takes "-" for stdout; a file named "-" is ``./-``.
+    Paths match by os.path.realpath, so ``sub/..`` and symlinks count. Only
+    --report takes "-", for stdout; a file named "-" is ``./-``. Runs before
+    any input is read, so a refused command reads and writes nothing.
     """
-    if path == "-":
-        raise ConfigError(f"{option} takes a file, not - (stdout); write ./- for a file named -")
-    if report not in (None, "-") and path and os.path.realpath(report) == os.path.realpath(path):
-        raise ConfigError(f"two outputs would write the same file: {report} and {path}")
+    named = {}
+    for option in ("--in", "--symbol", "--clean", *outputs):
+        path = getattr(args, "input" if option == "--in" else option[2:], None)
+        if not path or (path == "-" and option == "--report"):
+            continue
+        if path == "-" and option in outputs:
+            raise ConfigError(f"{option} takes a file, not - (stdout); "
+                              "write ./- for a file named -")
+        real = os.path.realpath(path)
+        if option in outputs and real in named:
+            raise ConfigError(f"{option} {path} would overwrite {' '.join(named[real])}")
+        named.setdefault(real, (option, path))
 
 
 def _load_operator(args, dense=True):
@@ -193,17 +203,18 @@ def _build_matrix_tree(args, dim: int):
 
 
 def cmd_decompose(args) -> int:
+    _check_files(args, "--report")
     operator = _load_operator(args, dense=False)
     tree = _build_matrix_tree(args, operator.dim)
     weights = cylinder_weights(operator, tree)
-    total = weights.source_trace
+    total, root_mass = weights.source_trace, weights.rows[0]["mass"]
     payload = {
         "tree": tree_description(tree),
         "cylinders": weights.rows,
         "validation": {
-            "root_mass": weights.mass(tree.root),
+            "root_mass": root_mass,
             "trace": total,
-            "root_mass_error": abs(weights.mass(tree.root) - total),
+            "root_mass_error": abs(root_mass - total),
             "max_additivity_gap": weights.max_additivity_gap,
         },
     }
@@ -212,7 +223,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_greedy(args) -> int:
-    _distinct_outputs(args.report, args.csv, "--csv")
+    _check_files(args, "--report", "--csv")
     stop_tol = greedy.DEFAULT_STOP_TOL if args.stop_tol is None else args.stop_tol
     greedy._check_stop(args.steps, stop_tol, ("--steps", "--stop-tol"))
     operator = _load_operator(args)
@@ -232,7 +243,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    _distinct_outputs(args.report, args.out, "--out")
+    _check_files(args, "--report", "--out")
     noisy = pgm.read_pgm(args.input)
     if args.sigma is not None:
         noisy = denoise.add_gaussian_noise(noisy, args.sigma, args.seed)

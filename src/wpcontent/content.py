@@ -19,7 +19,6 @@ The per-node dense route is kept as an independent oracle in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,22 +54,14 @@ class CylinderWeights:
     """Masses tr(C_w(R)) for every node up to the tree's max depth.
 
     ``rows`` are the `decompose` report's "cylinders": one {"word", "depth",
-    "mass"} dict per node, in `PacketTree.all_nodes` order.
+    "mass"} dict per node, in `PacketTree.all_nodes` order (the root first).
     ``max_additivity_gap`` is the largest |mass(w) - sum of child masses|
     measured when the weights were computed.
     """
 
-    max_depth: int
     source_trace: float
     rows: tuple[dict, ...]
     max_additivity_gap: float
-
-    @cached_property
-    def _by_word(self) -> dict[str, float]:
-        return {row["word"]: row["mass"] for row in self.rows}
-
-    def mass(self, node) -> float:
-        return self._by_word[node.word if isinstance(node, PacketNode) else node]
 
 
 def _check_dims(dim: int, tree: PacketTree) -> None:
@@ -170,7 +161,7 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
     flat = np.concatenate(masses).tolist()
     rows = tuple({"word": nd.word, "depth": nd.depth, "mass": m}
                  for nd, m in zip(tree.all_nodes(), flat))
-    return CylinderWeights(tree.max_depth, total, rows, max_gap)
+    return CylinderWeights(total, rows, max_gap)
 
 
 def vector_weight(r: PsdOperator, tree: PacketTree, x, node: PacketNode) -> float:

@@ -35,7 +35,7 @@ from .errors import (
     UndefinedCoherenceError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, hs_norm, make_psd, trace
+from .psdcore import PsdOperator, hs_norm, trace
 from .tree import PacketNode, PacketTree
 
 DEFAULT_STOP_TOL = 1e-12
@@ -78,7 +78,7 @@ def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> float:
     """
     num = hs_norm(a) ** 2
     if scores is None:
-        scores = hs_scores_squared(a.matrix, tree, n)
+        scores = hs_scores_squared(a, tree, n)
     den = float(np.sum(scores))
     if den <= 1e-28 * num:
         raise UndefinedCoherenceError(
@@ -119,12 +119,16 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
     the previous row's remainder (the initial values before step 1) and
     the step's own row. The loops ask it before recording a step and
     `decay_report` asks it of every recorded step. Every mode is held to
-    the trace identity, Pythagoras ||A - D||^2 <= ||A||^2 - ||D||^2 and
-    the triangle inequality ||A|| <= ||D|| + ||A - D||; each greedy rule
-    adds its own. The slack is 1e-9 times the initial tr(R) for trace
-    checks and ||R||^2 for HS checks, with no absolute floor, so a run on
-    cR accepts exactly the steps of a run on R; the dimensionless gamma
-    keeps an absolute 1e-9. Each check is ``not value <= bound``, so a NaN fails it.
+    the trace identity, Pythagoras ||A - D||^2 <= ||A||^2 - ||D||^2, the
+    triangle inequality ||A|| <= ||D|| + ||A - D|| and ||X|| <= tr X for
+    the PSD block and remainder; each greedy rule adds its own. The HS
+    rule's block is at least the mean of the N blocks, whose squared norms
+    sum to ||A||^2 / gamma; with Pythagoras that implies the coherence
+    contraction, which is checked first. The slack is 1e-9 times the
+    initial tr(R) for trace checks and ||R||^2 for HS checks, with no
+    absolute floor, so a run on cR accepts exactly the steps of a run on
+    R; the dimensionless gamma keeps an absolute 1e-9. Each check is
+    ``not value <= bound``, so a NaN fails it.
     """
     nn, initial = run["N_n"], run["initial"]
     prev_trace, prev_hs = (initial["trace"], initial["hs"]) if prev is None else (
@@ -141,6 +145,10 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
     triangle = (row["extracted_hs"] + row["remainder_hs"]) ** 2
     if not prev_sq <= triangle + hs_slack:
         return f"HS triangle inequality failed: {prev_sq:.6e} > {triangle:.6e}"
+    for part in ("extracted", "remainder"):
+        norm, total = row[f"{part}_hs"], row[f"{part}_trace"]
+        if not norm <= total + trace_slack:
+            return f"{part} HS norm above its trace: {norm:.6e} > {total:.6e}"
     if run["mode"] == "trace-greedy":
         rem, bound = row["remainder_trace"], row["bound_trace"]
         ratio = 1.0 - 1.0 / nn
@@ -158,6 +166,9 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
         envelope_sq = row["bound_hs"] ** 2
         if not rem_sq <= envelope_sq + hs_slack:
             return f"uniform HS envelope failed: {rem_sq:.6e} > {envelope_sq:.6e}"
+        ext_sq, mean_sq = row["extracted_hs"] ** 2, prev_sq / (gamma * nn)
+        if not mean_sq <= ext_sq + hs_slack:
+            return f"HS block below the mean block: {ext_sq:.6e} < {mean_sq:.6e}"
     return None
 
 
@@ -166,19 +177,16 @@ def _step(
 ) -> ExtractionTrace:
     """Remove ``node``'s block from the record's remainder; the record with its row added.
 
-    D = M^T M with M = B sqrt(R) from the remainder's `root_rows`, in
-    O(s d^2). The new remainder R - D is PSD-checked against ``scale``,
+    The remainder's `remove` gives D = sqrt(R) B^T B sqrt(R) for the
+    node's basis B, in O(s d^2), and R - D, PSD-checked against ``scale``,
     the run-initial lam_max: subtraction noise sits at that scale even
     once the remainder itself has decayed to nothing. A step that leaves
     the PSD cone or breaks a certified inequality raises NumericalBreakdownError.
     ``bounds`` fill the row's gamma and bound fields.
     """
     k = len(tr.steps) + 1
-    current = tr.final_remainder
-    m = current.root_rows(tree.basis(node))
-    d = m.T @ m
     try:
-        nxt = make_psd(current.matrix - d, scale=scale)
+        d, nxt = tr.final_remainder.remove(tree.basis(node), scale)
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
     row = dict.fromkeys(ROW_FIELDS)
@@ -219,8 +227,7 @@ def trace_greedy(
     for _ in range(max_steps):
         if _remainder(tr, "trace") <= stop_tol * initial:
             break
-        current = tr.final_remainder
-        node = nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]
+        node = nodes[int(np.argmax(trace_scores(tr.final_remainder, tree, n)))]
         envelope *= ratio
         tr = _step(tr, tree, node, float(r.eigenvalues[0]), bound_trace=envelope)
     return tr
@@ -247,7 +254,7 @@ def hs_greedy(
         if _remainder(tr, "hs") <= stop_tol * initial:
             break
         current = tr.final_remainder
-        scores = hs_scores_squared(current.matrix, tree, n)
+        scores = hs_scores_squared(current, tree, n)
         try:
             gamma = coherence(current, tree, n, scores)
         except UndefinedCoherenceError:

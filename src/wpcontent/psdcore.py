@@ -79,6 +79,15 @@ class PsdOperator(SymMatrix):
         v = self.eigenvectors
         return ((rows @ v) * np.sqrt(self.eigenvalues)) @ v.T
 
+    def remove(self, rows, scale: float) -> tuple[np.ndarray, PsdOperator]:
+        """(D, A - D) for the block D = sqrt(A) rows^T rows sqrt(A), A - D checked by `make_psd`.
+
+        ``scale`` is `make_psd`'s: the clamp reference of the difference.
+        """
+        m = self.root_rows(rows)
+        d = m.T @ m
+        return d, make_psd(self.matrix - d, scale=scale)
+
     def sqrt_entries(self) -> np.ndarray:
         """Dense PSD square root (V sqrt(lam)) V^T, symmetrized; formed on each call."""
         s = (self.eigenvectors * np.sqrt(self.eigenvalues)) @ self.eigenvectors.T

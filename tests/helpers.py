@@ -45,6 +45,11 @@ def children(tree, node):
     return tuple(below[j] for j in np.flatnonzero(tree.parents(n + 1) == i))
 
 
+def masses(weights):
+    """A CylinderWeights' masses by node word, read from its report rows."""
+    return {row["word"]: row["mass"] for row in weights.rows}
+
+
 def positions(patch_set):
     """Anchor (row, column) of each patch of a PatchSet, row-major: the product of its runs."""
     return tuple(product(*(chain(*runs) for runs in patch_set.runs)))

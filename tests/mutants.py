@@ -38,8 +38,8 @@ MUTANTS = [
     ("pythagorean-removed", "src/wpcontent/greedy.py",
      "if not rem_sq <= pythagorean + hs_slack:", "if False:"),
     ("trace-rule-second-heaviest", "src/wpcontent/greedy.py",
-     "nodes[int(np.argmax(trace_scores(current.matrix, tree, n)))]",
-     "nodes[int(np.argsort(trace_scores(current.matrix, tree, n))[-2])]"),
+     "nodes[int(np.argmax(trace_scores(tr.final_remainder, tree, n)))]",
+     "nodes[int(np.argsort(trace_scores(tr.final_remainder, tree, n))[-2])]"),
     ("hs-rule-second-heaviest", "src/wpcontent/greedy.py",
      "nodes[int(np.argmax(scores))]", "nodes[int(np.argsort(scores)[-2])]"),
     ("clamp-tol-1e-6", "src/wpcontent/psdcore.py",
@@ -71,6 +71,14 @@ MUTANTS = [
      'if run["mode"] == "hs-greedy" and not rem_sq <= pythagorean + hs_slack:'),
     ("triangle-removed", "src/wpcontent/greedy.py",
      "if not prev_sq <= triangle + hs_slack:", "if False:"),
+    # ||X|| <= tr X for the PSD block and remainder, in every mode, and the HS rule's
+    # mean-block bound
+    ("block-hs-above-trace-unchecked", "src/wpcontent/greedy.py",
+     'for part in ("extracted", "remainder"):', 'for part in ("remainder",):'),
+    ("remainder-hs-above-trace-unchecked", "src/wpcontent/greedy.py",
+     'for part in ("extracted", "remainder"):', 'for part in ("extracted",):'),
+    ("hs-mean-block-removed", "src/wpcontent/greedy.py",
+     "if not mean_sq <= ext_sq + hs_slack:", "if False:"),
     # a run's report states its input, and an undefined coherence ends an HS run cleanly
     ("payload-initial-hs-x2", "src/wpcontent/greedy.py",
      '"hs": hs_norm(r)}', '"hs": 2 * hs_norm(r)}'),
@@ -94,6 +102,8 @@ MUTANTS = [
     # command-line input rules
     ("in-symbol-conflict-removed", "src/wpcontent/cli.py",
      "if args.input and args.symbol:", "if False:"),
+    ("output-on-input-allowed", "src/wpcontent/cli.py",
+     'for option in ("--in", "--symbol", "--clean", *outputs):', "for option in outputs:"),
     # checks outside the certificates: densities, cylinder masses, gamma's lower end, the
     # default stop rule, the selftest's own rows and the tests' Loewner oracle
     ("loewner-tol-1e-2", "tests/helpers.py", "LOEWNER_TOL = 1e-8", "LOEWNER_TOL = 1e-2"),

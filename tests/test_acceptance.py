@@ -22,6 +22,7 @@ from helpers import (
     children,
     dense_pinching,
     loewner_leq,
+    masses,
     matrix_json,
     piecewise_smooth_image,
     random_gram,
@@ -220,12 +221,12 @@ def test_criterion_7_measure_structure(ensemble):
     for dim, op in ops:
         total = w.trace(op)
         for tree in trees[dim]:
-            weights = w.cylinder_weights(op, tree)
-            ok = ok and abs(weights.mass(tree.root) - total) <= 1e-9 * (1.0 + total)
+            weights = masses(w.cylinder_weights(op, tree))
+            ok = ok and abs(weights[tree.root.word] - total) <= 1e-9 * (1.0 + total)
             for node in tree.all_nodes():
                 kids = children(tree, node)
                 if kids:
-                    gap = abs(weights.mass(node) - sum(weights.mass(k) for k in kids))
+                    gap = abs(weights[node.word] - sum(weights[k.word] for k in kids))
                     ok = ok and gap <= 1e-9 * (1.0 + total)
     rng = np.random.default_rng(ENSEMBLE_SEED + 7)
     for _ in range(100):

@@ -683,15 +683,46 @@ class TestExitCodes:
         self._one_error_line(capsys)
         assert not (tmp_path / "r.json").exists()
 
-    def test_a_report_on_stdout_shares_no_file(self, tmp_path, monkeypatch):
-        # --report - is stdout; a file named "-" is ./-
+    @pytest.mark.parametrize("alias", ["{}", "./{}", "sub/../{}", "link"])
+    @pytest.mark.parametrize("command, source, output", [
+        ("decompose", "--in", "--report"), ("decompose", "--symbol", "--report"),
+        ("greedy", "--in", "--report"), ("greedy", "--in", "--csv"),
+        ("greedy", "--symbol", "--report"), ("greedy", "--symbol", "--csv"),
+        ("denoise", "--in", "--out"), ("denoise", "--in", "--report"),
+        ("denoise", "--clean", "--out"), ("denoise", "--clean", "--report"),
+    ])
+    def test_an_output_on_an_input_exits_5(self, matrix_file, symbol_file, image_files, tmp_path,
+                                           monkeypatch, capsys, command, source, output, alias):
+        # refused before anything is read or written, so the input keeps its bytes
         monkeypatch.chdir(tmp_path)
-        cli._distinct_outputs("-", "./-", "--csv")
-        cli._distinct_outputs(None, "x", "--out")
+        clean, noisy = (Path(p).name for p in image_files)
+        name = {"--in": noisy if command == "denoise" else Path(matrix_file).name,
+                "--symbol": Path(symbol_file).name, "--clean": clean}[source]
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / name)
+        before = (tmp_path / name).read_bytes()
+        extra = ["--in", noisy] if source == "--clean" else []
+        assert main([command, *extra, source, name, output, alias.format(name)]) == 5
+        self._one_error_line(capsys)
+        assert (tmp_path / name).read_bytes() == before
+
+    def test_a_report_on_stdout_shares_no_file(self, tmp_path, monkeypatch):
+        # --report - is stdout, also beside an input file named "-"; a file named "-" is ./-
+        monkeypatch.chdir(tmp_path)
+
+        def check(report, path, option, source=None):
+            args = argparse.Namespace(input=source, report=report, **{option[2:]: path})
+            cli._check_files(args, "--report", option)
+
+        check("-", "./-", "--csv")
+        check(None, "x", "--out")
+        check("-", "x", "--csv", source="-")
         with pytest.raises(w.ConfigError):
-            cli._distinct_outputs("./-", "./-", "--csv")
+            check("./-", "./-", "--csv")
         with pytest.raises(w.ConfigError, match="--csv"):
-            cli._distinct_outputs("-", "-", "--csv")
+            check("-", "-", "--csv")
+        with pytest.raises(w.ConfigError, match="--in -"):
+            check("-", "./-", "--csv", source="-")
 
     @pytest.mark.parametrize("command, option", [("greedy", "--csv"), ("denoise", "--out")])
     def test_dash_is_not_a_file_output_exit_5(self, matrix_file, image_files, tmp_path,

@@ -6,7 +6,8 @@ import pytest
 import wpcontent as w
 
 from helpers import (
-    band_positions, children, corrupted_tree_fixture, geometric_symbol, loewner_leq, random_gram,
+    band_positions, children, corrupted_tree_fixture, geometric_symbol, loewner_leq, masses,
+    random_gram,
 )
 
 
@@ -154,24 +155,24 @@ class TestCylinderWeights:
     @pytest.mark.parametrize("tree", content_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
     def test_additivity_and_root_mass(self, rng, tree):
         r = random_gram(rng, tree.ambient_dim)
-        cw = w.cylinder_weights(r, tree)
+        cw = masses(w.cylinder_weights(r, tree))
         total = w.trace(r)
-        assert cw.mass(tree.root) == pytest.approx(total, rel=1e-10)
+        assert cw[tree.root.word] == pytest.approx(total, rel=1e-10)
         for node in tree.all_nodes():
             kids = children(tree, node)
             if kids:
-                child_sum = sum(cw.mass(k) for k in kids)
-                assert cw.mass(node) == pytest.approx(child_sum, rel=1e-9, abs=1e-9 * total)
-            assert cw.mass(node) >= 0.0
+                child_sum = sum(cw[k.word] for k in kids)
+                assert cw[node.word] == pytest.approx(child_sum, rel=1e-9, abs=1e-9 * total)
+            assert cw[node.word] >= 0.0
 
     def test_matches_dense_block_traces(self, rng):
         # dual route: the fast projection-trace path vs dense block construction
         tree = w.build_filter_tree_2d("haar", 4, 2)
         r = random_gram(rng, 16)
-        cw = w.cylinder_weights(r, tree)
+        cw = masses(w.cylinder_weights(r, tree))
         for node in tree.all_nodes():
             dense = w.content_operator(r, tree, node).trace_weight
-            assert cw.mass(node) == pytest.approx(dense, rel=1e-9, abs=1e-12)
+            assert cw[node.word] == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("levels", range(1, 11))
     def test_symbol_route_is_bit_identical_on_shannon(self, rng, levels, monkeypatch):
@@ -273,7 +274,7 @@ class TestCylinderWeights:
             with pytest.raises(w.NumericalBreakdownError, match="root mass"):
                 w.cylinder_weights(r, tree)
         else:
-            root = w.cylinder_weights(r, tree).mass(tree.root)
+            root = masses(w.cylinder_weights(r, tree))[tree.root.word]
             assert root == pytest.approx(w.trace(r) * (1.0 + moved), rel=1e-12)
 
 

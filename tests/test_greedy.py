@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -384,32 +386,61 @@ def test_a_saved_corruption_is_flagged_at_the_same_step(rng, tmp_path, monkeypat
     assert len(saved) == 1
 
 
-# (field, forgery, step, relation the checker names): one recorded number of a saved
-# report changed; each is flagged at the step whose row (or, for "initial", whose
-# previous values) it changed, by a relation that every mode is held to
+def _moved_trace(row, field, value):
+    """``field`` (a trace) set to ``value``, the difference moved to the other trace of ``row``."""
+    other = "remainder_trace" if field == "extracted_trace" else "extracted_trace"
+    return {field: value, other: row[other] + row[field] - value}
+
+
+def _below_the_mean_block(prev, row):
+    """extracted_hs halfway from the triangle's lower end to the mean block norm (N = 8)."""
+    low = prev["remainder_hs"] - row["remainder_hs"]
+    mean = prev["remainder_hs"] / np.sqrt(8 * row["gamma"])
+    return {"extracted_hs": 0.5 * (low + mean)}
+
+
+_MODES = ("trace-greedy", "hs-greedy", "sequence")
+# (step, forgery, relation the checker names, modes): ``forgery(prev, row)`` gives new values
+# for fields of step ``step``'s row, ``prev`` being the row before it; step 0 forges
+# "initial" instead. Each is flagged at its own step (step 1 for "initial"). The trace
+# moves keep the trace identity and every HS relation, and the mean-block forgery keeps
+# Pythagoras and the triangle inequality, so only the relation named can flag them.
 _FORGERIES = {
-    "extracted_trace-0": ("extracted_trace", lambda v: 0.0, 5, "trace identity"),
-    "extracted_trace-x100": ("extracted_trace", lambda v: 100 * v, 5, "trace identity"),
-    "extracted_hs-0": ("extracted_hs", lambda v: 0.0, 5, "HS triangle"),
-    "extracted_hs-x100": ("extracted_hs", lambda v: 100 * v, 5, "pythagorean"),
-    "remainder_hs-0": ("remainder_hs", lambda v: 0.0, 5, "HS triangle"),
-    "initial-trace-x2": ("trace", lambda v: 2 * v, 1, "trace identity"),
-    "initial-hs-x2": ("hs", lambda v: 2 * v, 1, "HS triangle"),
+    "extracted_trace-0": (5, lambda p, r: {"extracted_trace": 0.0}, "trace identity", _MODES),
+    "extracted_trace-x100": (
+        5, lambda p, r: {"extracted_trace": 100 * r["extracted_trace"]}, "trace identity", _MODES),
+    "extracted_hs-0": (5, lambda p, r: {"extracted_hs": 0.0}, "HS triangle", _MODES),
+    "extracted_hs-x100": (
+        5, lambda p, r: {"extracted_hs": 100 * r["extracted_hs"]}, "pythagorean", _MODES),
+    "remainder_hs-0": (5, lambda p, r: {"remainder_hs": 0.0}, "HS triangle", _MODES),
+    "initial-trace-x2": (0, lambda p, i: {"trace": 2 * i["trace"]}, "trace identity", _MODES),
+    "initial-hs-x2": (0, lambda p, i: {"hs": 2 * i["hs"]}, "HS triangle", _MODES),
+    "extracted_trace-below-its-hs": (
+        5, lambda p, r: _moved_trace(r, "extracted_trace", 0.5 * r["extracted_hs"]),
+        "extracted HS norm above its trace", _MODES),
+    "remainder_trace-below-its-hs": (
+        5, lambda p, r: _moved_trace(r, "remainder_trace", 0.5 * r["remainder_hs"]),
+        "remainder HS norm above its trace", _MODES),
+    "extracted_hs-below-the-mean-block": (
+        5, _below_the_mean_block, "HS block below the mean block", ("hs-greedy",)),
 }
 
 
 def _forged(report, forgery):
-    """``report`` with the forgery of `_FORGERIES` applied, and the step it must be flagged at."""
-    field, forge, k, _ = _FORGERIES[forgery]
-    if k == 1:
-        return {**report, "initial": {**report["initial"], field: forge(report["initial"][field])}}
+    """``report`` with the forgery of `_FORGERIES` applied."""
+    k, forge = _FORGERIES[forgery][:2]
+    if k == 0:
+        return {**report, "initial": {**report["initial"], **forge(None, report["initial"])}}
     steps = list(report["steps"])
-    steps[k - 1] = {**steps[k - 1], field: forge(steps[k - 1][field])}
+    steps[k - 1] = {**steps[k - 1], **forge(steps[k - 2], steps[k - 1])}
     return {**report, "steps": steps}
 
 
-@pytest.mark.parametrize("forgery", list(_FORGERIES))
-@pytest.mark.parametrize("mode", ["trace-greedy", "hs-greedy", "sequence"])
+_FORGERY_CASES = [(m, f) for f, spec in _FORGERIES.items() for m in _MODES if m in spec[3]]
+
+
+@pytest.mark.parametrize("mode, forgery", _FORGERY_CASES,
+                         ids=[f"{m}-{f}" for m, f in _FORGERY_CASES])
 def test_a_forged_number_in_a_saved_report_is_flagged_at_its_own_step(rng, tmp_path, mode, forgery):
     # a d = 32 Gram matrix on the D4 tree, depth 3, 12 steps; the forged report goes
     # through a file, and decay_report reads what json.load returns
@@ -427,11 +458,25 @@ def test_a_forged_number_in_a_saved_report_is_flagged_at_its_own_step(rng, tmp_p
     path = tmp_path / "report.json"
     path.write_text(json.dumps(_forged(run.report, forgery)), encoding="utf-8")
     saved = json.loads(path.read_text(encoding="utf-8"))
-    k, relation = _FORGERIES[forgery][2:]
+    k, relation = max(_FORGERIES[forgery][0], 1), _FORGERIES[forgery][2]
     rep = w.decay_report(saved)
     assert rep["summary"]["first_violation"] == k
     prev = saved["steps"][k - 2] if k > 1 else None
     assert w.greedy._violation(saved, prev, saved["steps"][k - 1]).startswith(relation)
+
+
+def test_greedy_reads_no_operator_entries():
+    # a step asks its remainder to remove the block, and the scores read it through as_entries
+    source = ast.parse(Path(w.greedy.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(source):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    assert "matrix" not in names and "make_psd" not in names
 
 
 @pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
@@ -528,37 +573,49 @@ def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     assert rep["summary"]["first_violation"] == 2
 
 
-def _one_step_record(mode, scale, **row):
-    """Hand-built report on N = 4 nodes; initial trace and HS norm both ``scale``, one step.
+def _one_step_record(mode, t, h, **row):
+    """Hand-built report on N = 4 nodes, initial trace ``t`` and HS norm ``h``, one step.
 
-    The fields ``row`` leaves out keep the relations of every mode with room: the
-    extracted trace is ``scale`` less the remainder trace (half of it by default), and
-    the HS norms default to sqrt(0.5) and sqrt(0.4) times ``scale`` (extracted, remainder).
+    The fields ``row`` leaves out keep the relations of every mode with room when
+    t = 4h: the extracted trace is ``t`` less the remainder trace (half of it by
+    default), and the HS norms default to sqrt(0.5) and sqrt(0.4) times ``h``
+    (extracted, remainder).
     """
-    fields = dict(k=1, node="00", remainder_trace=0.5 * scale,
-                  extracted_hs=np.sqrt(0.5) * scale, remainder_hs=np.sqrt(0.4) * scale)
+    fields = dict(k=1, node="00", remainder_trace=0.5 * t,
+                  extracted_hs=np.sqrt(0.5) * h, remainder_hs=np.sqrt(0.4) * h)
     step = {**dict.fromkeys(w.greedy.ROW_FIELDS), **fields, **row}
-    step["extracted_trace"] = scale - step["remainder_trace"]
-    return {"mode": mode, "depth": 2, "N_n": 4, "initial": {"trace": scale, "hs": scale},
+    step["extracted_trace"] = t - step["remainder_trace"]
+    return {"mode": mode, "depth": 2, "N_n": 4, "initial": {"trace": t, "hs": h},
             "steps": [step]}
 
 
 # Each record breaks one certified inequality by ``excess`` times the run's
-# scale (tr R for trace checks, ||R||^2 for HS checks) and keeps every other
-# one with room to spare; the slack is 1e-9 times that scale.
+# scale (t = tr R for trace checks and HS-below-trace, h^2 = ||R||^2 for HS
+# checks); the slack is 1e-9 times that scale. Every other relation holds with
+# room, except Pythagoras in coherence-contraction: Pythagoras and the mean-block
+# bound together imply the contraction, so breaking it leaves Pythagoras tight.
 _BROKEN = {
-    "trace-one-step": ("trace-greedy", "one-step trace contraction", lambda t, e: dict(
+    "trace-one-step": ("trace-greedy", "one-step trace contraction", lambda t, h, e: dict(
         remainder_trace=(0.75 + e) * t, bound_trace=t)),
-    "trace-envelope": ("trace-greedy", "trace envelope", lambda t, e: dict(
+    "trace-envelope": ("trace-greedy", "trace envelope", lambda t, h, e: dict(
         remainder_trace=(0.5 + e) * t, bound_trace=0.5 * t)),
-    "pythagorean": ("hs-greedy", "pythagorean", lambda h, e: dict(
+    "extracted-hs-above-trace": ("sequence", "extracted HS norm above its trace",
+                                 lambda t, h, e: dict(remainder_trace=0.9 * t,
+                                                      extracted_hs=(0.1 + e) * t)),
+    "remainder-hs-above-trace": ("sequence", "remainder HS norm above its trace",
+                                 lambda t, h, e: dict(remainder_trace=0.1 * t,
+                                                      remainder_hs=(0.1 + e) * t)),
+    "pythagorean": ("hs-greedy", "pythagorean", lambda t, h, e: dict(
         remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.5 + e) * h, gamma=1.0, bound_hs=h)),
-    "coherence-contraction": ("hs-greedy", "coherence contraction", lambda h, e: dict(
-        remainder_hs=np.sqrt(0.875 + e) * h, extracted_hs=np.sqrt(0.1) * h, gamma=2.0,
+    "coherence-contraction": ("hs-greedy", "coherence contraction", lambda t, h, e: dict(
+        remainder_hs=np.sqrt(0.875 + e) * h, extracted_hs=np.sqrt(0.125 - e) * h, gamma=2.0,
         bound_hs=h)),
-    "hs-envelope": ("hs-greedy", "uniform HS envelope", lambda h, e: dict(
-        remainder_hs=np.sqrt(0.5 + e) * h, extracted_hs=np.sqrt(0.1) * h, gamma=1.0,
+    "hs-envelope": ("hs-greedy", "uniform HS envelope", lambda t, h, e: dict(
+        remainder_hs=np.sqrt(0.5 + e) * h, extracted_hs=np.sqrt(0.3) * h, gamma=1.0,
         bound_hs=np.sqrt(0.5) * h)),
+    "hs-mean-block": ("hs-greedy", "HS block below the mean block", lambda t, h, e: dict(
+        remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.125 - e) * h, gamma=2.0,
+        bound_hs=h)),
 }
 
 
@@ -567,9 +624,10 @@ _BROKEN = {
                          ids=["1e-6-flagged", "0.5e-9-passes"])
 @pytest.mark.parametrize("case", list(_BROKEN))
 def test_each_inequality_keeps_its_constant_and_slack(case, excess, flagged, scale):
-    # coherence-contraction uses gamma = 2, so it is 1 - 1/(gamma N) = 7/8 that is checked
+    # gamma = 2 with N = 4: the contraction checks 1 - 1/(gamma N) = 7/8, the mean block 1/8
     mode, message, row = _BROKEN[case]
-    record = _one_step_record(mode, scale, **row(scale, excess))
+    t, h = 4 * scale, scale
+    record = _one_step_record(mode, t, h, **row(t, h, excess))
     found = w.greedy._violation(record, None, record["steps"][0])
     assert (found is not None and found.startswith(message)) if flagged else found is None
     assert w.decay_report(record)["summary"]["first_violation"] == (1 if flagged else None)
@@ -579,8 +637,8 @@ def test_each_inequality_keeps_its_constant_and_slack(case, excess, flagged, sca
                          ids=["1e-6-flagged", "0.5e-9-passes"])
 def test_gamma_below_one_keeps_its_slack(below, flagged):
     # gamma is dimensionless: [1, N] has an absolute slack of 1e-9; every other check has room
-    record = _one_step_record("hs-greedy", 1.0, remainder_hs=np.sqrt(0.5),
-                              extracted_hs=np.sqrt(0.1), gamma=1.0 - below, bound_hs=1.0)
+    record = _one_step_record("hs-greedy", 4.0, 1.0, remainder_hs=np.sqrt(0.5),
+                              extracted_hs=np.sqrt(0.3), gamma=1.0 - below, bound_hs=1.0)
     found = w.greedy._violation(record, None, record["steps"][0])
     assert (found is not None and found.endswith("outside [1, 4]")) if flagged else found is None
 
@@ -703,11 +761,12 @@ def test_remainders_stay_psd_under_their_envelope_on_any_tree_and_scale(case):
     for extract in (w.trace_greedy, w.hs_greedy):
         remainders = []
 
-        def recording(*args, _make=w.greedy.make_psd, **kwargs):
-            remainders.append(_make(*args, **kwargs))
-            return remainders[-1]
+        def recording(self, *args, _remove=w.PsdOperator.remove, **kwargs):
+            block, rem = _remove(self, *args, **kwargs)
+            remainders.append(rem)
+            return block, rem
 
-        with mock.patch.object(w.greedy, "make_psd", recording):
+        with mock.patch.object(w.PsdOperator, "remove", recording):
             run = extract(r, tree, depth, max_steps=min(2 * nn, 24))
         assert w.decay_report(run.report)["summary"]["first_violation"] is None
         assert len(remainders) == len(run.steps)

@@ -17,6 +17,7 @@ from helpers import (
     loop_anchors,
     loop_denoise,
     loop_extract_patches,
+    masses,
     positions,
     random_gram,
     tiled_patches,
@@ -49,10 +50,10 @@ class TestPacketScoresMatchDenseRoute:
 
     def test_cylinder_weights(self, rng, tree):
         r = random_gram(rng, tree.ambient_dim)
-        cw = w.cylinder_weights(r, tree)
+        cw = masses(w.cylinder_weights(r, tree))
         for n in range(tree.max_depth + 1):
             want = [max(np.trace(b), 0.0) for b in dense_blocks(r.matrix, tree, n)]
-            assert close([cw.mass(nd) for nd in tree.nodes_at(n)], want, r.matrix)
+            assert close([cw[nd.word] for nd in tree.nodes_at(n)], want, r.matrix)
 
     def test_discrete_density(self, rng, tree):
         r = random_gram(rng, tree.ambient_dim)
