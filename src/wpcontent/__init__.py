@@ -18,8 +18,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "content": (
-        "ContentBlock",
-        "ContentDecomposition",
         "CylinderWeights",
         "content_operator",
         "cylinder_weights",
@@ -29,11 +27,9 @@ _EXPORTS = {
         "vector_weight",
     ),
     "denoise": (
-        "BlockScores",
         "DenoiseConfig",
         "ImageBuffer",
         "PatchSet",
-        "Selection",
         "add_gaussian_noise",
         "block_scores",
         "denoise_image",

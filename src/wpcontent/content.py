@@ -32,24 +32,6 @@ from .tree import PacketNode, PacketTree, ShannonSymbol
 
 
 @dataclass(frozen=True)
-class ContentBlock:
-    node: PacketNode
-    operator: PsdOperator
-    trace_weight: float
-    hs_weight: float
-
-
-@dataclass(frozen=True)
-class ContentDecomposition:
-    """Depth-slice of content blocks in node order; ``max_error`` is the checked max |sum - R|."""
-
-    depth: int
-    blocks: tuple[ContentBlock, ...]
-    source_trace: float
-    max_error: float
-
-
-@dataclass(frozen=True)
 class CylinderWeights:
     """Masses tr(C_w(R)) for every node up to the tree's max depth.
 
@@ -112,27 +94,28 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     return np.sum(blocks * blocks, axis=(1, 2))
 
 
-def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> ContentBlock:
+def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> PsdOperator:
     """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
     _check_dims(r.dim, tree)
     m = r.root_rows(tree.basis(node))
-    op = make_psd(m.T @ m)
-    return ContentBlock(node, op, trace(op), hs_norm(op))
+    return make_psd(m.T @ m)
 
 
-def depth_decomposition(r: PsdOperator, tree: PacketTree, n: int) -> ContentDecomposition:
-    """All depth-n content blocks; verifies that they sum back to R within 1e-8 ||R||."""
+def depth_decomposition(
+    r: PsdOperator, tree: PacketTree, n: int
+) -> tuple[tuple[PsdOperator, ...], float]:
+    """Depth-n content blocks in node order and their max |sum - R|, checked within 1e-8 ||R||."""
     _check_dims(r.dim, tree)
     blocks = tuple(content_operator(r, tree, nd) for nd in tree.nodes_at(n))
     total = np.zeros_like(r.matrix)
     for blk in blocks:
-        total = total + blk.operator.matrix
+        total = total + blk.matrix
     err = float(np.max(np.abs(total - r.matrix)))
     if err > 1e-8 * hs_norm(r):
         raise NumericalBreakdownError(
             None, f"depth-{n} blocks fail to reconstruct the source: max error {err:.3e}"
         )
-    return ContentDecomposition(n, blocks, trace(r), err)
+    return blocks, err
 
 
 def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> CylinderWeights:

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, DimensionMismatchError, MalformedInputError
 from .psdcore import PsdOperator, check_square_sum, make_psd
-from .tree import PacketNode, PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
+from .tree import PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
 
 PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
@@ -46,26 +46,6 @@ class ImageBuffer:
 
     def __repr__(self):
         return f"ImageBuffer({self.width}x{self.height})"
-
-
-@dataclass(frozen=True)
-class BlockScores:
-    """Average packet-block energies s_w at one depth, in node order."""
-
-    depth: int
-    nodes: tuple[PacketNode, ...]
-    values: np.ndarray
-
-    def total(self) -> float:
-        return float(np.sum(self.values))
-
-
-@dataclass(frozen=True)
-class Selection:
-    """Top-K nodes and their stacked W_n rows, an orthonormal basis of their joint span."""
-
-    nodes: tuple[PacketNode, ...]
-    basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -198,22 +178,20 @@ def second_moment(patches: PatchSet) -> PsdOperator:
     return make_psd(patches.rhat)
 
 
-def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> BlockScores:
-    """Average depth-n block energies s_w = tr(P_w R_hat).
+def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> np.ndarray:
+    """Average depth-n block energies s_w = tr(P_w R_hat), in `tree.nodes_at(n)` order.
 
     R_hat is used raw (no PSD clamp), so scoring runs no eigendecomposition.
     """
     _check_dims(patches.patch_side**2, tree)
-    return BlockScores(n, tuple(tree.nodes_at(n)), trace_scores(patches.rhat, tree, n))
+    return trace_scores(patches.rhat, tree, n)
 
 
-def select_top_k(scores: BlockScores, k: int, tree: PacketTree) -> Selection:
-    """Top-K scoring nodes (ties in node order) and their W_n rows."""
+def select_top_k(scores: np.ndarray, k: int) -> list[int]:
+    """Indices of the K highest scores in ascending order; ties go to the lower index."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    idx = sorted(int(i) for i in np.argsort(-np.asarray(scores.values), kind="stable")[:k])
-    nodes = tuple(scores.nodes[i] for i in idx)
-    return Selection(nodes, np.vstack([tree.basis(nd) for nd in nodes]))
+    return sorted(int(i) for i in np.argsort(-np.asarray(scores), kind="stable")[:k])
 
 
 def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
@@ -264,16 +242,17 @@ def denoise_image(
     patches = extract_patches(img, m, cfg.effective_stride())
     tree = build_filter_tree_2d(cfg.filter_name, m, n)
     scores = block_scores(patches, tree, n)
-    rank = scores if cfg.mode == "trace" else BlockScores(
-        n, scores.nodes, np.sqrt(hs_scores_squared(patches.rhat, tree, n)))
-    sel = select_top_k(rank, cfg.top_k, tree)
+    rank = scores if cfg.mode == "trace" else np.sqrt(hs_scores_squared(patches.rhat, tree, n))
+    nodes = tree.nodes_at(n)
+    chosen = select_top_k(rank, cfg.top_k)
+    basis = np.vstack([tree.basis(nodes[i]) for i in chosen])  # orthonormal rows of their span
 
     col_runs = patches.runs[1]
     n_cols = sum(map(len, col_runs))
     acc = np.zeros((img.height, img.width))
     for rb, y in patches.bands():
         # offset-major: q[di, dj] holds pixel (di, dj) of every patch of the band
-        q = (sel.basis.T @ (y @ sel.basis.T).T).reshape(m, m, -1, n_cols)
+        q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, n_cols)
         blocks = [(pi, pj, r, c) for pi, r in _placed(rb) for pj, c in _placed(col_runs)]
         # offsets descending, so each pixel adds its patches in row-major anchor order
         for di in range(m - 1, -1, -1):
@@ -284,25 +263,24 @@ def denoise_image(
                      for runs in patches.runs))
     out = ImageBuffer(acc / cnt)
 
-    total = scores.total()
-    retained = float(np.sum(scores.values[[nd in sel.nodes for nd in scores.nodes]]))
+    total = float(np.sum(scores))
+    retained = float(np.sum(scores[chosen]))
     report = {
         "m": m,
         "n": cfg.depth,
-        "K": len(sel.nodes),
+        "K": len(chosen),
         "stride": patches.stride,
         "filter": cfg.filter_name.lower(),
         "mode": cfg.mode,
-        "N_n": len(scores.nodes),
+        "N_n": len(nodes),
         "patches": len(patches),
-        "scores": [{"word": nd.word, "s_w": float(v)} for nd, v in zip(scores.nodes, scores.values)],
-        "chosen": [nd.word for nd in sel.nodes],
+        "scores": [{"word": nd.word, "s_w": float(v)} for nd, v in zip(nodes, scores)],
+        "chosen": [nodes[i].word for i in chosen],
         "retained_energy_fraction": retained / total if total > 0.0 else 1.0,
     }
     if cfg.mode == "hs":
-        report["selection_scores"] = [
-            {"word": nd.word, "hs": float(v)} for nd, v in zip(rank.nodes, rank.values)
-        ]
+        report["selection_scores"] = [{"word": nd.word, "hs": float(v)}
+                                      for nd, v in zip(nodes, rank)]
     if clean is not None:
         psnr = {"psnr_noisy": _psnr_db(mse_noisy), "psnr_denoised": _psnr_db(_psnr_mse(out, clean))}
         report.update(psnr)

@@ -40,7 +40,10 @@ def read_pgm(path) -> ImageBuffer:
         raise MalformedInputError(f"unsupported PGM maxval {maxval} (need 1..255)")
     count = width * height
     if magic == b"P5":
-        raw = data[head.end() + 1 :]  # single whitespace byte after maxval
+        # one whitespace byte after maxval; with nothing after it, the payload is short
+        sep, raw = data[head.end() : head.end() + 1], data[head.end() + 1 :]
+        if sep and not sep.isspace():
+            raise MalformedInputError(f"P5 maxval is followed by {sep!r}, not a whitespace byte")
         if len(raw) != count:
             raise MalformedInputError(f"P5 payload has {len(raw)} bytes for {count} pixels")
         vals = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)

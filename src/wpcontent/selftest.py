@@ -93,7 +93,7 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
     )
     rows += [
         _checked("depth-reconstruction", "max error {:.3e}", lambda: max(
-            depth_decomposition(r, t, n).max_error
+            depth_decomposition(r, t, n)[1]
             for t, r, _, _ in instances for n in range(1, t.max_depth + 1)
         )),
         _checked("cylinder-additivity", "max gap {:.3e}", lambda: max(

@@ -150,11 +150,11 @@ def _library_item(tree_name: str, kind: str, item: str) -> bytes:
     if item == "depth-blocks":
         parts = []
         for depth in range(1, n + 1):
-            dec = w.depth_decomposition(r, tree, depth)
-            parts.append(np.array([dec.source_trace, dec.max_error]).tobytes())
-            for blk in dec.blocks:
-                parts.append(blk.operator.matrix.tobytes())
-                parts.append(np.array([blk.trace_weight, blk.hs_weight]).tobytes())
+            blocks, max_error = w.depth_decomposition(r, tree, depth)
+            parts.append(np.array([w.trace(r), max_error]).tobytes())
+            for blk in blocks:
+                parts.append(blk.matrix.tobytes())
+                parts.append(np.array([w.trace(blk), w.hs_norm(blk)]).tobytes())
         return b"".join(parts)
     if item == "cylinder-rows":
         weights = w.cylinder_weights(r, tree)

@@ -135,6 +135,9 @@ MUTANTS = [
     ("psnr-cap-off", "src/wpcontent/denoise.py",
      "return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / mse)))",
      "return float(10.0 * np.log10(1.0 / mse))"),
+    # a P5 maxval is followed by one whitespace byte
+    ("p5-separator-unchecked", "src/wpcontent/pgm.py",
+     "if sep and not sep.isspace():", "if False:"),
     # cylinder masses are clamped at zero, and every tree depth is at least 1
     ("cylinder-clamp-removed", "src/wpcontent/content.py",
      "np.maximum(trace_scores(a, tree, n), 0.0)", "trace_scores(a, tree, n)"),

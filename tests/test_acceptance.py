@@ -69,8 +69,8 @@ def test_criterion_1_reconstruction(ensemble):
         fro = w.hs_norm(op)
         for tree in trees[dim]:
             for n in DEPTHS:
-                dec = w.depth_decomposition(op, tree, n)
-                total = sum(blk.operator.matrix for blk in dec.blocks)
+                blocks, _ = w.depth_decomposition(op, tree, n)
+                total = sum(blk.matrix for blk in blocks)
                 err = float(np.linalg.norm(total - op.matrix))
                 worst = max(worst, err / (1e-8 * (1.0 + fro)))
     elapsed = time.monotonic() - start
@@ -182,8 +182,8 @@ def test_criterion_5_coherence(ensemble):
     for dim in (8, 16):
         op = random_gram(rng, dim)
         for tree in trees[dim]:
-            dec = w.depth_decomposition(op, tree, 2)
-            dense_sum = sum(blk.hs_weight**2 for blk in dec.blocks)
+            blocks, _ = w.depth_decomposition(op, tree, 2)
+            dense_sum = sum(w.hs_norm(blk) ** 2 for blk in blocks)
             pinched = dense_pinching(op.matrix, tree, 2)
             cross = float(np.sum(pinched * op.matrix))
             ok = ok and abs(dense_sum - cross) <= 1e-8 * max(dense_sum, cross)
@@ -277,8 +277,8 @@ def test_criterion_8_denoising(tmp_path):
     tree = w.build_filter_tree_2d("haar", 8, 2)
     rhat = w.second_moment(patches)
     scores = w.block_scores(patches, tree, 2)
-    sel = w.select_top_k(scores, 4, tree)
-    kept = sum(w.content_operator(rhat, tree, nd).operator.matrix for nd in sel.nodes)
+    sel = w.select_top_k(scores, 4)
+    kept = sum(w.content_operator(rhat, tree, tree.nodes_at(2)[i]).matrix for i in sel)
     rest = rhat.matrix - kept
     zero = np.zeros_like(kept)
     ok = ok and loewner_leq(zero, w.SymMatrix(kept))

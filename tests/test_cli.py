@@ -382,6 +382,20 @@ class TestDenoise:
         assert main(["denoise", "--in", str(bad), "--patch-side", "4", "--depth", "1",
                      "--out", str(tmp_path / "x.pgm")]) == 2
 
+    @pytest.mark.parametrize("payload", [b"P5\n1 1\n255#A", b"P5\n2 2\n255#ABCD"],
+                             ids=["one-pixel", "two-by-two"])
+    def test_p5_maxval_needs_a_whitespace_separator(self, tmp_path, capsys, payload):
+        # "#" after maxval is no separator: the bytes after it are not pixels
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(payload)
+        assert main(["denoise", "--in", str(bad), "--patch-side", "2", "--depth", "1",
+                     "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "x.pgm").exists()
+        bad.write_bytes(b"P5 1 1 255\tA")
+        assert w.read_pgm(bad).pixels.tolist() == [[65 / 255]]
+
     @pytest.mark.parametrize("payload", [
         b"P2\n4 4\n255\n" + b" ".join(b"%d" % v for v in range(16)) + b" 7\n",
         b"P5\n4 4\n255\n" + bytes(range(16)) + b"\x07",
@@ -885,11 +899,10 @@ class TestThreadPolicy:
 
 
 EXPORTED = sorted("""
-    AbsoluteContinuityViolation BlockScores ConfigError ContentBlock
-    ContentDecomposition CylinderWeights DenoiseConfig DimensionMismatchError
-    ExtractionTrace ImageBuffer InvalidDepthError InvalidFilterError
+    AbsoluteContinuityViolation ConfigError CylinderWeights DenoiseConfig
+    DimensionMismatchError ExtractionTrace ImageBuffer InvalidDepthError InvalidFilterError
     MalformedInputError NotPositiveError NumericalBreakdownError PacketNode PacketTree
-    PatchSet PsdOperator Selection ShannonSymbol SymMatrix UndefinedCoherenceError
+    PatchSet PsdOperator ShannonSymbol SymMatrix UndefinedCoherenceError
     UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
     build_filter_tree_2d build_shannon_tree coherence
     content_operator cylinder_weights decay_report denoise_image
@@ -915,7 +928,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 57
+        assert names == EXPORTED and len(names) == 53
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

@@ -76,13 +76,18 @@ class TestSecondMoment:
             w.second_moment(ps)
 
 
+def chosen_rows(tree, n, sel):
+    """The stacked W_n rows of the chosen depth-n nodes."""
+    return np.vstack([tree.basis(tree.nodes_at(n)[i]) for i in sel])
+
+
 class TestBlockScores:
     def test_constant_patch_all_lowpass(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
         patch = np.full(16, 0.5)
         ps = tiled_patches(patch[None, :], 4)
         scores = w.block_scores(ps, tree, 1)
-        table = {nd.word: float(v) for nd, v in zip(scores.nodes, scores.values)}
+        table = {nd.word: float(v) for nd, v in zip(tree.nodes_at(1), scores, strict=True)}
         assert table["0,0"] == pytest.approx(float(patch @ patch), rel=1e-12)
         for word in ("0,1", "1,0", "1,1"):
             assert table[word] <= 1e-12
@@ -93,7 +98,7 @@ class TestBlockScores:
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
         mean_energy = float(np.mean(np.sum(y * y, axis=1)))
-        assert scores.total() == pytest.approx(mean_energy, rel=1e-9)
+        assert float(np.sum(scores)) == pytest.approx(mean_energy, rel=1e-9)
 
     def test_cross_check_against_second_moment(self, rng):
         tree = w.build_filter_tree_2d("haar", 4, 2)
@@ -101,7 +106,7 @@ class TestBlockScores:
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 2)
         rhat = w.second_moment(ps)
-        for nd, val in zip(scores.nodes, scores.values):
+        for nd, val in zip(tree.nodes_at(2), scores, strict=True):
             b = tree.basis(nd)
             assert val == pytest.approx(float(np.sum((b @ rhat.matrix) * b)), rel=1e-8)
 
@@ -111,14 +116,14 @@ class TestBlockScores:
         y = rng.standard_normal((m, 16))
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
-        for nd, val in zip(scores.nodes, scores.values):
+        for nd, val in zip(tree.nodes_at(1), scores, strict=True):
             d = tree.subspace_dim(nd)
             assert abs(val - d) <= 3.0 * np.sqrt(2.0 * d / m)
 
     def test_zero_image(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
         ps = w.extract_patches(w.ImageBuffer(np.zeros((8, 8))), 4, 4)
-        assert w.block_scores(ps, tree, 1).total() == 0.0
+        assert float(np.sum(w.block_scores(ps, tree, 1))) == 0.0
 
 
 class TestSelection:
@@ -127,31 +132,31 @@ class TestSelection:
         y = rng.standard_normal((10, 16))
         ps = tiled_patches(y, 4)
         scores = w.block_scores(ps, tree, 1)
-        sel = w.select_top_k(scores, 99, tree)  # oversized K truncates
-        assert len(sel.nodes) == 4
-        assert np.max(np.abs(sel.basis.T @ sel.basis - np.eye(16))) <= 1e-10
+        sel = w.select_top_k(scores, 99)  # oversized K truncates
+        assert len(sel) == 4
+        basis = chosen_rows(tree, 1, sel)
+        assert np.max(np.abs(basis.T @ basis - np.eye(16))) <= 1e-10
 
     def test_unique_max(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
         ps = tiled_patches(np.full((1, 16), 0.25), 4)
-        sel = w.select_top_k(w.block_scores(ps, tree, 1), 1, tree)
-        assert [nd.word for nd in sel.nodes] == ["0,0"]
+        sel = w.select_top_k(w.block_scores(ps, tree, 1), 1)
+        assert [tree.nodes_at(1)[i].word for i in sel] == ["0,0"]
 
     def test_tie_break_lexicographic(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
-        nodes = tuple(tree.nodes_at(1))
-        scores = w.BlockScores(1, nodes, np.ones(4))
-        sel = w.select_top_k(scores, 2, tree)
-        assert [nd.word for nd in sel.nodes] == ["0,0", "0,1"]
+        sel = w.select_top_k(np.ones(4), 2)
+        assert [tree.nodes_at(1)[i].word for i in sel] == ["0,0", "0,1"]
 
     def test_projection_invariants(self, rng):
         tree = w.build_filter_tree_2d("haar", 4, 2)
         y = rng.standard_normal((12, 16))
         ps = tiled_patches(y, 4)
-        sel = w.select_top_k(w.block_scores(ps, tree, 2), 5, tree)
-        p = sel.basis.T @ sel.basis
+        sel = w.select_top_k(w.block_scores(ps, tree, 2), 5)
+        basis = chosen_rows(tree, 2, sel)
+        p = basis.T @ basis
         assert np.max(np.abs(p @ p - p)) <= 1e-9
-        dims = sum(tree.subspace_dim(nd) for nd in sel.nodes)
+        dims = sum(tree.subspace_dim(tree.nodes_at(2)[i]) for i in sel)
         assert abs(np.trace(p) - dims) <= 1e-9
         for row in y:
             assert np.linalg.norm(p @ row) <= np.linalg.norm(row) + 1e-12
@@ -159,20 +164,21 @@ class TestSelection:
     @pytest.mark.parametrize("filt, k", [("haar", 1), ("d4", 5), ("d4", 16)])
     def test_projection_spectrum_without_eigensolver(self, rng, monkeypatch, filt, k):
         tree = w.build_filter_tree_2d(filt, 8, 2)
-        scores = w.BlockScores(2, tuple(tree.nodes_at(2)), rng.uniform(size=16))
+        scores = rng.uniform(size=16)
 
         def no_eigh(*_):
             raise AssertionError("a projection ran an eigensolver")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        sel = w.select_top_k(scores, k, tree)
-        singles = [(w.projection(tree, nd), tree.basis(nd)) for nd in sel.nodes]
+        nodes = [tree.nodes_at(2)[i] for i in w.select_top_k(scores, k)]
+        basis = np.vstack([tree.basis(nd) for nd in nodes])
+        singles = [(w.projection(tree, nd), tree.basis(nd)) for nd in nodes]
         monkeypatch.undo()
-        total = sel.basis.shape[0]
-        assert total == sum(tree.subspace_dim(nd) for nd in sel.nodes)
-        assert np.array_equal(sel.basis, np.vstack([rows for _, rows in singles]))
-        assert np.max(np.abs(sel.basis @ sel.basis.T - np.eye(total))) <= 1e-12
-        lam, _ = w.sym_eigen(sel.basis.T @ sel.basis)
+        total = basis.shape[0]
+        assert total == sum(tree.subspace_dim(nd) for nd in nodes)
+        assert np.array_equal(basis, np.vstack([rows for _, rows in singles]))
+        assert np.max(np.abs(basis @ basis.T - np.eye(total))) <= 1e-12
+        lam, _ = w.sym_eigen(basis.T @ basis)
         assert np.max(np.abs(lam - np.repeat([1.0, 0.0], [total, 64 - total]))) <= 1e-12
         for op, rows in singles:
             r = rows.shape[0]
@@ -337,10 +343,8 @@ class TestDenoisePipeline:
         tree = w.build_filter_tree_2d("haar", 4, 1)
         rhat = w.second_moment(patches)
         scores = w.block_scores(patches, tree, 1)
-        sel = w.select_top_k(scores, 2, tree)
-        kept = sum(
-            w.content_operator(rhat, tree, nd).operator.matrix for nd in sel.nodes
-        )
+        sel = w.select_top_k(scores, 2)
+        kept = sum(w.content_operator(rhat, tree, tree.nodes_at(1)[i]).matrix for i in sel)
         rest = rhat.matrix - kept
         assert loewner_leq(np.zeros((16, 16)), w.SymMatrix(kept))
         assert loewner_leq(np.zeros((16, 16)), w.SymMatrix(rest))

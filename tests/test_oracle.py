@@ -75,7 +75,7 @@ class TestPacketScoresMatchDenseRoute:
         ps = tiled_patches(y, side)
         rhat = y.T @ y / 40
         for n in range(tree.max_depth + 1):
-            got = w.block_scores(ps, tree, n).values
+            got = w.block_scores(ps, tree, n)
             assert close(got, dense_coefficient_energies(y, tree, n), rhat)
 
 

@@ -64,8 +64,8 @@ def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank
             for extract in (w.trace_greedy, w.hs_greedy) for n in depths
         ]
         blocks = [
-            blk.operator.matrix.tobytes()
-            for n in depths for blk in w.depth_decomposition(r, tree, n).blocks
+            blk.matrix.tobytes()
+            for n in depths for blk in w.depth_decomposition(r, tree, n)[0]
         ]
         densities = [w.discrete_density(r, tree, x, n) for n in depths]
         return runs, blocks, densities
