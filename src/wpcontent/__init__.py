@@ -69,7 +69,6 @@ _EXPORTS = {
         "trace",
     ),
     "tree": (
-        "PacketNode",
         "PacketTree",
         "ShannonSymbol",
         "build_filter_tree_1d",

@@ -28,7 +28,7 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .psdcore import PsdOperator, as_entries, hs_norm, make_psd, trace
-from .tree import PacketNode, PacketTree, ShannonSymbol
+from .tree import PacketTree, ShannonSymbol
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     return np.sum(blocks * blocks, axis=(1, 2))
 
 
-def content_operator(r: PsdOperator, tree: PacketTree, node: PacketNode) -> PsdOperator:
+def content_operator(r: PsdOperator, tree: PacketTree, node: str) -> PsdOperator:
     """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
     _check_dims(r.dim, tree)
     m = r.root_rows(tree.basis(node))
@@ -138,22 +138,21 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
         gaps = np.abs(masses[n] - np.bincount(tree.parents(n + 1), masses[n + 1], len(masses[n])))
         if np.any(gaps > budget):
             i = int(np.argmax(gaps > budget))
-            msg = f"cylinder additivity fails at {tree.nodes_at(n)[i].word!r}: gap {gaps[i]:.3e}"
+            msg = f"cylinder additivity fails at {tree.nodes_at(n)[i]!r}: gap {gaps[i]:.3e}"
             raise NumericalBreakdownError(None, msg)
         max_gap = max(max_gap, float(gaps.max()))
-    flat = np.concatenate(masses).tolist()
-    rows = tuple({"word": nd.word, "depth": nd.depth, "mass": m}
-                 for nd, m in zip(tree.all_nodes(), flat))
+    rows = tuple({"word": wd, "depth": n, "mass": m} for n, level in enumerate(masses)
+                 for wd, m in zip(tree.nodes_at(n), level.tolist()))
     return CylinderWeights(total, rows, max_gap)
 
 
-def vector_weight(r: PsdOperator, tree: PacketTree, x, node: PacketNode) -> float:
+def vector_weight(r: PsdOperator, tree: PacketTree, x, node: str) -> float:
     """Packet energy ||P_w sqrt(R) x||^2 of the vector x at node w."""
     y = tree.basis(node) @ _root_images(r, tree, [x])[0]
     return float(y @ y)
 
 
-def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[PacketNode, float]:
+def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[str, float]:
     """Per-node energy density at depth n: vector weight over cylinder mass.
 
     Nodes whose mass is below 1e-12 * trace(R) are omitted when the vector
@@ -172,7 +171,7 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[Packet
             out[node] = nu / mu
         elif nu > eps:
             raise AbsoluteContinuityViolation(
-                f"node {node.word!r} has mass {mu:.3e} but vector weight {nu:.3e}"
+                f"node {node!r} has mass {mu:.3e} but vector weight {nu:.3e}"
             )
     return out
 

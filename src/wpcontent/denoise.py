@@ -274,12 +274,12 @@ def denoise_image(
         "mode": cfg.mode,
         "N_n": len(nodes),
         "patches": len(patches),
-        "scores": [{"word": nd.word, "s_w": float(v)} for nd, v in zip(nodes, scores)],
-        "chosen": [nodes[i].word for i in chosen],
+        "scores": [{"word": nd, "s_w": float(v)} for nd, v in zip(nodes, scores)],
+        "chosen": [nodes[i] for i in chosen],
         "retained_energy_fraction": retained / total if total > 0.0 else 1.0,
     }
     if cfg.mode == "hs":
-        report["selection_scores"] = [{"word": nd.word, "hs": float(v)}
+        report["selection_scores"] = [{"word": nd, "hs": float(v)}
                                       for nd, v in zip(nodes, rank)]
     if clean is not None:
         psnr = {"psnr_noisy": _psnr_db(mse_noisy), "psnr_denoised": _psnr_db(_psnr_mse(out, clean))}

@@ -36,7 +36,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .psdcore import PsdOperator, hs_norm, trace
-from .tree import PacketNode, PacketTree
+from .tree import PacketTree
 
 DEFAULT_STOP_TOL = 1e-12
 
@@ -173,7 +173,7 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
 
 
 def _step(
-    tr: ExtractionTrace, tree: PacketTree, node: PacketNode, scale: float, **bounds
+    tr: ExtractionTrace, tree: PacketTree, node: str, scale: float, **bounds
 ) -> ExtractionTrace:
     """Remove ``node``'s block from the record's remainder; the record with its row added.
 
@@ -190,7 +190,7 @@ def _step(
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
     row = dict.fromkeys(ROW_FIELDS)
-    row.update(k=k, node=node.word, extracted_trace=trace(d), extracted_hs=hs_norm(d),
+    row.update(k=k, node=node, extracted_trace=trace(d), extracted_hs=hs_norm(d),
                remainder_trace=trace(nxt), remainder_hs=hs_norm(nxt), **bounds)
     message = _violation(tr.report, tr.steps[-1] if tr.steps else None, row)
     if message is not None:
@@ -198,12 +198,12 @@ def _step(
     return ExtractionTrace({**tr.report, "steps": (*tr.steps, row)}, nxt)
 
 
-def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[PacketNode]) -> ExtractionTrace:
+def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[str]) -> ExtractionTrace:
     """Extract content blocks along an arbitrary node sequence (any depths)."""
     tr = _start("sequence", r, tree, None)
     for node in nodes:
         if not tree.has_node(node):
-            raise UnknownNodeError(f"node {node.word!r} (depth {node.depth}) not in tree")
+            raise UnknownNodeError(f"node {node!r} not in tree")
     for node in nodes:
         tr = _step(tr, tree, node, float(r.eigenvalues[0]))
     return tr

@@ -1,11 +1,13 @@
 """Packet trees: node words, per-depth packet transforms, projections.
 
-A tree stores one orthogonal d x d matrix W_n per depth n: the depth-n
-node bases stacked in lexicographic node order. The N_n depth-n nodes
-all have the same dimension s = d / N_n, so node i owns the contiguous
-rows i*s:(i+1)*s of W_n, and `basis(node)` is that row-slice view. Every
-depth-n block statistic (block traces, block HS norms, the pinching) is
-a segment operation on W_n A W_n^T or W_n z.
+A node is its word w, a str, and nothing is stored beside it: the tree's
+index maps each word to its depth |w| (for a 2D pair "r,c", |r| = |c|)
+and its place in that depth. A tree stores one orthogonal d x d matrix
+W_n per depth n: the depth-n node bases stacked in lexicographic node
+order. The N_n depth-n nodes all have the same dimension s = d / N_n, so
+node i owns the contiguous rows i*s:(i+1)*s of W_n, and `basis(word)` is
+that row-slice view. Every depth-n block statistic (block traces, block
+HS norms, the pinching) is a segment operation on W_n A W_n^T or W_n z.
 
 Two realizations are shipped, both dyadic:
 
@@ -24,6 +26,7 @@ Two realizations are shipped, both dyadic:
 
 Node ordering is lexicographic everywhere; 2D words are serialized as
 "row,col" which preserves pair-lexicographic order under string compare.
+The root is the empty word: "" in 1D, "," in 2D.
 """
 
 from __future__ import annotations
@@ -41,14 +44,6 @@ from .errors import (
     UnknownNodeError,
 )
 from .psdcore import PsdOperator, SymMatrix, as_reals, check_clamp, check_square_sum
-
-
-@dataclass(frozen=True)
-class PacketNode:
-    """Tree node identified by its word; depth equals the word length."""
-
-    word: str
-    depth: int
 
 
 # Lowpass taps h of the two shipped filters: Haar, and Daubechies' four-tap D4
@@ -74,7 +69,7 @@ def filter_taps(name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 class PacketTree:
-    """Immutable tree of nodes with one read-only packet transform per depth.
+    """Immutable tree of node words with one read-only packet transform per depth.
 
     A ``None`` transform marks W_n = I; `transform` forms it once, shared, on first use.
     The per-depth parent indices (see `parents`) are the tree's one record of its shape.
@@ -91,7 +86,7 @@ class PacketTree:
         self.max_depth = int(max_depth)
         self._levels = levels
         self._transforms = transforms
-        self._index = {nd: (n, i) for n, level in enumerate(levels) for i, nd in enumerate(level)}
+        self._index = {wd: (n, i) for n, level in enumerate(levels) for i, wd in enumerate(level)}
         self._parents = parents
         self._eye = None
         for a in (*transforms, *parents):
@@ -99,10 +94,10 @@ class PacketTree:
                 a.setflags(write=False)
 
     @property
-    def root(self) -> PacketNode:
+    def root(self) -> str:
         return self._levels[0][0]
 
-    def nodes_at(self, n: int) -> list[PacketNode]:
+    def nodes_at(self, n: int) -> list[str]:
         if not 0 <= n <= self.max_depth:
             raise InvalidDepthError(f"depth {n} out of range [0, {self.max_depth}]")
         return list(self._levels[n])
@@ -130,28 +125,28 @@ class PacketTree:
         """Depth-(n-1) index of the parent of each depth-n node (-1 for the root)."""
         return self._parents[n]
 
-    def has_node(self, node: PacketNode) -> bool:
-        return node in self._index
+    def has_node(self, word: str) -> bool:
+        return word in self._index
 
-    def _position(self, node: PacketNode) -> tuple[int, int]:
-        """(depth, index within the depth) of a node of this tree, found by word and depth."""
+    def _position(self, word: str) -> tuple[int, int]:
+        """(depth, index within the depth) of a word of this tree."""
         try:
-            return self._index[node]
+            return self._index[word]
         except KeyError:
-            raise UnknownNodeError(f"no node {node.word!r} at depth {node.depth}") from None
+            raise UnknownNodeError(f"no node {word!r}") from None
 
-    def basis(self, node: PacketNode) -> np.ndarray:
+    def basis(self, word: str) -> np.ndarray:
         """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
-        n, i = self._position(node)
-        s = self.subspace_dim(node)
+        n, i = self._position(word)
+        s = self.subspace_dim(word)
         return self.transform(n)[i * s : (i + 1) * s]
 
     def all_nodes(self):
         for level in self._levels:
             yield from level
 
-    def subspace_dim(self, node: PacketNode) -> int:
-        return self.ambient_dim // len(self._levels[self._position(node)[0]])
+    def subspace_dim(self, word: str) -> int:
+        return self.ambient_dim // len(self._levels[self._position(word)[0]])
 
     def __repr__(self):
         return (
@@ -162,10 +157,7 @@ class PacketTree:
 
 def _dyadic_levels(max_depth: int):
     """Binary-word levels 0..max_depth in lexicographic order; word i's parent is word i // 2."""
-    levels = [
-        [PacketNode("".join(bits), n) for bits in product("01", repeat=n)]
-        for n in range(max_depth + 1)
-    ]
+    levels = [["".join(bits) for bits in product("01", repeat=n)] for n in range(max_depth + 1)]
     parents = [np.array([-1])] + [np.arange(2**n) // 2 for n in range(1, max_depth + 1)]
     return levels, parents
 
@@ -222,9 +214,7 @@ def build_filter_tree_2d(name: str, patch_side: int, depth: int) -> PacketTree:
     """
     one_d = build_filter_tree_1d(name, patch_side, depth)
     pairs = [list(product(level, repeat=2)) for level in one_d._levels]
-    tree_levels = [
-        [PacketNode(f"{r.word},{c.word}", n) for r, c in level] for n, level in enumerate(pairs)
-    ]
+    tree_levels = [[f"{r},{c}" for r, c in level] for level in pairs]
     transforms = [None] + [
         np.vstack([np.kron(one_d.basis(r), one_d.basis(c)) for r, c in level])
         for level in pairs[1:]
@@ -233,14 +223,14 @@ def build_filter_tree_2d(name: str, patch_side: int, depth: int) -> PacketTree:
     return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, parents)
 
 
-def projection(tree: PacketTree, node: PacketNode) -> PsdOperator:
+def projection(tree: PacketTree, word: str) -> PsdOperator:
     """Orthogonal projection onto the node's subspace, as a PSD operator from its spectrum.
 
     Eigenvalue 1 on the node's W_n rows, then 0 on the other rows in node order; the
     rows are the eigenvectors, in `sym_eigen`'s order. No eigensolver runs; the
     `PsdOperator` constructor checks this spectrum as it checks any other.
     """
-    n, i = tree._position(node)
+    n, i = tree._position(word)
     d = tree.ambient_dim
     segments = tree.transform(n).reshape(len(tree.nodes_at(n)), -1, d)
     rows = segments[i]
@@ -298,8 +288,8 @@ def tree_description(tree: PacketTree) -> dict:
         "ambient_dim": tree.ambient_dim,
         "max_depth": tree.max_depth,
         "nodes": [
-            {"word": nd.word, "depth": nd.depth, "dim": tree.subspace_dim(nd)}
-            for nd in tree.all_nodes()
+            {"word": wd, "depth": n, "dim": tree.subspace_dim(wd)}
+            for n in range(tree.max_depth + 1) for wd in tree.nodes_at(n)
         ],
     }
 
@@ -311,7 +301,7 @@ class ShannonSymbol:
     Values that break `PsdOperator`'s clamp rule raise NotPositiveError.
     """
 
-    __slots__ = ("levels", "values")
+    __slots__ = ("values",)
 
     def __init__(self, levels: int, values):
         if levels < 1:
@@ -323,7 +313,6 @@ class ShannonSymbol:
             raise MalformedInputError("symbol values must be finite")
         check_square_sum(vals, "symbol values")
         check_clamp(float(vals.max()), float(vals.min()))
-        self.levels = int(levels)
         self.values = vals
         self.values.setflags(write=False)
 

@@ -160,10 +160,7 @@ def _library_item(tree_name: str, kind: str, item: str) -> bytes:
         weights = w.cylinder_weights(r, tree)
         return _json([weights.rows, weights.max_additivity_gap])
     x = np.random.default_rng(11).standard_normal(r.dim)
-    return _json([
-        {nd.word: v for nd, v in w.discrete_density(r, tree, x, depth).items()}
-        for depth in range(n + 1)
-    ])
+    return _json([w.discrete_density(r, tree, x, depth) for depth in range(n + 1)])
 
 
 # --------------------------------------------------------------- entries

@@ -38,7 +38,7 @@ def matrix_json(m):
 
 def children(tree, node):
     """The depth-(n+1) nodes whose parent is ``node``, in node order, read from tree.parents."""
-    n = node.depth
+    n = tree._position(node)[0]
     if n == tree.max_depth:
         return ()
     below, i = tree.nodes_at(n + 1), tree.nodes_at(n).index(node)
@@ -128,12 +128,12 @@ def dense_validate_tree(tree):
     child sum |P_w - sum of child P|, sibling orthogonality |P_u P_v|, and
     basis orthonormality |B B^T - I|.
     """
-    proj = {nd.word: tree.basis(nd).T @ tree.basis(nd) for nd in tree.all_nodes()}
+    proj = {nd: tree.basis(nd).T @ tree.basis(nd) for nd in tree.all_nodes()}
     eye = np.eye(tree.ambient_dim)
     fields = ("partition", "child_sum", "child_orthogonality", "basis_orthonormality")
     out = dict.fromkeys(fields, 0.0)
     for n in range(tree.max_depth + 1):
-        acc = sum(proj[nd.word] for nd in tree.nodes_at(n))
+        acc = sum(proj[nd] for nd in tree.nodes_at(n))
         out["partition"] = max(out["partition"], float(np.max(np.abs(acc - eye))))
     for node in tree.all_nodes():
         b = tree.basis(node)
@@ -142,10 +142,10 @@ def dense_validate_tree(tree):
         kids = children(tree, node)
         if not kids:
             continue
-        gap = proj[node.word] - sum(proj[k.word] for k in kids)
+        gap = proj[node] - sum(proj[k] for k in kids)
         out["child_sum"] = max(out["child_sum"], float(np.max(np.abs(gap))))
         for u, v in combinations(kids, 2):
-            both = np.max(np.abs(proj[u.word] @ proj[v.word]))
+            both = np.max(np.abs(proj[u] @ proj[v]))
             out["child_orthogonality"] = max(out["child_orthogonality"], float(both))
     return out
 
@@ -259,4 +259,4 @@ def loop_denoise(img, cfg, band_rows=None):
     for (r, c), patch in zip(ps.positions, denoised):
         acc[r : r + m, c : c + m] += patch.reshape(m, m)
         cnt[r : r + m, c : c + m] += 1.0
-    return acc / cnt, [nodes[i].word for i in idx], scores
+    return acc / cnt, [nodes[i] for i in idx], scores

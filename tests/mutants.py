@@ -143,6 +143,9 @@ MUTANTS = [
      "np.maximum(trace_scores(a, tree, n), 0.0)", "trace_scores(a, tree, n)"),
     ("dyadic-depth-0", "src/wpcontent/tree.py",
      "if not 1 <= depth <= top:", "if not 0 <= depth <= top:"),
+    # a word the tree lacks is no node of it
+    ("unknown-word-accepted", "src/wpcontent/tree.py",
+     "return word in self._index", "return True"),
 ]
 
 

@@ -222,11 +222,11 @@ def test_criterion_7_measure_structure(ensemble):
         total = w.trace(op)
         for tree in trees[dim]:
             weights = masses(w.cylinder_weights(op, tree))
-            ok = ok and abs(weights[tree.root.word] - total) <= 1e-9 * (1.0 + total)
+            ok = ok and abs(weights[tree.root] - total) <= 1e-9 * (1.0 + total)
             for node in tree.all_nodes():
                 kids = children(tree, node)
                 if kids:
-                    gap = abs(weights[node.word] - sum(weights[k.word] for k in kids))
+                    gap = abs(weights[node] - sum(weights[k] for k in kids))
                     ok = ok and gap <= 1e-9 * (1.0 + total)
     rng = np.random.default_rng(ENSEMBLE_SEED + 7)
     for _ in range(100):
@@ -245,9 +245,9 @@ def test_criterion_7_measure_structure(ensemble):
     op = w.ShannonSymbol(levels, vals).to_operator()
     for _ in range(10):
         x = rng.standard_normal(2**levels)
-        ok = ok and w.vector_weight(op, tree, x, w.PacketNode("00", 2)) <= 1e-12 * w.trace(op)
+        ok = ok and w.vector_weight(op, tree, x, "00") <= 1e-12 * w.trace(op)
         dens = w.discrete_density(op, tree, x, 2)
-        ok = ok and w.PacketNode("00", 2) not in dens
+        ok = ok and "00" not in dens
     elapsed = time.monotonic() - start
     _stamp(7, "measure structure", ok, elapsed)
 

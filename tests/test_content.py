@@ -49,7 +49,7 @@ class TestContentOperator:
         for node in tree.all_nodes():
             blk = w.content_operator(r, tree, node)
             mask = np.zeros(8)
-            mask[band_positions(3, node.word)] = 1.0
+            mask[band_positions(3, node)] = 1.0
             expect = np.diag(mask * np.diag(r.matrix))
             assert np.max(np.abs(blk.matrix - expect)) <= 1e-12
 
@@ -77,7 +77,7 @@ class TestContentOperator:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(w.DimensionMismatchError):
-            w.content_operator(random_gram(rng, 4), w.build_shannon_tree(3, 1), w.PacketNode("0", 1))
+            w.content_operator(random_gram(rng, 4), w.build_shannon_tree(3, 1), "0")
 
 
 class TestDepthDecomposition:
@@ -85,7 +85,7 @@ class TestDepthDecomposition:
         r = w.make_psd(w.SymMatrix(np.eye(8)))
         tree = w.build_shannon_tree(3, 1)
         blocks, _ = w.depth_decomposition(r, tree, 1)
-        assert [nd.word for nd in tree.nodes_at(1)] == ["0", "1"] and len(blocks) == 2
+        assert tree.nodes_at(1) == ["0", "1"] and len(blocks) == 2
         assert w.trace(blocks[0]) == pytest.approx(4.0, abs=1e-12)
         assert w.trace(blocks[1]) == pytest.approx(4.0, abs=1e-12)
         mask = np.diag([1.0] * 4 + [0.0] * 4)
@@ -97,7 +97,7 @@ class TestDepthDecomposition:
         tree = w.build_shannon_tree(3, 2)
         blocks, _ = w.depth_decomposition(r, tree, 2)
         for node, blk in zip(tree.nodes_at(2), blocks, strict=True):
-            expect = sum(sym.values[p] for p in band_positions(3, node.word))
+            expect = sum(sym.values[p] for p in band_positions(3, node))
             assert w.trace(blk) == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("tree", content_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
@@ -153,13 +153,13 @@ class TestCylinderWeights:
         r = random_gram(rng, tree.ambient_dim)
         cw = masses(w.cylinder_weights(r, tree))
         total = w.trace(r)
-        assert cw[tree.root.word] == pytest.approx(total, rel=1e-10)
+        assert cw[tree.root] == pytest.approx(total, rel=1e-10)
         for node in tree.all_nodes():
             kids = children(tree, node)
             if kids:
-                child_sum = sum(cw[k.word] for k in kids)
-                assert cw[node.word] == pytest.approx(child_sum, rel=1e-9, abs=1e-9 * total)
-            assert cw[node.word] >= 0.0
+                child_sum = sum(cw[k] for k in kids)
+                assert cw[node] == pytest.approx(child_sum, rel=1e-9, abs=1e-9 * total)
+            assert cw[node] >= 0.0
 
     def test_matches_dense_block_traces(self, rng):
         # dual route: the fast projection-trace path vs dense block construction
@@ -168,7 +168,7 @@ class TestCylinderWeights:
         cw = masses(w.cylinder_weights(r, tree))
         for node in tree.all_nodes():
             dense = w.trace(w.content_operator(r, tree, node))
-            assert cw[node.word] == pytest.approx(dense, rel=1e-9, abs=1e-12)
+            assert cw[node] == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("levels", range(1, 11))
     def test_symbol_route_is_bit_identical_on_shannon(self, rng, levels, monkeypatch):
@@ -232,7 +232,7 @@ class TestCylinderWeights:
         for node in tree.nodes_at(3):
             v = rng.standard_normal(2) @ tree.basis(node)
             cw = w.cylinder_weights(w.make_psd(np.outer(v, v)), tree)
-            assert min(row["mass"] for row in cw.rows) >= 0.0, node.word
+            assert min(row["mass"] for row in cw.rows) >= 0.0, node
 
     @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
                              ids=["1e-6-breaks", "0.5e-9-passes"])
@@ -270,7 +270,7 @@ class TestCylinderWeights:
             with pytest.raises(w.NumericalBreakdownError, match="root mass"):
                 w.cylinder_weights(r, tree)
         else:
-            root = masses(w.cylinder_weights(r, tree))[tree.root.word]
+            root = masses(w.cylinder_weights(r, tree))[tree.root]
             assert root == pytest.approx(w.trace(r) * (1.0 + moved), rel=1e-12)
 
 
@@ -296,7 +296,7 @@ class TestVectorWeights:
             e = np.zeros(8)
             e[pos] = 1.0
             for node in tree.nodes_at(1):
-                expect = sym.values[pos] if pos in band_positions(3, node.word) else 0.0
+                expect = sym.values[pos] if pos in band_positions(3, node) else 0.0
                 assert w.vector_weight(r, tree, e, node) == pytest.approx(expect, abs=1e-14)
 
 
@@ -318,8 +318,8 @@ class TestDensities:
         e[2] = 1.0  # frequency k = -2, in the band of node "0"
         dens = w.discrete_density(r, tree, e, 1)
         block_sum = sum(sym.values[p] for p in band_positions(3, "0"))
-        assert dens[w.PacketNode("0", 1)] == pytest.approx(sym.values[2] / block_sum, rel=1e-12)
-        assert dens[w.PacketNode("1", 1)] == 0.0
+        assert dens["0"] == pytest.approx(sym.values[2] / block_sum, rel=1e-12)
+        assert dens["1"] == 0.0
 
     def test_zero_mass_node_omitted(self):
         sym = w.ShannonSymbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
@@ -327,14 +327,14 @@ class TestDensities:
         tree = w.build_shannon_tree(3, 1)
         x = np.ones(8)
         dens = w.discrete_density(r, tree, x, 1)
-        assert w.PacketNode("0", 1) not in dens
-        assert w.PacketNode("1", 1) in dens
+        assert "0" not in dens
+        assert "1" in dens
 
     def test_light_node_keeps_its_density(self):
         # a mass of 1e-6 tr(R) is far above the 1e-12 tr(R) cut: x = (1, 1) gives nu/mu = 1
         r = w.make_psd(np.diag([1.0, 1e-6]))
         dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.ones(2), 1)
-        assert dens[w.PacketNode("1", 1)] == pytest.approx(1.0, rel=1e-9)
+        assert dens["1"] == pytest.approx(1.0, rel=1e-9)
 
     def test_vector_weight_on_a_massless_node_raises(self, rng, monkeypatch):
         # a zero block trace forces a zero vector weight; fake the mass of node "1" away

@@ -87,7 +87,7 @@ class TestBlockScores:
         patch = np.full(16, 0.5)
         ps = tiled_patches(patch[None, :], 4)
         scores = w.block_scores(ps, tree, 1)
-        table = {nd.word: float(v) for nd, v in zip(tree.nodes_at(1), scores, strict=True)}
+        table = dict(zip(tree.nodes_at(1), scores.tolist(), strict=True))
         assert table["0,0"] == pytest.approx(float(patch @ patch), rel=1e-12)
         for word in ("0,1", "1,0", "1,1"):
             assert table[word] <= 1e-12
@@ -141,12 +141,12 @@ class TestSelection:
         tree = w.build_filter_tree_2d("haar", 4, 1)
         ps = tiled_patches(np.full((1, 16), 0.25), 4)
         sel = w.select_top_k(w.block_scores(ps, tree, 1), 1)
-        assert [tree.nodes_at(1)[i].word for i in sel] == ["0,0"]
+        assert [tree.nodes_at(1)[i] for i in sel] == ["0,0"]
 
     def test_tie_break_lexicographic(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
         sel = w.select_top_k(np.ones(4), 2)
-        assert [tree.nodes_at(1)[i].word for i in sel] == ["0,0", "0,1"]
+        assert [tree.nodes_at(1)[i] for i in sel] == ["0,0", "0,1"]
 
     def test_projection_invariants(self, rng):
         tree = w.build_filter_tree_2d("haar", 4, 2)
@@ -276,7 +276,7 @@ class TestDenoisePipeline:
         tree = w.build_filter_tree_2d("haar", 8, 2)
         want = [float(np.linalg.norm(b)) for b in dense_blocks(rhat, tree, 2)]
         rows = report["selection_scores"]
-        assert [row["word"] for row in rows] == [nd.word for nd in tree.nodes_at(2)]
+        assert [row["word"] for row in rows] == tree.nodes_at(2)
         got = np.array([row["hs"] for row in rows])
         assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.linalg.norm(rhat))
 

@@ -46,7 +46,7 @@ class TestExtractSequence:
     def test_repeat_node_second_block_vanishes(self):
         r = geometric_symbol(3).to_operator()
         tree = w.build_shannon_tree(3, 1)
-        node = w.PacketNode("0", 1)
+        node = "0"
         run = w.extract_sequence(r, tree, [node, node])
         assert run.steps[1]["extracted_trace"] <= run.steps[0]["extracted_trace"]
         assert run.steps[1]["extracted_trace"] <= 1e-14 * w.trace(r)
@@ -69,7 +69,7 @@ class TestExtractSequence:
     def test_unknown_node_rejected(self, rng):
         tree = w.build_shannon_tree(3, 1)
         with pytest.raises(w.UnknownNodeError):
-            w.extract_sequence(random_gram(rng, 8), tree, [w.PacketNode("00", 2)])
+            w.extract_sequence(random_gram(rng, 8), tree, ["00"])
 
     def test_remainder_stats_nonincreasing(self, rng):
         tree = w.build_shannon_tree(3, 2)

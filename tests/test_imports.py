@@ -1,4 +1,4 @@
-"""Every name a package module imports is read in that module (a stdlib stand-in for pyflakes)."""
+"""Every name a package module or test file imports is read in it (a stdlib stand-in for pyflakes)."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,8 @@ import pytest
 import wpcontent as w
 
 MODULES = sorted(Path(w.__file__).resolve().parent.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+IDS = [p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -24,11 +26,11 @@ def unread_imports(source: str) -> list[str]:
     return sorted(set(bound) - read)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=IDS)
 def test_every_imported_name_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_an_unread_import_is_found():
-    source = "from .tree import PacketNode, PacketTree\nimport numpy as np\nx: PacketTree = np.eye(1)"
-    assert unread_imports(source) == ["PacketNode"]
+    source = "from .tree import PacketTree, ShannonSymbol\nimport numpy as np\nx: PacketTree = np.eye(1)"
+    assert unread_imports(source) == ["ShannonSymbol"]

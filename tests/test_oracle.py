@@ -53,7 +53,7 @@ class TestPacketScoresMatchDenseRoute:
         cw = masses(w.cylinder_weights(r, tree))
         for n in range(tree.max_depth + 1):
             want = [max(np.trace(b), 0.0) for b in dense_blocks(r.matrix, tree, n)]
-            assert close([cw[nd.word] for nd in tree.nodes_at(n)], want, r.matrix)
+            assert close([cw[nd] for nd in tree.nodes_at(n)], want, r.matrix)
 
     def test_discrete_density(self, rng, tree):
         r = random_gram(rng, tree.ambient_dim)

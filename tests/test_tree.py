@@ -58,8 +58,8 @@ class TestShannonTree:
         tree = w.build_shannon_tree(3, 2)
         for node in tree.all_nodes():
             b = tree.basis(node)
-            expect = np.zeros((len(band_positions(3, node.word)), 8))
-            for i, pos in enumerate(band_positions(3, node.word)):
+            expect = np.zeros((len(band_positions(3, node)), 8))
+            for i, pos in enumerate(band_positions(3, node)):
                 expect[i, pos] = 1.0
             assert np.array_equal(b, expect)
 
@@ -67,20 +67,20 @@ class TestShannonTree:
         assert shannon_band(1, "0") == [-1]
         assert shannon_band(1, "1") == [0]
         tree = w.build_shannon_tree(1, 1)
-        assert np.array_equal(tree.basis(w.PacketNode("0", 1)), [[1.0, 0.0]])
-        assert np.array_equal(tree.basis(w.PacketNode("1", 1)), [[0.0, 1.0]])
+        assert np.array_equal(tree.basis("0"), [[1.0, 0.0]])
+        assert np.array_equal(tree.basis("1"), [[0.0, 1.0]])
 
     def test_children_partition_parent_band(self):
         tree = w.build_shannon_tree(3, 2)
         for word in ("0", "1"):
             merged = sorted(shannon_band(3, word + "0") + shannon_band(3, word + "1"))
             assert merged == shannon_band(3, word)
-            kids = children(tree, w.PacketNode(word, 1))
-            assert [k.word for k in kids] == [word + "0", word + "1"]
+            kids = children(tree, word)
+            assert list(kids) == [word + "0", word + "1"]
 
     def test_projections_exactly_diagonal(self):
         tree = w.build_shannon_tree(3, 2)
-        p = w.projection(tree, w.PacketNode("0", 1)).matrix
+        p = w.projection(tree, "0").matrix
         assert np.array_equal(p, np.diag([1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0]))
         report = w.validate_tree(tree)
         assert report.child_sum == 0.0 and report.partition == 0.0
@@ -117,8 +117,8 @@ class TestFilterTrees:
     def test_haar_len2_by_hand(self):
         tree = w.build_filter_tree_1d("haar", 2, 1)
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(tree.basis(w.PacketNode("0", 1)), [[s, s]])
-        assert np.allclose(tree.basis(w.PacketNode("1", 1)), [[s, -s]])
+        assert np.allclose(tree.basis("0"), [[s, s]])
+        assert np.allclose(tree.basis("1"), [[s, -s]])
 
     def test_d4_len8_depth2_orthonormal(self):
         tree = w.build_filter_tree_1d("d4", 8, 2)
@@ -135,18 +135,18 @@ class TestFilterTrees:
     def test_2d_haar_2x2(self):
         tree = w.build_filter_tree_2d("haar", 2, 1)
         nodes = tree.nodes_at(1)
-        assert [nd.word for nd in nodes] == ["0,0", "0,1", "1,0", "1,1"]
+        assert nodes == ["0,0", "0,1", "1,0", "1,1"]
         stacked = np.vstack([tree.basis(nd) for nd in nodes])
         assert np.max(np.abs(stacked @ stacked.T - np.eye(4))) <= 1e-12
         # all-lowpass node is the constant patch direction
-        assert np.allclose(tree.basis(w.PacketNode("0,0", 1)), [[0.5, 0.5, 0.5, 0.5]])
+        assert np.allclose(tree.basis("0,0"), [[0.5, 0.5, 0.5, 0.5]])
 
     def test_2d_tensor_structure(self):
         one_d = w.build_filter_tree_1d("d4", 8, 1)
         two_d = w.build_filter_tree_2d("d4", 8, 1)
-        b0 = one_d.basis(w.PacketNode("0", 1))
-        b1 = one_d.basis(w.PacketNode("1", 1))
-        assert np.allclose(two_d.basis(w.PacketNode("0,1", 1)), np.kron(b0, b1))
+        b0 = one_d.basis("0")
+        b1 = one_d.basis("1")
+        assert np.allclose(two_d.basis("0,1"), np.kron(b0, b1))
 
     def test_2d_d4_depth2_counts(self):
         tree = w.build_filter_tree_2d("d4", 8, 2)
@@ -167,8 +167,7 @@ class TestTreeAxioms:
         for n in range(tree.max_depth + 1):
             nodes = tree.nodes_at(n)
             assert len(nodes) == branching**n
-            words = [nd.word for nd in nodes]
-            assert words == sorted(words)
+            assert nodes == sorted(nodes)
 
     def test_projection_idempotent(self, rng):
         tree = w.build_filter_tree_1d("d4", 8, 2)
@@ -181,21 +180,23 @@ class TestTreeAxioms:
         tree = w.build_shannon_tree(2, 1)
         assert np.allclose(w.projection(tree, tree.root).matrix, np.eye(4))
 
-    def test_unknown_node(self):
-        tree = w.build_shannon_tree(2, 1)
-        with pytest.raises(w.UnknownNodeError):
-            w.projection(tree, w.PacketNode("0101", 4))
-
-    def test_node_with_wrong_depth_is_unknown(self, rng):
-        # the word "01" is in the tree, but at depth 2, not 5
-        tree, node = w.build_shannon_tree(3, 2), w.PacketNode("01", 5)
-        assert not tree.has_node(node)
-        r = random_gram(rng, 8)
-        calls = [tree.basis, tree.subspace_dim, lambda nd: w.projection(tree, nd),
-                 lambda nd: w.content_operator(r, tree, nd)]
+    @pytest.mark.parametrize("tree, word", [
+        (w.build_shannon_tree(3, 2), "0101"),
+        (w.build_shannon_tree(3, 2), "2"),
+        (w.build_filter_tree_1d("haar", 8, 2), "0,1"),
+        (w.build_filter_tree_2d("haar", 4, 2), "01"),
+    ], ids=["beyond-max-depth", "not-binary", "pair-on-1d", "single-on-2d"])
+    def test_word_the_tree_lacks_is_unknown(self, tree, word, rng):
+        assert not tree.has_node(word)
+        r = random_gram(rng, tree.ambient_dim)
+        x = rng.standard_normal(tree.ambient_dim)
+        calls = [tree.basis, tree.subspace_dim, lambda wd: w.projection(tree, wd),
+                 lambda wd: w.content_operator(r, tree, wd),
+                 lambda wd: w.vector_weight(r, tree, x, wd),
+                 lambda wd: w.extract_sequence(r, tree, [tree.root, wd])]
         for call in calls:
             with pytest.raises(w.UnknownNodeError):
-                call(node)
+                call(word)
 
     @pytest.mark.parametrize("tree", all_test_trees() + corrupted_trees(), ids=tree_id)
     def test_per_depth_checks_agree_with_dense_oracle(self, tree):
@@ -223,22 +224,21 @@ class TestTreeAxioms:
             return ",".join(part[:-1] for part in word.split(","))
 
         for n in range(1, tree.max_depth + 1):
-            above = [nd.word for nd in tree.nodes_at(n - 1)]
-            want = [above.index(parent_word(nd.word)) for nd in tree.nodes_at(n)]
+            above = tree.nodes_at(n - 1)
+            want = [above.index(parent_word(nd)) for nd in tree.nodes_at(n)]
             assert tree.parents(n).tolist() == want
             assert [children(tree, tree.nodes_at(n - 1)[i]) for i in range(len(above))] == [
-                tuple(nd for nd in tree.nodes_at(n) if parent_word(nd.word) == a) for a in above
+                tuple(nd for nd in tree.nodes_at(n) if parent_word(nd) == a) for a in above
             ]
 
     @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
     def test_child_lists_hold_the_next_depths_nodes(self, tree):
         for n in range(tree.max_depth):
-            below = {nd.word: nd for nd in tree.nodes_at(n + 1)}
+            below = tree.nodes_at(n + 1)
             kids = [k for nd in tree.nodes_at(n) for k in children(tree, nd)]
-            assert len(kids) == len(below)
-            assert all(k is below[k.word] for k in kids)
+            assert sorted(kids) == sorted(below)
             if tree.realization != "filterbank-2d":
-                assert all(a is b for a, b in zip(kids, tree.nodes_at(n + 1)))
+                assert kids == below
 
     def test_validation_memory_is_per_depth(self):
         # a dense projection per node would hold 255 x 128 KB here
@@ -331,7 +331,7 @@ class TestShannonSymbol:
 
     def test_json_schema(self):
         sym = w.ShannonSymbol.from_json({"levels": 2, "r": [1, 2, 3, 4]})
-        assert sym.levels == 2
+        assert sym.dim == 4
         with pytest.raises(w.MalformedInputError):
             w.ShannonSymbol.from_json({"levels": 2, "r": [1, 2, 3]})
         with pytest.raises(w.MalformedInputError):
