@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "denoise": (
         "DenoiseConfig",
-        "ImageBuffer",
         "PatchSet",
         "add_gaussian_noise",
         "block_scores",

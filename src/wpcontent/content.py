@@ -155,13 +155,14 @@ def vector_weight(r: PsdOperator, tree: PacketTree, x, node: str) -> float:
 def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[str, float]:
     """Per-node energy density at depth n: vector weight over cylinder mass.
 
-    Nodes whose mass is below 1e-12 * trace(R) are omitted when the vector
-    weight vanishes too; a nonzero vector weight on a zero-mass node raises
-    AbsoluteContinuityViolation (possible only through rounding defects,
-    since a vanishing trace forces the whole block to vanish).
+    Nodes of mass at most eps = 1e-12 * trace(R) are omitted. Since
+    nu_w <= mu_w ||x||^2, such a node carries a vector weight of at most
+    eps ||x||^2; a larger one raises AbsoluteContinuityViolation (possible
+    only through rounding defects).
     """
     img = _root_images(r, tree, [x])[0]
     eps = 1e-12 * trace(r)
+    x_sq = float(np.sum(np.square(x)))
     nodes = tree.nodes_at(n)
     mus = trace_scores(r.matrix, tree, n).tolist()
     nus = _segment_sums((tree.transform(n) @ img) ** 2, len(nodes)).tolist()
@@ -169,7 +170,7 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[str, f
     for node, mu, nu in zip(nodes, mus, nus):
         if mu > eps:
             out[node] = nu / mu
-        elif nu > eps:
+        elif nu > eps * x_sq:
             raise AbsoluteContinuityViolation(
                 f"node {node!r} has mass {mu:.3e} but vector weight {nu:.3e}"
             )

@@ -6,8 +6,9 @@ depth-n packet blocks by average patch energy s_w = (1/M) sum ||P_w y_i||^2
 R_hat), keep the K highest-scoring blocks, project every patch onto
 their span, and rebuild the image by overlap-averaging. Keeping blocks
 instead of thresholding coefficients means both the retained part of
-R_hat and the discarded part stay PSD. A `DenoiseConfig` is checked when
-it is made, and a `PatchSet` checks the patch side against its image.
+R_hat and the discarded part stay PSD. An image is a read-only 2-D float64
+array, checked by `_raster` where it enters; a `DenoiseConfig` is checked
+when it is made, and a `PatchSet` checks the patch side against its image.
 """
 
 from __future__ import annotations
@@ -28,24 +29,15 @@ PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
 
 
-class ImageBuffer:
-    """Grayscale raster; values nominally in [0, 1], clipped only on export."""
-
-    __slots__ = ("width", "height", "pixels")
-
-    def __init__(self, pixels):
-        a = np.asarray(pixels, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise MalformedInputError(f"image must be a 2D raster, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise MalformedInputError("image pixels must be finite")
-        self.height = int(a.shape[0])
-        self.width = int(a.shape[1])
-        self.pixels = a
-        self.pixels.setflags(write=False)
-
-    def __repr__(self):
-        return f"ImageBuffer({self.width}x{self.height})"
+def _raster(pixels) -> np.ndarray:
+    """An image: a read-only, non-empty, finite 2-D float64 array; values nominally in [0, 1]."""
+    a = np.asarray(pixels, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise MalformedInputError(f"image must be a 2D raster, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise MalformedInputError("image pixels must be finite")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -123,14 +115,15 @@ class PatchSet:
     and its sum of squares must neither overflow nor underflow, as a matrix input's.
     """
 
-    image: ImageBuffer
+    image: np.ndarray
     patch_side: int
     stride: int
 
     def __post_init__(self):
-        m, img = self.patch_side, self.image
-        if m < 1 or m > min(img.width, img.height):
-            raise ConfigError(f"patch side {m} must be in [1, {min(img.width, img.height)}]")
+        object.__setattr__(self, "image", _raster(self.image))
+        m, side = self.patch_side, min(self.image.shape)
+        if m < 1 or m > side:
+            raise ConfigError(f"patch side {m} must be in [1, {side}]")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
@@ -138,7 +131,7 @@ class PatchSet:
     def runs(self) -> tuple[list[range], list[range]]:
         """Anchor runs of the rows and of the columns."""
         return tuple(_anchor_runs(e, self.patch_side, self.stride)
-                     for e in (self.image.height, self.image.width))
+                     for e in self.image.shape)
 
     def __len__(self) -> int:
         return math.prod(sum(map(len, r)) for r in self.runs)
@@ -146,7 +139,7 @@ class PatchSet:
     def bands(self):
         """(row runs, patches) of each band of BAND_ROWS anchor rows, in order."""
         rows, cols = self.runs
-        windows = sliding_window_view(self.image.pixels, (self.patch_side,) * 2)
+        windows = sliding_window_view(self.image, (self.patch_side,) * 2)
         for i in range(0, sum(map(len, rows)), BAND_ROWS):
             band = _cut(rows, i, i + BAND_ROWS)
             yield band, _gather(windows, band, cols)
@@ -154,7 +147,7 @@ class PatchSet:
     @cached_property
     def patches(self) -> np.ndarray:
         """All patches, (M, patch_side**2), row-major flattening."""
-        windows = sliding_window_view(self.image.pixels, (self.patch_side,) * 2)
+        windows = sliding_window_view(self.image, (self.patch_side,) * 2)
         return _gather(windows, *self.runs)
 
     @cached_property
@@ -168,7 +161,7 @@ class PatchSet:
         return gram
 
 
-def extract_patches(img: ImageBuffer, m: int, stride: int) -> PatchSet:
+def extract_patches(img: np.ndarray, m: int, stride: int) -> PatchSet:
     """Patches at anchors 0, stride, ... plus a flush-to-edge one: full cover if stride <= m."""
     return PatchSet(img, m, stride)
 
@@ -194,12 +187,11 @@ def select_top_k(scores: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in np.argsort(-np.asarray(scores), kind="stable")[:k])
 
 
-def _psnr_mse(a: ImageBuffer, b: ImageBuffer) -> float:
-    if (a.width, a.height) != (b.width, b.height):
-        raise DimensionMismatchError(
-            f"image sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    diff = a.pixels - b.pixels
+def _psnr_mse(a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        (ha, wa), (hb, wb) = a.shape, b.shape
+        raise DimensionMismatchError(f"image sizes differ: {wa}x{ha} vs {wb}x{hb}")
+    diff = a - b
     return float(np.mean(diff * diff))
 
 
@@ -210,20 +202,20 @@ def _psnr_db(mse: float) -> float:
     return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / mse)))
 
 
-def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
+def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Seeded i.i.d. Gaussian pixel noise; no clipping."""
     if not 0.0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore"):  # an overflow is ImageBuffer's non-finite pixel
-        return ImageBuffer(img.pixels + sigma * rng.standard_normal(img.pixels.shape))
+    with np.errstate(over="ignore"):  # an overflow is _raster's non-finite pixel
+        return _raster(img + sigma * rng.standard_normal(np.shape(img)))
 
 
 def denoise_image(
-    img: ImageBuffer, cfg: DenoiseConfig, clean: ImageBuffer | None = None
-) -> tuple[ImageBuffer, dict]:
+    img: np.ndarray, cfg: DenoiseConfig, clean: np.ndarray | None = None
+) -> tuple[np.ndarray, dict]:
     """Project every patch onto the K highest-scoring packet blocks.
 
     Runs extract_patches -> block_scores -> select_top_k and returns the
@@ -237,6 +229,7 @@ def denoise_image(
     each pixel sums its patches in row-major anchor order. A ``clean``
     image of another size is refused before any patch is read.
     """
+    img, clean = _raster(img), None if clean is None else _raster(clean)
     mse_noisy = None if clean is None else _psnr_mse(img, clean)
     m, n = cfg.patch_side, cfg.depth
     patches = extract_patches(img, m, cfg.effective_stride())
@@ -249,7 +242,7 @@ def denoise_image(
 
     col_runs = patches.runs[1]
     n_cols = sum(map(len, col_runs))
-    acc = np.zeros((img.height, img.width))
+    acc = np.zeros(img.shape)
     for rb, y in patches.bands():
         # offset-major: q[di, dj] holds pixel (di, dj) of every patch of the band
         q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, n_cols)
@@ -261,7 +254,7 @@ def denoise_image(
                     acc[_shift(r, di), _shift(c, dj)] += q[di, dj, pi, pj]
     cnt = np.outer(*(np.bincount((np.hstack(runs)[:, None] + np.arange(m)).ravel())
                      for runs in patches.runs))
-    out = ImageBuffer(acc / cnt)
+    out = _raster(acc / cnt)
 
     total = float(np.sum(scores))
     retained = float(np.sum(scores[chosen]))

@@ -7,7 +7,6 @@ import re
 import numpy as np
 
 from .errors import MalformedInputError
-from .denoise import ImageBuffer
 
 
 # Four header tokens (magic, width, height, maxval), each after any run of
@@ -16,8 +15,8 @@ _HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)" * 4)
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 
-def read_pgm(path) -> ImageBuffer:
-    """Read a P2 or P5 PGM; pixel values map to [0, 1] by v / maxval."""
+def read_pgm(path) -> np.ndarray:
+    """Read a P2 or P5 PGM to a read-only (height, width) array; pixel v maps to v / maxval."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -58,18 +57,21 @@ def read_pgm(path) -> ImageBuffer:
         vals = np.array([int(tok) for tok in pixels], dtype=np.float64)
     if np.any(vals < 0) or np.any(vals > maxval):
         raise MalformedInputError(f"{magic.decode()} pixel outside [0, maxval]")
-    return ImageBuffer((vals / maxval).reshape(height, width))
+    img = (vals / maxval).reshape(height, width)
+    img.setflags(write=False)
+    return img
 
 
-def quantize(img: ImageBuffer) -> np.ndarray:
+def quantize(img: np.ndarray) -> np.ndarray:
     """Clip to [0, 1] and quantize to uint8, rounding half up."""
-    clipped = np.clip(img.pixels, 0.0, 1.0)
+    clipped = np.clip(img, 0.0, 1.0)
     return np.floor(clipped * 255.0 + 0.5).astype(np.uint8)
 
 
-def write_pgm(path, img: ImageBuffer) -> None:
+def write_pgm(path, img: np.ndarray) -> None:
     """Write an 8-bit binary P5 PGM, maxval 255."""
     q = quantize(img)
+    height, width = q.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(q.tobytes())

@@ -126,13 +126,17 @@ class PacketTree:
         return self._parents[n]
 
     def has_node(self, word: str) -> bool:
-        return word in self._index
+        try:
+            self._position(word)
+        except UnknownNodeError:
+            return False
+        return True
 
     def _position(self, word: str) -> tuple[int, int]:
-        """(depth, index within the depth) of a word of this tree."""
+        """(depth, index within the depth) of a word of this tree; any other key is unknown."""
         try:
             return self._index[word]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
             raise UnknownNodeError(f"no node {word!r}") from None
 
     def basis(self, word: str) -> np.ndarray:

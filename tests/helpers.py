@@ -195,7 +195,7 @@ def piecewise_smooth_image(size=64):
     img[size // 4 : size * 5 // 8, size // 8 : size * 7 // 16] += 0.3
     rr = (yy - 0.7 * size) ** 2 + (xx - 0.72 * size) ** 2
     img = np.where(rr < (0.19 * size) ** 2, 0.85, img)
-    return w.ImageBuffer(np.clip(img, 0.0, 1.0))
+    return np.clip(img, 0.0, 1.0)
 
 
 def loop_anchors(extent, m, stride):
@@ -211,15 +211,15 @@ LoopPatches = namedtuple("LoopPatches", "patch_side stride positions patches")
 
 def loop_extract_patches(img, m, stride):
     """Per-patch route: walk the anchor grid row-major and copy one patch per anchor."""
-    rows = loop_anchors(img.height, m, stride)
-    cols = loop_anchors(img.width, m, stride)
+    rows = loop_anchors(img.shape[0], m, stride)
+    cols = loop_anchors(img.shape[1], m, stride)
     positions = []
     patches = np.empty((len(rows) * len(cols), m * m))
     i = 0
     for r in rows:
         for c in cols:
             positions.append((r, c))
-            patches[i] = img.pixels[r : r + m, c : c + m].ravel()
+            patches[i] = img[r : r + m, c : c + m].ravel()
             i += 1
     return LoopPatches(m, stride, tuple(positions), patches)
 
@@ -227,7 +227,7 @@ def loop_extract_patches(img, m, stride):
 def tiled_patches(y, m):
     """`extract_patches` of the rows of y as m x m patches tiled side by side, at stride m."""
     tiles = np.asarray(y, dtype=float).reshape(-1, m, m)
-    return w.extract_patches(w.ImageBuffer(np.hstack(tiles)), m, m)
+    return w.extract_patches(np.hstack(tiles), m, m)
 
 
 def loop_denoise(img, cfg, band_rows=None):
@@ -252,10 +252,10 @@ def loop_denoise(img, cfg, band_rows=None):
     nodes = tree.nodes_at(n)
     idx = sorted(np.argsort(-rank, kind="stable")[: cfg.top_k])
     basis = np.vstack([tree.basis(nodes[i]) for i in idx])
-    step = y.shape[0] if band_rows is None else band_rows * len(loop_anchors(img.width, m, ps.stride))
+    step = y.shape[0] if band_rows is None else band_rows * len(loop_anchors(img.shape[1], m, ps.stride))
     denoised = np.vstack([(y[i : i + step] @ basis.T) @ basis for i in range(0, y.shape[0], step)])
-    acc = np.zeros((img.height, img.width))
-    cnt = np.zeros((img.height, img.width))
+    acc = np.zeros(img.shape)
+    cnt = np.zeros(img.shape)
     for (r, c), patch in zip(ps.positions, denoised):
         acc[r : r + m, c : c + m] += patch.reshape(m, m)
         cnt[r : r + m, c : c + m] += 1.0

@@ -109,7 +109,8 @@ MUTANTS = [
     ("loewner-tol-1e-2", "tests/helpers.py", "LOEWNER_TOL = 1e-8", "LOEWNER_TOL = 1e-2"),
     ("density-eps-1e-3", "src/wpcontent/content.py",
      "eps = 1e-12 * trace(r)", "eps = 1e-3 * trace(r)"),
-    ("abs-continuity-removed", "src/wpcontent/content.py", "elif nu > eps:", "elif False:"),
+    ("abs-continuity-removed", "src/wpcontent/content.py", "elif nu > eps * x_sq:", "elif False:"),
+    ("density-rule-unscaled", "src/wpcontent/content.py", "elif nu > eps * x_sq:", "elif nu > eps:"),
     ("root-mass-budget-removed", "src/wpcontent/content.py",
      "if abs(masses[0][0] - total) > budget:", "if False:"),
     ("gamma-lower-1e-3", "src/wpcontent/greedy.py", "1.0 - 1e-9 <= gamma", "1.0 - 1e-3 <= gamma"),
@@ -143,9 +144,19 @@ MUTANTS = [
      "np.maximum(trace_scores(a, tree, n), 0.0)", "trace_scores(a, tree, n)"),
     ("dyadic-depth-0", "src/wpcontent/tree.py",
      "if not 1 <= depth <= top:", "if not 0 <= depth <= top:"),
-    # a word the tree lacks is no node of it
+    # a word the tree lacks is no node of it, also when the key is unhashable
     ("unknown-word-accepted", "src/wpcontent/tree.py",
-     "return word in self._index", "return True"),
+     "except UnknownNodeError:\n            return False", "except UnknownNodeError:\n            return True"),
+    ("unhashable-word-raises-type-error", "src/wpcontent/tree.py",
+     "except (KeyError, TypeError):", "except KeyError:"),
+    # input rules on shapes and counts: a PGM's size, top-K's K, a patch stride, a matrix's shape
+    ("pgm-empty-size-accepted", "src/wpcontent/pgm.py", "if width < 1 or height < 1:", "if False:"),
+    ("top-k-below-one-accepted", "src/wpcontent/denoise.py", "if k < 1:", "if False:"),
+    ("patch-stride-below-one-accepted", "src/wpcontent/denoise.py",
+     "if self.stride < 1:", "if False:"),
+    ("matrix-not-square-accepted", "src/wpcontent/psdcore.py",
+     "if a.ndim != 2 or a.shape[0] != a.shape[1]:", "if False:"),
+    ("matrix-dim-zero-accepted", "src/wpcontent/psdcore.py", "if a.shape[0] < 1:", "if False:"),
 ]
 
 

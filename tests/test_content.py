@@ -336,6 +336,32 @@ class TestDensities:
         dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.ones(2), 1)
         assert dens["1"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_light_node_may_carry_its_mass_times_x_squared(self):
+        # node "1": mass 1e-13 <= 1e-12 tr(R) and weight 1e-7 = mu ||x||^2 <= 1e-12 tr(R) ||x||^2
+        r = w.make_psd(np.diag([1.0, 1e-13]))
+        dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.array([0.0, 1e3]), 1)
+        assert dens == {"0": 0.0}
+
+    @pytest.mark.parametrize("case", ["light-node", "zero-band", "d4-rank-deficient"])
+    def test_density_of_a_scaled_vector_scales_exactly(self, rng, case):
+        if case == "light-node":
+            r, tree = w.make_psd(np.diag([1.0, 1e-13])), w.build_shannon_tree(1, 1)
+            x = np.array([0.0, 1e3])
+        elif case == "zero-band":
+            r = w.ShannonSymbol(3, [0.0] * 4 + [1.0, 0.5, 0.25, 0.125]).to_operator()
+            tree, x = w.build_shannon_tree(3, 2), rng.standard_normal(8)
+        else:
+            tree = w.build_filter_tree_1d("d4", 8, 2)
+            b = np.vstack([tree.basis(nd) for nd in tree.nodes_at(2)[:2]])
+            g = rng.standard_normal((4, 4))
+            r, x = w.make_psd(b.T @ (g.T @ g) @ b), rng.standard_normal(8)
+        for n in range(tree.max_depth + 1):
+            base = w.discrete_density(r, tree, x, n)
+            for k in range(-20, 21, 2):
+                dens = w.discrete_density(r, tree, 2.0**k * x, n)
+                assert dens.keys() == base.keys()
+                assert all(dens[nd] == 4.0**k * v for nd, v in base.items()), (n, k)
+
     def test_vector_weight_on_a_massless_node_raises(self, rng, monkeypatch):
         # a zero block trace forces a zero vector weight; fake the mass of node "1" away
         real = w.content.trace_scores

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,31 +15,62 @@ from helpers import (
 
 class TestExtractPatches:
     def test_single_patch(self):
-        img = w.ImageBuffer(np.zeros((8, 8)))
+        img = np.zeros((8, 8))
         ps = w.extract_patches(img, 8, 8)
         assert positions(ps) == ((0, 0),)
 
     def test_exact_tiling(self):
-        img = w.ImageBuffer(np.zeros((16, 16)))
+        img = np.zeros((16, 16))
         ps = w.extract_patches(img, 8, 8)
         assert positions(ps) == ((0, 0), (0, 8), (8, 0), (8, 8))
 
     def test_flush_to_edge_anchor(self):
-        img = w.ImageBuffer(np.zeros((12, 12)))
+        img = np.zeros((12, 12))
         ps = w.extract_patches(img, 8, 8)
         assert positions(ps) == ((0, 0), (0, 4), (4, 0), (4, 4))
 
     def test_patch_values_row_major(self):
-        img = w.ImageBuffer(np.arange(16.0).reshape(4, 4) / 16.0)
+        img = np.arange(16.0).reshape(4, 4) / 16.0
         ps = w.extract_patches(img, 2, 2)
         assert np.allclose(ps.patches[0], [0.0, 1 / 16, 4 / 16, 5 / 16])
 
     def test_patch_larger_than_image(self):
         with pytest.raises(w.ConfigError):
-            w.extract_patches(w.ImageBuffer(np.zeros((4, 4))), 8, 1)
+            w.extract_patches(np.zeros((4, 4)), 8, 1)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(w.ConfigError, match=f"stride must be >= 1, got {stride}"):
+            w.extract_patches(np.zeros((8, 8)), 4, stride)
+
+    @pytest.mark.parametrize("pixels, message", [
+        (np.zeros(16), r"image must be a 2D raster, got shape \(16,\)"),
+        (np.zeros((0, 4)), r"image must be a 2D raster, got shape \(0, 4\)"),
+        (np.zeros((2, 4, 4)), r"image must be a 2D raster, got shape \(2, 4, 4\)"),
+        (np.full((4, 4), np.nan), "image pixels must be finite"),
+    ], ids=["1d", "empty", "3d", "nan"])
+    def test_every_entry_holds_an_image_to_the_raster_rules(self, pixels, message):
+        cfg = w.DenoiseConfig(patch_side=2, depth=1, top_k=1)
+        entries = [lambda: w.extract_patches(pixels, 2, 1),
+                   lambda: w.add_gaussian_noise(pixels, 0.0, 0),
+                   lambda: w.denoise_image(pixels, cfg),
+                   lambda: w.denoise_image(np.zeros((4, 4)), cfg, clean=pixels)]
+        for entry in entries:
+            with pytest.raises(w.MalformedInputError, match=message):
+                entry()
+
+    def test_an_image_is_read_only(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n8 4\n255\n" + bytes(range(32)))
+        img = w.read_pgm(path)
+        assert img.dtype == np.float64 and img.shape == (4, 8)
+        ps = w.extract_patches(np.zeros((8, 8)), 4, 4)
+        out, _ = w.denoise_image(img, w.DenoiseConfig(patch_side=4, depth=1, top_k=1))
+        noisy = w.add_gaussian_noise(img, 0.1, 0)
+        assert not any(a.flags.writeable for a in (img, ps.image, out, noisy))
 
     def test_full_coverage_when_stride_at_most_side(self):
-        img = w.ImageBuffer(np.zeros((21, 13)))
+        img = np.zeros((21, 13))
         ps = w.extract_patches(img, 4, 3)
         cover = np.zeros((21, 13))
         for r, c in positions(ps):
@@ -70,7 +104,7 @@ class TestSecondMoment:
     @pytest.mark.parametrize("pixel, word", [(1e160, "overflows"), (1e-100, "underflows")])
     def test_square_sum_rule(self, pixel, word):
         # R_hat's entries are pixel^2; the sum of their squares leaves the normal range
-        ps = w.extract_patches(w.ImageBuffer(np.full((8, 8), pixel)), 4, 4)
+        ps = w.extract_patches(np.full((8, 8), pixel), 4, 4)
         message = f"patch second moment: the sum of squares {word}"
         with pytest.raises(w.MalformedInputError, match=message):
             w.second_moment(ps)
@@ -122,7 +156,7 @@ class TestBlockScores:
 
     def test_zero_image(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
-        ps = w.extract_patches(w.ImageBuffer(np.zeros((8, 8))), 4, 4)
+        ps = w.extract_patches(np.zeros((8, 8)), 4, 4)
         assert float(np.sum(w.block_scores(ps, tree, 1))) == 0.0
 
 
@@ -136,6 +170,11 @@ class TestSelection:
         assert len(sel) == 4
         basis = chosen_rows(tree, 1, sel)
         assert np.max(np.abs(basis.T @ basis - np.eye(16))) <= 1e-10
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(w.ConfigError, match=f"k must be >= 1, got {k}"):
+            w.select_top_k(np.arange(4.0), k)
 
     def test_unique_max(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
@@ -193,10 +232,10 @@ class TestSelection:
 
 class TestPsnrAndNoise:
     def test_psnr_examples(self):
-        a = w.ImageBuffer(np.zeros((4, 4)))
-        b = w.ImageBuffer(np.ones((4, 4)))
+        a = np.zeros((4, 4))
+        b = np.ones((4, 4))
         assert _psnr_db(_psnr_mse(a, b)) == pytest.approx(0.0, abs=1e-12)
-        c = w.ImageBuffer(np.full((4, 4), 0.1))
+        c = np.full((4, 4), 0.1)
         assert _psnr_db(_psnr_mse(a, c)) == pytest.approx(20.0, rel=1e-12)  # MSE = 0.01
 
     def test_psnr_cap(self):
@@ -210,18 +249,18 @@ class TestPsnrAndNoise:
     def test_noise_zero_sigma(self):
         img = piecewise_smooth_image(16)
         out = w.add_gaussian_noise(img, 0.0, 7)
-        assert np.array_equal(out.pixels, img.pixels)
+        assert np.array_equal(out, img)
 
     def test_noise_deterministic(self):
         img = piecewise_smooth_image(16)
         a = w.add_gaussian_noise(img, 0.2, 11)
         b = w.add_gaussian_noise(img, 0.2, 11)
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a, b)
 
     def test_noise_standard_deviation(self):
-        img = w.ImageBuffer(np.full((64, 64), 0.5))
+        img = np.full((64, 64), 0.5)
         out = w.add_gaussian_noise(img, 0.1, 3)
-        assert abs(np.std(out.pixels - img.pixels) - 0.1) <= 0.005
+        assert abs(np.std(out - img) - 0.1) <= 0.005
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(w.ConfigError):
@@ -239,17 +278,17 @@ class TestDenoisePipeline:
         noisy = w.add_gaussian_noise(img, 0.1, 5)
         cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=16, stride=4)
         out, report = w.denoise_image(noisy, cfg)
-        assert np.max(np.abs(out.pixels - noisy.pixels)) <= 1e-12
+        assert np.max(np.abs(out - noisy)) <= 1e-12
         assert report["retained_energy_fraction"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_image_maps_to_zero(self):
-        z = w.ImageBuffer(np.zeros((16, 16)))
+        z = np.zeros((16, 16))
         out, _ = w.denoise_image(z, w.DenoiseConfig(patch_side=4, depth=1, top_k=2))
-        assert np.array_equal(out.pixels, np.zeros((16, 16)))
+        assert np.array_equal(out, np.zeros((16, 16)))
 
     @pytest.mark.parametrize("mode", ["trace", "hs"])
     def test_an_all_black_image_retains_all_of_its_zero_energy(self, mode):
-        z = w.ImageBuffer(np.zeros((16, 16)))
+        z = np.zeros((16, 16))
         _, report = w.denoise_image(z, w.DenoiseConfig(patch_side=4, depth=1, top_k=2, mode=mode))
         assert report["retained_energy_fraction"] == 1.0
 
@@ -389,7 +428,7 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         w.write_pgm(path, img)
         back = w.read_pgm(path)
-        assert back.width == 16 and back.height == 16
+        assert back.shape == (16, 16)
         assert np.max(np.abs(w.quantize(back) - w.quantize(img))) == 0
 
     def test_round_trip_p2(self, tmp_path):
@@ -397,7 +436,7 @@ class TestPgm:
         q = w.quantize(img)
         path = tmp_path / "img.pgm"
         rows = "".join(" ".join(map(str, row)) + "\n" for row in q)
-        path.write_bytes(f"P2\n{img.width} {img.height}\n255\n{rows}".encode("ascii"))
+        path.write_bytes(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n{rows}".encode("ascii"))
         back = w.read_pgm(path)
         assert np.array_equal(w.quantize(back), q)
 
@@ -405,7 +444,7 @@ class TestPgm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P2\n# a comment\n2 2\n# another\n100\n0 50\n100 25\n")
         img = w.read_pgm(path)
-        assert np.allclose(img.pixels, [[0.0, 0.5], [1.0, 0.25]])
+        assert np.allclose(img, [[0.0, 0.5], [1.0, 0.25]])
 
     def test_malformed_rejected(self, tmp_path):
         bad = tmp_path / "bad.pgm"
@@ -419,6 +458,33 @@ class TestPgm:
         with pytest.raises(w.MalformedInputError):
             w.read_pgm(bad)
 
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n", b"P5\n4 0\n255\n", b"P2\n0 0\n255\n"])
+    def test_zero_width_or_height_rejected(self, tmp_path, header):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(header)
+        with pytest.raises(w.MalformedInputError, match="bad PGM dimensions"):
+            w.read_pgm(path)
+
     def test_quantize_round_half_up(self):
-        img = w.ImageBuffer(np.array([[0.0, 0.5 / 255.0, 1.5 / 255.0, 2.0]]))
+        img = np.array([[0.0, 0.5 / 255.0, 1.5 / 255.0, 2.0]])
         assert list(w.quantize(img)[0]) == [0, 1, 2, 255]
+
+
+def test_pgm_loads_no_denoiser_and_an_image_is_its_array():
+    # pgm.py imports only errors from the package, and no module names an image wrapper type
+    package = Path(w.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    imported = set()
+    for node in ast.walk(trees["pgm.py"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "wpcontent":
+            imported.add(node.module.removeprefix("wpcontent."))
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.removeprefix("wpcontent.") for a in node.names
+                            if a.name.split(".")[0] == "wpcontent")
+    assert imported == {"errors"}
+    for name, tree in trees.items():
+        names = {getattr(node, attr, None) for node in ast.walk(tree)
+                 for attr in ("id", "attr", "name", "asname")}
+        assert "ImageBuffer" not in names, name

@@ -255,6 +255,15 @@ class TestMatrixJson:
         with pytest.raises(w.MalformedInputError):
             w.matrix_from_json({"dim": 1, "data": [float("nan")]})
 
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 3), "expected a square matrix, got shape"),
+        ((0, 0), "matrix dimension must be at least 1"),
+    ], ids=["not-square", "empty"])
+    def test_sym_matrix_shape_rules(self, shape, message):
+        for build in (w.SymMatrix, w.make_psd):
+            with pytest.raises(w.MalformedInputError, match=message):
+                build(np.zeros(shape))
+
     def test_rejects_missing_keys(self):
         with pytest.raises(w.MalformedInputError):
             w.matrix_from_json({"dim": 2})

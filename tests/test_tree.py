@@ -185,7 +185,8 @@ class TestTreeAxioms:
         (w.build_shannon_tree(3, 2), "2"),
         (w.build_filter_tree_1d("haar", 8, 2), "0,1"),
         (w.build_filter_tree_2d("haar", 4, 2), "01"),
-    ], ids=["beyond-max-depth", "not-binary", "pair-on-1d", "single-on-2d"])
+        (w.build_shannon_tree(3, 2), ["0"]),
+    ], ids=["beyond-max-depth", "not-binary", "pair-on-1d", "single-on-2d", "unhashable-list"])
     def test_word_the_tree_lacks_is_unknown(self, tree, word, rng):
         assert not tree.has_node(word)
         r = random_gram(rng, tree.ambient_dim)
