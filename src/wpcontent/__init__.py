@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "content": (
-        "CylinderWeights",
         "content_operator",
         "cylinder_weights",
         "depth_decomposition",
@@ -60,7 +59,6 @@ _EXPORTS = {
     "pgm": ("quantize", "read_pgm", "write_pgm"),
     "psdcore": (
         "PsdOperator",
-        "SymMatrix",
         "hs_norm",
         "make_psd",
         "matrix_from_json",
@@ -69,12 +67,14 @@ _EXPORTS = {
     ),
     "tree": (
         "PacketTree",
-        "ShannonSymbol",
         "build_filter_tree_1d",
         "build_filter_tree_2d",
         "build_shannon_tree",
         "filter_taps",
         "projection",
+        "shannon_symbol",
+        "symbol_from_json",
+        "symbol_operator",
         "tree_description",
         "validate_tree",
     ),

@@ -44,11 +44,12 @@ from .errors import (
     NotPositiveError,
     NumericalBreakdownError,
 )
-from .psdcore import make_psd, matrix_from_json
+from .psdcore import as_entries, make_psd, matrix_from_json
 from .tree import (
-    ShannonSymbol,
     build_filter_tree_1d,
     build_shannon_tree,
+    symbol_from_json,
+    symbol_operator,
     tree_description,
 )
 
@@ -178,12 +179,12 @@ def _check_files(args, *outputs) -> None:
 
 
 def _load_operator(args, dense=True):
-    """Matrix or symbol input as a PsdOperator; dense=False keeps a symbol a ShannonSymbol."""
+    """Matrix or symbol input as a PsdOperator; dense=False keeps a symbol its 1-D values."""
     if args.input and args.symbol:
         raise ConfigError("give one of --in or --symbol, not both")
     if args.symbol:
-        sym = ShannonSymbol.from_json(_load_json(args.symbol))
-        return sym.to_operator() if dense else sym
+        sym = symbol_from_json(_load_json(args.symbol))
+        return symbol_operator(sym) if dense else sym
     if not args.input:
         raise ConfigError("one of --in or --symbol is required")
     return make_psd(matrix_from_json(_load_json(args.input)))
@@ -205,20 +206,8 @@ def _build_matrix_tree(args, dim: int):
 def cmd_decompose(args) -> int:
     _check_files(args, "--report")
     operator = _load_operator(args, dense=False)
-    tree = _build_matrix_tree(args, operator.dim)
-    weights = cylinder_weights(operator, tree)
-    total, root_mass = weights.source_trace, weights.rows[0]["mass"]
-    payload = {
-        "tree": tree_description(tree),
-        "cylinders": weights.rows,
-        "validation": {
-            "root_mass": root_mass,
-            "trace": total,
-            "root_mass_error": abs(root_mass - total),
-            "max_additivity_gap": weights.max_additivity_gap,
-        },
-    }
-    _write_json(args.report, payload)
+    tree = _build_matrix_tree(args, len(as_entries(operator)))
+    _write_json(args.report, {"tree": tree_description(tree), **cylinder_weights(operator, tree)})
     return EXIT_OK
 
 

@@ -18,8 +18,6 @@ The per-node dense route is kept as an independent oracle in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -28,22 +26,7 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .psdcore import PsdOperator, as_entries, hs_norm, make_psd, trace
-from .tree import PacketTree, ShannonSymbol
-
-
-@dataclass(frozen=True)
-class CylinderWeights:
-    """Masses tr(C_w(R)) for every node up to the tree's max depth.
-
-    ``rows`` are the `decompose` report's "cylinders": one {"word", "depth",
-    "mass"} dict per node, in `PacketTree.all_nodes` order (the root first).
-    ``max_additivity_gap`` is the largest |mass(w) - sum of child masses|
-    measured when the weights were computed.
-    """
-
-    source_trace: float
-    rows: tuple[dict, ...]
-    max_additivity_gap: float
+from .tree import PacketTree, _symbol
 
 
 def _check_dims(dim: int, tree: PacketTree) -> None:
@@ -118,15 +101,20 @@ def depth_decomposition(
     return blocks, err
 
 
-def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> CylinderWeights:
+def cylinder_weights(r, tree: PacketTree) -> dict:
     """Masses for every node with |w| <= max_depth; additivity verified within 1e-9 tr(R).
 
-    Tiny negative rounding noise is clamped to zero so all masses are
-    nonnegative; the root mass equals trace(R) exactly by construction.
-    A ShannonSymbol is read through its values, diag(R): no d x d array on identity depths.
+    Returns what the `decompose` report holds: "cylinders", one {"word",
+    "depth", "mass"} dict per node in `PacketTree.all_nodes` order (the root
+    first), and "validation", the root mass, the trace, their distance and
+    the largest |mass(w) - sum of child masses| measured. Tiny negative
+    rounding noise is clamped to zero so all masses are nonnegative; the
+    root mass equals trace(R) exactly by construction. ``r`` is a
+    PsdOperator or a symbol's values, diag(R), checked as a symbol and read
+    with no d x d array on identity depths.
     """
-    _check_dims(r.dim, tree)
-    a = r.values if isinstance(r, ShannonSymbol) else r.matrix
+    a = r.matrix if isinstance(r, PsdOperator) else _symbol(r)
+    _check_dims(len(a), tree)
     masses = [np.maximum(trace_scores(a, tree, n), 0.0) for n in range(tree.max_depth + 1)]
     total = float(np.sum(a)) if a.ndim == 1 else trace(a)
     budget = 1e-9 * abs(total)
@@ -141,9 +129,18 @@ def cylinder_weights(r: PsdOperator | ShannonSymbol, tree: PacketTree) -> Cylind
             msg = f"cylinder additivity fails at {tree.nodes_at(n)[i]!r}: gap {gaps[i]:.3e}"
             raise NumericalBreakdownError(None, msg)
         max_gap = max(max_gap, float(gaps.max()))
-    rows = tuple({"word": wd, "depth": n, "mass": m} for n, level in enumerate(masses)
-                 for wd, m in zip(tree.nodes_at(n), level.tolist()))
-    return CylinderWeights(total, rows, max_gap)
+    rows = [{"word": wd, "depth": n, "mass": m} for n, level in enumerate(masses)
+            for wd, m in zip(tree.nodes_at(n), level.tolist())]
+    root_mass = rows[0]["mass"]
+    return {
+        "cylinders": rows,
+        "validation": {
+            "root_mass": root_mass,
+            "trace": total,
+            "root_mass_error": abs(root_mass - total),
+            "max_additivity_gap": max_gap,
+        },
+    }
 
 
 def vector_weight(r: PsdOperator, tree: PacketTree, x, node: str) -> float:

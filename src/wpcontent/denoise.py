@@ -7,7 +7,7 @@ R_hat), keep the K highest-scoring blocks, project every patch onto
 their span, and rebuild the image by overlap-averaging. Keeping blocks
 instead of thresholding coefficients means both the retained part of
 R_hat and the discarded part stay PSD. An image is a read-only 2-D float64
-array, checked by `_raster` where it enters; a `DenoiseConfig` is checked
+array, checked by `pgm._raster` where it enters; a `DenoiseConfig` is checked
 when it is made, and a `PatchSet` checks the patch side against its image.
 """
 
@@ -21,23 +21,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .content import _check_dims, hs_scores_squared, trace_scores
-from .errors import ConfigError, DimensionMismatchError, MalformedInputError
+from .errors import ConfigError, DimensionMismatchError
+from .pgm import _raster
 from .psdcore import PsdOperator, check_square_sum, make_psd
 from .tree import PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
 
 PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
-
-
-def _raster(pixels) -> np.ndarray:
-    """An image: a read-only, non-empty, finite 2-D float64 array; values nominally in [0, 1]."""
-    a = np.asarray(pixels, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise MalformedInputError(f"image must be a 2D raster, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise MalformedInputError("image pixels must be finite")
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

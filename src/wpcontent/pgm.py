@@ -62,14 +62,30 @@ def read_pgm(path) -> np.ndarray:
     return img
 
 
+def _raster(pixels) -> np.ndarray:
+    """An image: a read-only, non-empty, finite 2-D float64 array; values nominally in [0, 1].
+
+    A writable array is copied, so the caller's stays writable.
+    """
+    a = np.asarray(pixels, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise MalformedInputError(f"image must be a 2D raster, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise MalformedInputError("image pixels must be finite")
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 def quantize(img: np.ndarray) -> np.ndarray:
-    """Clip to [0, 1] and quantize to uint8, rounding half up."""
-    clipped = np.clip(img, 0.0, 1.0)
+    """Clip an image (`_raster`) to [0, 1] and quantize to uint8, rounding half up."""
+    clipped = np.clip(_raster(img), 0.0, 1.0)
     return np.floor(clipped * 255.0 + 0.5).astype(np.uint8)
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write an 8-bit binary P5 PGM, maxval 255."""
+    """Write an image (`_raster`) as an 8-bit binary P5 PGM, maxval 255."""
     q = quantize(img)
     height, width = q.shape
     with open(path, "wb") as fh:

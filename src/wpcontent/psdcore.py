@@ -23,56 +23,67 @@ DEFAULT_CLAMP_TOL = 1e-10
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
-class SymMatrix:
-    """Real symmetric matrix, symmetrized exactly on construction; its ``matrix`` is finite."""
-
-    __slots__ = ("dim", "matrix")
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MalformedInputError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise MalformedInputError("matrix dimension must be at least 1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.matrix = a + a.T
-            self.matrix *= 0.5
-        if not np.all(np.isfinite(self.matrix)):
-            raise MalformedInputError("matrix entries must be finite, also after symmetrizing")
-        self.dim = int(a.shape[0])
-        self.matrix.setflags(write=False)
-
-    def __repr__(self):
-        return f"SymMatrix(dim={self.dim})"
+def _symmetric(entries) -> np.ndarray:
+    """(a + a^T) / 2 as a new read-only array: ``a`` square and non-empty, the result finite."""
+    a = np.asarray(entries, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MalformedInputError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise MalformedInputError("matrix dimension must be at least 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a + a.T
+        m *= 0.5
+    if not np.all(np.isfinite(m)):
+        raise MalformedInputError("matrix entries must be finite, also after symmetrizing")
+    m.setflags(write=False)
+    return m
 
 
-class PsdOperator(SymMatrix):
-    """A `SymMatrix` checked PSD, together with its spectral decomposition.
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float64 array; a writable one is copied, so its owner keeps it as is."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
-    The spectrum comes in `sym_eigen`'s order: ``eigenvalues`` nonincreasing,
+
+class PsdOperator:
+    """A symmetric matrix checked PSD, together with its spectral decomposition.
+
+    ``matrix`` is kept as given, so it must be symmetric, as `make_psd`'s is; the
+    spectrum comes in `sym_eigen`'s order: ``eigenvalues`` nonincreasing,
     ``eigenvectors`` the matching orthonormal columns. The constructor runs
     the clamp rule, `check_clamp`: eigenvalues in
     [-DEFAULT_CLAMP_TOL * lam_max, 0) are zeroed in the stored spectrum, and
     ``clamp_applied`` records whether one was; anything more negative raises
     NotPositiveError. ``scale`` optionally widens the clamp reference to an
-    external scale: needed when ``m`` is a small difference of larger
+    external scale: needed when ``matrix`` is a small difference of larger
     operators, whose rounding noise lives at the scale of the operands rather
     than of the difference. The matrix itself is never edited: it is the
     input, whose own spectrum may dip below zero by that noise. Products
     with sqrt(A) come from the spectrum via `root_rows`; no root is kept.
+    The stored arrays are read-only; a writable one the caller passes is copied.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors", "clamp_applied")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "clamp_applied")
 
-    def __init__(self, m: SymMatrix, eigenvalues, eigenvectors, scale: float | None = None):
+    def __init__(self, matrix, eigenvalues, eigenvectors, scale: float | None = None):
         lam = np.asarray(eigenvalues, dtype=np.float64)
         self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)
-        self.dim = m.dim
-        self.matrix = m.matrix
+        self.matrix = _frozen(matrix)
         self.eigenvalues = np.maximum(lam, 0.0)
-        self.eigenvectors = np.asarray(eigenvectors, dtype=np.float64)
+        self.eigenvectors = _frozen(eigenvectors)
         self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        if not self.matrix.shape == self.eigenvectors.shape == (len(lam),) * 2:
+            raise MalformedInputError(
+                f"{len(lam)} eigenvalues need a square matrix and eigenvectors of their size, "
+                f"got {self.matrix.shape} and {self.eigenvectors.shape}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
     def root_rows(self, rows) -> np.ndarray:
         """rows @ sqrt(A) as ((rows V) sqrt(lam)) V^T: O(s d^2) for s rows, no d x d root."""
@@ -101,17 +112,15 @@ class PsdOperator(SymMatrix):
 
 
 def as_entries(a) -> np.ndarray:
-    """Dense ndarray view of a SymMatrix (a PsdOperator is one), or array."""
-    if isinstance(a, SymMatrix):
-        return a.matrix
-    return np.asarray(a, dtype=np.float64)
+    """The matrix of a PsdOperator, or an array as float64."""
+    return a.matrix if isinstance(a, PsdOperator) else np.asarray(a, dtype=np.float64)
 
 
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Full spectral decomposition of a symmetric matrix.
 
     Returns (eigenvalues nonincreasing, LAPACK's eigenvector columns in
-    the same order, as a C-contiguous copy). Raises
+    the same order, as a read-only C-contiguous copy). Raises
     NumericalBreakdownError if LAPACK reports non-convergence.
     """
     try:
@@ -119,13 +128,14 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError(None, f"eigensolver failed: {exc}") from exc
     # a copy, not the reversed view: matmul on a strided operand may sum in another order
-    return lam[::-1], np.ascontiguousarray(vecs[:, ::-1])
+    vecs = np.ascontiguousarray(vecs[:, ::-1])
+    vecs.setflags(write=False)
+    return lam[::-1], vecs
 
 
 def make_psd(m, scale: float | None = None) -> PsdOperator:
-    """Check that a symmetric matrix is PSD: `sym_eigen`, then the `PsdOperator` clamp rule."""
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    """Check that a matrix is PSD: `_symmetric`, `sym_eigen`, then the `PsdOperator` clamp rule."""
+    m = _symmetric(m)
     return PsdOperator(m, *sym_eigen(m), scale)
 
 
@@ -181,12 +191,13 @@ def check_square_sum(values: np.ndarray, what: str) -> None:
         raise MalformedInputError(f"{what}: the sum of squares underflows")
 
 
-def matrix_from_json(obj) -> SymMatrix:
+def matrix_from_json(obj) -> np.ndarray:
     """Parse the {"dim": n, "data": [row-major reals]} wire format.
 
     Rejects payloads whose data length is not dim^2, non-numeric or
     non-finite values, a sum of squared entries that overflows or
-    underflows, and asymmetry beyond 1e-10 * max |a_ij|.
+    underflows, and asymmetry beyond 1e-10 * max |a_ij|. Returns the
+    matrix symmetrized by `_symmetric`.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MalformedInputError('matrix JSON must have "dim" and "data" keys')
@@ -198,10 +209,10 @@ def matrix_from_json(obj) -> SymMatrix:
         # no str(dim * dim): past 2150 digits, dim^2 exceeds the 4300-digit int-to-str limit
         raise MalformedInputError(f'"data" must hold dim^2 values for "dim" {dim}, got {a.size}')
     a = a.reshape(dim, dim)
-    m = SymMatrix(a)
-    check_square_sum(m.matrix, "matrix entries")
+    m = _symmetric(a)
+    check_square_sum(m, "matrix entries")
     # a - (a + a^T)/2 = (a - a^T)/2 cannot overflow where a - a^T might
-    asym = 2.0 * float(np.max(np.abs(a - m.matrix)))
+    asym = 2.0 * float(np.max(np.abs(a - m)))
     if asym > 1e-10 * float(np.max(np.abs(a))):
         raise MalformedInputError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     return m

@@ -67,7 +67,7 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
         build_filter_tree_1d("d4", 8, 2),
         build_filter_tree_2d("haar", 4, 2),
     ]
-    rows = [_bounded("tree-axioms", max(validate_tree(t).max_violation() for t in trees), 1e-10)]
+    rows = [_bounded("tree-axioms", max(max(validate_tree(t).values()) for t in trees), 1e-10)]
 
     if quick:
         cases = [(build_shannon_tree(3, 2), 8), (build_filter_tree_1d("haar", 8, 2), 8)]
@@ -97,7 +97,8 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
             for t, r, _, _ in instances for n in range(1, t.max_depth + 1)
         )),
         _checked("cylinder-additivity", "max gap {:.3e}", lambda: max(
-            cylinder_weights(r, t).max_additivity_gap for t, r, _, _ in instances
+            cylinder_weights(r, t)["validation"]["max_additivity_gap"]
+            for t, r, _, _ in instances
         )),
         _bounded("parallelogram", para, 1e-9),
         _checked("trace-greedy", "{} steps certified", _certified_steps, trace_greedy, instances),
@@ -110,8 +111,7 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
     for _ in range(2 if quick else 5):
         vals = rng.uniform(0.0, 1.0, size=2**levels)
         r = make_psd(np.diag(vals))
-        cw = cylinder_weights(r, sh_tree)
-        for row in cw.rows:
+        for row in cylinder_weights(r, sh_tree)["cylinders"]:
             oracle = max(oracle, abs(row["mass"] - _band_sum(vals, levels, row["word"])))
     rows.append(_bounded("band-oracle", oracle, 1e-12))
 

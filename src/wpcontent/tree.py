@@ -32,7 +32,6 @@ The root is the empty word: "" in 1D, "," in 2D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -43,7 +42,7 @@ from .errors import (
     MalformedInputError,
     UnknownNodeError,
 )
-from .psdcore import PsdOperator, SymMatrix, as_reals, check_clamp, check_square_sum
+from .psdcore import PsdOperator, _symmetric, as_reals, check_clamp, check_square_sum
 
 
 # Lowpass taps h of the two shipped filters: Haar, and Daubechies' four-tap D4
@@ -241,20 +240,7 @@ def projection(tree: PacketTree, word: str) -> PsdOperator:
     others = np.delete(segments, i, axis=0).reshape(-1, d)
     vecs = np.vstack([rows, others]).T
     lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
-    return PsdOperator(SymMatrix(rows.T @ rows), lam, vecs)
-
-
-@dataclass(frozen=True)
-class TreeValidationReport:
-    """Max violation observed per tree invariant."""
-
-    partition: float
-    child_sum: float
-    child_orthogonality: float
-    basis_orthonormality: float
-
-    def max_violation(self) -> float:
-        return max(self.partition, self.child_sum, self.child_orthogonality, self.basis_orthonormality)
+    return PsdOperator(_symmetric(rows.T @ rows), lam, vecs)
 
 
 def _gram_defect(x: np.ndarray) -> np.ndarray:
@@ -264,9 +250,10 @@ def _gram_defect(x: np.ndarray) -> np.ndarray:
     return np.abs(g)
 
 
-def validate_tree(tree: PacketTree) -> TreeValidationReport:
-    """Numerically check the partition, splitting, and orthonormality axioms, depth by depth.
+def validate_tree(tree: PacketTree) -> dict[str, float]:
+    """The largest violation of each tree axiom over all depths, by the axiom's name.
 
+    The names are partition, child_sum, child_orthogonality and basis_orthonormality.
     Partition is |W_n^T W_n - I|. Basis orthonormality and child orthogonality are the
     diagonal and off-diagonal node blocks of |W_n W_n^T - I|. The child sum is the part
     of |W_{n+1} W_n^T| outside each child's parent block. No per-node projection is formed.
@@ -282,7 +269,8 @@ def validate_tree(tree: PacketTree) -> TreeValidationReport:
             up = tree.parents(n + 1)[tree.row_nodes(n + 1)]
             outside = np.abs(tree.transform(n + 1) @ w.T)[up[:, None] != rows]
             child_sum = max(child_sum, float(outside.max(initial=0.0)))
-    return TreeValidationReport(partition, child_sum, child_orth, ortho)
+    return {"partition": partition, "child_sum": child_sum, "child_orthogonality": child_orth,
+            "basis_orthonormality": ortho}
 
 
 def tree_description(tree: PacketTree) -> dict:
@@ -298,49 +286,49 @@ def tree_description(tree: PacketTree) -> dict:
     }
 
 
-class ShannonSymbol:
-    """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1)).
+def shannon_symbol(levels: int, values) -> np.ndarray:
+    """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1)), read-only.
 
-    Values follow `as_reals`, and must be finite with a finite sum of squares.
-    Values that break `PsdOperator`'s clamp rule raise NotPositiveError.
+    Values follow `as_reals` (so the caller's array is copied), and must be
+    finite with a finite sum of squares. Values that break `PsdOperator`'s
+    clamp rule raise NotPositiveError. A symbol is read as diag(R).
     """
+    if levels < 1:
+        raise MalformedInputError(f"levels must be >= 1, got {levels}")
+    vals = as_reals(values, "symbol values")
+    if not (levels < len(vals).bit_length() and len(vals) == 2**levels):
+        raise MalformedInputError(f"symbol needs 2^{levels} values, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise MalformedInputError("symbol values must be finite")
+    check_square_sum(vals, "symbol values")
+    check_clamp(float(vals.max()), float(vals.min()))
+    vals.setflags(write=False)
+    return vals
 
-    __slots__ = ("values",)
 
-    def __init__(self, levels: int, values):
-        if levels < 1:
-            raise MalformedInputError(f"levels must be >= 1, got {levels}")
-        vals = as_reals(values, "symbol values")
-        if not (levels < len(vals).bit_length() and len(vals) == 2**levels):
-            raise MalformedInputError(f"symbol needs 2^{levels} values, got {len(vals)}")
-        if not np.all(np.isfinite(vals)):
-            raise MalformedInputError("symbol values must be finite")
-        check_square_sum(vals, "symbol values")
-        check_clamp(float(vals.max()), float(vals.min()))
-        self.values = vals
-        self.values.setflags(write=False)
+def symbol_from_json(obj) -> np.ndarray:
+    """The {"levels": L, "r": [2^L reals]} wire format, as `shannon_symbol`."""
+    if not isinstance(obj, dict) or "levels" not in obj or "r" not in obj:
+        raise MalformedInputError('symbol JSON must have "levels" and "r" keys')
+    levels = obj["levels"]
+    if not isinstance(levels, int) or isinstance(levels, bool):
+        raise MalformedInputError('"levels" must be an integer')
+    return shannon_symbol(levels, obj["r"])
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
-    def to_operator(self) -> PsdOperator:
-        """Diagonal PSD operator, as a dense d x d matrix.
+def _symbol(values) -> np.ndarray:
+    """``values`` checked by `shannon_symbol`, at the levels their count implies."""
+    return shannon_symbol(np.size(values).bit_length() - 1, values)
 
-        No eigensolver runs: the spectrum is the values sorted nonincreasing,
-        and the eigenvectors are the matching identity columns; the
-        `PsdOperator` constructor applies the clamp rule to it.
-        """
-        order = np.argsort(-self.values, kind="stable")
-        return PsdOperator(
-            SymMatrix(np.diag(self.values)), self.values[order], np.eye(len(order))[:, order]
-        )
 
-    @staticmethod
-    def from_json(obj) -> "ShannonSymbol":
-        if not isinstance(obj, dict) or "levels" not in obj or "r" not in obj:
-            raise MalformedInputError('symbol JSON must have "levels" and "r" keys')
-        levels = obj["levels"]
-        if not isinstance(levels, int) or isinstance(levels, bool):
-            raise MalformedInputError('"levels" must be an integer')
-        return ShannonSymbol(levels, obj["r"])
+def symbol_operator(values) -> PsdOperator:
+    """The diagonal PSD operator of a symbol, as a dense d x d matrix.
+
+    The values are checked as a symbol. No eigensolver runs: the spectrum
+    is the values sorted nonincreasing, and the eigenvectors are the
+    matching identity columns; the `PsdOperator` constructor applies the
+    clamp rule to it.
+    """
+    values = _symbol(values)
+    order = np.argsort(-values, kind="stable")
+    return PsdOperator(np.diag(values), values[order], np.eye(len(order))[:, order])

@@ -17,7 +17,7 @@ It runs numpy on one BLAS thread and regenerates, in process:
   with a full-rank and a rank-deficient Gram matrix (and the Shannon tree
   with a diagonal symbol too): the ``report`` of both greedy rules'
   ``ExtractionTrace``, the ``depth_decomposition`` block bytes, the
-  ``CylinderWeights.rows`` and ``discrete_density``. The item names
+  ``cylinder_weights`` rows and ``discrete_density``. The item names
   (``trace-payload-*`` and ``cylinder-rows``) keep the manifest's keys.
 
 The manifest also stores a fingerprint of the machine: the Python and
@@ -131,7 +131,7 @@ def _tree(name: str):
 @lru_cache(maxsize=None)
 def _operator(kind: str):
     if kind == "symbol":
-        return w.ShannonSymbol(4, 0.8 ** np.arange(16.0)).to_operator()
+        return w.symbol_operator(w.shannon_symbol(4, 0.8 ** np.arange(16.0)))
     rank = 16 if kind == "full-rank" else int(kind.removeprefix("rank-"))
     g = np.random.default_rng([7, rank]).standard_normal((rank, 16))
     return w.make_psd(g.T @ g / 16)
@@ -158,7 +158,7 @@ def _library_item(tree_name: str, kind: str, item: str) -> bytes:
         return b"".join(parts)
     if item == "cylinder-rows":
         weights = w.cylinder_weights(r, tree)
-        return _json([weights.rows, weights.max_additivity_gap])
+        return _json([weights["cylinders"], weights["validation"]["max_additivity_gap"]])
     x = np.random.default_rng(11).standard_normal(r.dim)
     return _json([w.discrete_density(r, tree, x, depth) for depth in range(n + 1)])
 

@@ -31,7 +31,7 @@ def loewner_leq(a, b):
 
 
 def matrix_json(m):
-    """A matrix, or a SymMatrix's ``matrix``, in the {"dim", "data"} wire format."""
+    """A matrix, or a PsdOperator's ``matrix``, in the {"dim", "data"} wire format."""
     e = np.asarray(getattr(m, "matrix", m), dtype=float)
     return {"dim": int(e.shape[0]), "data": e.ravel().tolist()}
 
@@ -46,8 +46,8 @@ def children(tree, node):
 
 
 def masses(weights):
-    """A CylinderWeights' masses by node word, read from its report rows."""
-    return {row["word"]: row["mass"] for row in weights.rows}
+    """The masses of a `cylinder_weights` result by node word, read from its report rows."""
+    return {row["word"]: row["mass"] for row in weights["cylinders"]}
 
 
 def positions(patch_set):
@@ -57,7 +57,7 @@ def positions(patch_set):
 
 def random_gram(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim))
-    return w.make_psd(w.SymMatrix(scale * (g.T @ g) / dim))
+    return w.make_psd(scale * (g.T @ g) / dim)
 
 
 def sequence_step(r, tree, seq, k):
@@ -94,7 +94,7 @@ def band_positions(levels, word):
 def geometric_symbol(levels):
     """The symbol r(k) = 2^(-|k|) truncated to the ambient band."""
     half = 2 ** (levels - 1)
-    return w.ShannonSymbol(levels, [2.0 ** (-abs(k)) for k in range(-half, half)])
+    return w.shannon_symbol(levels, [2.0 ** (-abs(k)) for k in range(-half, half)])
 
 
 def spread_vector(tree, n):
@@ -246,7 +246,7 @@ def loop_denoise(img, cfg, band_rows=None):
     rhat = (y.T @ y) / y.shape[0]
     scores = w.content.trace_scores(rhat, tree, n)
     if cfg.mode == "hs":
-        rank = w.content.hs_scores_squared(w.make_psd(w.SymMatrix(rhat)).matrix, tree, n)
+        rank = w.content.hs_scores_squared(w.make_psd(rhat).matrix, tree, n)
     else:
         rank = scores
     nodes = tree.nodes_at(n)

@@ -157,6 +157,11 @@ MUTANTS = [
     ("matrix-not-square-accepted", "src/wpcontent/psdcore.py",
      "if a.ndim != 2 or a.shape[0] != a.shape[1]:", "if False:"),
     ("matrix-dim-zero-accepted", "src/wpcontent/psdcore.py", "if a.shape[0] < 1:", "if False:"),
+    # bytes and boundaries: a PGM header's order, the density's mass cut, a report's last byte
+    ("pgm-header-swapped", "src/wpcontent/pgm.py", "{width} {height}", "{height} {width}"),
+    ("density-mass-10eps", "src/wpcontent/content.py", "if mu > eps:", "if mu > 10 * eps:"),
+    ("report-final-newline-dropped", "src/wpcontent/cli.py",
+     'text = _dumps(payload) + "\\n"', "text = _dumps(payload)"),
 ]
 
 

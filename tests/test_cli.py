@@ -33,7 +33,7 @@ def matrix_file(tmp_path, rng):
 def symbol_file(tmp_path):
     sym = geometric_symbol(3)
     path = tmp_path / "sym.json"
-    path.write_text(json.dumps({"levels": 3, "r": list(sym.values)}))
+    path.write_text(json.dumps({"levels": 3, "r": list(sym)}))
     return str(path)
 
 
@@ -163,6 +163,16 @@ class TestDecompose:
             tracemalloc.stop()
         assert code == 0
         assert peak < 40e6
+
+
+@pytest.mark.parametrize("command", [
+    ["greedy", "--depth", "2", "--steps", "4"], ["decompose", "--depth", "2"],
+], ids=["greedy", "decompose"])
+def test_a_report_file_is_indented_json_and_a_final_newline(symbol_file, tmp_path, command):
+    rep = tmp_path / "rep.json"
+    assert main([*command, "--symbol", symbol_file, "--report", str(rep)]) == 0
+    text = rep.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestGreedy:
@@ -376,6 +386,14 @@ class TestDenoise:
             main(["denoise", "--in", noisy, "--tree", "shannon", "--out", str(tmp_path / "x.pgm")])
         assert exc.value.code == 2
 
+    def test_a_non_square_image_keeps_its_header(self, tmp_path):
+        # 24 rows of 16 pixels, written by hand: the output states width 16, then height 24
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(b"P5\n16 24\n255\n" + bytes(i * 7 % 256 for i in range(384)))
+        assert main(["denoise", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"P5\n16 24\n255\n")
+        assert w.read_pgm(out).shape == (24, 16)
+
     def test_malformed_pgm_exits_2(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n8 8\n255\nshort")
@@ -542,7 +560,8 @@ class TestSelftest:
         v = 1e-6 if fails else tol / 2
         st = cli.selftest
         if row == "tree-axioms":
-            report = w.tree.TreeValidationReport(v, 0.0, 0.0, 0.0)
+            report = {"partition": v, "child_sum": 0.0, "child_orthogonality": 0.0,
+                      "basis_orthonormality": 0.0}
             monkeypatch.setattr(st, "validate_tree", lambda tree: report)
         elif row == "parallelogram":
             # the row divides each check by lam_max (|x| + |y|)^2
@@ -899,19 +918,64 @@ class TestThreadPolicy:
 
 
 EXPORTED = sorted("""
-    AbsoluteContinuityViolation ConfigError CylinderWeights DenoiseConfig
+    AbsoluteContinuityViolation ConfigError DenoiseConfig
     DimensionMismatchError ExtractionTrace InvalidDepthError InvalidFilterError
     MalformedInputError NotPositiveError NumericalBreakdownError PacketTree
-    PatchSet PsdOperator ShannonSymbol SymMatrix UndefinedCoherenceError
+    PatchSet PsdOperator UndefinedCoherenceError
     UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
     build_filter_tree_2d build_shannon_tree coherence
     content_operator cylinder_weights decay_report denoise_image
     depth_decomposition discrete_density extract_patches extract_sequence
     filter_taps hs_greedy hs_norm make_psd matrix_from_json
     parallelogram_check projection quantize read_pgm second_moment
-    select_top_k sym_eigen trace trace_greedy tree_description
+    select_top_k shannon_symbol sym_eigen symbol_from_json symbol_operator
+    trace trace_greedy tree_description
     validate_tree vector_weight write_pgm
 """.split())
+
+
+@pytest.mark.parametrize("export", [
+    "extract_patches", "denoise_image", "add_gaussian_noise", "PsdOperator", "make_psd",
+    "sym_eigen", "trace", "hs_norm", "shannon_symbol", "symbol_operator", "cylinder_weights",
+    "vector_weight", "discrete_density", "parallelogram_check", "select_top_k", "quantize",
+    "write_pgm",
+])
+def test_an_export_leaves_the_callers_arrays_writable_and_unchanged(tmp_path, export):
+    rng = np.random.default_rng(3)
+    img, clean = rng.uniform(0.0, 1.0, (2, 16, 16))
+    g = rng.standard_normal((8, 8))
+    m = g.T @ g / 8
+    lam, vecs = (a.copy() for a in w.sym_eigen(m))
+    sym, x, y = rng.uniform(0.0, 1.0, (3, 8))
+    r, tree = w.make_psd(m), w.build_shannon_tree(3, 2)
+    calls = {
+        "extract_patches": lambda: w.extract_patches(img, 4, 4),
+        "denoise_image": lambda: w.denoise_image(
+            img, w.DenoiseConfig(patch_side=4, depth=1, top_k=1), clean),
+        "add_gaussian_noise": lambda: w.add_gaussian_noise(img, 0.1, 0),
+        "PsdOperator": lambda: w.PsdOperator(m, lam, vecs),
+        "make_psd": lambda: w.make_psd(m),
+        "sym_eigen": lambda: w.sym_eigen(m),
+        "trace": lambda: w.trace(m),
+        "hs_norm": lambda: w.hs_norm(m),
+        "shannon_symbol": lambda: w.shannon_symbol(3, sym),
+        "symbol_operator": lambda: w.symbol_operator(sym),
+        "cylinder_weights": lambda: w.cylinder_weights(sym, tree),
+        "vector_weight": lambda: w.vector_weight(r, tree, x, "01"),
+        "discrete_density": lambda: w.discrete_density(r, tree, x, 2),
+        "parallelogram_check": lambda: w.parallelogram_check(r, tree, x, y, 2),
+        "select_top_k": lambda: w.select_top_k(sym, 3),
+        "quantize": lambda: w.quantize(img),
+        "write_pgm": lambda: w.write_pgm(tmp_path / "img.pgm", img),
+    }
+    arrays = (img, clean, m, lam, vecs, sym, x, y)
+    before = [a.copy() for a in arrays]
+    out = calls[export]()
+    for a, b in zip(arrays, before):
+        assert a.flags.writeable and np.array_equal(a, b)
+    if export == "PsdOperator":  # the operator keeps copies, so the caller's writes miss it
+        assert not any(np.shares_memory(a, b) for a in (m, vecs)
+                       for b in (out.matrix, out.eigenvectors))
 
 
 class TestLazyPackage:

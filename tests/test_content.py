@@ -28,9 +28,9 @@ def symbol_values(rng, levels):
 
 
 def weight_bits(cw):
-    """Every number of a CylinderWeights as float.hex, which tells -0.0 from 0.0."""
-    rows = [(row["word"], row["depth"], row["mass"].hex()) for row in cw.rows]
-    return rows, cw.source_trace.hex(), cw.max_additivity_gap.hex()
+    """Every number of a `cylinder_weights` result as float.hex, which tells -0.0 from 0.0."""
+    rows = [(row["word"], row["depth"], row["mass"].hex()) for row in cw["cylinders"]]
+    return rows, {key: value.hex() for key, value in cw["validation"].items()}
 
 
 class TestContentOperator:
@@ -44,7 +44,7 @@ class TestContentOperator:
         # diagonal input commutes with the band projections, so the block
         # is the diagonal restricted to the band
         sym = geometric_symbol(3)
-        r = sym.to_operator()
+        r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 2)
         for node in tree.all_nodes():
             blk = w.content_operator(r, tree, node)
@@ -57,7 +57,7 @@ class TestContentOperator:
         tree = w.build_filter_tree_1d("d4", 8, 2)
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
-        r = w.make_psd(w.SymMatrix(np.outer(v, v)))
+        r = w.make_psd(np.outer(v, v))
         for node in tree.nodes_at(2):
             blk = w.content_operator(r, tree, node)
             p = w.projection(tree, node).matrix
@@ -82,7 +82,7 @@ class TestContentOperator:
 
 class TestDepthDecomposition:
     def test_identity_on_shannon(self):
-        r = w.make_psd(w.SymMatrix(np.eye(8)))
+        r = w.make_psd(np.eye(8))
         tree = w.build_shannon_tree(3, 1)
         blocks, _ = w.depth_decomposition(r, tree, 1)
         assert tree.nodes_at(1) == ["0", "1"] and len(blocks) == 2
@@ -93,11 +93,11 @@ class TestDepthDecomposition:
 
     def test_symbol_block_traces_match_band_sums(self):
         sym = geometric_symbol(3)
-        r = sym.to_operator()
+        r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 2)
         blocks, _ = w.depth_decomposition(r, tree, 2)
         for node, blk in zip(tree.nodes_at(2), blocks, strict=True):
-            expect = sum(sym.values[p] for p in band_positions(3, node))
+            expect = sum(sym[p] for p in band_positions(3, node))
             assert w.trace(blk) == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("tree", content_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
@@ -147,7 +147,7 @@ class TestDepthDecomposition:
             assert w.depth_decomposition(r, tree, 1)[1] <= 1e-8 * w.hs_norm(r)
 
 
-class TestCylinderWeights:
+class TestCylinderMasses:
     @pytest.mark.parametrize("tree", content_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
     def test_additivity_and_root_mass(self, rng, tree):
         r = random_gram(rng, tree.ambient_dim)
@@ -172,8 +172,8 @@ class TestCylinderWeights:
 
     @pytest.mark.parametrize("levels", range(1, 11))
     def test_symbol_route_is_bit_identical_on_shannon(self, rng, levels, monkeypatch):
-        sym = w.ShannonSymbol(levels, symbol_values(rng, levels))
-        dense = sym.to_operator()
+        sym = w.shannon_symbol(levels, symbol_values(rng, levels))
+        dense = w.symbol_operator(sym)
         trees = [w.build_shannon_tree(levels, depth) for depth in range(1, levels + 1)]
         want = [weight_bits(w.cylinder_weights(dense, tree)) for tree in trees]
 
@@ -186,10 +186,10 @@ class TestCylinderWeights:
     @pytest.mark.parametrize("name", ["haar", "d4"])
     @pytest.mark.parametrize("levels,depth", [(2, 1), (4, 4), (6, 3), (8, 2)])
     def test_symbol_route_is_bit_identical_on_filter_trees(self, rng, name, levels, depth):
-        sym = w.ShannonSymbol(levels, symbol_values(rng, levels))
+        sym = w.shannon_symbol(levels, symbol_values(rng, levels))
         tree = w.build_filter_tree_1d(name, 2**levels, depth)
         got = weight_bits(w.cylinder_weights(sym, tree))
-        assert got == weight_bits(w.cylinder_weights(sym.to_operator(), tree))
+        assert got == weight_bits(w.cylinder_weights(w.symbol_operator(sym), tree))
 
     def test_symbol_dimension_mismatch(self):
         with pytest.raises(w.DimensionMismatchError):
@@ -205,14 +205,14 @@ class TestCylinderWeights:
 
     def test_zero_operator(self):
         tree = w.build_shannon_tree(3, 2)
-        r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
+        r = w.make_psd(np.zeros((8, 8)))
         cw = w.cylinder_weights(r, tree)
-        assert all(row["mass"] == 0.0 for row in cw.rows)
+        assert all(row["mass"] == 0.0 for row in cw["cylinders"])
 
     def test_zero_trace_rigidity(self):
         # a band with zero symbol mass carries a zero block
-        sym = w.ShannonSymbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
-        r = sym.to_operator()
+        sym = w.shannon_symbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
+        r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 2)
         for node in tree.all_nodes():
             blk = w.content_operator(r, tree, node)
@@ -222,7 +222,7 @@ class TestCylinderWeights:
     def test_export_rows(self, rng):
         tree = w.build_shannon_tree(2, 2)
         cw = w.cylinder_weights(random_gram(rng, 4), tree)
-        rows = cw.rows
+        rows = cw["cylinders"]
         assert len(rows) == 7
         assert set(rows[0]) == {"word", "depth", "mass"}
 
@@ -232,7 +232,7 @@ class TestCylinderWeights:
         for node in tree.nodes_at(3):
             v = rng.standard_normal(2) @ tree.basis(node)
             cw = w.cylinder_weights(w.make_psd(np.outer(v, v)), tree)
-            assert min(row["mass"] for row in cw.rows) >= 0.0, node
+            assert min(row["mass"] for row in cw["cylinders"]) >= 0.0, node
 
     @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
                              ids=["1e-6-breaks", "0.5e-9-passes"])
@@ -252,7 +252,8 @@ class TestCylinderWeights:
             with pytest.raises(w.NumericalBreakdownError, match="additivity"):
                 w.cylinder_weights(r, tree)
         else:
-            assert w.cylinder_weights(r, tree).max_additivity_gap <= 1e-9 * w.trace(r)
+            gap = w.cylinder_weights(r, tree)["validation"]["max_additivity_gap"]
+            assert gap <= 1e-9 * w.trace(r)
 
     @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
                              ids=["1e-6-breaks", "0.5e-9-passes"])
@@ -290,13 +291,13 @@ class TestVectorWeights:
 
     def test_shannon_coordinate_vectors(self):
         sym = geometric_symbol(3)
-        r = sym.to_operator()
+        r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 1)
         for pos in range(8):
             e = np.zeros(8)
             e[pos] = 1.0
             for node in tree.nodes_at(1):
-                expect = sym.values[pos] if pos in band_positions(3, node) else 0.0
+                expect = sym[pos] if pos in band_positions(3, node) else 0.0
                 assert w.vector_weight(r, tree, e, node) == pytest.approx(expect, abs=1e-14)
 
 
@@ -312,18 +313,18 @@ class TestDensities:
 
     def test_shannon_coordinate_density(self):
         sym = geometric_symbol(3)
-        r = sym.to_operator()
+        r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 1)
         e = np.zeros(8)
         e[2] = 1.0  # frequency k = -2, in the band of node "0"
         dens = w.discrete_density(r, tree, e, 1)
-        block_sum = sum(sym.values[p] for p in band_positions(3, "0"))
-        assert dens["0"] == pytest.approx(sym.values[2] / block_sum, rel=1e-12)
+        block_sum = sum(sym[p] for p in band_positions(3, "0"))
+        assert dens["0"] == pytest.approx(sym[2] / block_sum, rel=1e-12)
         assert dens["1"] == 0.0
 
     def test_zero_mass_node_omitted(self):
-        sym = w.ShannonSymbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
-        r = sym.to_operator()
+        sym = w.shannon_symbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
+        r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 1)
         x = np.ones(8)
         dens = w.discrete_density(r, tree, x, 1)
@@ -335,6 +336,12 @@ class TestDensities:
         r = w.make_psd(np.diag([1.0, 1e-6]))
         dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.ones(2), 1)
         assert dens["1"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_node_just_above_the_mass_cut_keeps_its_density(self):
+        # node "1": mass 5e-12 lies between eps = 1e-12 tr(R) and 10 eps, so it is reported
+        r = w.make_psd(np.diag([1.0, 5e-12]))
+        dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.array([0.0, 1.0]), 1)
+        assert dens.keys() == {"0", "1"} and dens["1"] == pytest.approx(1.0, rel=1e-9)
 
     def test_light_node_may_carry_its_mass_times_x_squared(self):
         # node "1": mass 1e-13 <= 1e-12 tr(R) and weight 1e-7 = mu ||x||^2 <= 1e-12 tr(R) ||x||^2
@@ -348,7 +355,7 @@ class TestDensities:
             r, tree = w.make_psd(np.diag([1.0, 1e-13])), w.build_shannon_tree(1, 1)
             x = np.array([0.0, 1e3])
         elif case == "zero-band":
-            r = w.ShannonSymbol(3, [0.0] * 4 + [1.0, 0.5, 0.25, 0.125]).to_operator()
+            r = w.symbol_operator(w.shannon_symbol(3, [0.0] * 4 + [1.0, 0.5, 0.25, 0.125]))
             tree, x = w.build_shannon_tree(3, 2), rng.standard_normal(8)
         else:
             tree = w.build_filter_tree_1d("d4", 8, 2)

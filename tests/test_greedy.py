@@ -31,7 +31,7 @@ class TestExtractSequence:
         assert w.trace(run.final_remainder) <= 1e-12 * (1 + w.trace(r))
 
     def test_diagonal_two_steps_exhaust(self):
-        r = geometric_symbol(3).to_operator()
+        r = w.symbol_operator(geometric_symbol(3))
         tree = w.build_shannon_tree(3, 1)
         nodes = tree.nodes_at(1)
         run = w.extract_sequence(r, tree, nodes)
@@ -44,7 +44,7 @@ class TestExtractSequence:
         assert np.max(np.abs(block - expect)) <= 1e-12
 
     def test_repeat_node_second_block_vanishes(self):
-        r = geometric_symbol(3).to_operator()
+        r = w.symbol_operator(geometric_symbol(3))
         tree = w.build_shannon_tree(3, 1)
         node = "0"
         run = w.extract_sequence(r, tree, [node, node])
@@ -94,12 +94,12 @@ class TestCoherence:
             n = tree.max_depth
             nn = len(tree.nodes_at(n))
             v = spread_vector(tree, n)
-            a = w.make_psd(w.SymMatrix(np.outer(v, v)))
+            a = w.make_psd(np.outer(v, v))
             assert w.coherence(a, tree, n) == pytest.approx(nn, abs=1e-6)
 
     def test_zero_operator_undefined(self):
         tree = w.build_shannon_tree(3, 1)
-        a = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
+        a = w.make_psd(np.zeros((8, 8)))
         with pytest.raises(w.UndefinedCoherenceError):
             w.coherence(a, tree, 1)
 
@@ -145,7 +145,7 @@ class TestCoherence:
 class TestTraceGreedy:
     def test_shannon_worked_example(self):
         # band sums for the geometric symbol at levels 3: 15/16 and 15/8
-        r = geometric_symbol(3).to_operator()
+        r = w.symbol_operator(geometric_symbol(3))
         tree = w.build_shannon_tree(3, 1)
         total = w.trace(r)
         assert total == pytest.approx(45.0 / 16.0, abs=1e-14)
@@ -162,14 +162,14 @@ class TestTraceGreedy:
         tree = w.build_shannon_tree(4, 2)
         nn = len(tree.nodes_at(2))
         vals = rng.uniform(0.1, 1.0, size=16)
-        r = w.make_psd(w.SymMatrix(np.diag(vals)))
+        r = w.make_psd(np.diag(vals))
         run = w.trace_greedy(r, tree, 2, max_steps=2 * nn)
         assert len(run.steps) <= nn
         assert w.trace(run.final_remainder) <= 1e-12 * w.trace(r)
 
     def test_zero_operator_empty_trace(self):
         tree = w.build_shannon_tree(3, 1)
-        r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
+        r = w.make_psd(np.zeros((8, 8)))
         run = w.trace_greedy(r, tree, 1, max_steps=5)
         assert run.steps == ()
 
@@ -219,7 +219,7 @@ class TestHsGreedy:
 
     def test_shannon_symbol_picks_heaviest_hs_block(self):
         # block l2 masses: sqrt(85/256) for "0" vs sqrt(85/64) for "1"
-        r = geometric_symbol(3).to_operator()
+        r = w.symbol_operator(geometric_symbol(3))
         tree = w.build_shannon_tree(3, 1)
         run = w.hs_greedy(r, tree, 1, max_steps=1)
         assert run.steps[0]["node"] == "1"
@@ -227,7 +227,7 @@ class TestHsGreedy:
 
     def test_zero_operator_empty(self):
         tree = w.build_shannon_tree(3, 1)
-        r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
+        r = w.make_psd(np.zeros((8, 8)))
         assert w.hs_greedy(r, tree, 1, max_steps=5).steps == ()
 
     def test_envelopes_on_random_ensemble(self, rng):
@@ -269,7 +269,7 @@ class TestHsGreedy:
 class TestDecayReport:
     def test_empty_trace(self):
         tree = w.build_shannon_tree(3, 1)
-        r = w.make_psd(w.SymMatrix(np.zeros((8, 8))))
+        r = w.make_psd(np.zeros((8, 8)))
         rep = w.decay_report(w.trace_greedy(r, tree, 1, max_steps=3).report)
         assert rep["rows"] == []
         assert rep["summary"]["note"] == "no steps"
@@ -509,7 +509,7 @@ def test_one_eigensolver_per_step_and_no_square_root(rng, monkeypatch, mode):
 ], ids=["nan-tol", "negative-tol", "inf-tol", "negative-steps"])
 def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract, max_steps, stop_tol):
     # a NaN tolerance never stops the run, and a negative step count records nothing
-    r = w.make_psd(w.SymMatrix(np.diag([1.0, 1.0, 0.0, 0.0])))
+    r = w.make_psd(np.diag([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(w.ConfigError):
         extract(r, w.build_shannon_tree(2, 1), 1, max_steps, stop_tol=stop_tol)
 
@@ -528,7 +528,7 @@ def _scale_tree(name):
 
 def _scaled_runs(base, tree, c):
     """Trace-greedy, HS-greedy and sequence runs on c * base."""
-    r = w.make_psd(w.SymMatrix(c * base))
+    r = w.make_psd(c * base)
     seq = [tree.nodes_at(2)[0], tree.nodes_at(1)[1], tree.root, tree.nodes_at(2)[3]]
     return (
         w.trace_greedy(r, tree, 2, max_steps=12),
@@ -564,7 +564,7 @@ def test_runs_on_a_power_of_two_multiple_scale_exactly(rng, tree_name):
 def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     tree = _scale_tree("d4")
     g = rng.standard_normal((16, 16))
-    run = extract(w.make_psd(w.SymMatrix(2.0**k * (g.T @ g) / 16)), tree, 2, max_steps=4)
+    run = extract(w.make_psd(2.0**k * (g.T @ g) / 16), tree, 2, max_steps=4)
     prev, step = run.steps[0], run.steps[1]
     stuck = {
         **step, "remainder_trace": prev["remainder_trace"], "remainder_hs": prev["remainder_hs"]
@@ -662,7 +662,7 @@ def test_trace_run_at_five_stop_tols_keeps_running():
     # after step 1 the remainder trace is eps = 5 * stop_tol * tr(R), above the stop rule
     stop_tol = 1e-3
     eps = 5 * stop_tol / (1 - 5 * stop_tol)
-    r = w.make_psd(w.SymMatrix(np.diag([1.0, eps])))
+    r = w.make_psd(np.diag([1.0, eps]))
     run = w.trace_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
     assert run.steps[0]["remainder_trace"] == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
     assert len(run.steps) == 2
@@ -672,7 +672,7 @@ def test_hs_run_at_five_stop_tols_keeps_running():
     # after step 1 the remainder HS norm is eps = 5 * stop_tol * ||R||, above the stop rule
     stop_tol = 1e-3
     eps = 5 * stop_tol / np.sqrt(1 - 25 * stop_tol**2)
-    r = w.make_psd(w.SymMatrix(np.diag([1.0, eps])))
+    r = w.make_psd(np.diag([1.0, eps]))
     run = w.hs_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
     assert run.steps[0]["remainder_hs"] == pytest.approx(5 * stop_tol * w.hs_norm(r), rel=1e-12)
     assert len(run.steps) == 2
@@ -786,4 +786,5 @@ def test_reconstruction_and_additivity_hold_on_gram_matrices(case):
     r, tree, _ = case
     for n in range(1, tree.max_depth + 1):
         w.depth_decomposition(r, tree, n)
-    assert w.cylinder_weights(r, tree).max_additivity_gap <= 1e-9 * w.trace(r)
+    gap = w.cylinder_weights(r, tree)["validation"]["max_additivity_gap"]
+    assert gap <= 1e-9 * w.trace(r)

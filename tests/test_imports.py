@@ -32,5 +32,5 @@ def test_every_imported_name_is_read(path):
 
 
 def test_an_unread_import_is_found():
-    source = "from .tree import PacketTree, ShannonSymbol\nimport numpy as np\nx: PacketTree = np.eye(1)"
-    assert unread_imports(source) == ["ShannonSymbol"]
+    source = "from .tree import PacketTree, projection\nimport numpy as np\nx: PacketTree = np.eye(1)"
+    assert unread_imports(source) == ["projection"]

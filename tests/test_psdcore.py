@@ -10,18 +10,18 @@ from helpers import loewner_leq, matrix_json, random_gram
 
 class TestSymEigen:
     def test_identity(self):
-        lam, vecs = w.sym_eigen(w.SymMatrix(np.eye(3)))
+        lam, vecs = w.sym_eigen(np.eye(3))
         assert np.allclose(lam, [1.0, 1.0, 1.0])
         assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-10
 
     def test_diagonal(self):
-        lam, vecs = w.sym_eigen(w.SymMatrix(np.diag([4.0, 1.0])))
+        lam, vecs = w.sym_eigen(np.diag([4.0, 1.0]))
         assert np.allclose(lam, [4.0, 1.0])
         assert np.allclose(np.abs(vecs), np.eye(2))
 
     def test_hand_derived_2x2(self):
         # characteristic polynomial of [[2,1],[1,2]] is x^2 - 4x + 3 = (x-3)(x-1)
-        lam, vecs = w.sym_eigen(w.SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        lam, vecs = w.sym_eigen([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(lam, [3.0, 1.0], atol=1e-12)
         recon = (vecs * lam) @ vecs.T
         assert np.max(np.abs(recon - [[2.0, 1.0], [1.0, 2.0]])) <= 1e-12
@@ -29,19 +29,19 @@ class TestSymEigen:
     def test_eigenvalues_nonincreasing_and_orthonormal(self, rng):
         for _ in range(20):
             a = rng.standard_normal((12, 12))
-            lam, vecs = w.sym_eigen(w.SymMatrix(a + a.T))
+            lam, vecs = w.sym_eigen(a + a.T)
             assert np.all(np.diff(lam) <= 1e-12)
             assert np.max(np.abs(vecs.T @ vecs - np.eye(12))) <= 1e-10
 
     def test_determinism(self, rng):
         a = rng.standard_normal((9, 9))
-        m = w.SymMatrix(a + a.T)
+        m = a + a.T
         lam1, v1 = w.sym_eigen(m)
         lam2, v2 = w.sym_eigen(m)
         assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
 
     def test_dim_one(self):
-        lam, vecs = w.sym_eigen(w.SymMatrix([[5.0]]))
+        lam, vecs = w.sym_eigen([[5.0]])
         assert lam[0] == 5.0 and vecs[0, 0] == 1.0
 
 
@@ -84,26 +84,26 @@ def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank
 
 class TestMakePsd:
     def test_near_zero_eigenvalue_accepted(self):
-        op = w.make_psd(w.SymMatrix(np.diag([1.0, 1e-14])))
+        op = w.make_psd(np.diag([1.0, 1e-14]))
         assert np.all(op.eigenvalues >= 0)
 
     def test_indefinite_rejected(self):
         with pytest.raises(w.NotPositiveError):
-            w.make_psd(w.SymMatrix(np.diag([1.0, -1.0])))
+            w.make_psd(np.diag([1.0, -1.0]))
 
     def test_gram_always_accepted(self, rng):
         for _ in range(25):
             b = rng.standard_normal((6, 10))
-            op = w.make_psd(w.SymMatrix(b.T @ b))
+            op = w.make_psd(b.T @ b)
             assert np.all(op.eigenvalues >= 0)
 
     def test_clamp_applied_flag(self):
         # the clamp zeros the spectrum only; the matrix is kept bit for bit
         m = np.diag([1.0, -1e-12])
-        op = w.make_psd(w.SymMatrix(m))
+        op = w.make_psd(m)
         assert op.clamp_applied and op.eigenvalues[-1] == 0.0
         assert np.array_equal(op.matrix, m)
-        clean = w.make_psd(w.SymMatrix(np.diag([2.0, 1.0])))
+        clean = w.make_psd(np.diag([2.0, 1.0]))
         assert not clean.clamp_applied
 
     def test_reconstruction_invariant(self, rng):
@@ -119,19 +119,26 @@ class TestPsdOperator:
 
     def test_stated_negative_eigenvalue_raises(self):
         with pytest.raises(w.NotPositiveError) as err:
-            w.PsdOperator(w.SymMatrix(np.diag([1, -1e-6])), [1, -1e-6], np.eye(2))
+            w.PsdOperator(np.diag([1, -1e-6]), [1, -1e-6], np.eye(2))
         assert err.value.eigenvalue == -1e-6 and err.value.threshold == 1e-10
 
     def test_stated_noise_tail_is_zeroed(self):
         m = np.diag([1.0, -1e-12])
-        op = w.PsdOperator(w.SymMatrix(m), [1.0, -1e-12], np.eye(2))
+        op = w.PsdOperator(m, [1.0, -1e-12], np.eye(2))
         assert op.clamp_applied and list(op.eigenvalues) == [1.0, 0.0]
         assert np.array_equal(op.matrix, m)
 
     def test_scale_widens_the_clamp_reference(self):
-        m = w.SymMatrix(np.diag([1.0, -1e-6]))
+        m = np.diag([1.0, -1e-6])
         op = w.PsdOperator(m, [1.0, -1e-6], np.eye(2), scale=1e5)
         assert op.clamp_applied and op.eigenvalues[-1] == 0.0
+
+    @pytest.mark.parametrize("matrix, vecs", [
+        (np.zeros((2, 3)), np.eye(2)), (np.zeros(4), np.eye(2)), (np.eye(2), np.eye(3)),
+    ], ids=["matrix-not-square", "matrix-1d", "eigenvectors-of-another-size"])
+    def test_stated_arrays_must_fit_the_spectrum(self, matrix, vecs):
+        with pytest.raises(w.MalformedInputError, match="2 eigenvalues need a square matrix"):
+            w.PsdOperator(matrix, [1.0, 0.0], vecs)
 
     def test_every_route_to_an_operator_runs_the_rule(self, monkeypatch):
         calls = []
@@ -140,7 +147,7 @@ class TestPsdOperator:
         tree = w.build_shannon_tree(2, 1)
         w.make_psd(np.eye(4))
         w.projection(tree, tree.nodes_at(1)[0])
-        w.ShannonSymbol(2, [1.0, 0.5, 0.0, 2.0]).to_operator()
+        w.symbol_operator(w.shannon_symbol(2, [1.0, 0.5, 0.0, 2.0]))
         assert calls == [(1.0, 1.0, None), (1.0, 0.0, None), (2.0, 0.0, None)]
 
 
@@ -175,12 +182,12 @@ class TestSqrt:
 
 class TestScalars:
     def test_trace_examples(self):
-        assert w.trace(w.make_psd(w.SymMatrix(np.eye(5)))) == 5.0
-        assert w.trace(w.make_psd(w.SymMatrix(np.diag([4.0, 9.0])))) == 13.0
+        assert w.trace(w.make_psd(np.eye(5))) == 5.0
+        assert w.trace(w.make_psd(np.diag([4.0, 9.0]))) == 13.0
 
     def test_trace_of_gram_is_squared_frobenius(self, rng):
         b = rng.standard_normal((7, 7))
-        op = w.make_psd(w.SymMatrix(b.T @ b))
+        op = w.make_psd(b.T @ b)
         assert w.trace(op) == pytest.approx(float(np.sum(b * b)), rel=1e-12)
 
     def test_trace_equals_eigenvalue_sum(self, rng):
@@ -190,7 +197,7 @@ class TestScalars:
 
     def test_trace_linearity(self, rng):
         a, b = random_gram(rng, 10), random_gram(rng, 10)
-        s = w.trace(w.make_psd(w.SymMatrix(a.matrix + b.matrix)))
+        s = w.trace(w.make_psd(a.matrix + b.matrix))
         assert s == pytest.approx(w.trace(a) + w.trace(b), rel=1e-10)
 
     def test_hs_norm_examples(self):
@@ -201,7 +208,7 @@ class TestScalars:
     def test_hs_norm_squared_is_trace_of_square(self, rng):
         op = random_gram(rng, 14)
         lhs = w.hs_norm(op) ** 2
-        rhs = w.trace(w.SymMatrix(op.matrix @ op.matrix))
+        rhs = w.trace(op.matrix @ op.matrix)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -211,15 +218,15 @@ class TestLoewner:
         assert loewner_leq(np.zeros((8, 8)), op)
 
     def test_counterexample(self):
-        a = w.make_psd(w.SymMatrix(np.diag([2.0, 0.0])))
-        b = w.make_psd(w.SymMatrix(np.diag([1.0, 1.0])))
+        a = w.make_psd(np.diag([2.0, 0.0]))
+        b = w.make_psd(np.diag([1.0, 1.0]))
         assert not loewner_leq(a, b)
 
     def test_reflexive_and_antisymmetric(self, rng):
         for _ in range(10):
             a = random_gram(rng, 6)
             assert loewner_leq(a, a)
-            bigger = w.make_psd(w.SymMatrix(a.matrix + 0.5 * np.eye(6)))
+            bigger = w.make_psd(a.matrix + 0.5 * np.eye(6))
             assert loewner_leq(a, bigger)
             assert not loewner_leq(bigger, a)
 
@@ -241,7 +248,7 @@ class TestMatrixJson:
     def test_round_trip(self, rng):
         op = random_gram(rng, 5)
         again = w.matrix_from_json(json.loads(json.dumps(matrix_json(op))))
-        assert np.max(np.abs(again.matrix - op.matrix)) <= 1e-15
+        assert np.max(np.abs(again - op.matrix)) <= 1e-15
 
     def test_rejects_wrong_length(self):
         with pytest.raises(w.MalformedInputError):
@@ -260,9 +267,8 @@ class TestMatrixJson:
         ((0, 0), "matrix dimension must be at least 1"),
     ], ids=["not-square", "empty"])
     def test_sym_matrix_shape_rules(self, shape, message):
-        for build in (w.SymMatrix, w.make_psd):
-            with pytest.raises(w.MalformedInputError, match=message):
-                build(np.zeros(shape))
+        with pytest.raises(w.MalformedInputError, match=message):
+            w.make_psd(np.zeros(shape))
 
     def test_rejects_missing_keys(self):
         with pytest.raises(w.MalformedInputError):
