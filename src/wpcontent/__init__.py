@@ -31,7 +31,6 @@ _EXPORTS = {
         "add_gaussian_noise",
         "block_scores",
         "denoise_image",
-        "extract_patches",
         "second_moment",
         "select_top_k",
     ),

@@ -42,17 +42,15 @@ class DenoiseConfig:
     def __post_init__(self):
         m = self.patch_side
         check_dyadic_depth(self.depth, m)
-        stride = self.effective_stride()
-        if not 1 <= stride <= m:
-            raise ConfigError(f"stride {stride} must be in [1, patch side {m}]")
+        if self.stride is None:  # half-overlapping patches
+            object.__setattr__(self, "stride", max(1, m // 2))
+        if not 1 <= self.stride <= m:
+            raise ConfigError(f"stride {self.stride} must be in [1, patch side {m}]")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.mode not in ("trace", "hs"):
             raise ConfigError(f"mode must be trace or hs, got {self.mode!r}")
         filter_taps(self.filter_name)
-
-    def effective_stride(self) -> int:
-        return self.stride if self.stride is not None else max(1, self.patch_side // 2)
 
 
 def _anchor_runs(extent: int, m: int, stride: int) -> list[range]:
@@ -100,9 +98,9 @@ def _gather(windows: np.ndarray, rows: list[range], cols: list[range]) -> np.nda
 class PatchSet:
     """The m x m patches of an image at the anchors of `_anchor_runs`, row-major by anchor.
 
-    `bands` yields them BAND_ROWS anchor rows at a time and `patches`, all (M, m^2) of
-    them, is built only on request; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached,
-    and its sum of squares must neither overflow nor underflow, as a matrix input's.
+    They cover the image if stride <= m. `bands`, the one way they are gathered, yields
+    them BAND_ROWS anchor rows at a time; `rhat` = (sum of the bands' Y_b^T Y_b) / M is
+    cached, and its sum of squares must neither overflow nor underflow, as a matrix input's.
     """
 
     image: np.ndarray
@@ -135,12 +133,6 @@ class PatchSet:
             yield band, _gather(windows, band, cols)
 
     @cached_property
-    def patches(self) -> np.ndarray:
-        """All patches, (M, patch_side**2), row-major flattening."""
-        windows = sliding_window_view(self.image, (self.patch_side,) * 2)
-        return _gather(windows, *self.runs)
-
-    @cached_property
     def rhat(self) -> np.ndarray:
         gram = np.zeros((self.patch_side**2,) * 2)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -149,11 +141,6 @@ class PatchSet:
             gram /= len(self)
         check_square_sum(gram, "patch second moment")
         return gram
-
-
-def extract_patches(img: np.ndarray, m: int, stride: int) -> PatchSet:
-    """Patches at anchors 0, stride, ... plus a flush-to-edge one: full cover if stride <= m."""
-    return PatchSet(img, m, stride)
 
 
 def second_moment(patches: PatchSet) -> PsdOperator:
@@ -208,7 +195,7 @@ def denoise_image(
 ) -> tuple[np.ndarray, dict]:
     """Project every patch onto the K highest-scoring packet blocks.
 
-    Runs extract_patches -> block_scores -> select_top_k and returns the
+    Runs PatchSet -> block_scores -> select_top_k and returns the
     overlap-averaged image and a report with the score table, chosen nodes
     and retained-energy fraction, all by the trace scores s_w; "hs" mode
     ranks blocks by the HS norms of the content blocks of the same R_hat.
@@ -222,7 +209,7 @@ def denoise_image(
     img, clean = _raster(img), None if clean is None else _raster(clean)
     mse_noisy = None if clean is None else _psnr_mse(img, clean)
     m, n = cfg.patch_side, cfg.depth
-    patches = extract_patches(img, m, cfg.effective_stride())
+    patches = PatchSet(img, m, cfg.stride)
     tree = build_filter_tree_2d(cfg.filter_name, m, n)
     scores = block_scores(patches, tree, n)
     rank = scores if cfg.mode == "trace" else np.sqrt(hs_scores_squared(patches.rhat, tree, n))

@@ -51,7 +51,8 @@ def _frozen(a) -> np.ndarray:
 class PsdOperator:
     """A symmetric matrix checked PSD, together with its spectral decomposition.
 
-    ``matrix`` is kept as given, so it must be symmetric, as `make_psd`'s is; the
+    A writable ``matrix``, the caller's, is kept as its `_symmetric` copy; a read-only
+    one, such as `make_psd`'s, is kept as it is, so it must be symmetric already. The
     spectrum comes in `sym_eigen`'s order: ``eigenvalues`` nonincreasing,
     ``eigenvectors`` the matching orthonormal columns. The constructor runs
     the clamp rule, `check_clamp`: eigenvalues in
@@ -60,7 +61,7 @@ class PsdOperator:
     NotPositiveError. ``scale`` optionally widens the clamp reference to an
     external scale: needed when ``matrix`` is a small difference of larger
     operators, whose rounding noise lives at the scale of the operands rather
-    than of the difference. The matrix itself is never edited: it is the
+    than of the difference. The clamp never edits the matrix: it is the
     input, whose own spectrum may dip below zero by that noise. Products
     with sqrt(A) come from the spectrum via `root_rows`; no root is kept.
     The stored arrays are read-only; a writable one the caller passes is copied.
@@ -71,15 +72,16 @@ class PsdOperator:
     def __init__(self, matrix, eigenvalues, eigenvectors, scale: float | None = None):
         lam = np.asarray(eigenvalues, dtype=np.float64)
         self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)
-        self.matrix = _frozen(matrix)
-        self.eigenvalues = np.maximum(lam, 0.0)
+        m = np.asarray(matrix, dtype=np.float64)
         self.eigenvectors = _frozen(eigenvectors)
-        self.eigenvalues.setflags(write=False)
-        if not self.matrix.shape == self.eigenvectors.shape == (len(lam),) * 2:
+        if not m.shape == self.eigenvectors.shape == (len(lam),) * 2:
             raise MalformedInputError(
                 f"{len(lam)} eigenvalues need a square matrix and eigenvectors of their size, "
-                f"got {self.matrix.shape} and {self.eigenvectors.shape}"
+                f"got {m.shape} and {self.eigenvectors.shape}"
             )
+        self.matrix = _symmetric(m) if m.flags.writeable else m
+        self.eigenvalues = np.maximum(lam, 0.0)
+        self.eigenvalues.setflags(write=False)
 
     @property
     def dim(self) -> int:

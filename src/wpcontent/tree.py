@@ -226,21 +226,10 @@ def build_filter_tree_2d(name: str, patch_side: int, depth: int) -> PacketTree:
     return PacketTree("filterbank-2d", patch_side**2, depth, tree_levels, transforms, parents)
 
 
-def projection(tree: PacketTree, word: str) -> PsdOperator:
-    """Orthogonal projection onto the node's subspace, as a PSD operator from its spectrum.
-
-    Eigenvalue 1 on the node's W_n rows, then 0 on the other rows in node order; the
-    rows are the eigenvectors, in `sym_eigen`'s order. No eigensolver runs; the
-    `PsdOperator` constructor checks this spectrum as it checks any other.
-    """
-    n, i = tree._position(word)
-    d = tree.ambient_dim
-    segments = tree.transform(n).reshape(len(tree.nodes_at(n)), -1, d)
-    rows = segments[i]
-    others = np.delete(segments, i, axis=0).reshape(-1, d)
-    vecs = np.vstack([rows, others]).T
-    lam = np.repeat([1.0, 0.0], [len(rows), d - len(rows)])
-    return PsdOperator(_symmetric(rows.T @ rows), lam, vecs)
+def projection(tree: PacketTree, word: str) -> np.ndarray:
+    """P_w = B^T B for the node's orthonormal rows B: a read-only, exactly symmetric d x d array."""
+    b = tree.basis(word)
+    return _symmetric(b.T @ b)
 
 
 def _gram_defect(x: np.ndarray) -> np.ndarray:

@@ -225,9 +225,9 @@ def loop_extract_patches(img, m, stride):
 
 
 def tiled_patches(y, m):
-    """`extract_patches` of the rows of y as m x m patches tiled side by side, at stride m."""
+    """The `PatchSet` of the rows of y as m x m patches tiled side by side, at stride m."""
     tiles = np.asarray(y, dtype=float).reshape(-1, m, m)
-    return w.extract_patches(np.hstack(tiles), m, m)
+    return w.PatchSet(np.hstack(tiles), m, m)
 
 
 def loop_denoise(img, cfg, band_rows=None):
@@ -241,7 +241,7 @@ def loop_denoise(img, cfg, band_rows=None):
     """
     m, n = cfg.patch_side, cfg.depth
     tree = w.build_filter_tree_2d(cfg.filter_name, m, n)
-    ps = loop_extract_patches(img, m, cfg.effective_stride())
+    ps = loop_extract_patches(img, m, cfg.stride)
     y = ps.patches
     rhat = (y.T @ y) / y.shape[0]
     scores = w.content.trace_scores(rhat, tree, n)

@@ -162,6 +162,11 @@ MUTANTS = [
     ("density-mass-10eps", "src/wpcontent/content.py", "if mu > eps:", "if mu > 10 * eps:"),
     ("report-final-newline-dropped", "src/wpcontent/cli.py",
      'text = _dumps(payload) + "\\n"', "text = _dumps(payload)"),
+    # rules that moved into a constructor: a stated matrix is symmetrized, a default stride
+    # is half the patch side
+    ("stated-matrix-unsymmetrized", "src/wpcontent/psdcore.py",
+     "self.matrix = _symmetric(m) if m.flags.writeable else m", "self.matrix = _frozen(m)"),
+    ("default-stride-quarter", "src/wpcontent/denoise.py", "max(1, m // 2)", "max(1, m // 4)"),
 ]
 
 

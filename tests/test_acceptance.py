@@ -273,7 +273,7 @@ def test_criterion_8_denoising(tmp_path):
     ok = ok and out_path.read_bytes() == noisy_path.read_bytes()
 
     # the selected and discarded parts of the second-moment operator stay PSD
-    patches = w.extract_patches(noisy, 8, 4)
+    patches = w.PatchSet(noisy, 8, 4)
     tree = w.build_filter_tree_2d("haar", 8, 2)
     rhat = w.second_moment(patches)
     scores = w.block_scores(patches, tree, 2)

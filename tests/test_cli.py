@@ -925,7 +925,7 @@ EXPORTED = sorted("""
     UnknownNodeError WpcError add_gaussian_noise block_scores build_filter_tree_1d
     build_filter_tree_2d build_shannon_tree coherence
     content_operator cylinder_weights decay_report denoise_image
-    depth_decomposition discrete_density extract_patches extract_sequence
+    depth_decomposition discrete_density extract_sequence
     filter_taps hs_greedy hs_norm make_psd matrix_from_json
     parallelogram_check projection quantize read_pgm second_moment
     select_top_k shannon_symbol sym_eigen symbol_from_json symbol_operator
@@ -935,7 +935,7 @@ EXPORTED = sorted("""
 
 
 @pytest.mark.parametrize("export", [
-    "extract_patches", "denoise_image", "add_gaussian_noise", "PsdOperator", "make_psd",
+    "PatchSet", "denoise_image", "add_gaussian_noise", "PsdOperator", "make_psd",
     "sym_eigen", "trace", "hs_norm", "shannon_symbol", "symbol_operator", "cylinder_weights",
     "vector_weight", "discrete_density", "parallelogram_check", "select_top_k", "quantize",
     "write_pgm",
@@ -949,7 +949,7 @@ def test_an_export_leaves_the_callers_arrays_writable_and_unchanged(tmp_path, ex
     sym, x, y = rng.uniform(0.0, 1.0, (3, 8))
     r, tree = w.make_psd(m), w.build_shannon_tree(3, 2)
     calls = {
-        "extract_patches": lambda: w.extract_patches(img, 4, 4),
+        "PatchSet": lambda: w.PatchSet(img, 4, 4),
         "denoise_image": lambda: w.denoise_image(
             img, w.DenoiseConfig(patch_side=4, depth=1, top_k=1), clean),
         "add_gaussian_noise": lambda: w.add_gaussian_noise(img, 0.1, 0),
@@ -992,7 +992,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 51
+        assert names == EXPORTED and len(names) == 50
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

@@ -60,7 +60,7 @@ class TestContentOperator:
         r = w.make_psd(np.outer(v, v))
         for node in tree.nodes_at(2):
             blk = w.content_operator(r, tree, node)
-            p = w.projection(tree, node).matrix
+            p = w.projection(tree, node)
             weight = float(v @ p @ v)
             # square-rooting amplifies rounding in the zero eigenvalues to ~sqrt(eps)
             assert np.max(np.abs(blk.matrix - weight * np.outer(v, v))) <= 1e-7

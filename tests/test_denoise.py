@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,32 +18,33 @@ from helpers import (
 class TestExtractPatches:
     def test_single_patch(self):
         img = np.zeros((8, 8))
-        ps = w.extract_patches(img, 8, 8)
+        ps = w.PatchSet(img, 8, 8)
         assert positions(ps) == ((0, 0),)
 
     def test_exact_tiling(self):
         img = np.zeros((16, 16))
-        ps = w.extract_patches(img, 8, 8)
+        ps = w.PatchSet(img, 8, 8)
         assert positions(ps) == ((0, 0), (0, 8), (8, 0), (8, 8))
 
     def test_flush_to_edge_anchor(self):
         img = np.zeros((12, 12))
-        ps = w.extract_patches(img, 8, 8)
+        ps = w.PatchSet(img, 8, 8)
         assert positions(ps) == ((0, 0), (0, 4), (4, 0), (4, 4))
 
     def test_patch_values_row_major(self):
         img = np.arange(16.0).reshape(4, 4) / 16.0
-        ps = w.extract_patches(img, 2, 2)
-        assert np.allclose(ps.patches[0], [0.0, 1 / 16, 4 / 16, 5 / 16])
+        ps = w.PatchSet(img, 2, 2)
+        first = np.vstack([y for _, y in ps.bands()])[0]
+        assert np.allclose(first, [0.0, 1 / 16, 4 / 16, 5 / 16])
 
     def test_patch_larger_than_image(self):
         with pytest.raises(w.ConfigError):
-            w.extract_patches(np.zeros((4, 4)), 8, 1)
+            w.PatchSet(np.zeros((4, 4)), 8, 1)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, stride):
         with pytest.raises(w.ConfigError, match=f"stride must be >= 1, got {stride}"):
-            w.extract_patches(np.zeros((8, 8)), 4, stride)
+            w.PatchSet(np.zeros((8, 8)), 4, stride)
 
     @pytest.mark.parametrize("pixels, message", [
         (np.zeros(16), r"image must be a 2D raster, got shape \(16,\)"),
@@ -53,7 +55,7 @@ class TestExtractPatches:
     def test_every_entry_holds_an_image_to_the_raster_rules(self, pixels, message, tmp_path):
         cfg = w.DenoiseConfig(patch_side=2, depth=1, top_k=1)
         path = tmp_path / "out.pgm"
-        entries = [lambda: w.extract_patches(pixels, 2, 1),
+        entries = [lambda: w.PatchSet(pixels, 2, 1),
                    lambda: w.add_gaussian_noise(pixels, 0.0, 0),
                    lambda: w.denoise_image(pixels, cfg),
                    lambda: w.denoise_image(np.zeros((4, 4)), cfg, clean=pixels),
@@ -69,14 +71,14 @@ class TestExtractPatches:
         path.write_bytes(b"P5\n8 4\n255\n" + bytes(range(32)))
         img = w.read_pgm(path)
         assert img.dtype == np.float64 and img.shape == (4, 8)
-        ps = w.extract_patches(np.zeros((8, 8)), 4, 4)
+        ps = w.PatchSet(np.zeros((8, 8)), 4, 4)
         out, _ = w.denoise_image(img, w.DenoiseConfig(patch_side=4, depth=1, top_k=1))
         noisy = w.add_gaussian_noise(img, 0.1, 0)
         assert not any(a.flags.writeable for a in (img, ps.image, out, noisy))
 
     def test_full_coverage_when_stride_at_most_side(self):
         img = np.zeros((21, 13))
-        ps = w.extract_patches(img, 4, 3)
+        ps = w.PatchSet(img, 4, 3)
         cover = np.zeros((21, 13))
         for r, c in positions(ps):
             cover[r : r + 4, c : c + 4] += 1
@@ -109,7 +111,7 @@ class TestSecondMoment:
     @pytest.mark.parametrize("pixel, word", [(1e160, "overflows"), (1e-100, "underflows")])
     def test_square_sum_rule(self, pixel, word):
         # R_hat's entries are pixel^2; the sum of their squares leaves the normal range
-        ps = w.extract_patches(np.full((8, 8), pixel), 4, 4)
+        ps = w.PatchSet(np.full((8, 8), pixel), 4, 4)
         message = f"patch second moment: the sum of squares {word}"
         with pytest.raises(w.MalformedInputError, match=message):
             w.second_moment(ps)
@@ -161,7 +163,7 @@ class TestBlockScores:
 
     def test_zero_image(self):
         tree = w.build_filter_tree_2d("haar", 4, 1)
-        ps = w.extract_patches(np.zeros((8, 8)), 4, 4)
+        ps = w.PatchSet(np.zeros((8, 8)), 4, 4)
         assert float(np.sum(w.block_scores(ps, tree, 1))) == 0.0
 
 
@@ -224,15 +226,6 @@ class TestSelection:
         assert np.max(np.abs(basis @ basis.T - np.eye(total))) <= 1e-12
         lam, _ = w.sym_eigen(basis.T @ basis)
         assert np.max(np.abs(lam - np.repeat([1.0, 0.0], [total, 64 - total]))) <= 1e-12
-        for op, rows in singles:
-            r = rows.shape[0]
-            assert list(op.eigenvalues) == [1.0] * r + [0.0] * (64 - r)
-            vecs = op.eigenvectors
-            assert np.array_equal(vecs[:, :r].T, rows)
-            assert np.max(np.abs(vecs.T @ vecs - np.eye(64))) <= 1e-12
-            assert np.max(np.abs((vecs * op.eigenvalues) @ vecs.T - op.matrix)) <= 1e-12
-            lam, _ = w.sym_eigen(op)
-            assert np.max(np.abs(lam - op.eigenvalues)) <= 1e-12
 
 
 class TestPsnrAndNoise:
@@ -315,7 +308,7 @@ class TestDenoisePipeline:
         noisy = w.add_gaussian_noise(piecewise_smooth_image(32), 0.1, 9)
         cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=4, mode="hs")
         _, report = w.denoise_image(noisy, cfg)
-        y = loop_extract_patches(noisy, 8, cfg.effective_stride()).patches
+        y = loop_extract_patches(noisy, 8, cfg.stride).patches
         rhat = y.T @ y / len(y)
         tree = w.build_filter_tree_2d("haar", 8, 2)
         want = [float(np.linalg.norm(b)) for b in dense_blocks(rhat, tree, 2)]
@@ -368,7 +361,7 @@ class TestDenoisePipeline:
 
     def test_default_stride_half_overlap(self):
         cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=4)
-        assert cfg.effective_stride() == 4
+        assert cfg.stride == 4
 
     def test_report_schema(self):
         clean = piecewise_smooth_image(32)
@@ -383,7 +376,7 @@ class TestDenoisePipeline:
         # retained and discarded parts of the second-moment operator stay PSD
         clean = piecewise_smooth_image(32)
         noisy = w.add_gaussian_noise(clean, 0.1, 21)
-        patches = w.extract_patches(noisy, 4, 2)
+        patches = w.PatchSet(noisy, 4, 2)
         tree = w.build_filter_tree_2d("haar", 4, 1)
         rhat = w.second_moment(patches)
         scores = w.block_scores(patches, tree, 1)
@@ -396,13 +389,13 @@ class TestDenoisePipeline:
     @pytest.mark.parametrize("mode", ["trace", "hs"])
     def test_runs_the_public_stages_once_each(self, monkeypatch, mode):
         calls = []
-        for name in ("extract_patches", "block_scores", "select_top_k"):
+        for name in ("PatchSet", "block_scores", "select_top_k"):
             real = getattr(w.denoise, name)
             monkeypatch.setattr(w.denoise, name,
                                 lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
         noisy = w.add_gaussian_noise(piecewise_smooth_image(32), 0.1, 3)
         _, report = w.denoise_image(noisy, w.DenoiseConfig(8, 2, 4, 2, "d4", mode))
-        assert sorted(calls) == ["block_scores", "extract_patches", "select_top_k"]
+        assert sorted(calls) == ["PatchSet", "block_scores", "select_top_k"]
         assert report["patches"] == 13 * 13
 
     def test_stages_hold_one_band_of_patches(self, monkeypatch):
@@ -423,7 +416,7 @@ class TestDenoisePipeline:
         assert rows == [band, band, 13 * 45] * 2
         for stage in (w.second_moment, lambda ps: w.block_scores(ps, tree, 1)):
             rows.clear()
-            stage(w.extract_patches(img, 4, 1))
+            stage(w.PatchSet(img, 4, 1))
             assert rows == [band, band, 13 * 45]
 
 
@@ -505,11 +498,15 @@ def test_pgm_loads_no_denoiser_and_an_image_is_its_array():
 
 
 def test_no_module_readme_or_test_names_a_removed_wrapper():
-    # a matrix is its array, a symbol its values, and the cylinder and tree checks are dicts
-    gone = ("SymMatrix", "ShannonSymbol", "CylinderWeights", "TreeValidationReport")
+    # a matrix is its array, a symbol its values, and the cylinder and tree checks are dicts;
+    # a patch set is made as a PatchSet, gathered by its bands, and a config holds its stride
+    gone = ("SymMatrix", "ShannonSymbol", "CylinderWeights", "TreeValidationReport",
+            "extract_patches", "effective_stride")
     root = Path(__file__).resolve().parents[1]
     own = inspect.getsource(test_no_module_readme_or_test_names_a_removed_wrapper)
     package = Path(w.__file__).resolve().parent
     for path in [*package.glob("*.py"), root / "README.md", *(root / "tests").glob("*.py")]:
         text = path.read_text(encoding="utf-8").replace(own, "")
-        assert not [name for name in gone if name in text], path.name
+        assert not [name for name in gone if re.search(rf"\b{name}\b", text)], path.name
+    ps = w.PatchSet(np.zeros((8, 8)), 4, 4)
+    assert not hasattr(ps, "patches") and not hasattr(w.PatchSet, "patches")

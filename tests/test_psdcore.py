@@ -140,15 +140,26 @@ class TestPsdOperator:
         with pytest.raises(w.MalformedInputError, match="2 eigenvalues need a square matrix"):
             w.PsdOperator(matrix, [1.0, 0.0], vecs)
 
+    def test_a_stated_matrix_is_symmetrized_unless_read_only(self, rng, monkeypatch):
+        # the caller's writable matrix is kept as (a + a^T) / 2, make_psd's read-only one as is
+        op = w.PsdOperator(np.array([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0], np.eye(2))
+        assert op.matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]] and not op.matrix.flags.writeable
+        calls = []
+        real = w.psdcore._symmetric
+        monkeypatch.setattr(w.psdcore, "_symmetric", lambda a: calls.append(1) or real(a))
+        r = random_gram(rng, 8)
+        tr = w.trace_greedy(r, w.build_filter_tree_1d("haar", 8, 2), 2, 5)
+        assert len(calls) == 1 + len(tr.steps)  # one per make_psd
+        kept = w.PsdOperator(r.matrix, r.eigenvalues, r.eigenvectors)
+        assert kept.matrix is r.matrix and len(calls) == 1 + len(tr.steps)
+
     def test_every_route_to_an_operator_runs_the_rule(self, monkeypatch):
         calls = []
         real = w.psdcore.check_clamp
         monkeypatch.setattr(w.psdcore, "check_clamp", lambda *a: calls.append(a) or real(*a))
-        tree = w.build_shannon_tree(2, 1)
         w.make_psd(np.eye(4))
-        w.projection(tree, tree.nodes_at(1)[0])
         w.symbol_operator(w.shannon_symbol(2, [1.0, 0.5, 0.0, 2.0]))
-        assert calls == [(1.0, 1.0, None), (1.0, 0.0, None), (2.0, 0.0, None)]
+        assert calls == [(1.0, 1.0, None), (2.0, 0.0, None)]
 
 
 def _root(entries):

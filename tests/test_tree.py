@@ -80,7 +80,7 @@ class TestShannonTree:
 
     def test_projections_exactly_diagonal(self):
         tree = w.build_shannon_tree(3, 2)
-        p = w.projection(tree, "0").matrix
+        p = w.projection(tree, "0")
         assert np.array_equal(p, np.diag([1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0]))
         report = w.validate_tree(tree)
         assert report["child_sum"] == 0.0 and report["partition"] == 0.0
@@ -172,13 +172,22 @@ class TestTreeAxioms:
     def test_projection_idempotent(self, rng):
         tree = w.build_filter_tree_1d("d4", 8, 2)
         for node in tree.all_nodes():
-            p = w.projection(tree, node).matrix
+            p = w.projection(tree, node)
             assert np.max(np.abs(p @ p - p)) <= 1e-9
             assert abs(np.trace(p) - tree.subspace_dim(node)) <= 1e-9
 
+    @pytest.mark.parametrize("tree", all_test_trees(), ids=tree_id)
+    def test_a_projection_is_its_read_only_matrix(self, tree):
+        for node in tree.all_nodes():
+            g = tree.basis(node).T @ tree.basis(node)
+            p = w.projection(tree, node)
+            assert type(p) is np.ndarray and not p.flags.writeable
+            assert np.array_equal(p, (g + g.T) / 2) and np.array_equal(p, p.T)
+            assert np.max(np.abs(p - g)) <= 1e-15
+
     def test_root_projection_is_identity(self):
         tree = w.build_shannon_tree(2, 1)
-        assert np.allclose(w.projection(tree, tree.root).matrix, np.eye(4))
+        assert np.allclose(w.projection(tree, tree.root), np.eye(4))
 
     @pytest.mark.parametrize("tree, word", [
         (w.build_shannon_tree(3, 2), "0101"),
