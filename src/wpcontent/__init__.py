@@ -35,16 +35,10 @@ _EXPORTS = {
         "select_top_k",
     ),
     "errors": (
-        "AbsoluteContinuityViolation",
         "ConfigError",
-        "DimensionMismatchError",
-        "InvalidDepthError",
-        "InvalidFilterError",
         "MalformedInputError",
         "NotPositiveError",
         "NumericalBreakdownError",
-        "UndefinedCoherenceError",
-        "UnknownNodeError",
         "WpcError",
     ),
     "greedy": (

@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityViolation,
-    DimensionMismatchError,
-    NumericalBreakdownError,
-)
+from .errors import ConfigError, NumericalBreakdownError
 from .psdcore import PsdOperator, as_entries, hs_norm, make_psd, trace
 from .tree import PacketTree, _symbol
 
 
 def _check_dims(dim: int, tree: PacketTree) -> None:
     if dim != tree.ambient_dim:
-        raise DimensionMismatchError(f"dim {dim} != tree ambient dim {tree.ambient_dim}")
+        raise ConfigError(f"dim {dim} != tree ambient dim {tree.ambient_dim}")
 
 
 def _root_images(r: PsdOperator, tree: PacketTree, vectors, mix=None) -> np.ndarray:
@@ -39,7 +35,7 @@ def _root_images(r: PsdOperator, tree: PacketTree, vectors, mix=None) -> np.ndar
     _check_dims(r.dim, tree)
     for x in vectors:
         if np.shape(x) != (r.dim,):
-            raise DimensionMismatchError(f"vector shape {np.shape(x)} != ({r.dim},)")
+            raise ConfigError(f"vector shape {np.shape(x)} != ({r.dim},)")
     rows = np.array(vectors, dtype=np.float64)
     return r.root_rows(rows if mix is None else mix @ rows)
 
@@ -67,9 +63,10 @@ def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
 def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     """Squared HS norms of the content blocks, via ||C_w(A)||^2 = ||B A B^T||_F^2.
 
-    B A B^T is the node's diagonal s x s block of W_n A W_n^T.
+    B A B^T is the node's diagonal s x s block of W_n A W_n^T. A 1-D ``a`` is diag(A).
     """
     a, nn = as_entries(a), len(tree.nodes_at(n))
+    a = np.diag(a) if a.ndim == 1 else a
     s = tree.ambient_dim // nn
     idx = np.arange(nn)
     coords = a if tree.is_identity(n) else tree.transform(n) @ a @ tree.transform(n).T
@@ -154,7 +151,7 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[str, f
 
     Nodes of mass at most eps = 1e-12 * trace(R) are omitted. Since
     nu_w <= mu_w ||x||^2, such a node carries a vector weight of at most
-    eps ||x||^2; a larger one raises AbsoluteContinuityViolation (possible
+    eps ||x||^2; a larger one raises NumericalBreakdownError (possible
     only through rounding defects).
     """
     img = _root_images(r, tree, [x])[0]
@@ -168,8 +165,8 @@ def discrete_density(r: PsdOperator, tree: PacketTree, x, n: int) -> dict[str, f
         if mu > eps:
             out[node] = nu / mu
         elif nu > eps * x_sq:
-            raise AbsoluteContinuityViolation(
-                f"node {node!r} has mass {mu:.3e} but vector weight {nu:.3e}"
+            raise NumericalBreakdownError(
+                None, f"node {node!r} has mass {mu:.3e} but vector weight {nu:.3e}"
             )
     return out
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .content import _check_dims, hs_scores_squared, trace_scores
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 from .pgm import _raster
 from .psdcore import PsdOperator, check_square_sum, make_psd
 from .tree import PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
@@ -167,7 +167,7 @@ def select_top_k(scores: np.ndarray, k: int) -> list[int]:
 def _psnr_mse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         (ha, wa), (hb, wb) = a.shape, b.shape
-        raise DimensionMismatchError(f"image sizes differ: {wa}x{ha} vs {wb}x{hb}")
+        raise ConfigError(f"image sizes differ: {wa}x{ha} vs {wb}x{hb}")
     diff = a - b
     return float(np.mean(diff * diff))
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class below `WpcError` is one row of `cli.EXIT_CODES`, so the exit-code
+table is the whole taxonomy; cases of one class are told apart by message.
+"""
 
 
 class WpcError(Exception):
@@ -25,26 +29,6 @@ class ConfigError(WpcError):
     """Invalid parameter combination rejected before any computation; `cli` exits 5 on it."""
 
 
-class DimensionMismatchError(ConfigError):
-    """Operands have incompatible dimensions."""
-
-
-class InvalidDepthError(ConfigError):
-    """Requested tree depth is out of range or incompatible with the size."""
-
-
-class InvalidFilterError(ConfigError):
-    """Filter name is unknown."""
-
-
-class UnknownNodeError(ConfigError):
-    """Node (word and depth) does not belong to the tree."""
-
-
-class AbsoluteContinuityViolation(WpcError):
-    """A zero-mass cylinder carries nonzero vector energy (numerical inconsistency)."""
-
-
 class NumericalBreakdownError(WpcError):
     """A computation produced values outside certified tolerances.
 
@@ -55,7 +39,3 @@ class NumericalBreakdownError(WpcError):
         self.step = step
         where = "" if step is None else f" at step {step}"
         super().__init__(f"numerical breakdown{where}: {detail}")
-
-
-class UndefinedCoherenceError(WpcError):
-    """Coherence is undefined because the operator is numerically zero."""

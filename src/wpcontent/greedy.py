@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import _check_dims, hs_scores_squared, trace_scores
-from .errors import (
-    ConfigError,
-    NotPositiveError,
-    NumericalBreakdownError,
-    UndefinedCoherenceError,
-    UnknownNodeError,
-)
+from .errors import ConfigError, NotPositiveError, NumericalBreakdownError
 from .psdcore import PsdOperator, hs_norm, trace
 from .tree import PacketTree
 
@@ -65,15 +59,16 @@ class ExtractionTrace:
         return self.report["steps"]
 
 
-def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> float:
+def coherence(a, tree: PacketTree, n: int, scores=None) -> float:
     """Depth-n coherence gamma: ||A||_2^2 over the summed squared block HS norms.
 
     Always in [1, N] up to rounding: 1 exactly for block-diagonal A, N for
-    maximally spread operators. ``scores`` are the block norms
+    maximally spread operators. ``a`` is a PsdOperator, its matrix, or a
+    symbol's values, diag(A). ``scores`` are the block norms
     hs_scores_squared(A, tree, n) when the caller already has them. The
     denominator equals the pinching trace tr(E_n(A) A), E_n(A) = sum_w P_w A P_w,
     since in packet coordinates both are the same sum of squared diagonal-block entries.
-    Raises UndefinedCoherenceError when the block HS mass is at most
+    Raises NumericalBreakdownError when the block HS mass is at most
     1e-28 ||A||^2, that is numerically zero relative to A itself.
     """
     num = hs_norm(a) ** 2
@@ -81,8 +76,8 @@ def coherence(a: PsdOperator, tree: PacketTree, n: int, scores=None) -> float:
         scores = hs_scores_squared(a, tree, n)
     den = float(np.sum(scores))
     if den <= 1e-28 * num:
-        raise UndefinedCoherenceError(
-            f"block HS mass {den:.3e} is numerically zero; coherence undefined"
+        raise NumericalBreakdownError(
+            None, f"block HS mass {den:.3e} is numerically zero; coherence undefined"
         )
     return num / den
 
@@ -203,7 +198,7 @@ def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[str]) -> Extr
     tr = _start("sequence", r, tree, None)
     for node in nodes:
         if not tree.has_node(node):
-            raise UnknownNodeError(f"node {node!r} not in tree")
+            raise ConfigError(f"node {node!r} not in tree")
     for node in nodes:
         tr = _step(tr, tree, node, float(r.eigenvalues[0]))
     return tr
@@ -257,7 +252,7 @@ def hs_greedy(
         scores = hs_scores_squared(current, tree, n)
         try:
             gamma = coherence(current, tree, n, scores)
-        except UndefinedCoherenceError:
+        except NumericalBreakdownError:
             break
         envelope_sq *= uniform_ratio
         tr = _step(

@@ -36,12 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    InvalidDepthError,
-    InvalidFilterError,
-    MalformedInputError,
-    UnknownNodeError,
-)
+from .errors import ConfigError, MalformedInputError
 from .psdcore import PsdOperator, _symmetric, as_reals, check_clamp, check_square_sum
 
 
@@ -62,7 +57,7 @@ def filter_taps(name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     try:
         h = _LOWPASS[name.lower()]
     except KeyError:
-        raise InvalidFilterError(f"unknown filter {name!r}; expected haar or d4") from None
+        raise ConfigError(f"unknown filter {name!r}; expected haar or d4") from None
     n = len(h)
     return h, tuple((-1.0) ** k * h[n - 1 - k] for k in range(n))
 
@@ -98,7 +93,7 @@ class PacketTree:
 
     def nodes_at(self, n: int) -> list[str]:
         if not 0 <= n <= self.max_depth:
-            raise InvalidDepthError(f"depth {n} out of range [0, {self.max_depth}]")
+            raise ConfigError(f"depth {n} out of range [0, {self.max_depth}]")
         return list(self._levels[n])
 
     def transform(self, n: int) -> np.ndarray:
@@ -127,7 +122,7 @@ class PacketTree:
     def has_node(self, word: str) -> bool:
         try:
             self._position(word)
-        except UnknownNodeError:
+        except ConfigError:
             return False
         return True
 
@@ -136,7 +131,7 @@ class PacketTree:
         try:
             return self._index[word]
         except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
-            raise UnknownNodeError(f"no node {word!r}") from None
+            raise ConfigError(f"no node {word!r}") from None
 
     def basis(self, word: str) -> np.ndarray:
         """Orthonormal rows spanning the node's subspace: a row-slice view of W_n."""
@@ -169,13 +164,13 @@ def check_dyadic_depth(depth: int, size: int) -> None:
     """Require depth >= 1 and 2**depth | size, from the trailing zero bits: forms no 2**depth."""
     top = (size & -size).bit_length() - 1 if size > 0 else 0
     if not 1 <= depth <= top:
-        raise InvalidDepthError(f"depth {depth} outside [1, {top}]: 2^depth must divide the size")
+        raise ConfigError(f"depth {depth} outside [1, {top}]: 2^depth must divide the size")
 
 
 def build_shannon_tree(levels: int, max_depth: int) -> PacketTree:
     """Frequency-band tree with diagonal projections; ambient dim 2**levels."""
     if levels < 1:
-        raise InvalidDepthError(f"levels must be >= 1, got {levels}")
+        raise ConfigError(f"levels must be >= 1, got {levels}")
     check_dyadic_depth(max_depth, 2**levels)
     tree_levels, parents = _dyadic_levels(max_depth)
     transforms = [None] * (max_depth + 1)  # W_n = I at every depth

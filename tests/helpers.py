@@ -24,7 +24,7 @@ def loewner_leq(a, b):
     """True iff b - a is PSD up to a tolerance: lam_min(b - a) >= -LOEWNER_TOL * ||b||_2."""
     ea, eb = (np.asarray(getattr(x, "matrix", x), dtype=float) for x in (a, b))
     if ea.shape != eb.shape:
-        raise w.DimensionMismatchError(f"shape mismatch: {ea.shape} vs {eb.shape}")
+        raise w.ConfigError(f"shape mismatch: {ea.shape} vs {eb.shape}")
     diff = eb - ea
     lam_min = np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]
     return bool(lam_min >= -LOEWNER_TOL * np.max(np.abs(np.linalg.eigvalsh(eb))))

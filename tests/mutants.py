@@ -83,8 +83,8 @@ MUTANTS = [
     ("payload-initial-hs-x2", "src/wpcontent/greedy.py",
      '"hs": hs_norm(r)}', '"hs": 2 * hs_norm(r)}'),
     ("coherence-undefined-raises", "src/wpcontent/greedy.py",
-     "except UndefinedCoherenceError:\n            break\n",
-     "except UndefinedCoherenceError:\n            raise\n"),
+     "except NumericalBreakdownError:\n            break\n",
+     "except NumericalBreakdownError:\n            raise\n"),
     # the re-check of a report: decay_report must run the checker on every row
     ("decay-report-unchecked", "src/wpcontent/greedy.py",
      "ok = _violation(payload, prev, row) is None", "ok = True"),
@@ -146,7 +146,7 @@ MUTANTS = [
      "if not 1 <= depth <= top:", "if not 0 <= depth <= top:"),
     # a word the tree lacks is no node of it, also when the key is unhashable
     ("unknown-word-accepted", "src/wpcontent/tree.py",
-     "except UnknownNodeError:\n            return False", "except UnknownNodeError:\n            return True"),
+     "except ConfigError:\n            return False", "except ConfigError:\n            return True"),
     ("unhashable-word-raises-type-error", "src/wpcontent/tree.py",
      "except (KeyError, TypeError):", "except KeyError:"),
     # input rules on shapes and counts: a PGM's size, top-K's K, a patch stride, a matrix's shape
@@ -167,6 +167,9 @@ MUTANTS = [
     ("stated-matrix-unsymmetrized", "src/wpcontent/psdcore.py",
      "self.matrix = _symmetric(m) if m.flags.writeable else m", "self.matrix = _frozen(m)"),
     ("default-stride-quarter", "src/wpcontent/denoise.py", "max(1, m // 2)", "max(1, m // 4)"),
+    # a symbol's values are diag(A) to the HS scores, as to the trace scores
+    ("symbol-hs-rule-dropped", "src/wpcontent/content.py",
+     "a = np.diag(a) if a.ndim == 1 else a", "a = a"),
 ]
 
 

@@ -499,9 +499,12 @@ def test_pgm_loads_no_denoiser_and_an_image_is_its_array():
 
 def test_no_module_readme_or_test_names_a_removed_wrapper():
     # a matrix is its array, a symbol its values, and the cylinder and tree checks are dicts;
-    # a patch set is made as a PatchSet, gathered by its bands, and a config holds its stride
+    # a patch set is made as a PatchSet, gathered by its bands, and a config holds its stride;
+    # an error is one of the classes `cli.EXIT_CODES` maps, told apart by its message
     gone = ("SymMatrix", "ShannonSymbol", "CylinderWeights", "TreeValidationReport",
-            "extract_patches", "effective_stride")
+            "extract_patches", "effective_stride", "InvalidDepthError", "InvalidFilterError",
+            "UnknownNodeError", "DimensionMismatchError", "AbsoluteContinuityViolation",
+            "UndefinedCoherenceError")
     root = Path(__file__).resolve().parents[1]
     own = inspect.getsource(test_no_module_readme_or_test_names_a_removed_wrapper)
     package = Path(w.__file__).resolve().parent

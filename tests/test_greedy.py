@@ -68,7 +68,7 @@ class TestExtractSequence:
 
     def test_unknown_node_rejected(self, rng):
         tree = w.build_shannon_tree(3, 1)
-        with pytest.raises(w.UnknownNodeError):
+        with pytest.raises(w.ConfigError, match="not in tree"):
             w.extract_sequence(random_gram(rng, 8), tree, ["00"])
 
     def test_remainder_stats_nonincreasing(self, rng):
@@ -100,8 +100,21 @@ class TestCoherence:
     def test_zero_operator_undefined(self):
         tree = w.build_shannon_tree(3, 1)
         a = w.make_psd(np.zeros((8, 8)))
-        with pytest.raises(w.UndefinedCoherenceError):
+        with pytest.raises(w.NumericalBreakdownError, match="coherence undefined"):
             w.coherence(a, tree, 1)
+
+    @pytest.mark.parametrize("levels", [3, 4, 6])
+    @pytest.mark.parametrize("name", ["shannon", "haar", "d4"])
+    def test_symbol_values_match_the_symbol_operator(self, rng, name, levels):
+        # a symbol's values are diag(A): scores and gamma are the diagonal operator's, bit for bit
+        sym = w.shannon_symbol(levels, rng.uniform(0.1, 1.0, 2**levels))
+        tree = (w.build_shannon_tree(levels, levels) if name == "shannon"
+                else w.build_filter_tree_1d(name, 2**levels, levels))
+        op = w.symbol_operator(sym)
+        for n in range(tree.max_depth + 1):
+            assert np.array_equal(w.content.hs_scores_squared(sym, tree, n),
+                                  w.content.hs_scores_squared(op, tree, n)), n
+            assert w.coherence(sym, tree, n) == w.coherence(op, tree, n), n
 
     @pytest.mark.parametrize("mass, defined", [(1e-20, True), (0.5e-28, False)],
                              ids=["1e-20-defined", "0.5e-28-undefined"])
@@ -116,7 +129,7 @@ class TestCoherence:
             gamma = w.coherence(a, tree, 2, scores=scores)
             assert gamma == pytest.approx(1.0 / mass, rel=1e-12)
         else:
-            with pytest.raises(w.UndefinedCoherenceError):
+            with pytest.raises(w.NumericalBreakdownError, match="coherence undefined"):
                 w.coherence(a, tree, 2, scores=scores)
 
     def test_pinching_identity_and_sandwich(self, rng):
