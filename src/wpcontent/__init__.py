@@ -53,7 +53,6 @@ _EXPORTS = {
     "psdcore": (
         "PsdOperator",
         "hs_norm",
-        "make_psd",
         "matrix_from_json",
         "sym_eigen",
         "trace",

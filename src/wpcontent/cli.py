@@ -44,7 +44,7 @@ from .errors import (
     NotPositiveError,
     NumericalBreakdownError,
 )
-from .psdcore import as_entries, make_psd, matrix_from_json
+from .psdcore import PsdOperator, as_entries, matrix_from_json
 from .tree import (
     build_filter_tree_1d,
     build_shannon_tree,
@@ -187,7 +187,7 @@ def _load_operator(args, dense=True):
         return symbol_operator(sym) if dense else sym
     if not args.input:
         raise ConfigError("one of --in or --symbol is required")
-    return make_psd(matrix_from_json(_load_json(args.input)))
+    return PsdOperator(matrix_from_json(_load_json(args.input)))
 
 
 def _build_matrix_tree(args, dim: int):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalBreakdownError
-from .psdcore import PsdOperator, as_entries, hs_norm, make_psd, trace
+from .psdcore import PsdOperator, as_entries, hs_norm, trace
 from .tree import PacketTree, _symbol
 
 
@@ -78,7 +78,7 @@ def content_operator(r: PsdOperator, tree: PacketTree, node: str) -> PsdOperator
     """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
     _check_dims(r.dim, tree)
     m = r.root_rows(tree.basis(node))
-    return make_psd(m.T @ m)
+    return PsdOperator(m.T @ m)
 
 
 def depth_decomposition(

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError
 from .pgm import _raster
-from .psdcore import PsdOperator, check_square_sum, make_psd
+from .psdcore import PsdOperator, check_square_sum
 from .tree import PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
 
 PSNR_CAP_DB = 99.0
@@ -48,6 +48,9 @@ class DenoiseConfig:
             raise ConfigError(f"stride {self.stride} must be in [1, patch side {m}]")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        if self.top_k > 4**self.depth:
+            raise ConfigError(f"top_k must be <= {4**self.depth}, the blocks at depth "
+                              f"{self.depth}, got {self.top_k}")
         if self.mode not in ("trace", "hs"):
             raise ConfigError(f"mode must be trace or hs, got {self.mode!r}")
         filter_taps(self.filter_name)
@@ -145,7 +148,7 @@ class PatchSet:
 
 def second_moment(patches: PatchSet) -> PsdOperator:
     """Empirical second-moment operator (1/M) sum of y_i y_i^T."""
-    return make_psd(patches.rhat)
+    return PsdOperator(patches.rhat)
 
 
 def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Extraction repeatedly removes one content block from the current
 remainder: D_k = sqrt(R_prev) P_w sqrt(R_prev), R_next = R_prev - D_k.
 Every extracted piece and every remainder stays PSD, so remainders are
-nonincreasing in the Loewner order.
+nonincreasing in the Loewner order; each remainder is PSD-checked at the
+clamp scale of the run's input, which `PsdOperator.remove` passes on.
 
 Two fixed-depth greedy rules are provided. The trace rule removes the
 block of largest trace; since the N depth-n block traces sum to the
@@ -167,21 +168,20 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
     return None
 
 
-def _step(
-    tr: ExtractionTrace, tree: PacketTree, node: str, scale: float, **bounds
-) -> ExtractionTrace:
+def _step(tr: ExtractionTrace, tree: PacketTree, node: str, **bounds) -> ExtractionTrace:
     """Remove ``node``'s block from the record's remainder; the record with its row added.
 
     The remainder's `remove` gives D = sqrt(R) B^T B sqrt(R) for the
-    node's basis B, in O(s d^2), and R - D, PSD-checked against ``scale``,
-    the run-initial lam_max: subtraction noise sits at that scale even
-    once the remainder itself has decayed to nothing. A step that leaves
+    node's basis B, in O(s d^2), and R - D, PSD-checked at the scale the
+    run's input was checked at (its lam_max, or the scale it inherited as
+    a remainder): subtraction noise sits at that scale even once the
+    remainder itself has decayed to nothing. A step that leaves
     the PSD cone or breaks a certified inequality raises NumericalBreakdownError.
     ``bounds`` fill the row's gamma and bound fields.
     """
     k = len(tr.steps) + 1
     try:
-        d, nxt = tr.final_remainder.remove(tree.basis(node), scale)
+        d, nxt = tr.final_remainder.remove(tree.basis(node))
     except NotPositiveError as exc:
         raise NumericalBreakdownError(k, f"remainder left the PSD cone ({exc})") from exc
     row = dict.fromkeys(ROW_FIELDS)
@@ -200,7 +200,7 @@ def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[str]) -> Extr
         if not tree.has_node(node):
             raise ConfigError(f"node {node!r} not in tree")
     for node in nodes:
-        tr = _step(tr, tree, node, float(r.eigenvalues[0]))
+        tr = _step(tr, tree, node)
     return tr
 
 
@@ -224,7 +224,7 @@ def trace_greedy(
             break
         node = nodes[int(np.argmax(trace_scores(tr.final_remainder, tree, n)))]
         envelope *= ratio
-        tr = _step(tr, tree, node, float(r.eigenvalues[0]), bound_trace=envelope)
+        tr = _step(tr, tree, node, bound_trace=envelope)
     return tr
 
 
@@ -255,10 +255,8 @@ def hs_greedy(
         except NumericalBreakdownError:
             break
         envelope_sq *= uniform_ratio
-        tr = _step(
-            tr, tree, nodes[int(np.argmax(scores))], float(r.eigenvalues[0]),
-            gamma=gamma, bound_hs=float(np.sqrt(envelope_sq)),
-        )
+        tr = _step(tr, tree, nodes[int(np.argmax(scores))],
+                   gamma=gamma, bound_hs=float(np.sqrt(envelope_sq)))
     return tr
 
 

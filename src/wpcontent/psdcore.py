@@ -2,9 +2,10 @@
 
 Everything downstream (content blocks, greedy extraction, denoising)
 reduces to a handful of primitives on real symmetric matrices:
-eigendecomposition, the PSD check (run by the `PsdOperator` constructor,
-the one way to make an operator), products with the operator square
-root, traces and Hilbert-Schmidt norms.
+eigendecomposition, the PSD check (run by `PsdOperator(matrix)`, the one
+way to make an operator, at a clamp scale each remainder inherits from its
+operator), products with the operator square root, traces and
+Hilbert-Schmidt norms.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
 repeated runs on identical input produce identical output. Eigenvalues
@@ -39,47 +40,36 @@ def _symmetric(entries) -> np.ndarray:
     return m
 
 
-def _frozen(a) -> np.ndarray:
-    """``a`` as a read-only float64 array; a writable one is copied, so its owner keeps it as is."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
-
-
 class PsdOperator:
     """A symmetric matrix checked PSD, together with its spectral decomposition.
 
-    A writable ``matrix``, the caller's, is kept as its `_symmetric` copy; a read-only
-    one, such as `make_psd`'s, is kept as it is, so it must be symmetric already. The
-    spectrum comes in `sym_eigen`'s order: ``eigenvalues`` nonincreasing,
-    ``eigenvectors`` the matching orthonormal columns. The constructor runs
-    the clamp rule, `check_clamp`: eigenvalues in
-    [-DEFAULT_CLAMP_TOL * lam_max, 0) are zeroed in the stored spectrum, and
+    ``PsdOperator(matrix)`` is the one way to make an operator: it keeps the
+    `_symmetric` copy of any square array, and `sym_eigen` gives the spectrum,
+    ``eigenvalues`` nonincreasing and ``eigenvectors`` the matching columns.
+    The clamp rule, `check_clamp`, runs at max(``scale``, lam_max): eigenvalues
+    in [-DEFAULT_CLAMP_TOL * that, 0) are zeroed in the stored spectrum, and
     ``clamp_applied`` records whether one was; anything more negative raises
-    NotPositiveError. ``scale`` optionally widens the clamp reference to an
-    external scale: needed when ``matrix`` is a small difference of larger
-    operators, whose rounding noise lives at the scale of the operands rather
-    than of the difference. The clamp never edits the matrix: it is the
-    input, whose own spectrum may dip below zero by that noise. Products
-    with sqrt(A) come from the spectrum via `root_rows`; no root is kept.
-    The stored arrays are read-only; a writable one the caller passes is copied.
+    NotPositiveError. ``scale`` is the operator's own lam_max or, for a
+    remainder made by `remove`, the scale of the operator it came from: a
+    small difference of larger operators carries rounding noise at the scale
+    of the operands. The clamp never edits the matrix, whose own spectrum may
+    dip below zero by that noise. Products with sqrt(A) come from the spectrum
+    via `root_rows`; no root is kept. The stored arrays are read-only.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "clamp_applied")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "clamp_applied", "scale")
 
-    def __init__(self, matrix, eigenvalues, eigenvectors, scale: float | None = None):
-        lam = np.asarray(eigenvalues, dtype=np.float64)
-        self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)
-        m = np.asarray(matrix, dtype=np.float64)
-        self.eigenvectors = _frozen(eigenvectors)
-        if not m.shape == self.eigenvectors.shape == (len(lam),) * 2:
-            raise MalformedInputError(
-                f"{len(lam)} eigenvalues need a square matrix and eigenvectors of their size, "
-                f"got {m.shape} and {self.eigenvectors.shape}"
-            )
-        self.matrix = _symmetric(m) if m.flags.writeable else m
+    def __init__(self, matrix):
+        m = _symmetric(matrix)
+        lam, vecs = sym_eigen(m)
+        self._keep(m, lam, vecs, float(lam[0]))
+
+    def _keep(self, matrix, lam, vecs, scale: float) -> None:
+        """Keep a matrix and its `sym_eigen`-ordered spectrum, read-only, after the clamp rule."""
+        self.clamp_applied = check_clamp(max(float(lam[0]), scale), float(lam[-1]))
+        matrix.setflags(write=False)
+        vecs.setflags(write=False)
+        self.matrix, self.eigenvectors, self.scale = matrix, vecs, scale
         self.eigenvalues = np.maximum(lam, 0.0)
         self.eigenvalues.setflags(write=False)
 
@@ -92,14 +82,12 @@ class PsdOperator:
         v = self.eigenvectors
         return ((rows @ v) * np.sqrt(self.eigenvalues)) @ v.T
 
-    def remove(self, rows, scale: float) -> tuple[np.ndarray, PsdOperator]:
-        """(D, A - D) for the block D = sqrt(A) rows^T rows sqrt(A), A - D checked by `make_psd`.
-
-        ``scale`` is `make_psd`'s: the clamp reference of the difference.
-        """
+    def remove(self, rows) -> tuple[np.ndarray, PsdOperator]:
+        """(D, A - D) for the block D = sqrt(A) rows^T rows sqrt(A), A - D checked at A's scale."""
         m = self.root_rows(rows)
         d = m.T @ m
-        return d, make_psd(self.matrix - d, scale=scale)
+        rest = _symmetric(self.matrix - d)
+        return d, _stated(rest, *sym_eigen(rest), self.scale)
 
     def sqrt_entries(self) -> np.ndarray:
         """Dense PSD square root (V sqrt(lam)) V^T, symmetrized; formed on each call."""
@@ -135,15 +123,20 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1], vecs
 
 
-def make_psd(m, scale: float | None = None) -> PsdOperator:
-    """Check that a matrix is PSD: `_symmetric`, `sym_eigen`, then the `PsdOperator` clamp rule."""
-    m = _symmetric(m)
-    return PsdOperator(m, *sym_eigen(m), scale)
+def _stated(matrix, lam, vecs, scale: float) -> PsdOperator:
+    """An operator whose spectrum its caller already has, clamp-checked at max(scale, lam_max).
+
+    The arrays, the caller's own, are kept as they are and made read-only;
+    `PsdOperator.remove` and `tree.symbol_operator` are the only callers.
+    """
+    op = PsdOperator.__new__(PsdOperator)
+    op._keep(matrix, lam, vecs, scale)
+    return op
 
 
-def check_clamp(lam_max: float, lam_min: float, scale: float | None = None) -> bool:
+def check_clamp(lam_max: float, lam_min: float) -> bool:
     """The clamp rule of `PsdOperator` on the extreme eigenvalues; True if lam_min < 0."""
-    thresh = DEFAULT_CLAMP_TOL * max(lam_max, scale if scale is not None else 0.0, 0.0)
+    thresh = DEFAULT_CLAMP_TOL * max(lam_max, 0.0)
     if lam_min < -thresh:
         raise NotPositiveError(lam_min, thresh)
     return lam_min < 0.0

@@ -16,7 +16,7 @@ import numpy as np
 from .content import cylinder_weights, depth_decomposition, parallelogram_check
 from .errors import ConfigError, NumericalBreakdownError
 from .greedy import hs_greedy, trace_greedy
-from .psdcore import make_psd
+from .psdcore import PsdOperator
 from .tree import build_filter_tree_1d, build_filter_tree_2d, build_shannon_tree, validate_tree
 
 DEFAULT_SEED = 20240801
@@ -24,7 +24,7 @@ DEFAULT_SEED = 20240801
 
 def _random_gram(rng, dim: int):
     g = rng.standard_normal((dim, dim))
-    return make_psd(g.T @ g / dim)
+    return PsdOperator(g.T @ g / dim)
 
 
 def _band_sum(values: np.ndarray, levels: int, word: str) -> float:
@@ -110,7 +110,7 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False):
     oracle = 0.0
     for _ in range(2 if quick else 5):
         vals = rng.uniform(0.0, 1.0, size=2**levels)
-        r = make_psd(np.diag(vals))
+        r = PsdOperator(np.diag(vals))
         for row in cylinder_weights(r, sh_tree)["cylinders"]:
             oracle = max(oracle, abs(row["mass"] - _band_sum(vals, levels, row["word"])))
     rows.append(_bounded("band-oracle", oracle, 1e-12))

@@ -37,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, MalformedInputError
-from .psdcore import PsdOperator, _symmetric, as_reals, check_clamp, check_square_sum
+from .psdcore import PsdOperator, _stated, _symmetric, as_reals, check_clamp, check_square_sum
 
 
 # Lowpass taps h of the two shipped filters: Haar, and Daubechies' four-tap D4
@@ -310,9 +310,10 @@ def symbol_operator(values) -> PsdOperator:
 
     The values are checked as a symbol. No eigensolver runs: the spectrum
     is the values sorted nonincreasing, and the eigenvectors are the
-    matching identity columns; the `PsdOperator` constructor applies the
-    clamp rule to it.
+    matching identity columns, C-contiguous as `sym_eigen`'s; the operator's
+    scale is its own lam_max, the largest value.
     """
     values = _symbol(values)
     order = np.argsort(-values, kind="stable")
-    return PsdOperator(np.diag(values), values[order], np.eye(len(order))[:, order])
+    lam = values[order]
+    return _stated(np.diag(values), lam, np.eye(len(order))[:, order].copy(), float(lam[0]))

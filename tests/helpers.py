@@ -57,7 +57,7 @@ def positions(patch_set):
 
 def random_gram(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim))
-    return w.make_psd(scale * (g.T @ g) / dim)
+    return w.PsdOperator(scale * (g.T @ g) / dim)
 
 
 def sequence_step(r, tree, seq, k):
@@ -185,7 +185,7 @@ def swapped_children_tree(tree, n):
 def block_diagonal_gram(rng, tree, n, dim):
     """PSD operator that commutes with every depth-n projection."""
     g = rng.standard_normal((dim, dim))
-    return w.make_psd(dense_pinching((g.T @ g) / dim, tree, n))
+    return w.PsdOperator(dense_pinching((g.T @ g) / dim, tree, n))
 
 
 def piecewise_smooth_image(size=64):
@@ -246,7 +246,7 @@ def loop_denoise(img, cfg, band_rows=None):
     rhat = (y.T @ y) / y.shape[0]
     scores = w.content.trace_scores(rhat, tree, n)
     if cfg.mode == "hs":
-        rank = w.content.hs_scores_squared(w.make_psd(rhat).matrix, tree, n)
+        rank = w.content.hs_scores_squared(w.PsdOperator(rhat).matrix, tree, n)
     else:
         rank = scores
     nodes = tree.nodes_at(n)

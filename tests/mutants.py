@@ -4,15 +4,18 @@ Not collected by pytest (the name does not match ``test_*.py``), and too
 slow for Tier-1: a mutant takes up to one full suite run. From the
 repository root:
 
-    python tests/mutants.py
+    python tests/mutants.py                 # the full table
+    python tests/mutants.py NAME [NAME ...]  # only the named rows
 
 For each mutant it copies ``src/``, ``tests/`` (without ``test_mutants.py``,
 the Tier-1 check of this table), ``wpcbench/`` (whose workloads ``golden.py``
 names), ``pyproject.toml`` and ``README.md`` (which a test reads) to a
 temporary directory, replaces one piece of source text,
 and runs ``python -m pytest -x -q`` there. The mutant is killed when that run
-fails. Exit status: 0 when every mutant is killed, 1 when one survives,
-2 when an edit no longer matches its source text exactly once.
+fails. Each row prints its verdict and time, and the last line says
+whether the full table or only the named rows ran. Exit status: 0 when
+every mutant run is killed, 1 when one survives, 2 when a name is no row
+of the table or an edit no longer matches its source text exactly once.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ MUTANTS = [
     ("clamp-tol-1e-6", "src/wpcontent/psdcore.py",
      "DEFAULT_CLAMP_TOL = 1e-10", "DEFAULT_CLAMP_TOL = 1e-6"),
     ("constructor-clamp-skipped", "src/wpcontent/psdcore.py",
-     "self.clamp_applied = check_clamp(float(lam[0]), float(lam[-1]), scale)",
+     "self.clamp_applied = check_clamp(max(float(lam[0]), scale), float(lam[-1]))",
      "self.clamp_applied = bool(lam[-1] < 0.0)"),
+    ("remainder-checked-at-own-scale", "src/wpcontent/psdcore.py",
+     "_stated(rest, *sym_eigen(rest), self.scale)", "_stated(rest, *sym_eigen(rest), 0.0)"),
     ("trace-slack-1e-3", "src/wpcontent/greedy.py",
      'trace_slack, hs_slack = 1e-9 * initial["trace"],',
      'trace_slack, hs_slack = 1e-3 * initial["trace"],'),
@@ -162,11 +167,13 @@ MUTANTS = [
     ("density-mass-10eps", "src/wpcontent/content.py", "if mu > eps:", "if mu > 10 * eps:"),
     ("report-final-newline-dropped", "src/wpcontent/cli.py",
      'text = _dumps(payload) + "\\n"', "text = _dumps(payload)"),
-    # rules that moved into a constructor: a stated matrix is symmetrized, a default stride
-    # is half the patch side
-    ("stated-matrix-unsymmetrized", "src/wpcontent/psdcore.py",
-     "self.matrix = _symmetric(m) if m.flags.writeable else m", "self.matrix = _frozen(m)"),
+    # rules that moved into a constructor: a matrix is symmetrized whatever its flags, a
+    # default stride is half the patch side, and top-K keeps at most the 4^n blocks
+    ("matrix-unsymmetrized", "src/wpcontent/psdcore.py",
+     "m = _symmetric(matrix)", "m = np.array(matrix, dtype=np.float64)"),
     ("default-stride-quarter", "src/wpcontent/denoise.py", "max(1, m // 2)", "max(1, m // 4)"),
+    ("denoise-topk-unbounded", "src/wpcontent/denoise.py",
+     "if self.top_k > 4**self.depth:", "if False:"),
     # a symbol's values are diag(A) to the HS scores, as to the trace scores
     ("symbol-hs-rule-dropped", "src/wpcontent/content.py",
      "a = np.diag(a) if a.ndim == 1 else a", "a = a"),
@@ -206,9 +213,16 @@ def run_mutant(name: str, filename: str, old: str, new: str) -> tuple[bool, str]
         return proc.returncode != 0, _first_failure(proc.stdout + proc.stderr)
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {row[0] for row in MUTANTS})
+    if unknown:
+        print(f"error: no mutant named {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    rows = [row for row in MUTANTS if not names or row[0] in names]
+    scope = (f"{len(rows)} of {len(MUTANTS)} rows, by name" if names
+             else f"the full table of {len(MUTANTS)} rows")
     survivors = []
-    for name, filename, old, new in MUTANTS:
+    for name, filename, old, new in rows:
         start = time.monotonic()
         try:
             killed, detail = run_mutant(name, filename, old, new)
@@ -219,9 +233,10 @@ def main() -> int:
               f"{name}: {detail}", flush=True)
         if not killed:
             survivors.append(name)
-    print(f"{len(survivors)} survived: {', '.join(survivors)}" if survivors else "all killed")
+    verdict = f"{len(survivors)} survived: {', '.join(survivors)}" if survivors else "all killed"
+    print(f"{verdict} ({scope})")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

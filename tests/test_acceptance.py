@@ -176,7 +176,7 @@ def test_criterion_5_coherence(ensemble):
                 block_diag = block_diagonal_gram(rng, tree, n, dim)
                 ok = ok and abs(w.coherence(block_diag, tree, n) - 1.0) <= 1e-9
                 v = spread_vector(tree, n)
-                rank_one = w.make_psd(np.outer(v, v))
+                rank_one = w.PsdOperator(np.outer(v, v))
                 ok = ok and abs(w.coherence(rank_one, tree, n) - nn) <= 1e-6
     # pinching identity, via the independent dense-block route
     for dim in (8, 16):

@@ -209,7 +209,7 @@ class TestGreedy:
                      "--steps", "8", "--report", str(rep)]) == 0
         with open(rep, encoding="utf-8") as fh:
             saved = json.load(fh)
-        op = w.make_psd(w.matrix_from_json(json.loads(path.read_text())))
+        op = w.PsdOperator(w.matrix_from_json(json.loads(path.read_text())))
         t = w.build_shannon_tree(4, 2) if tree == "shannon" else w.build_filter_tree_1d(tree, 16, 2)
         record = (w.trace_greedy if mode == "trace" else w.hs_greedy)(op, t, 2, max_steps=8)
         assert len(record.steps) == 8
@@ -376,6 +376,15 @@ class TestDenoise:
                      "--topk", "16", "--stride", "4", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == Path(noisy).read_bytes()
+
+    def test_topk_above_the_block_count_exits_5(self, image_files, tmp_path, capsys):
+        # depth 1 has 4 blocks: keeping "5" of them would keep all 4 and return the input
+        _, noisy = image_files
+        assert main(["denoise", "--in", noisy, "--patch-side", "8", "--depth", "1",
+                     "--topk", "5", "--out", str(tmp_path / "x.pgm")]) == 5
+        err = capsys.readouterr().err
+        assert err == "error: top_k must be <= 4, the blocks at depth 1, got 5\n"
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_config_violation_exits_5(self, image_files, tmp_path):
         _, noisy = image_files
@@ -922,7 +931,7 @@ EXPORTED = sorted("""
     build_filter_tree_2d build_shannon_tree coherence
     content_operator cylinder_weights decay_report denoise_image
     depth_decomposition discrete_density extract_sequence
-    filter_taps hs_greedy hs_norm make_psd matrix_from_json
+    filter_taps hs_greedy hs_norm matrix_from_json
     parallelogram_check projection quantize read_pgm second_moment
     select_top_k shannon_symbol sym_eigen symbol_from_json symbol_operator
     trace trace_greedy tree_description
@@ -931,8 +940,8 @@ EXPORTED = sorted("""
 
 
 @pytest.mark.parametrize("export", [
-    "PatchSet", "denoise_image", "add_gaussian_noise", "PsdOperator", "make_psd",
-    "sym_eigen", "trace", "hs_norm", "shannon_symbol", "symbol_operator", "cylinder_weights",
+    "PatchSet", "denoise_image", "add_gaussian_noise", "PsdOperator", "sym_eigen", "trace",
+    "hs_norm", "shannon_symbol", "symbol_operator", "cylinder_weights",
     "vector_weight", "discrete_density", "parallelogram_check", "select_top_k", "quantize",
     "write_pgm",
 ])
@@ -941,16 +950,14 @@ def test_an_export_leaves_the_callers_arrays_writable_and_unchanged(tmp_path, ex
     img, clean = rng.uniform(0.0, 1.0, (2, 16, 16))
     g = rng.standard_normal((8, 8))
     m = g.T @ g / 8
-    lam, vecs = (a.copy() for a in w.sym_eigen(m))
     sym, x, y = rng.uniform(0.0, 1.0, (3, 8))
-    r, tree = w.make_psd(m), w.build_shannon_tree(3, 2)
+    r, tree = w.PsdOperator(m), w.build_shannon_tree(3, 2)
     calls = {
         "PatchSet": lambda: w.PatchSet(img, 4, 4),
         "denoise_image": lambda: w.denoise_image(
             img, w.DenoiseConfig(patch_side=4, depth=1, top_k=1), clean),
         "add_gaussian_noise": lambda: w.add_gaussian_noise(img, 0.1, 0),
-        "PsdOperator": lambda: w.PsdOperator(m, lam, vecs),
-        "make_psd": lambda: w.make_psd(m),
+        "PsdOperator": lambda: w.PsdOperator(m),
         "sym_eigen": lambda: w.sym_eigen(m),
         "trace": lambda: w.trace(m),
         "hs_norm": lambda: w.hs_norm(m),
@@ -964,14 +971,13 @@ def test_an_export_leaves_the_callers_arrays_writable_and_unchanged(tmp_path, ex
         "quantize": lambda: w.quantize(img),
         "write_pgm": lambda: w.write_pgm(tmp_path / "img.pgm", img),
     }
-    arrays = (img, clean, m, lam, vecs, sym, x, y)
+    arrays = (img, clean, m, sym, x, y)
     before = [a.copy() for a in arrays]
     out = calls[export]()
     for a, b in zip(arrays, before):
         assert a.flags.writeable and np.array_equal(a, b)
     if export == "PsdOperator":  # the operator keeps copies, so the caller's writes miss it
-        assert not any(np.shares_memory(a, b) for a in (m, vecs)
-                       for b in (out.matrix, out.eigenvectors))
+        assert not any(np.shares_memory(m, b) for b in (out.matrix, out.eigenvectors))
 
 
 class TestLazyPackage:
@@ -988,7 +994,7 @@ class TestLazyPackage:
             "    set(w.__all__) <= set(dir(w))]))"
         )
         names, *resolved = _fresh(code, child_env())
-        assert names == EXPORTED and len(names) == 44
+        assert names == EXPORTED and len(names) == 43
         assert all(resolved)
 
     def test_unknown_name_raises_attribute_error(self):

@@ -57,7 +57,7 @@ class TestContentOperator:
         tree = w.build_filter_tree_1d("d4", 8, 2)
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
-        r = w.make_psd(np.outer(v, v))
+        r = w.PsdOperator(np.outer(v, v))
         for node in tree.nodes_at(2):
             blk = w.content_operator(r, tree, node)
             p = w.projection(tree, node)
@@ -82,7 +82,7 @@ class TestContentOperator:
 
 class TestDepthDecomposition:
     def test_identity_on_shannon(self):
-        r = w.make_psd(np.eye(8))
+        r = w.PsdOperator(np.eye(8))
         tree = w.build_shannon_tree(3, 1)
         blocks, _ = w.depth_decomposition(r, tree, 1)
         assert tree.nodes_at(1) == ["0", "1"] and len(blocks) == 2
@@ -137,7 +137,7 @@ class TestDepthDecomposition:
                 return blk
             bump = np.zeros((8, 8))
             bump[0, 0] = delta * w.hs_norm(r)
-            return w.make_psd(blk.matrix + bump)
+            return w.PsdOperator(blk.matrix + bump)
 
         monkeypatch.setattr(w.content, "content_operator", shifted)
         if raises:
@@ -205,7 +205,7 @@ class TestCylinderMasses:
 
     def test_zero_operator(self):
         tree = w.build_shannon_tree(3, 2)
-        r = w.make_psd(np.zeros((8, 8)))
+        r = w.PsdOperator(np.zeros((8, 8)))
         cw = w.cylinder_weights(r, tree)
         assert all(row["mass"] == 0.0 for row in cw["cylinders"])
 
@@ -231,7 +231,7 @@ class TestCylinderMasses:
         tree = w.build_filter_tree_1d("d4", 16, 3)
         for node in tree.nodes_at(3):
             v = rng.standard_normal(2) @ tree.basis(node)
-            cw = w.cylinder_weights(w.make_psd(np.outer(v, v)), tree)
+            cw = w.cylinder_weights(w.PsdOperator(np.outer(v, v)), tree)
             assert min(row["mass"] for row in cw["cylinders"]) >= 0.0, node
 
     @pytest.mark.parametrize("moved, raises", [(1e-6, True), (0.5e-9, False)],
@@ -333,26 +333,26 @@ class TestDensities:
 
     def test_light_node_keeps_its_density(self):
         # a mass of 1e-6 tr(R) is far above the 1e-12 tr(R) cut: x = (1, 1) gives nu/mu = 1
-        r = w.make_psd(np.diag([1.0, 1e-6]))
+        r = w.PsdOperator(np.diag([1.0, 1e-6]))
         dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.ones(2), 1)
         assert dens["1"] == pytest.approx(1.0, rel=1e-9)
 
     def test_node_just_above_the_mass_cut_keeps_its_density(self):
         # node "1": mass 5e-12 lies between eps = 1e-12 tr(R) and 10 eps, so it is reported
-        r = w.make_psd(np.diag([1.0, 5e-12]))
+        r = w.PsdOperator(np.diag([1.0, 5e-12]))
         dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.array([0.0, 1.0]), 1)
         assert dens.keys() == {"0", "1"} and dens["1"] == pytest.approx(1.0, rel=1e-9)
 
     def test_light_node_may_carry_its_mass_times_x_squared(self):
         # node "1": mass 1e-13 <= 1e-12 tr(R) and weight 1e-7 = mu ||x||^2 <= 1e-12 tr(R) ||x||^2
-        r = w.make_psd(np.diag([1.0, 1e-13]))
+        r = w.PsdOperator(np.diag([1.0, 1e-13]))
         dens = w.discrete_density(r, w.build_shannon_tree(1, 1), np.array([0.0, 1e3]), 1)
         assert dens == {"0": 0.0}
 
     @pytest.mark.parametrize("case", ["light-node", "zero-band", "d4-rank-deficient"])
     def test_density_of_a_scaled_vector_scales_exactly(self, rng, case):
         if case == "light-node":
-            r, tree = w.make_psd(np.diag([1.0, 1e-13])), w.build_shannon_tree(1, 1)
+            r, tree = w.PsdOperator(np.diag([1.0, 1e-13])), w.build_shannon_tree(1, 1)
             x = np.array([0.0, 1e3])
         elif case == "zero-band":
             r = w.symbol_operator(w.shannon_symbol(3, [0.0] * 4 + [1.0, 0.5, 0.25, 0.125]))
@@ -361,7 +361,7 @@ class TestDensities:
             tree = w.build_filter_tree_1d("d4", 8, 2)
             b = np.vstack([tree.basis(nd) for nd in tree.nodes_at(2)[:2]])
             g = rng.standard_normal((4, 4))
-            r, x = w.make_psd(b.T @ (g.T @ g) @ b), rng.standard_normal(8)
+            r, x = w.PsdOperator(b.T @ (g.T @ g) @ b), rng.standard_normal(8)
         for n in range(tree.max_depth + 1):
             base = w.discrete_density(r, tree, x, n)
             for k in range(-20, 21, 2):

@@ -353,11 +353,18 @@ class TestDenoisePipeline:
             w.denoise_image(img, w.DenoiseConfig(patch_side=8, depth=2, top_k=2, mode="l1"))
 
     @pytest.mark.parametrize("rule", [
-        dict(top_k=0), dict(depth=4), dict(stride=9), dict(mode="l1"), dict(filter_name="db8"),
+        dict(top_k=0), dict(top_k=17), dict(depth=4), dict(stride=9), dict(mode="l1"),
+        dict(filter_name="db8"),
     ])
     def test_config_is_checked_when_made(self, rule):
         with pytest.raises(w.ConfigError):
             w.DenoiseConfig(**{"patch_side": 8, "depth": 2, "top_k": 2, **rule})
+
+    def test_top_k_is_at_most_the_block_count(self):
+        # K above the 4^n blocks would keep all of them and report K = 4^n
+        assert w.DenoiseConfig(patch_side=4, depth=1, top_k=4).top_k == 4
+        with pytest.raises(w.ConfigError, match="top_k must be <= 4, the blocks at depth 1, got 9"):
+            w.DenoiseConfig(patch_side=4, depth=1, top_k=9)
 
     def test_default_stride_half_overlap(self):
         cfg = w.DenoiseConfig(patch_side=8, depth=2, top_k=4)
@@ -500,11 +507,12 @@ def test_pgm_loads_no_denoiser_and_an_image_is_its_array():
 def test_no_module_readme_or_test_names_a_removed_wrapper():
     # a matrix is its array, a symbol its values, and the cylinder and tree checks are dicts;
     # a patch set is made as a PatchSet, gathered by its bands, and a config holds its stride;
-    # an error is one of the classes `cli.EXIT_CODES` maps, told apart by its message
+    # an error is one of the classes `cli.EXIT_CODES` maps, told apart by its message;
+    # an operator is made from its matrix by PsdOperator alone
     gone = ("SymMatrix", "ShannonSymbol", "CylinderWeights", "TreeValidationReport",
             "extract_patches", "effective_stride", "InvalidDepthError", "InvalidFilterError",
             "UnknownNodeError", "DimensionMismatchError", "AbsoluteContinuityViolation",
-            "UndefinedCoherenceError")
+            "UndefinedCoherenceError", "make_psd")
     root = Path(__file__).resolve().parents[1]
     own = inspect.getsource(test_no_module_readme_or_test_names_a_removed_wrapper)
     package = Path(w.__file__).resolve().parent

@@ -94,12 +94,12 @@ class TestCoherence:
             n = tree.max_depth
             nn = len(tree.nodes_at(n))
             v = spread_vector(tree, n)
-            a = w.make_psd(np.outer(v, v))
+            a = w.PsdOperator(np.outer(v, v))
             assert w.coherence(a, tree, n) == pytest.approx(nn, abs=1e-6)
 
     def test_zero_operator_undefined(self):
         tree = w.build_shannon_tree(3, 1)
-        a = w.make_psd(np.zeros((8, 8)))
+        a = w.PsdOperator(np.zeros((8, 8)))
         with pytest.raises(w.NumericalBreakdownError, match="coherence undefined"):
             w.coherence(a, tree, 1)
 
@@ -175,14 +175,14 @@ class TestTraceGreedy:
         tree = w.build_shannon_tree(4, 2)
         nn = len(tree.nodes_at(2))
         vals = rng.uniform(0.1, 1.0, size=16)
-        r = w.make_psd(np.diag(vals))
+        r = w.PsdOperator(np.diag(vals))
         run = w.trace_greedy(r, tree, 2, max_steps=2 * nn)
         assert len(run.steps) <= nn
         assert w.trace(run.final_remainder) <= 1e-12 * w.trace(r)
 
     def test_zero_operator_empty_trace(self):
         tree = w.build_shannon_tree(3, 1)
-        r = w.make_psd(np.zeros((8, 8)))
+        r = w.PsdOperator(np.zeros((8, 8)))
         run = w.trace_greedy(r, tree, 1, max_steps=5)
         assert run.steps == ()
 
@@ -240,7 +240,7 @@ class TestHsGreedy:
 
     def test_zero_operator_empty(self):
         tree = w.build_shannon_tree(3, 1)
-        r = w.make_psd(np.zeros((8, 8)))
+        r = w.PsdOperator(np.zeros((8, 8)))
         assert w.hs_greedy(r, tree, 1, max_steps=5).steps == ()
 
     def test_envelopes_on_random_ensemble(self, rng):
@@ -282,7 +282,7 @@ class TestHsGreedy:
 class TestDecayReport:
     def test_empty_trace(self):
         tree = w.build_shannon_tree(3, 1)
-        r = w.make_psd(np.zeros((8, 8)))
+        r = w.PsdOperator(np.zeros((8, 8)))
         rep = w.decay_report(w.trace_greedy(r, tree, 1, max_steps=3).report)
         assert rep["rows"] == []
         assert rep["summary"]["note"] == "no steps"
@@ -479,7 +479,8 @@ def test_a_forged_number_in_a_saved_report_is_flagged_at_its_own_step(rng, tmp_p
 
 
 def test_greedy_reads_no_operator_entries():
-    # a step asks its remainder to remove the block, and the scores read it through as_entries
+    # a step asks its remainder to remove the block, which checks it at the remainder's own
+    # scale, and the scores read it through as_entries
     source = ast.parse(Path(w.greedy.__file__).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(source):
@@ -489,7 +490,7 @@ def test_greedy_reads_no_operator_entries():
             names.add(node.id)
         elif isinstance(node, ast.alias):
             names.update({node.name, node.asname})
-    assert "matrix" not in names and "make_psd" not in names
+    assert not names & {"matrix", "eigenvalues", "scale"}
 
 
 @pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
@@ -517,12 +518,23 @@ def test_one_eigensolver_per_step_and_no_square_root(rng, monkeypatch, mode):
 
 
 @pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
+def test_a_run_from_a_remainder_keeps_the_scale_its_matrix_was_checked_at(extract):
+    # diag(0, 1e-3, -5e-13, 2e-4) was checked at scale 1; at its own lam_max the tail is too
+    # deep, so a run that rescaled to its input would stop at step 1
+    _, rest = w.PsdOperator(np.diag([1.0, 1e-3, -5e-13, 2e-4])).remove(np.eye(4)[:1])
+    with pytest.raises(w.NotPositiveError):
+        w.PsdOperator(rest.matrix)
+    run = extract(rest, w.build_shannon_tree(2, 1), 1, max_steps=2)
+    assert len(run.steps) == 2 and run.final_remainder.scale == rest.scale == 1.0
+
+
+@pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
 @pytest.mark.parametrize("max_steps, stop_tol", [
     (10, float("nan")), (10, -1e-12), (10, float("inf")), (-3, 1e-12),
 ], ids=["nan-tol", "negative-tol", "inf-tol", "negative-steps"])
 def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract, max_steps, stop_tol):
     # a NaN tolerance never stops the run, and a negative step count records nothing
-    r = w.make_psd(np.diag([1.0, 1.0, 0.0, 0.0]))
+    r = w.PsdOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(w.ConfigError):
         extract(r, w.build_shannon_tree(2, 1), 1, max_steps, stop_tol=stop_tol)
 
@@ -541,7 +553,7 @@ def _scale_tree(name):
 
 def _scaled_runs(base, tree, c):
     """Trace-greedy, HS-greedy and sequence runs on c * base."""
-    r = w.make_psd(c * base)
+    r = w.PsdOperator(c * base)
     seq = [tree.nodes_at(2)[0], tree.nodes_at(1)[1], tree.root, tree.nodes_at(2)[3]]
     return (
         w.trace_greedy(r, tree, 2, max_steps=12),
@@ -577,7 +589,7 @@ def test_runs_on_a_power_of_two_multiple_scale_exactly(rng, tree_name):
 def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     tree = _scale_tree("d4")
     g = rng.standard_normal((16, 16))
-    run = extract(w.make_psd(2.0**k * (g.T @ g) / 16), tree, 2, max_steps=4)
+    run = extract(w.PsdOperator(2.0**k * (g.T @ g) / 16), tree, 2, max_steps=4)
     prev, step = run.steps[0], run.steps[1]
     stuck = {
         **step, "remainder_trace": prev["remainder_trace"], "remainder_hs": prev["remainder_hs"]
@@ -675,7 +687,7 @@ def test_trace_run_at_five_stop_tols_keeps_running():
     # after step 1 the remainder trace is eps = 5 * stop_tol * tr(R), above the stop rule
     stop_tol = 1e-3
     eps = 5 * stop_tol / (1 - 5 * stop_tol)
-    r = w.make_psd(np.diag([1.0, eps]))
+    r = w.PsdOperator(np.diag([1.0, eps]))
     run = w.trace_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
     assert run.steps[0]["remainder_trace"] == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
     assert len(run.steps) == 2
@@ -685,7 +697,7 @@ def test_hs_run_at_five_stop_tols_keeps_running():
     # after step 1 the remainder HS norm is eps = 5 * stop_tol * ||R||, above the stop rule
     stop_tol = 1e-3
     eps = 5 * stop_tol / np.sqrt(1 - 25 * stop_tol**2)
-    r = w.make_psd(np.diag([1.0, eps]))
+    r = w.PsdOperator(np.diag([1.0, eps]))
     run = w.hs_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
     assert run.steps[0]["remainder_hs"] == pytest.approx(5 * stop_tol * w.hs_norm(r), rel=1e-12)
     assert len(run.steps) == 2
@@ -738,7 +750,7 @@ def _gram_on_a_tree(draw, max_levels=5):
     """(R, tree, depth): a 2^k-scaled Gram matrix of `_draw_gram` on a 1-D tree."""
     tree, depth = _draw_tree(draw, ("shannon", "haar", "d4"), max_levels)
     gram = _draw_gram(draw, tree.ambient_dim)
-    return w.make_psd(2.0 ** draw(st.integers(-26, 26)) * gram), tree, depth
+    return w.PsdOperator(2.0 ** draw(st.integers(-26, 26)) * gram), tree, depth
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -760,7 +772,7 @@ def _gram_at_any_scale(draw):
     """(R, tree, depth): a `_draw_gram` matrix times 10^u, u in [-8, 8], on a 1-D or 2-D tree."""
     tree, depth = _draw_tree(draw, ("shannon", "haar", "d4", "haar-2d", "d4-2d"), 5)
     gram = _draw_gram(draw, tree.ambient_dim)
-    return w.make_psd(10.0 ** draw(st.floats(-8.0, 8.0)) * gram), tree, depth
+    return w.PsdOperator(10.0 ** draw(st.floats(-8.0, 8.0)) * gram), tree, depth
 
 
 @settings(max_examples=40, deadline=None, database=None)

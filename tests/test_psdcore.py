@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +61,7 @@ def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank
     depths = range(1, tree.max_depth + 1)
 
     def outputs():
-        r = w.make_psd(matrix)
+        r = w.PsdOperator(matrix)
         runs = [
             extract(r, tree, n, 12).report
             for extract in (w.trace_greedy, w.hs_greedy) for n in depths
@@ -82,29 +85,38 @@ def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank
     assert repr(outputs()) == repr(plain)
 
 
-class TestMakePsd:
-    def test_near_zero_eigenvalue_accepted(self):
-        op = w.make_psd(np.diag([1.0, 1e-14]))
-        assert np.all(op.eigenvalues >= 0)
+class TestPsdOperator:
+    """`PsdOperator(matrix)` symmetrizes, decomposes and runs the clamp rule."""
 
-    def test_indefinite_rejected(self):
-        with pytest.raises(w.NotPositiveError):
-            w.make_psd(np.diag([1.0, -1.0]))
+    def test_near_zero_eigenvalue_accepted(self):
+        op = w.PsdOperator(np.diag([1.0, 1e-14]))
+        assert np.all(op.eigenvalues >= 0)
 
     def test_gram_always_accepted(self, rng):
         for _ in range(25):
             b = rng.standard_normal((6, 10))
-            op = w.make_psd(b.T @ b)
+            op = w.PsdOperator(b.T @ b)
             assert np.all(op.eigenvalues >= 0)
 
-    def test_clamp_applied_flag(self):
+    def test_a_noise_tail_is_zeroed_and_the_matrix_kept(self):
         # the clamp zeros the spectrum only; the matrix is kept bit for bit
         m = np.diag([1.0, -1e-12])
-        op = w.make_psd(m)
-        assert op.clamp_applied and op.eigenvalues[-1] == 0.0
-        assert np.array_equal(op.matrix, m)
-        clean = w.make_psd(np.diag([2.0, 1.0]))
-        assert not clean.clamp_applied
+        op = w.PsdOperator(m)
+        assert op.clamp_applied and list(op.eigenvalues) == [1.0, 0.0]
+        assert np.array_equal(op.matrix, m) and op.scale == 1.0
+        assert not w.PsdOperator(np.diag([2.0, 1.0])).clamp_applied
+
+    @pytest.mark.parametrize("tail", [-1e-6, -1.0])
+    def test_a_larger_negative_eigenvalue_raises(self, tail):
+        with pytest.raises(w.NotPositiveError) as err:
+            w.PsdOperator(np.diag([1.0, tail]))
+        assert err.value.eigenvalue == tail and err.value.threshold == 1e-10
+
+    def test_the_spectrum_is_computed_nonincreasing(self):
+        # an ascending diagonal does not make lam_max its first entry
+        op = w.PsdOperator(np.diag([0.0, 5.0]))
+        assert list(op.eigenvalues) == [5.0, 0.0] and op.scale == 5.0
+        assert np.array_equal(np.abs(op.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_reconstruction_invariant(self, rng):
         op = random_gram(rng, 16)
@@ -113,58 +125,97 @@ class TestMakePsd:
         assert np.max(np.abs(recon - op.matrix)) <= 1e-8 * (1.0 + lam_max)
         assert np.max(np.abs(op.eigenvectors.T @ op.eigenvectors - np.eye(16))) <= 1e-10
 
+    def test_a_matrix_is_the_only_argument(self):
+        # no caller states a spectrum, eigenvectors or a clamp scale
+        assert str(inspect.signature(w.PsdOperator)) == "(matrix)"
+        assert list(inspect.signature(w.PsdOperator.remove).parameters) == ["self", "rows"]
+        with pytest.raises(TypeError):
+            w.PsdOperator(np.eye(2), [1.0, 1.0], np.eye(2))
+        public = [getattr(w, n) for n in w.__all__]
+        public += [f for n, f in vars(w.PsdOperator).items() if callable(f) and n[0] != "_"]
+        stated = {"eigenvalues", "eigenvectors", "lam", "vecs", "scale"}
+        for f in public:
+            if callable(f) and not (isinstance(f, type) and issubclass(f, Exception)):
+                assert not stated & set(inspect.signature(f).parameters), f.__name__
 
-class TestPsdOperator:
-    """The constructor runs the clamp rule on a stated spectrum, as on one from `sym_eigen`."""
+    @pytest.mark.parametrize("entries, error", [
+        ([[1.0, 2.0], [0.0, 1.0]], None),
+        ([[np.inf, 0.0], [0.0, 1.0]], "must be finite"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "must be finite"),
+        (np.zeros((0, 0)), "dimension must be at least 1"),
+        (np.zeros((2, 3)), "expected a square matrix"),
+        (np.zeros(4), "expected a square matrix"),
+    ], ids=["asymmetric", "infinite", "nan", "empty", "not-square", "1d"])
+    def test_a_read_only_matrix_gives_what_a_writable_copy_gives(self, entries, error):
+        writable = np.array(entries, dtype=np.float64)
+        frozen = writable.copy()
+        frozen.setflags(write=False)
+        if error is not None:
+            for m in (writable, frozen):
+                with pytest.raises(w.MalformedInputError, match=error):
+                    w.PsdOperator(m)
+            return
+        a, b = w.PsdOperator(writable), w.PsdOperator(frozen)
+        assert a.matrix.tolist() == b.matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert not (b.matrix.flags.writeable or b.eigenvalues.flags.writeable
+                    or b.eigenvectors.flags.writeable)
 
-    def test_stated_negative_eigenvalue_raises(self):
-        with pytest.raises(w.NotPositiveError) as err:
-            w.PsdOperator(np.diag([1, -1e-6]), [1, -1e-6], np.eye(2))
-        assert err.value.eigenvalue == -1e-6 and err.value.threshold == 1e-10
-
-    def test_stated_noise_tail_is_zeroed(self):
-        m = np.diag([1.0, -1e-12])
-        op = w.PsdOperator(m, [1.0, -1e-12], np.eye(2))
-        assert op.clamp_applied and list(op.eigenvalues) == [1.0, 0.0]
-        assert np.array_equal(op.matrix, m)
-
-    def test_scale_widens_the_clamp_reference(self):
-        m = np.diag([1.0, -1e-6])
-        op = w.PsdOperator(m, [1.0, -1e-6], np.eye(2), scale=1e5)
-        assert op.clamp_applied and op.eigenvalues[-1] == 0.0
-
-    @pytest.mark.parametrize("matrix, vecs", [
-        (np.zeros((2, 3)), np.eye(2)), (np.zeros(4), np.eye(2)), (np.eye(2), np.eye(3)),
-    ], ids=["matrix-not-square", "matrix-1d", "eigenvectors-of-another-size"])
-    def test_stated_arrays_must_fit_the_spectrum(self, matrix, vecs):
-        with pytest.raises(w.MalformedInputError, match="2 eigenvalues need a square matrix"):
-            w.PsdOperator(matrix, [1.0, 0.0], vecs)
-
-    def test_a_stated_matrix_is_symmetrized_unless_read_only(self, rng, monkeypatch):
-        # the caller's writable matrix is kept as (a + a^T) / 2, make_psd's read-only one as is
-        op = w.PsdOperator(np.array([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0], np.eye(2))
-        assert op.matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]] and not op.matrix.flags.writeable
+    def test_a_greedy_step_symmetrizes_and_decomposes_once(self, rng, monkeypatch):
         calls = []
-        real = w.psdcore._symmetric
-        monkeypatch.setattr(w.psdcore, "_symmetric", lambda a: calls.append(1) or real(a))
+        for name in ("_symmetric", "sym_eigen"):
+            real = getattr(w.psdcore, name)
+            monkeypatch.setattr(w.psdcore, name,
+                                lambda a, name=name, real=real: calls.append(name) or real(a))
         r = random_gram(rng, 8)
         tr = w.trace_greedy(r, w.build_filter_tree_1d("haar", 8, 2), 2, 5)
-        assert len(calls) == 1 + len(tr.steps)  # one per make_psd
-        kept = w.PsdOperator(r.matrix, r.eigenvalues, r.eigenvectors)
-        assert kept.matrix is r.matrix and len(calls) == 1 + len(tr.steps)
+        assert len(tr.steps) == 5
+        assert calls == ["_symmetric", "sym_eigen"] * (1 + len(tr.steps))
+
+    def test_a_remainder_is_checked_at_the_scale_of_its_operator(self):
+        # A - D = diag(0, 1e-3, -5e-11): at its own lam_max the tail is too deep, at A's not
+        op = w.PsdOperator(np.diag([1.0, 1e-3, -5e-11]))
+        d, rest = op.remove(np.eye(3)[:1])
+        assert rest.clamp_applied and rest.scale == op.scale == 1.0
+        assert list(rest.eigenvalues) == [1e-3, 0.0, 0.0]
+        assert np.array_equal(d + rest.matrix, op.matrix)
+        with pytest.raises(w.NotPositiveError):
+            w.PsdOperator(rest.matrix)
 
     def test_every_route_to_an_operator_runs_the_rule(self, monkeypatch):
         calls = []
         real = w.psdcore.check_clamp
         monkeypatch.setattr(w.psdcore, "check_clamp", lambda *a: calls.append(a) or real(*a))
-        w.make_psd(np.eye(4))
+        w.PsdOperator(np.eye(4))
         w.symbol_operator(w.shannon_symbol(2, [1.0, 0.5, 0.0, 2.0]))
-        assert calls == [(1.0, 1.0, None), (2.0, 0.0, None)]
+        w.PsdOperator(np.diag([4.0, 1.0])).remove(np.eye(2)[:1])
+        assert calls == [(1.0, 1.0), (2.0, 0.0), (4.0, 1.0), (4.0, 0.0)]
+
+
+def test_only_remove_and_symbol_operator_state_a_spectrum():
+    # every other operator, in the package and its tests, comes from PsdOperator(matrix)
+    allowed = {"_stated": {("psdcore", "remove"), ("tree", "symbol_operator")},
+               "_keep": {("psdcore", "__init__"), ("psdcore", "_stated")}}
+    found = {name: set() for name in allowed}
+
+    def visit(node, stem, owner):
+        for child in ast.iter_child_nodes(node):
+            callee = getattr(child, "func", None)
+            name = getattr(callee, "id", getattr(callee, "attr", None))
+            if isinstance(child, ast.Call) and name in found:
+                found[name].add((stem, owner))
+            visit(child, stem, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    package = Path(w.__file__).resolve().parent
+    for path in [*package.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    assert found == allowed
 
 
 def _root(entries):
     """sqrt(A) by the package's own route: the rows of the identity times sqrt(A)."""
-    op = w.make_psd(entries)
+    op = w.PsdOperator(entries)
     return op.root_rows(np.eye(op.dim))
 
 
@@ -193,12 +244,12 @@ class TestSqrt:
 
 class TestScalars:
     def test_trace_examples(self):
-        assert w.trace(w.make_psd(np.eye(5))) == 5.0
-        assert w.trace(w.make_psd(np.diag([4.0, 9.0]))) == 13.0
+        assert w.trace(w.PsdOperator(np.eye(5))) == 5.0
+        assert w.trace(w.PsdOperator(np.diag([4.0, 9.0]))) == 13.0
 
     def test_trace_of_gram_is_squared_frobenius(self, rng):
         b = rng.standard_normal((7, 7))
-        op = w.make_psd(b.T @ b)
+        op = w.PsdOperator(b.T @ b)
         assert w.trace(op) == pytest.approx(float(np.sum(b * b)), rel=1e-12)
 
     def test_trace_equals_eigenvalue_sum(self, rng):
@@ -208,7 +259,7 @@ class TestScalars:
 
     def test_trace_linearity(self, rng):
         a, b = random_gram(rng, 10), random_gram(rng, 10)
-        s = w.trace(w.make_psd(a.matrix + b.matrix))
+        s = w.trace(w.PsdOperator(a.matrix + b.matrix))
         assert s == pytest.approx(w.trace(a) + w.trace(b), rel=1e-10)
 
     def test_hs_norm_examples(self):
@@ -229,15 +280,15 @@ class TestLoewner:
         assert loewner_leq(np.zeros((8, 8)), op)
 
     def test_counterexample(self):
-        a = w.make_psd(np.diag([2.0, 0.0]))
-        b = w.make_psd(np.diag([1.0, 1.0]))
+        a = w.PsdOperator(np.diag([2.0, 0.0]))
+        b = w.PsdOperator(np.diag([1.0, 1.0]))
         assert not loewner_leq(a, b)
 
     def test_reflexive_and_antisymmetric(self, rng):
         for _ in range(10):
             a = random_gram(rng, 6)
             assert loewner_leq(a, a)
-            bigger = w.make_psd(a.matrix + 0.5 * np.eye(6))
+            bigger = w.PsdOperator(a.matrix + 0.5 * np.eye(6))
             assert loewner_leq(a, bigger)
             assert not loewner_leq(bigger, a)
 
@@ -279,7 +330,7 @@ class TestMatrixJson:
     ], ids=["not-square", "empty"])
     def test_sym_matrix_shape_rules(self, shape, message):
         with pytest.raises(w.MalformedInputError, match=message):
-            w.make_psd(np.zeros(shape))
+            w.PsdOperator(np.zeros(shape))
 
     def test_rejects_missing_keys(self):
         with pytest.raises(w.MalformedInputError):
