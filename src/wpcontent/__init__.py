@@ -54,7 +54,10 @@ _EXPORTS = {
         "PsdOperator",
         "hs_norm",
         "matrix_from_json",
+        "shannon_symbol",
         "sym_eigen",
+        "symbol_from_json",
+        "symbol_operator",
         "trace",
     ),
     "tree": (
@@ -64,9 +67,6 @@ _EXPORTS = {
         "build_shannon_tree",
         "filter_taps",
         "projection",
-        "shannon_symbol",
-        "symbol_from_json",
-        "symbol_operator",
         "tree_description",
         "validate_tree",
     ),

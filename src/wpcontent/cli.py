@@ -44,14 +44,8 @@ from .errors import (
     NotPositiveError,
     NumericalBreakdownError,
 )
-from .psdcore import PsdOperator, as_entries, matrix_from_json
-from .tree import (
-    build_filter_tree_1d,
-    build_shannon_tree,
-    symbol_from_json,
-    symbol_operator,
-    tree_description,
-)
+from .psdcore import PsdOperator, as_entries, matrix_from_json, symbol_from_json, symbol_operator
+from .tree import build_filter_tree_1d, build_shannon_tree, tree_description
 
 
 def _lazy(name: str):

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalBreakdownError
-from .psdcore import PsdOperator, as_entries, hs_norm, trace
-from .tree import PacketTree, _symbol
+from .psdcore import PsdOperator, as_entries, hs_norm, shannon_symbol, trace
+from .tree import PacketTree
 
 
 def _check_dims(dim: int, tree: PacketTree) -> None:
@@ -110,7 +110,7 @@ def cylinder_weights(r, tree: PacketTree) -> dict:
     PsdOperator or a symbol's values, diag(R), checked as a symbol and read
     with no d x d array on identity depths.
     """
-    a = r.matrix if isinstance(r, PsdOperator) else _symbol(r)
+    a = r.matrix if isinstance(r, PsdOperator) else shannon_symbol(r)
     _check_dims(len(a), tree)
     masses = [np.maximum(trace_scores(a, tree, n), 0.0) for n in range(tree.max_depth + 1)]
     total = float(np.sum(a)) if a.ndim == 1 else trace(a)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import _check_dims, hs_scores_squared, trace_scores
-from .errors import ConfigError, NotPositiveError, NumericalBreakdownError
-from .psdcore import PsdOperator, hs_norm, trace
+from .errors import ConfigError, MalformedInputError, NotPositiveError, NumericalBreakdownError
+from .psdcore import _NUMBER_TYPES, PsdOperator, hs_norm, trace
 from .tree import PacketTree
 
 DEFAULT_STOP_TOL = 1e-12
@@ -41,6 +41,9 @@ ROW_FIELDS = (
     "k", "node", "extracted_trace", "extracted_hs", "remainder_trace", "remainder_hs",
     "gamma", "bound_trace", "bound_hs",
 )
+# The row fields `_violation` reads in each mode, besides the four traces and HS norms.
+_MODE_FIELDS = {"trace-greedy": ("bound_trace",), "hs-greedy": ("gamma", "bound_hs"),
+                "sequence": ()}
 
 
 @dataclass(frozen=True)
@@ -260,15 +263,71 @@ def hs_greedy(
     return tr
 
 
+def _check_report(payload) -> None:
+    """Raise MalformedInputError naming the first field of a report `_violation` cannot trust.
+
+    "mode" is one of the three modes. A greedy mode has an int "depth" >= 0
+    and "N_n" = 2^depth or 4^depth (a 1-D or a 2-D tree), read from the bit
+    length, so no power is formed. "steps" is a list or tuple of dicts, each
+    with every ROW_FIELDS key, "k" running 1..n and "node" a str. Every
+    number a relation reads is an int or a float, never a bool.
+    """
+    def malformed(field: str, rule: str) -> MalformedInputError:
+        return MalformedInputError(f'report field "{field}" must be {rule}')
+
+    def integer(value) -> bool:
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+    def number(value, field: str) -> None:
+        if not isinstance(value, _NUMBER_TYPES) or isinstance(value, bool):
+            raise malformed(field, "an int or a float")
+
+    if not isinstance(payload, dict):
+        raise MalformedInputError("a report must be a dict")
+    mode = payload.get("mode")
+    if mode not in _MODE_FIELDS:
+        raise malformed("mode", f"one of {', '.join(_MODE_FIELDS)}")
+    if mode != "sequence":
+        depth, nn = payload.get("depth"), payload.get("N_n")
+        if not (integer(depth) and depth >= 0):
+            raise malformed("depth", "an int >= 0")
+        power = int(nn).bit_length() - 1 if integer(nn) and nn > 0 and not nn & (nn - 1) else -1
+        if power not in (depth, 2 * depth):
+            raise malformed("N_n", f"2^depth or 4^depth for depth {depth}")
+    initial = payload.get("initial")
+    if not isinstance(initial, dict):
+        raise malformed("initial", "a dict")
+    for key in ("trace", "hs"):
+        number(initial.get(key), f"initial.{key}")
+    steps = payload.get("steps")
+    if not isinstance(steps, (list, tuple)):
+        raise malformed("steps", "a list")
+    for k, row in enumerate(steps, 1):
+        where = f"steps[{k - 1}]"
+        if not (isinstance(row, dict) and all(f in row for f in ROW_FIELDS)):
+            raise malformed(where, "a dict with every ROW_FIELDS key")
+        if not (integer(row["k"]) and row["k"] == k):
+            raise malformed(f"{where}.k", str(k))
+        if not isinstance(row["node"], str):
+            raise malformed(f"{where}.node", "a str")
+        for field in ("extracted_trace", "extracted_hs", "remainder_trace", "remainder_hs",
+                      *_MODE_FIELDS[mode]):
+            number(row[field], f"{where}.{field}")
+
+
 def decay_report(payload: dict) -> dict:
     """Re-check every step row of a run's report with the extraction loops' own checker.
 
     ``payload`` is an `ExtractionTrace.report`, or a saved `wpc greedy`
     report as `json.load` returns it; other keys
-    are ignored. Returns {"rows": [...], "summary": {...}}; each row
+    are ignored. A report whose fields the checker cannot read, or a
+    greedy report whose "N_n" is not its depth's node count, raises
+    MalformedInputError naming the field before any relation runs.
+    Returns {"rows": [...], "summary": {...}}; each row
     carries a bound_satisfied flag and the summary names the first
     violating step (expected: none).
     """
+    _check_report(payload)
     steps = payload["steps"]
     rows = []
     first_violation = None

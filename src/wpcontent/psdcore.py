@@ -5,7 +5,8 @@ reduces to a handful of primitives on real symmetric matrices:
 eigendecomposition, the PSD check (run by `PsdOperator(matrix)`, the one
 way to make an operator, at a clamp scale each remainder inherits from its
 operator), products with the operator square root, traces and
-Hilbert-Schmidt norms.
+Hilbert-Schmidt norms. Both wire formats of R are read here: a dense
+matrix, and a Shannon-band symbol, whose operator is `symbol_operator`.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
 repeated runs on identical input produce identical output. Eigenvalues
@@ -127,7 +128,7 @@ def _stated(matrix, lam, vecs, scale: float) -> PsdOperator:
     """An operator whose spectrum its caller already has, clamp-checked at max(scale, lam_max).
 
     The arrays, the caller's own, are kept as they are and made read-only;
-    `PsdOperator.remove` and `tree.symbol_operator` are the only callers.
+    `PsdOperator.remove` and `symbol_operator` are the only callers.
     """
     op = PsdOperator.__new__(PsdOperator)
     op._keep(matrix, lam, vecs, scale)
@@ -211,3 +212,52 @@ def matrix_from_json(obj) -> np.ndarray:
     if asym > 1e-10 * float(np.max(np.abs(a))):
         raise MalformedInputError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     return m
+
+
+def shannon_symbol(values) -> np.ndarray:
+    """Nonnegative multiplier values r(k) for k in [-2**(L-1), 2**(L-1)), read-only.
+
+    The count of values, 2**L, must be a power of two >= 2; it fixes the
+    levels L. Values follow `as_reals` (so the caller's array is copied), and
+    must be finite with a finite sum of squares. Values that break
+    `PsdOperator`'s clamp rule raise NotPositiveError. A symbol is read as diag(R).
+    """
+    vals = as_reals(values, "symbol values")
+    n = len(vals)
+    if n < 2 or n & (n - 1):
+        raise MalformedInputError(f"symbol needs 2^L values for some L >= 1, got {n}")
+    if not np.all(np.isfinite(vals)):
+        raise MalformedInputError("symbol values must be finite")
+    check_square_sum(vals, "symbol values")
+    check_clamp(float(vals.max()), float(vals.min()))
+    vals.setflags(write=False)
+    return vals
+
+
+def symbol_from_json(obj) -> np.ndarray:
+    """Parse the {"levels": L, "r": [2^L reals]} wire format: L checked against the count."""
+    if not isinstance(obj, dict) or "levels" not in obj or "r" not in obj:
+        raise MalformedInputError('symbol JSON must have "levels" and "r" keys')
+    levels = obj["levels"]
+    if not isinstance(levels, int) or isinstance(levels, bool):
+        raise MalformedInputError('"levels" must be an integer')
+    if levels < 1:
+        raise MalformedInputError(f"levels must be >= 1, got {levels}")
+    vals = as_reals(obj["r"], "symbol values")
+    if not (levels < len(vals).bit_length() and len(vals) == 2**levels):
+        raise MalformedInputError(f"symbol needs 2^{levels} values, got {len(vals)}")
+    return shannon_symbol(vals)
+
+
+def symbol_operator(values) -> PsdOperator:
+    """The diagonal PSD operator of a symbol, as a dense d x d matrix.
+
+    The values are checked by `shannon_symbol`. No eigensolver runs: the
+    spectrum is the values sorted nonincreasing, and the eigenvectors are the
+    matching identity columns, C-contiguous as `sym_eigen`'s; the operator's
+    scale is its own lam_max, the largest value.
+    """
+    values = shannon_symbol(values)
+    order = np.argsort(-values, kind="stable")
+    lam = values[order]
+    return _stated(np.diag(values), lam, np.eye(len(order))[:, order].copy(), float(lam[0]))

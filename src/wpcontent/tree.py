@@ -36,8 +36,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, MalformedInputError
-from .psdcore import PsdOperator, _stated, _symmetric, as_reals, check_clamp, check_square_sum
+from .errors import ConfigError
+from .psdcore import _symmetric
 
 
 # Lowpass taps h of the two shipped filters: Haar, and Daubechies' four-tap D4
@@ -268,52 +268,3 @@ def tree_description(tree: PacketTree) -> dict:
             for n in range(tree.max_depth + 1) for wd in tree.nodes_at(n)
         ],
     }
-
-
-def shannon_symbol(levels: int, values) -> np.ndarray:
-    """Nonnegative multiplier values r(k) for k in [-2**(levels-1), 2**(levels-1)), read-only.
-
-    Values follow `as_reals` (so the caller's array is copied), and must be
-    finite with a finite sum of squares. Values that break `PsdOperator`'s
-    clamp rule raise NotPositiveError. A symbol is read as diag(R).
-    """
-    if levels < 1:
-        raise MalformedInputError(f"levels must be >= 1, got {levels}")
-    vals = as_reals(values, "symbol values")
-    if not (levels < len(vals).bit_length() and len(vals) == 2**levels):
-        raise MalformedInputError(f"symbol needs 2^{levels} values, got {len(vals)}")
-    if not np.all(np.isfinite(vals)):
-        raise MalformedInputError("symbol values must be finite")
-    check_square_sum(vals, "symbol values")
-    check_clamp(float(vals.max()), float(vals.min()))
-    vals.setflags(write=False)
-    return vals
-
-
-def symbol_from_json(obj) -> np.ndarray:
-    """The {"levels": L, "r": [2^L reals]} wire format, as `shannon_symbol`."""
-    if not isinstance(obj, dict) or "levels" not in obj or "r" not in obj:
-        raise MalformedInputError('symbol JSON must have "levels" and "r" keys')
-    levels = obj["levels"]
-    if not isinstance(levels, int) or isinstance(levels, bool):
-        raise MalformedInputError('"levels" must be an integer')
-    return shannon_symbol(levels, obj["r"])
-
-
-def _symbol(values) -> np.ndarray:
-    """``values`` checked by `shannon_symbol`, at the levels their count implies."""
-    return shannon_symbol(np.size(values).bit_length() - 1, values)
-
-
-def symbol_operator(values) -> PsdOperator:
-    """The diagonal PSD operator of a symbol, as a dense d x d matrix.
-
-    The values are checked as a symbol. No eigensolver runs: the spectrum
-    is the values sorted nonincreasing, and the eigenvectors are the
-    matching identity columns, C-contiguous as `sym_eigen`'s; the operator's
-    scale is its own lam_max, the largest value.
-    """
-    values = _symbol(values)
-    order = np.argsort(-values, kind="stable")
-    lam = values[order]
-    return _stated(np.diag(values), lam, np.eye(len(order))[:, order].copy(), float(lam[0]))

@@ -131,7 +131,7 @@ def _tree(name: str):
 @lru_cache(maxsize=None)
 def _operator(kind: str):
     if kind == "symbol":
-        return w.symbol_operator(w.shannon_symbol(4, 0.8 ** np.arange(16.0)))
+        return w.symbol_operator(w.shannon_symbol(0.8 ** np.arange(16.0)))
     rank = 16 if kind == "full-rank" else int(kind.removeprefix("rank-"))
     g = np.random.default_rng([7, rank]).standard_normal((rank, 16))
     return w.PsdOperator(g.T @ g / 16)

@@ -94,7 +94,7 @@ def band_positions(levels, word):
 def geometric_symbol(levels):
     """The symbol r(k) = 2^(-|k|) truncated to the ambient band."""
     half = 2 ** (levels - 1)
-    return w.shannon_symbol(levels, [2.0 ** (-abs(k)) for k in range(-half, half)])
+    return w.shannon_symbol([2.0 ** (-abs(k)) for k in range(-half, half)])
 
 
 def spread_vector(tree, n):

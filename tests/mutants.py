@@ -177,6 +177,16 @@ MUTANTS = [
     # a symbol's values are diag(A) to the HS scores, as to the trace scores
     ("symbol-hs-rule-dropped", "src/wpcontent/content.py",
      "a = np.diag(a) if a.ndim == 1 else a", "a = a"),
+    # a symbol has a power-of-two count of at least two finite values
+    ("symbol-count-unchecked", "src/wpcontent/psdcore.py",
+     "if n < 2 or n & (n - 1):", "if False:"),
+    ("symbol-finiteness-unchecked", "src/wpcontent/psdcore.py",
+     "if not np.all(np.isfinite(vals)):", "if False:"),
+    # a saved greedy report states its depth's node count and numbers its steps 1..n
+    ("report-N_n-unbound-to-depth", "src/wpcontent/greedy.py",
+     "if power not in (depth, 2 * depth):", "if power < 0:"),
+    ("report-k-order-unchecked", "src/wpcontent/greedy.py",
+     'if not (integer(row["k"]) and row["k"] == k):', 'if not integer(row["k"]):'),
 ]
 
 

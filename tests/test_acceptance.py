@@ -85,7 +85,7 @@ def test_criterion_2_shannon_oracle():
     worst = 0.0
     for _ in range(20):
         vals = rng.uniform(0.0, 1.0, size=2**levels)
-        op = w.symbol_operator(w.shannon_symbol(levels, vals))
+        op = w.symbol_operator(w.shannon_symbol(vals))
         weights = w.cylinder_weights(op, tree)
         for row in weights["cylinders"]:
             direct = float(sum(vals[p] for p in band_positions(levels, row["word"])))
@@ -113,7 +113,7 @@ def test_criterion_3_trace_greedy_envelope(ensemble):
     for levels in (3, 4, 5):
         tree = w.build_shannon_tree(levels, 3)
         vals = rng.uniform(0.1, 1.0, size=2**levels)
-        op = w.symbol_operator(w.shannon_symbol(levels, vals))
+        op = w.symbol_operator(w.shannon_symbol(vals))
         for n in DEPTHS:
             nn = len(tree.nodes_at(n))
             run = w.trace_greedy(op, tree, n, max_steps=2 * nn)
@@ -242,7 +242,7 @@ def test_criterion_7_measure_structure(ensemble):
     tree = w.build_shannon_tree(levels, 3)
     vals = rng.uniform(0.1, 1.0, size=2**levels)
     vals[:4] = 0.0  # kill the band of node "00"
-    op = w.symbol_operator(w.shannon_symbol(levels, vals))
+    op = w.symbol_operator(w.shannon_symbol(vals))
     for _ in range(10):
         x = rng.standard_normal(2**levels)
         ok = ok and w.vector_weight(op, tree, x, "00") <= 1e-12 * w.trace(op)

@@ -216,6 +216,15 @@ class TestGreedy:
         assert w.decay_report(saved) == w.decay_report(record.report)
         assert w.decay_report(saved)["summary"] == saved["summary"]
 
+    @pytest.mark.parametrize("mode", ["trace", "hs"])
+    def test_a_report_written_beside_a_csv_passes_the_report_check(self, tmp_path, rng, mode):
+        path, rep = tmp_path / "m.json", tmp_path / "g.json"
+        path.write_text(json.dumps(matrix_json(random_gram(rng, 8))))
+        assert main(["greedy", "--in", str(path), "--depth", "2", "--mode", mode, "--steps", "4",
+                     "--report", str(rep), "--csv", str(tmp_path / "g.csv")]) == 0
+        saved = json.loads(rep.read_text(encoding="utf-8"))
+        assert w.decay_report(saved)["summary"]["first_violation"] is None
+
     def test_hs_mode_block_diagonal_gamma_one(self, tmp_path, rng):
         tree = w.build_shannon_tree(3, 1)
         from helpers import block_diagonal_gram
@@ -910,6 +919,12 @@ def test_every_export_is_named_in_the_readme():
     assert missing == []
 
 
+def test_the_readme_states_the_export_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`wpcontent\.__all__` holds the (\d+) names", readme)
+    assert stated == [str(len(w.__all__))]
+
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHOW_THREADS = f"import json, os; print(json.dumps([os.environ.get(v) for v in {THREAD_VARS!r}]))"
 
@@ -961,7 +976,7 @@ def test_an_export_leaves_the_callers_arrays_writable_and_unchanged(tmp_path, ex
         "sym_eigen": lambda: w.sym_eigen(m),
         "trace": lambda: w.trace(m),
         "hs_norm": lambda: w.hs_norm(m),
-        "shannon_symbol": lambda: w.shannon_symbol(3, sym),
+        "shannon_symbol": lambda: w.shannon_symbol(sym),
         "symbol_operator": lambda: w.symbol_operator(sym),
         "cylinder_weights": lambda: w.cylinder_weights(sym, tree),
         "vector_weight": lambda: w.vector_weight(r, tree, x, "01"),

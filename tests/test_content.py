@@ -172,7 +172,7 @@ class TestCylinderMasses:
 
     @pytest.mark.parametrize("levels", range(1, 11))
     def test_symbol_route_is_bit_identical_on_shannon(self, rng, levels, monkeypatch):
-        sym = w.shannon_symbol(levels, symbol_values(rng, levels))
+        sym = w.shannon_symbol(symbol_values(rng, levels))
         dense = w.symbol_operator(sym)
         trees = [w.build_shannon_tree(levels, depth) for depth in range(1, levels + 1)]
         want = [weight_bits(w.cylinder_weights(dense, tree)) for tree in trees]
@@ -186,7 +186,7 @@ class TestCylinderMasses:
     @pytest.mark.parametrize("name", ["haar", "d4"])
     @pytest.mark.parametrize("levels,depth", [(2, 1), (4, 4), (6, 3), (8, 2)])
     def test_symbol_route_is_bit_identical_on_filter_trees(self, rng, name, levels, depth):
-        sym = w.shannon_symbol(levels, symbol_values(rng, levels))
+        sym = w.shannon_symbol(symbol_values(rng, levels))
         tree = w.build_filter_tree_1d(name, 2**levels, depth)
         got = weight_bits(w.cylinder_weights(sym, tree))
         assert got == weight_bits(w.cylinder_weights(w.symbol_operator(sym), tree))
@@ -211,7 +211,7 @@ class TestCylinderMasses:
 
     def test_zero_trace_rigidity(self):
         # a band with zero symbol mass carries a zero block
-        sym = w.shannon_symbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
+        sym = w.shannon_symbol([0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
         r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 2)
         for node in tree.all_nodes():
@@ -323,7 +323,7 @@ class TestDensities:
         assert dens["1"] == 0.0
 
     def test_zero_mass_node_omitted(self):
-        sym = w.shannon_symbol(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
+        sym = w.shannon_symbol([0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125])
         r = w.symbol_operator(sym)
         tree = w.build_shannon_tree(3, 1)
         x = np.ones(8)
@@ -355,7 +355,7 @@ class TestDensities:
             r, tree = w.PsdOperator(np.diag([1.0, 1e-13])), w.build_shannon_tree(1, 1)
             x = np.array([0.0, 1e3])
         elif case == "zero-band":
-            r = w.symbol_operator(w.shannon_symbol(3, [0.0] * 4 + [1.0, 0.5, 0.25, 0.125]))
+            r = w.symbol_operator(w.shannon_symbol([0.0] * 4 + [1.0, 0.5, 0.25, 0.125]))
             tree, x = w.build_shannon_tree(3, 2), rng.standard_normal(8)
         else:
             tree = w.build_filter_tree_1d("d4", 8, 2)

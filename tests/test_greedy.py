@@ -107,7 +107,7 @@ class TestCoherence:
     @pytest.mark.parametrize("name", ["shannon", "haar", "d4"])
     def test_symbol_values_match_the_symbol_operator(self, rng, name, levels):
         # a symbol's values are diag(A): scores and gamma are the diagonal operator's, bit for bit
-        sym = w.shannon_symbol(levels, rng.uniform(0.1, 1.0, 2**levels))
+        sym = w.shannon_symbol(rng.uniform(0.1, 1.0, 2**levels))
         tree = (w.build_shannon_tree(levels, levels) if name == "shannon"
                 else w.build_filter_tree_1d(name, 2**levels, levels))
         op = w.symbol_operator(sym)
@@ -397,6 +397,82 @@ def test_a_saved_corruption_is_flagged_at_the_same_step(rng, tmp_path, monkeypat
     monkeypatch.setattr(w, "decay_report", from_file)
     getattr(TestDecayReport(), case)(rng, **params)
     assert len(saved) == 1
+
+
+def _saved_run(mode, tree=None, depth=2):
+    """A 4-step run of ``mode`` on a d = 8 Gram matrix, as json.load returns its report."""
+    tree = tree or w.build_shannon_tree(3, 2)
+    r = random_gram(np.random.default_rng(5), tree.ambient_dim)
+    if mode == "sequence":
+        run = w.extract_sequence(r, tree, [tree.nodes_at(2)[1], tree.root, tree.nodes_at(1)[0]])
+    else:
+        run = (w.trace_greedy if mode == "trace-greedy" else w.hs_greedy)(r, tree, depth, 4)
+    return json.loads(json.dumps(run.report))
+
+
+def _row(i, **fields):
+    return lambda report: report["steps"][i].update(fields)
+
+
+# (mode, edit of the loaded report, the field the error names): each probe raised a bare
+# TypeError, KeyError or ZeroDivisionError, or passed silently, before decay_report checked
+# the fields it reads
+_MALFORMED = {
+    "N_n-0": ("trace-greedy", lambda r: r.update(N_n=0), '"N_n"'),
+    "N_n-string": ("trace-greedy", lambda r: r.update(N_n="4"), '"N_n"'),
+    "N_n-1e9": ("trace-greedy", lambda r: r.update(N_n=10**9), '"N_n"'),
+    "N_n-2^30": ("trace-greedy", lambda r: r.update(N_n=2**30), '"N_n"'),
+    "N_n-8-at-depth-2": ("hs-greedy", lambda r: r.update(N_n=8), '"N_n"'),
+    "N_n-true-at-depth-0": ("trace-greedy", lambda r: r.update(depth=0, N_n=True), '"N_n"'),
+    "depth-negative": ("trace-greedy", lambda r: r.update(depth=-1, N_n=1), '"depth"'),
+    "depth-true": ("hs-greedy", lambda r: r.update(depth=True, N_n=2), '"depth"'),
+    "mode-foo": ("trace-greedy", lambda r: r.update(mode="foo"), '"mode"'),
+    "gamma-null": ("hs-greedy", _row(1, gamma=None), r'"steps\[1\]\.gamma"'),
+    "gamma-true": ("hs-greedy", _row(0, gamma=True), r'"steps\[0\]\.gamma"'),
+    "bound_trace-null": ("trace-greedy", _row(2, bound_trace=None), r'"steps\[2\]\.bound_trace"'),
+    "remainder_hs-string": ("trace-greedy", _row(1, remainder_hs="1"),
+                            r'"steps\[1\]\.remainder_hs"'),
+    "extracted_hs-true": ("sequence", _row(0, extracted_hs=True), r'"steps\[0\]\.extracted_hs"'),
+    "initial-trace-true": ("trace-greedy", lambda r: r["initial"].update(trace=True),
+                           '"initial.trace"'),
+    "steps-missing": ("trace-greedy", lambda r: r.pop("steps"), '"steps"'),
+    "steps-dict": ("hs-greedy", lambda r: r.update(steps={}), '"steps"'),
+    "initial-missing": ("sequence", lambda r: r.pop("initial"), '"initial"'),
+    "initial-hs-missing": ("trace-greedy", lambda r: r["initial"].pop("hs"), '"initial.hs"'),
+    "row-field-missing": ("hs-greedy", lambda r: r["steps"][2].pop("bound_hs"),
+                          r'"steps\[2\]"'),
+    "k-renumbered": ("trace-greedy", _row(2, k=7), r'"steps\[2\]\.k" must be 3'),
+    "k-true": ("sequence", _row(0, k=True), r'"steps\[0\]\.k" must be 1'),
+    "node-int": ("sequence", _row(0, node=5), r'"steps\[0\]\.node"'),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_saved_report_names_its_field_before_any_relation_runs(monkeypatch, case):
+    mode, edit, field = _MALFORMED[case]
+    report = _saved_run(mode)
+    edit(report)
+    monkeypatch.setattr(w.greedy, "_violation", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(w.MalformedInputError, match=f"^report field {field}"):
+        w.decay_report(report)
+
+
+def test_a_report_that_is_no_dict_is_malformed():
+    with pytest.raises(w.MalformedInputError, match="a report must be a dict"):
+        w.decay_report([])
+
+
+@pytest.mark.parametrize("tree, depth, nn", [
+    (w.build_shannon_tree(3, 2), 0, 1),
+    (w.build_shannon_tree(3, 2), 2, 4),
+    (w.build_filter_tree_2d("haar", 4, 2), 1, 4),
+    (w.build_filter_tree_2d("haar", 4, 2), 2, 16),
+], ids=["1d-depth-0", "1d-depth-2", "2d-depth-1", "2d-depth-2"])
+@pytest.mark.parametrize("mode", ["trace-greedy", "hs-greedy"])
+def test_a_saved_run_states_2_or_4_to_the_depth_nodes_and_passes(mode, tree, depth, nn):
+    report = _saved_run(mode, tree, depth)
+    assert (report["depth"], report["N_n"]) == (depth, nn)
+    assert w.decay_report(report)["summary"]["first_violation"] is None
 
 
 def _moved_trace(row, field, value):

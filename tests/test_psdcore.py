@@ -188,14 +188,14 @@ class TestPsdOperator:
         real = w.psdcore.check_clamp
         monkeypatch.setattr(w.psdcore, "check_clamp", lambda *a: calls.append(a) or real(*a))
         w.PsdOperator(np.eye(4))
-        w.symbol_operator(w.shannon_symbol(2, [1.0, 0.5, 0.0, 2.0]))
+        w.symbol_operator([1.0, 0.5, 0.0, 2.0])  # the rule on the values, then on the operator
         w.PsdOperator(np.diag([4.0, 1.0])).remove(np.eye(2)[:1])
-        assert calls == [(1.0, 1.0), (2.0, 0.0), (4.0, 1.0), (4.0, 0.0)]
+        assert calls == [(1.0, 1.0), (2.0, 0.0), (2.0, 0.0), (4.0, 1.0), (4.0, 0.0)]
 
 
 def test_only_remove_and_symbol_operator_state_a_spectrum():
     # every other operator, in the package and its tests, comes from PsdOperator(matrix)
-    allowed = {"_stated": {("psdcore", "remove"), ("tree", "symbol_operator")},
+    allowed = {"_stated": {("psdcore", "remove"), ("psdcore", "symbol_operator")},
                "_keep": {("psdcore", "__init__"), ("psdcore", "_stated")}}
     found = {name: set() for name in allowed}
 
@@ -211,6 +211,16 @@ def test_only_remove_and_symbol_operator_state_a_spectrum():
     for path in [*package.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]:
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
     assert found == allowed
+
+
+def test_tree_takes_only_the_symmetrizer_from_psdcore():
+    # psdcore reads both wire formats and makes every operator; a tree forms projections only
+    source = (Path(w.__file__).resolve().parent / "tree.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("psdcore", None):
+            imported |= {a.name if node.module else f"module {a.name}" for a in node.names}
+    assert imported == {"_symmetric"}
 
 
 def _root(entries):

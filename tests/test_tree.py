@@ -275,7 +275,7 @@ class TestTreeAxioms:
 
 class TestSymbol:
     def test_operator_is_diagonal(self):
-        sym = w.shannon_symbol(1, [0.5, 0.25])
+        sym = w.shannon_symbol([0.5, 0.25])
         op = w.symbol_operator(sym)
         assert np.array_equal(op.matrix, np.diag([0.5, 0.25]))
 
@@ -287,7 +287,7 @@ class TestSymbol:
             raise AssertionError("symbol_operator ran an eigensolver")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        op = w.symbol_operator(w.shannon_symbol(3, vals))
+        op = w.symbol_operator(w.shannon_symbol(vals))
         assert np.array_equal(op.eigenvalues, lam)
         assert list(op.eigenvalues) == sorted(vals, reverse=True)
         assert np.array_equal(np.abs(op.eigenvectors), np.abs(op.eigenvectors) > 0.5)
@@ -297,9 +297,12 @@ class TestSymbol:
 
     @pytest.mark.parametrize("values, message", [
         ([np.nan, 1.0], "symbol values must be finite"),
-        ([1.0, 2.0, 3.0], r"symbol needs 2\^1 values, got 3"),
+        ([1.0, 2.0, 3.0], r"symbol needs 2\^L values for some L >= 1, got 3"),
+        ([1.0] * 12, r"symbol needs 2\^L values for some L >= 1, got 12"),
+        ([1.0], r"symbol needs 2\^L values for some L >= 1, got 1"),
+        ([], r"symbol needs 2\^L values for some L >= 1, got 0"),
         (np.eye(2), "symbol values must be a list of numbers"),
-    ], ids=["nan", "three-values", "2d-array"])
+    ], ids=["nan", "three-values", "twelve-values", "one-value", "no-values", "2d-array"])
     def test_every_entry_checks_a_symbol(self, values, message):
         tree = w.build_shannon_tree(1, 1)
         for entry in (w.symbol_operator, lambda v: w.cylinder_weights(v, tree)):
@@ -308,14 +311,14 @@ class TestSymbol:
 
     def test_negative_rejected(self):
         with pytest.raises(w.NotPositiveError):
-            w.symbol_operator(w.shannon_symbol(1, [1.0, -1.0]))
+            w.symbol_operator(w.shannon_symbol([1.0, -1.0]))
 
     def test_clamp_rule_applies_on_construction(self):
         # the rule of the PsdOperator constructor: below -1e-10 * max raises, noise above it is kept
         with pytest.raises(w.NotPositiveError) as err:
-            w.shannon_symbol(2, [1.0, 0.5, -2e-10, 0.25])
+            w.shannon_symbol([1.0, 0.5, -2e-10, 0.25])
         assert err.value.eigenvalue == -2e-10 and err.value.threshold == 1e-10
-        sym = w.shannon_symbol(2, [1.0, 0.5, -0.5e-10, 0.25])
+        sym = w.shannon_symbol([1.0, 0.5, -0.5e-10, 0.25])
         assert sym[2] == -0.5e-10 and len(sym) == 4
         assert w.symbol_operator(sym).clamp_applied
 
@@ -326,7 +329,7 @@ class TestSymbol:
             "integer-beyond-float"])
     def test_python_values_follow_the_json_number_rule(self, values):
         with pytest.raises(w.MalformedInputError):
-            w.shannon_symbol(1, values)
+            w.shannon_symbol(values)
 
     @pytest.mark.parametrize("values", [
         [1, 0.5], (1.0, 0.5), np.array([1.0, 0.5]), np.array([2, 1]) / 2, [np.float64(1.0), 0.5],
@@ -334,21 +337,21 @@ class TestSymbol:
     ], ids=["ints-and-floats", "tuple", "array", "int-array-halved", "numpy-float",
             "numpy-int"])
     def test_python_numbers_are_copied(self, values):
-        sym = w.shannon_symbol(1, values)
+        sym = w.shannon_symbol(values)
         assert sym.tolist() == [1.0, 0.5]
         if isinstance(values, np.ndarray):
             assert values.flags.writeable and not np.shares_memory(values, sym)
 
     def test_overflowing_square_sum_rejected(self):
         with pytest.raises(w.MalformedInputError, match="sum of squares overflows"):
-            w.shannon_symbol(1, [1e308, 1e308])
-        assert w.shannon_symbol(1, [1e153, 1e153])[0] == 1e153
+            w.shannon_symbol([1e308, 1e308])
+        assert w.shannon_symbol([1e153, 1e153])[0] == 1e153
 
     def test_underflowing_square_sum_rejected(self):
         with pytest.raises(w.MalformedInputError, match="sum of squares underflows"):
-            w.shannon_symbol(1, [1e-200, 5e-324])
-        assert w.shannon_symbol(1, [0.0, 0.0])[1] == 0.0
-        assert w.shannon_symbol(1, [1e-150, 0.0])[0] == 1e-150
+            w.shannon_symbol([1e-200, 5e-324])
+        assert w.shannon_symbol([0.0, 0.0])[1] == 0.0
+        assert w.shannon_symbol([1e-150, 0.0])[0] == 1e-150
 
     def test_json_schema(self):
         sym = w.symbol_from_json({"levels": 2, "r": [1, 2, 3, 4]})
@@ -357,3 +360,16 @@ class TestSymbol:
             w.symbol_from_json({"levels": 2, "r": [1, 2, 3]})
         with pytest.raises(w.MalformedInputError):
             w.symbol_from_json({"r": [1, 2]})
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"levels": 0, "r": "x"}, "levels must be >= 1, got 0"),
+        ({"levels": 2, "r": "x"}, "symbol values must be a list of numbers"),
+        ({"levels": 2, "r": [1, 2, 3]}, r"symbol needs 2\^2 values, got 3"),
+        ({"levels": 1, "r": [1, 2, 3, 4]}, r"symbol needs 2\^1 values, got 4"),
+        ({"levels": 10**6, "r": [1, 2]}, r"symbol needs 2\^1000000 values, got 2"),
+        ({"levels": 2, "r": [1, 2, float("inf"), 4]}, "symbol values must be finite"),
+    ], ids=["levels-0-first", "values-before-count", "short", "long", "huge-levels", "inf"])
+    def test_the_wire_format_checks_levels_against_the_count_in_order(self, payload, message):
+        # "levels", then the number rule, then the count, then the symbol's own checks
+        with pytest.raises(w.MalformedInputError, match=message):
+            w.symbol_from_json(payload)
