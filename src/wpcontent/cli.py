@@ -207,12 +207,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_greedy(args) -> int:
     _check_files(args, "--report", "--csv")
-    stop_tol = greedy.DEFAULT_STOP_TOL if args.stop_tol is None else args.stop_tol
-    greedy._check_stop(args.steps, stop_tol, ("--steps", "--stop-tol"))
+    greedy._check_stop(args.steps, "--steps")
     operator = _load_operator(args)
     tree = _build_matrix_tree(args, operator.dim)
     run = greedy.trace_greedy if args.mode == "trace" else greedy.hs_greedy
-    record = run(operator, tree, tree.max_depth, max_steps=args.steps, stop_tol=stop_tol)
+    record = run(operator, tree, tree.max_depth, max_steps=args.steps)
     summary = greedy.decay_report(record.report)["summary"]
     _write_json(args.report, {**record.report, "summary": summary})
     if args.csv:
@@ -280,7 +279,6 @@ def _parser() -> argparse.ArgumentParser:
     add_matrix_args(sp)
     sp.add_argument("--mode", choices=["trace", "hs"], default="trace")
     sp.add_argument("--steps", type=int, default=32, help="max extraction steps")
-    sp.add_argument("--stop-tol", type=float, help="default: greedy.DEFAULT_STOP_TOL")
     sp.add_argument("--csv", help="also write the step table as CSV")
     sp.set_defaults(func=cmd_greedy)
 

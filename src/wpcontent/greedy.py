@@ -3,8 +3,9 @@
 Extraction repeatedly removes one content block from the current
 remainder: D_k = sqrt(R_prev) P_w sqrt(R_prev), R_next = R_prev - D_k.
 Every extracted piece and every remainder stays PSD, so remainders are
-nonincreasing in the Loewner order; each remainder is PSD-checked at the
-clamp scale of the run's input, which `PsdOperator.remove` passes on.
+nonincreasing in the Loewner order. A run's input is PSD-checked at its own
+lam_max, and each remainder at that scale, which `PsdOperator.remove` passes
+on; a greedy run stops at max_steps or at the first remainder that `is_zero`.
 
 Two fixed-depth greedy rules are provided. The trace rule removes the
 block of largest trace; since the N depth-n block traces sum to the
@@ -23,7 +24,6 @@ inequality: each step passes it before it is recorded, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,6 @@ from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, MalformedInputError, NotPositiveError, NumericalBreakdownError
 from .psdcore import _NUMBER_TYPES, PsdOperator, hs_norm, trace
 from .tree import PacketTree
-
-DEFAULT_STOP_TOL = 1e-12
 
 # The step-row schema of the JSON report, the CSV and `decay_report`, in order.
 # "node" is the node's word; a rule's unused gamma or bound is None.
@@ -87,28 +85,19 @@ def coherence(a, tree: PacketTree, n: int, scores=None) -> float:
 
 
 def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> ExtractionTrace:
-    """Empty record of a run on ``r``; its final remainder is ``r`` itself."""
+    """Empty record of a run on ``r`` at its own scale; its final remainder is that operator."""
     _check_dims(r.dim, tree)
+    r = r.at_own_scale()
     nn = None if depth is None else len(tree.nodes_at(depth))
-    report = {"mode": mode, "depth": depth, "N_n": nn,
+    report = {"mode": mode, "depth": None if depth is None else int(depth), "N_n": nn,
               "initial": {"trace": trace(r), "hs": hs_norm(r)}, "steps": ()}
     return ExtractionTrace(report, r)
 
 
-def _check_stop(max_steps: int, stop_tol: float, names=("max_steps", "stop_tol")) -> None:
-    """A greedy run's stopping rule must be able to fire: max_steps >= 0, stop_tol finite >= 0.
-
-    ``names`` are the two values' names in the error message (`cli` gives its options).
-    """
+def _check_stop(max_steps: int, name: str = "max_steps") -> None:
+    """A greedy run takes max_steps >= 0; ``name`` names it (`cli` gives its option)."""
     if max_steps < 0:
-        raise ConfigError(f"{names[0]} must be >= 0, got {max_steps}")
-    if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
-        raise ConfigError(f"{names[1]} must be finite and >= 0, got {stop_tol}")
-
-
-def _remainder(tr: ExtractionTrace, key: str) -> float:
-    """The current remainder's recorded "trace" or "hs" (``key``): last row's, else initial."""
-    return tr.steps[-1][f"remainder_{key}"] if tr.steps else tr.report["initial"][key]
+        raise ConfigError(f"{name} must be >= 0, got {max_steps}")
 
 
 def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
@@ -175,9 +164,8 @@ def _step(tr: ExtractionTrace, tree: PacketTree, node: str, **bounds) -> Extract
     """Remove ``node``'s block from the record's remainder; the record with its row added.
 
     The remainder's `remove` gives D = sqrt(R) B^T B sqrt(R) for the
-    node's basis B, in O(s d^2), and R - D, PSD-checked at the scale the
-    run's input was checked at (its lam_max, or the scale it inherited as
-    a remainder): subtraction noise sits at that scale even once the
+    node's basis B, in O(s d^2), and R - D, PSD-checked at the run's scale,
+    its input's lam_max: subtraction noise sits at that scale even once the
     remainder itself has decayed to nothing. A step that leaves
     the PSD cone or breaks a certified inequality raises NumericalBreakdownError.
     ``bounds`` fill the row's gamma and bound fields.
@@ -207,23 +195,21 @@ def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[str]) -> Extr
     return tr
 
 
-def trace_greedy(
-    r: PsdOperator, tree: PacketTree, n: int, max_steps: int, stop_tol: float = DEFAULT_STOP_TOL
-) -> ExtractionTrace:
+def trace_greedy(r: PsdOperator, tree: PacketTree, n: int, max_steps: int) -> ExtractionTrace:
     """Repeatedly remove the depth-n block of maximal trace.
 
-    Stops at max_steps or once the remainder trace falls to
-    stop_tol * trace(R). Each step records the cumulative envelope
+    Stops at max_steps or at the first remainder that `is_zero` at the
+    run's scale. Each step records the cumulative envelope
     (1 - 1/N)^k * trace(R) and is certified against it and against the
     one-step contraction.
     """
-    _check_stop(max_steps, stop_tol)
+    _check_stop(max_steps)
     tr = _start("trace-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
     ratio = 1.0 - 1.0 / len(nodes)
-    envelope = initial = tr.report["initial"]["trace"]
+    envelope = tr.report["initial"]["trace"]
     for _ in range(max_steps):
-        if _remainder(tr, "trace") <= stop_tol * initial:
+        if tr.final_remainder.is_zero():
             break
         node = nodes[int(np.argmax(trace_scores(tr.final_remainder, tree, n)))]
         envelope *= ratio
@@ -231,27 +217,26 @@ def trace_greedy(
     return tr
 
 
-def hs_greedy(
-    r: PsdOperator, tree: PacketTree, n: int, max_steps: int, stop_tol: float = DEFAULT_STOP_TOL
-) -> ExtractionTrace:
+def hs_greedy(r: PsdOperator, tree: PacketTree, n: int, max_steps: int) -> ExtractionTrace:
     """Repeatedly remove the depth-n block of maximal Hilbert-Schmidt norm.
 
     Records the coherence gamma of the remainder before each step and the
     uniform envelope (1 - 1/N^2)^k ||R||_2^2; each step is certified for
     gamma in [1, N], the contraction by (1 - 1/(gamma N)) and the envelope,
-    besides the relations `_violation` holds in every mode. Terminates
-    cleanly when the remainder is numerically zero (undefined coherence).
+    besides the relations `_violation` holds in every mode. Stops at
+    max_steps or at the first remainder that `is_zero` at the run's scale,
+    and also, cleanly, at one whose coherence is undefined: a numerically
+    indefinite remainder can have no block HS mass above that zero.
     """
-    _check_stop(max_steps, stop_tol)
+    _check_stop(max_steps)
     tr = _start("hs-greedy", r, tree, n)
     nodes = tree.nodes_at(n)
     uniform_ratio = 1.0 - 1.0 / len(nodes) ** 2
-    initial = tr.report["initial"]["hs"]
-    envelope_sq = initial**2
+    envelope_sq = tr.report["initial"]["hs"] ** 2
     for _ in range(max_steps):
-        if _remainder(tr, "hs") <= stop_tol * initial:
-            break
         current = tr.final_remainder
+        if current.is_zero():
+            break
         scores = hs_scores_squared(current, tree, n)
         try:
             gamma = coherence(current, tree, n, scores)

@@ -4,9 +4,10 @@ Everything downstream (content blocks, greedy extraction, denoising)
 reduces to a handful of primitives on real symmetric matrices:
 eigendecomposition, the PSD check (run by `PsdOperator(matrix)`, the one
 way to make an operator, at a clamp scale each remainder inherits from its
-operator), products with the operator square root, traces and
-Hilbert-Schmidt norms. Both wire formats of R are read here: a dense
-matrix, and a Shannon-band symbol, whose operator is `symbol_operator`.
+operator, and whose zero stops greedy runs), products with the operator
+square root, traces and Hilbert-Schmidt norms. Both wire formats of R are
+read here: a dense matrix, and a Shannon-band symbol, whose operator is
+`symbol_operator`.
 
 The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``);
 repeated runs on identical input produce identical output. Eigenvalues
@@ -54,8 +55,9 @@ class PsdOperator:
     remainder made by `remove`, the scale of the operator it came from: a
     small difference of larger operators carries rounding noise at the scale
     of the operands. The clamp never edits the matrix, whose own spectrum may
-    dip below zero by that noise. Products with sqrt(A) come from the spectrum
-    via `root_rows`; no root is kept. The stored arrays are read-only.
+    dip below zero by that noise; by the same rule the operator `is_zero` once
+    lam_max <= DEFAULT_CLAMP_TOL * ``scale``. Products with sqrt(A) come from the
+    spectrum via `root_rows`; no root is kept. The stored arrays are read-only.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors", "clamp_applied", "scale")
@@ -89,6 +91,14 @@ class PsdOperator:
         d = m.T @ m
         rest = _symmetric(self.matrix - d)
         return d, _stated(rest, *sym_eigen(rest), self.scale)
+
+    def is_zero(self) -> bool:
+        """The clamp's zero: lam_max <= DEFAULT_CLAMP_TOL * scale, where every greedy run stops."""
+        return float(self.eigenvalues[0]) <= DEFAULT_CLAMP_TOL * self.scale
+
+    def at_own_scale(self) -> PsdOperator:
+        """This operator if ``scale`` is its own lam_max, else the clamp run again at that."""
+        return self if self.scale == float(self.eigenvalues[0]) else PsdOperator(self.matrix)
 
     def sqrt_entries(self) -> np.ndarray:
         """Dense PSD square root (V sqrt(lam)) V^T, symmetrized; formed on each call."""

@@ -274,17 +274,8 @@ class TestGreedy:
                      "--report", str(rep)]) == 5
         assert not rep.exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-12", "inf"])
-    def test_bad_stop_tol_exits_5(self, tmp_path, capsys, tol):
-        rep = tmp_path / "g.json"
-        # checked before the (absent) input is read
-        assert main(["greedy", "--in", str(tmp_path / "absent.json"), "--depth", "1",
-                     f"--stop-tol={tol}", "--report", str(rep)]) == 5
-        assert "--stop-tol" in capsys.readouterr().err
-        assert not rep.exists()
-
-    def test_default_stop_tol_runs_on_a_remainder_of_1e_9_trace(self, tmp_path):
-        # after step 1 the remainder trace is 1e-9 tr(R), far above the default stop rule
+    def test_a_run_goes_on_at_a_remainder_of_1e_9_lam_max(self, tmp_path):
+        # after step 1 the remainder's lam_max is 1e-9 of the run's scale, above the clamp's zero
         path, rep = tmp_path / "sym.json", tmp_path / "g.json"
         path.write_text(json.dumps({"levels": 1, "r": [1.0, 1e-9]}))
         assert main(["greedy", "--symbol", str(path), "--steps", "5", "--report", str(rep)]) == 0
@@ -907,7 +898,7 @@ def test_every_option_is_named_in_the_readme():
     sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for sp in sub.choices.values() for a in sp._actions for opt in a.option_strings}
     options -= {"-h", "--help"}
-    assert "--seed" in options and "--stop-tol" in options
+    assert "--seed" in options
     missing = [o for o in sorted(options) if not re.search(rf"(?<![\w-]){o}(?![\w-])", readme)]
     assert missing == []
 

@@ -508,11 +508,13 @@ def test_no_module_readme_or_test_names_a_removed_wrapper():
     # a matrix is its array, a symbol its values, and the cylinder and tree checks are dicts;
     # a patch set is made as a PatchSet, gathered by its bands, and a config holds its stride;
     # an error is one of the classes `cli.EXIT_CODES` maps, told apart by its message;
-    # an operator is made from its matrix by PsdOperator alone
+    # an operator is made from its matrix by PsdOperator alone; a greedy run stops at the
+    # clamp's zero
     gone = ("SymMatrix", "ShannonSymbol", "CylinderWeights", "TreeValidationReport",
             "extract_patches", "effective_stride", "InvalidDepthError", "InvalidFilterError",
             "UnknownNodeError", "DimensionMismatchError", "AbsoluteContinuityViolation",
-            "UndefinedCoherenceError", "make_psd")
+            "UndefinedCoherenceError", "make_psd", "stop_tol", "DEFAULT_STOP_TOL", "stop-tol",
+            "_remainder")
     root = Path(__file__).resolve().parents[1]
     own = inspect.getsource(test_no_module_readme_or_test_names_a_removed_wrapper)
     package = Path(w.__file__).resolve().parent

@@ -594,25 +594,43 @@ def test_one_eigensolver_per_step_and_no_square_root(rng, monkeypatch, mode):
 
 
 @pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
-def test_a_run_from_a_remainder_keeps_the_scale_its_matrix_was_checked_at(extract):
-    # diag(0, 1e-3, -5e-13, 2e-4) was checked at scale 1; at its own lam_max the tail is too
-    # deep, so a run that rescaled to its input would stop at step 1
-    _, rest = w.PsdOperator(np.diag([1.0, 1e-3, -5e-13, 2e-4])).remove(np.eye(4)[:1])
-    with pytest.raises(w.NotPositiveError):
-        w.PsdOperator(rest.matrix)
-    run = extract(rest, w.build_shannon_tree(2, 1), 1, max_steps=2)
-    assert len(run.steps) == 2 and run.final_remainder.scale == rest.scale == 1.0
+@pytest.mark.parametrize("tail, steps", [(-5e-11, None), (-5e-13, None), (-5e-15, 2)])
+def test_a_run_from_a_remainder_is_checked_at_its_own_lam_max(extract, tail, steps):
+    # diag(0, 1e-3, tail, 2e-4) was checked at scale 1; a run checks it at its own lam_max,
+    # 1e-3, where a tail below -1e-13 is too deep, before step 1
+    _, rest = w.PsdOperator(np.diag([1.0, 1e-3, tail, 2e-4])).remove(np.eye(4)[:1])
+    assert rest.scale == 1.0
+    tree = w.build_shannon_tree(2, 1)
+    if steps is None:
+        with pytest.raises(w.NotPositiveError), mock.patch.object(
+            w.PsdOperator, "remove", side_effect=AssertionError("a step ran")
+        ):
+            extract(rest, tree, 1, max_steps=2)
+    else:
+        run = extract(rest, tree, 1, max_steps=2)
+        assert len(run.steps) == steps and run.final_remainder.scale == 1e-3
 
 
 @pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
-@pytest.mark.parametrize("max_steps, stop_tol", [
-    (10, float("nan")), (10, -1e-12), (10, float("inf")), (-3, 1e-12),
-], ids=["nan-tol", "negative-tol", "inf-tol", "negative-steps"])
-def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract, max_steps, stop_tol):
-    # a NaN tolerance never stops the run, and a negative step count records nothing
+def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract):
+    # a negative step count records nothing
     r = w.PsdOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(w.ConfigError):
-        extract(r, w.build_shannon_tree(2, 1), 1, max_steps, stop_tol=stop_tol)
+        extract(r, w.build_shannon_tree(2, 1), 1, -3)
+
+
+@pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
+@pytest.mark.parametrize("tree", [w.build_shannon_tree(3, 3), w.build_filter_tree_1d("d4", 8, 2)],
+                         ids=["shannon-3", "d4-2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_run_stops_cleanly_at_the_first_remainder_at_the_clamps_zero(extract, tree, seed):
+    # past that zero the remainder is rounding noise, on which the HS rule's gamma leaves [1, N]
+    g = np.random.default_rng(seed).standard_normal((8, 8))
+    r = w.PsdOperator(g @ g.T / 8)
+    run = extract(r, tree, tree.max_depth, max_steps=400)
+    before = w.extract_sequence(r, tree, [s["node"] for s in run.steps[:-1]]).final_remainder
+    ratios = [float(op.eigenvalues[0]) / op.scale for op in (before, run.final_remainder)]
+    assert len(run.steps) < 400 and ratios[0] > 1e-10 >= ratios[1]
 
 
 _SCALE_EXPONENTS = (-60, -40, -20, 0, 20, 40)
@@ -759,24 +777,21 @@ def test_recorded_envelopes_are_the_closed_forms(rng, tree_name):
         assert abs(h["bound_hs"] - want_h) <= 4 * h["k"] * np.spacing(want_h)
 
 
-def test_trace_run_at_five_stop_tols_keeps_running():
-    # after step 1 the remainder trace is eps = 5 * stop_tol * tr(R), above the stop rule
-    stop_tol = 1e-3
-    eps = 5 * stop_tol / (1 - 5 * stop_tol)
+@pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
+@pytest.mark.parametrize("eps, steps", [(5e-10, 2), (5e-11, 1)])
+def test_a_run_stops_at_a_remainder_of_lam_max_1e_10_scale(extract, eps, steps):
+    # after step 1 the remainder is diag(0, eps): five times the clamp's zero, or half of it
     r = w.PsdOperator(np.diag([1.0, eps]))
-    run = w.trace_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
-    assert run.steps[0]["remainder_trace"] == pytest.approx(5 * stop_tol * w.trace(r), rel=1e-12)
-    assert len(run.steps) == 2
+    run = extract(r, w.build_shannon_tree(1, 1), 1, max_steps=5)
+    assert run.steps[0]["remainder_trace"] == pytest.approx(eps, rel=1e-12)
+    assert len(run.steps) == steps
 
 
-def test_hs_run_at_five_stop_tols_keeps_running():
-    # after step 1 the remainder HS norm is eps = 5 * stop_tol * ||R||, above the stop rule
-    stop_tol = 1e-3
-    eps = 5 * stop_tol / np.sqrt(1 - 25 * stop_tol**2)
-    r = w.PsdOperator(np.diag([1.0, eps]))
-    run = w.hs_greedy(r, w.build_shannon_tree(1, 1), 1, max_steps=5, stop_tol=stop_tol)
-    assert run.steps[0]["remainder_hs"] == pytest.approx(5 * stop_tol * w.hs_norm(r), rel=1e-12)
-    assert len(run.steps) == 2
+def test_a_numpy_int_depth_is_reported_as_an_int():
+    r = w.PsdOperator(np.diag([1.0, 2.0, 3.0, 4.0]))
+    report = w.trace_greedy(r, w.build_shannon_tree(2, 1), np.int64(1), 2).report
+    json.dumps(report)
+    assert type(report["depth"]) is int
 
 
 @pytest.mark.parametrize("mode", ["sequence", "trace-greedy", "hs-greedy"])
