@@ -63,13 +63,19 @@ def trace_scores(a, tree: PacketTree, n: int) -> np.ndarray:
 def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     """Squared HS norms of the content blocks, via ||C_w(A)||^2 = ||B A B^T||_F^2.
 
-    B A B^T is the node's diagonal s x s block of W_n A W_n^T. A 1-D ``a`` is diag(A).
+    B A B^T is the node's diagonal s x s block of W_n A W_n^T. A 1-D ``a`` is diag(A),
+    whose blocks on an identity depth are its segments, so it is read in O(d) there.
     """
     a, nn = as_entries(a), len(tree.nodes_at(n))
-    a = np.diag(a) if a.ndim == 1 else a
+    if tree.is_identity(n):
+        if a.ndim == 1:
+            return _segment_sums(a * a, nn)
+        coords = a
+    else:
+        w = tree.transform(n)
+        coords = ((w * a) if a.ndim == 1 else (w @ a)) @ w.T
     s = tree.ambient_dim // nn
     idx = np.arange(nn)
-    coords = a if tree.is_identity(n) else tree.transform(n) @ a @ tree.transform(n).T
     blocks = coords.reshape(nn, s, nn, s)[idx, :, idx, :]
     return np.sum(blocks * blocks, axis=(1, 2))
 
@@ -113,7 +119,7 @@ def cylinder_weights(r, tree: PacketTree) -> dict:
     a = r.matrix if isinstance(r, PsdOperator) else shannon_symbol(r)
     _check_dims(len(a), tree)
     masses = [np.maximum(trace_scores(a, tree, n), 0.0) for n in range(tree.max_depth + 1)]
-    total = float(np.sum(a)) if a.ndim == 1 else trace(a)
+    total = trace(a)
     budget = 1e-9 * abs(total)
     if abs(masses[0][0] - total) > budget:
         raise NumericalBreakdownError(None, f"root mass {masses[0][0]:.6e} != trace {total:.6e}")

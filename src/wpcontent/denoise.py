@@ -62,39 +62,9 @@ def _anchor_runs(extent: int, m: int, stride: int) -> list[range]:
     return [run] if run[-1] == extent - m else [run, range(extent - m, extent - m + 1)]
 
 
-def _cut(runs: list[range], lo: int, hi: int) -> list[range]:
-    """The anchors with index in [lo, hi) of the concatenated runs, as runs."""
-    out = []
-    for r in runs:
-        part = r[max(lo, 0) : max(hi, 0)]
-        if part:
-            out.append(part)
-        lo, hi = lo - len(r), hi - len(r)
-    return out
-
-
-def _placed(runs: list[range]) -> list[tuple[slice, range]]:
-    """Each run with the slice of grid positions its anchors take, in order."""
-    out, i = [], 0
-    for r in runs:
-        out.append((slice(i, i + len(r)), r))
-        i += len(r)
-    return out
-
-
 def _shift(r: range, d: int) -> slice:
     """Basic slice of the pixels at offset d from the anchors of run r."""
     return slice(r.start + d, r.stop + d, r.step)
-
-
-def _gather(windows: np.ndarray, rows: list[range], cols: list[range]) -> np.ndarray:
-    """Flattened patches of a sliding-window view on the anchor grid of the runs, row-major."""
-    m = windows.shape[-1]
-    out = np.empty((sum(map(len, rows)), sum(map(len, cols)), m, m))
-    for pi, r in _placed(rows):
-        for pj, c in _placed(cols):
-            out[pi, pj] = windows[_shift(r, 0), _shift(c, 0)]
-    return out.reshape(-1, m * m)
 
 
 @dataclass(frozen=True)
@@ -102,8 +72,9 @@ class PatchSet:
     """The m x m patches of an image at the anchors of `_anchor_runs`, row-major by anchor.
 
     They cover the image if stride <= m. `bands`, the one way they are gathered, yields
-    them BAND_ROWS anchor rows at a time; `rhat` = (sum of the bands' Y_b^T Y_b) / M is
-    cached, and its sum of squares must neither overflow nor underflow, as a matrix input's.
+    them at most BAND_ROWS anchor rows of one row run at a time, so a flush-edge anchor row
+    is a band of its own; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached, and its
+    sum of squares must neither overflow nor underflow, as a matrix input's.
     """
 
     image: np.ndarray
@@ -128,12 +99,15 @@ class PatchSet:
         return math.prod(sum(map(len, r)) for r in self.runs)
 
     def bands(self):
-        """(row runs, patches) of each band of BAND_ROWS anchor rows, in order."""
-        rows, cols = self.runs
-        windows = sliding_window_view(self.image, (self.patch_side,) * 2)
-        for i in range(0, sum(map(len, rows)), BAND_ROWS):
-            band = _cut(rows, i, i + BAND_ROWS)
-            yield band, _gather(windows, band, cols)
+        """(anchor rows, patches) of each band, in order: a slice of at most BAND_ROWS rows
+        of one row run, its patches one basic-slice copy of the window view per column run."""
+        m, (rows, cols) = self.patch_side, self.runs
+        windows = sliding_window_view(self.image, (m, m))
+        for r in rows:
+            for i in range(0, len(r), BAND_ROWS):
+                band = r[i : i + BAND_ROWS]
+                y = np.concatenate([windows[_shift(band, 0), _shift(c, 0)] for c in cols], axis=1)
+                yield band, y.reshape(-1, m * m)
 
     @cached_property
     def rhat(self) -> np.ndarray:
@@ -204,10 +178,11 @@ def denoise_image(
     ranks blocks by the HS norms of the content blocks of the same R_hat.
     Each band is projected offset-major, B^T (Y_b B^T)^T, so each patch
     offset (di, dj) owns one contiguous slab, added into the image through
-    basic strided slices (per axis one stride run plus at most one flush
-    anchor: at most 2 x 2 slice adds). Offsets run from m - 1 down to 0, so
-    each pixel sums its patches in row-major anchor order. A ``clean``
-    image of another size is refused before any patch is read.
+    basic strided slices: a band's rows are one run, and the columns one
+    stride run plus at most one flush anchor, so at most 2 slice adds.
+    Offsets run from m - 1 down to 0, so each pixel sums its patches in
+    row-major anchor order. A ``clean`` image of another size is refused
+    before any patch is read.
     """
     img, clean = _raster(img), None if clean is None else _raster(clean)
     mse_noisy = None if clean is None else _psnr_mse(img, clean)
@@ -221,17 +196,17 @@ def denoise_image(
     basis = np.vstack([tree.basis(nodes[i]) for i in chosen])  # orthonormal rows of their span
 
     col_runs = patches.runs[1]
-    n_cols = sum(map(len, col_runs))
+    at = np.cumsum([0, *map(len, col_runs)])
+    cols = [(slice(a, b), c) for a, b, c in zip(at, at[1:], col_runs)]
     acc = np.zeros(img.shape)
     for rb, y in patches.bands():
         # offset-major: q[di, dj] holds pixel (di, dj) of every patch of the band
-        q = (basis.T @ (y @ basis.T).T).reshape(m, m, -1, n_cols)
-        blocks = [(pi, pj, r, c) for pi, r in _placed(rb) for pj, c in _placed(col_runs)]
+        q = (basis.T @ (y @ basis.T).T).reshape(m, m, len(rb), at[-1])
         # offsets descending, so each pixel adds its patches in row-major anchor order
         for di in range(m - 1, -1, -1):
             for dj in range(m - 1, -1, -1):
-                for pi, pj, r, c in blocks:
-                    acc[_shift(r, di), _shift(c, dj)] += q[di, dj, pi, pj]
+                for pj, c in cols:
+                    acc[_shift(rb, di), _shift(c, dj)] += q[di, dj, :, pj]
     cnt = np.outer(*(np.bincount((np.hstack(runs)[:, None] + np.arange(m)).ravel())
                      for runs in patches.runs))
     out = _raster(acc / cnt)

@@ -88,8 +88,8 @@ class PsdOperator:
     def remove(self, rows) -> tuple[np.ndarray, PsdOperator]:
         """(D, A - D) for the block D = sqrt(A) rows^T rows sqrt(A), A - D checked at A's scale."""
         m = self.root_rows(rows)
-        d = m.T @ m
-        rest = _symmetric(self.matrix - d)
+        d = m.T @ m  # exactly symmetric, as A is: numpy forms M^T M by its rank-k routine
+        rest = self.matrix - d
         return d, _stated(rest, *sym_eigen(rest), self.scale)
 
     def is_zero(self) -> bool:
@@ -97,8 +97,10 @@ class PsdOperator:
         return float(self.eigenvalues[0]) <= DEFAULT_CLAMP_TOL * self.scale
 
     def at_own_scale(self) -> PsdOperator:
-        """This operator if ``scale`` is its own lam_max, else the clamp run again at that."""
-        return self if self.scale == float(self.eigenvalues[0]) else PsdOperator(self.matrix)
+        """This operator if it `is_zero` or ``scale`` is its lam_max, else the clamp run at that."""
+        if self.is_zero() or self.scale == float(self.eigenvalues[0]):
+            return self
+        return PsdOperator(self.matrix)
 
     def sqrt_entries(self) -> np.ndarray:
         """Dense PSD square root (V sqrt(lam)) V^T, symmetrized; formed on each call."""
@@ -146,16 +148,19 @@ def _stated(matrix, lam, vecs, scale: float) -> PsdOperator:
 
 
 def check_clamp(lam_max: float, lam_min: float) -> bool:
-    """The clamp rule of `PsdOperator` on the extreme eigenvalues; True if lam_min < 0."""
+    """The clamp rule of `PsdOperator` on the extreme eigenvalues; True if lam_min < 0.
+
+    A NaN in either fails the rule, so a spectrum that is not finite raises too."""
     thresh = DEFAULT_CLAMP_TOL * max(lam_max, 0.0)
-    if lam_min < -thresh:
+    if not lam_min >= -thresh:
         raise NotPositiveError(lam_min, thresh)
     return lam_min < 0.0
 
 
 def trace(a) -> float:
-    """Sum of diagonal entries."""
-    return float(np.trace(as_entries(a)))
+    """Sum of diagonal entries; of a symbol's values, diag(A), their sum."""
+    e = as_entries(a)
+    return float(np.sum(e) if e.ndim == 1 else np.trace(e))
 
 
 def hs_norm(a) -> float:

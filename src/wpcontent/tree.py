@@ -37,7 +37,6 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError
-from .psdcore import _symmetric
 
 
 # Lowpass taps h of the two shipped filters: Haar, and Daubechies' four-tap D4
@@ -222,9 +221,12 @@ def build_filter_tree_2d(name: str, patch_side: int, depth: int) -> PacketTree:
 
 
 def projection(tree: PacketTree, word: str) -> np.ndarray:
-    """P_w = B^T B for the node's orthonormal rows B: a read-only, exactly symmetric d x d array."""
+    """P_w = B^T B for the node's orthonormal rows B: a read-only d x d array, exactly
+    symmetric as numpy forms it (by its rank-k routine)."""
     b = tree.basis(word)
-    return _symmetric(b.T @ b)
+    p = b.T @ b
+    p.setflags(write=False)
+    return p
 
 
 def _gram_defect(x: np.ndarray) -> np.ndarray:

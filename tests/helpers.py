@@ -237,7 +237,7 @@ def loop_denoise(img, cfg, band_rows=None):
     node order on ties, and every projected patch is added into the image
     one at a time in row-major anchor order. The projection (Y B^T) B is one
     product over all patches, or, with ``band_rows``, one product per group
-    of that many anchor rows.
+    of that many anchor rows of the stride grid, and one for a flush anchor row.
     """
     m, n = cfg.patch_side, cfg.depth
     tree = w.build_filter_tree_2d(cfg.filter_name, m, n)
@@ -252,8 +252,15 @@ def loop_denoise(img, cfg, band_rows=None):
     nodes = tree.nodes_at(n)
     idx = sorted(np.argsort(-rank, kind="stable")[: cfg.top_k])
     basis = np.vstack([tree.basis(nodes[i]) for i in idx])
-    step = y.shape[0] if band_rows is None else band_rows * len(loop_anchors(img.shape[1], m, ps.stride))
-    denoised = np.vstack([(y[i : i + step] @ basis.T) @ basis for i in range(0, y.shape[0], step)])
+    rows = loop_anchors(img.shape[0], m, ps.stride)
+    if band_rows is None:
+        sizes = [len(rows)]
+    else:
+        grid = [r for r in rows if r % ps.stride == 0]  # a flush anchor is off the grid
+        sizes = [len(grid[i : i + band_rows]) for i in range(0, len(grid), band_rows)]
+        sizes += [1] * (len(rows) - len(grid))
+    ends = np.cumsum([0, *sizes]) * len(loop_anchors(img.shape[1], m, ps.stride))
+    denoised = np.vstack([(y[a:b] @ basis.T) @ basis for a, b in zip(ends, ends[1:])])
     acc = np.zeros(img.shape)
     cnt = np.zeros(img.shape)
     for (r, c), patch in zip(ps.positions, denoised):

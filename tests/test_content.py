@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,35 @@ class TestCylinderMasses:
         else:
             root = masses(w.cylinder_weights(r, tree))[tree.root]
             assert root == pytest.approx(w.trace(r) * (1.0 + moved), rel=1e-12)
+
+
+class TestSymbolReaders:
+    """`trace` and `hs_scores_squared` read a symbol's values in O(d), with no d x d array."""
+
+    @pytest.mark.parametrize("levels", range(1, 9))
+    def test_values_match_the_dense_route(self, rng, levels):
+        sym = w.shannon_symbol(symbol_values(rng, levels))
+        op = w.symbol_operator(sym)
+        tree = w.build_shannon_tree(levels, levels)
+        hs_sq = w.hs_norm(op) ** 2
+        assert abs(w.trace(sym) - w.trace(op)) <= 1e-12 * w.trace(op)
+        for n in range(levels + 1):
+            got = w.content.hs_scores_squared(sym, tree, n)
+            assert np.max(np.abs(got - w.content.hs_scores_squared(op, tree, n))) <= 1e-12 * hs_sq
+
+    def test_a_levels_16_coherence_runs_in_memory_linear_in_dim(self, rng):
+        # one d x d array is 34 GB at levels 16; the values are 0.5 MB
+        d = 2**16
+        sym = w.shannon_symbol(rng.uniform(0.0, 1.0, d))
+        tree = w.build_shannon_tree(16, 4)
+        tracemalloc.start()
+        try:
+            gamma = w.coherence(sym, tree, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(gamma - 1.0) <= 1e-12  # a diagonal operator is block-diagonal on Shannon
+        assert peak < 8 * d * 8
 
 
 class TestVectorWeights:

@@ -409,14 +409,14 @@ class TestDenoisePipeline:
         # 45 anchor rows at stride 1: two full bands of 16 rows and a last one of 13
         img = w.add_gaussian_noise(piecewise_smooth_image(48), 0.1, 4)
         rows = []
-        real = w.denoise._gather
+        real = w.PatchSet.bands
 
-        def gather(*args):
-            out = real(*args)
-            rows.append(out.shape[0])
-            return out
+        def bands(self):
+            for band, y in real(self):
+                rows.append(y.shape[0])
+                yield band, y
 
-        monkeypatch.setattr(w.denoise, "_gather", gather)
+        monkeypatch.setattr(w.PatchSet, "bands", bands)
         band = w.denoise.BAND_ROWS * 45
         tree = w.build_filter_tree_2d("haar", 4, 1)
         w.denoise_image(img, w.DenoiseConfig(4, 1, 2, 1))

@@ -106,15 +106,20 @@ class TestCoherence:
     @pytest.mark.parametrize("levels", [3, 4, 6])
     @pytest.mark.parametrize("name", ["shannon", "haar", "d4"])
     def test_symbol_values_match_the_symbol_operator(self, rng, name, levels):
-        # a symbol's values are diag(A): scores and gamma are the diagonal operator's, bit for bit
+        # a symbol's values are diag(A): scores and gamma are the diagonal operator's, bit for
+        # bit off identity depths; on one they are segment sums of squares, equal to rounding
         sym = w.shannon_symbol(rng.uniform(0.1, 1.0, 2**levels))
         tree = (w.build_shannon_tree(levels, levels) if name == "shannon"
                 else w.build_filter_tree_1d(name, 2**levels, levels))
         op = w.symbol_operator(sym)
         for n in range(tree.max_depth + 1):
-            assert np.array_equal(w.content.hs_scores_squared(sym, tree, n),
-                                  w.content.hs_scores_squared(op, tree, n)), n
-            assert w.coherence(sym, tree, n) == w.coherence(op, tree, n), n
+            got, want = (w.content.hs_scores_squared(a, tree, n) for a in (sym, op))
+            gamma, dense = w.coherence(sym, tree, n), w.coherence(op, tree, n)
+            if tree.is_identity(n):
+                assert np.max(np.abs(got - want)) <= 1e-12 * w.hs_norm(op) ** 2, n
+                assert abs(gamma - dense) <= 1e-12 * dense, n
+            else:
+                assert np.array_equal(got, want) and gamma == dense, n
 
     @pytest.mark.parametrize("mass, defined", [(1e-20, True), (0.5e-28, False)],
                              ids=["1e-20-defined", "0.5e-28-undefined"])
@@ -631,6 +636,22 @@ def test_a_run_stops_cleanly_at_the_first_remainder_at_the_clamps_zero(extract, 
     before = w.extract_sequence(r, tree, [s["node"] for s in run.steps[:-1]]).final_remainder
     ratios = [float(op.eigenvalues[0]) / op.scale for op in (before, run.final_remainder)]
     assert len(run.steps) < 400 and ratios[0] > 1e-10 >= ratios[1]
+
+
+@pytest.mark.parametrize("tree", [w.build_shannon_tree(3, 3), w.build_filter_tree_1d("d4", 8, 2)],
+                         ids=["shannon-3", "d4-2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_run_goes_on_from_its_own_final_remainder_with_no_step(tree, seed):
+    # the final remainder is zero at its run's scale; rechecked at its own lam_max, its
+    # subtraction noise would fail the clamp, so a zero operator is taken as it is
+    g = np.random.default_rng(seed).standard_normal((8, 8))
+    r = w.PsdOperator(g @ g.T / 8)
+    for extract in (w.trace_greedy, w.hs_greedy):
+        rest = extract(r, tree, tree.max_depth, max_steps=400).final_remainder
+        assert rest.is_zero() and rest.at_own_scale() is rest
+        for again in (w.trace_greedy, w.hs_greedy):
+            run = again(rest, tree, tree.max_depth, max_steps=10)
+            assert run.steps == () and run.final_remainder is rest
 
 
 _SCALE_EXPONENTS = (-60, -40, -20, 0, 20, 40)

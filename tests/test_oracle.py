@@ -5,6 +5,8 @@ may differ from the per-node products only in the last bits, so every
 comparison allows 1e-12 * (1 + ||A||).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,9 +105,9 @@ def test_shannon_bases_share_one_array():
 
 
 # (height, width, patch side, depth, stride): non-square sides that are not
-# multiples of the stride (flush-edge anchors), fewer anchor rows than one
-# band, an exact multiple of the band, a partial last band, and a last band
-# that is the flush row alone (16 stride rows, then the flush row).
+# multiples of the stride (flush-edge anchors, whose row is a band of its
+# own), fewer anchor rows than one band, an exact multiple of the band, a
+# partial last band, and 16 stride rows, one full band, then the flush row.
 DENOISE_CASES = [
     (37, 53, 4, 1, 1),
     (37, 53, 4, 1, 2),
@@ -160,18 +162,21 @@ def anchor_grids(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(anchor_grids())
-def test_anchor_runs_reproduce_anchors(grid):
-    extent, m, stride, band = grid
-    anchors = np.array(loop_anchors(extent, m, stride))
+def test_bands_are_slices_of_one_anchor_run(grid):
+    extent, m, stride, band_rows = grid
+    anchors = loop_anchors(extent, m, stride)
+    assert anchors == np.unique([*range(0, extent - m + 1, stride), extent - m]).tolist()
     runs = w.denoise._anchor_runs(extent, m, stride)
-    offsets = np.arange(extent)
-
-    def run_anchors(rs):
-        return [int(a) for r in rs for a in offsets[w.denoise._shift(r, 0)]]
-
-    assert run_anchors(runs) == anchors.tolist()
-    cuts = [w.denoise._cut(runs, i, i + band) for i in range(0, len(anchors), band)]
-    assert [run_anchors(c) for c in cuts] == [
-        anchors[i : i + band].tolist() for i in range(0, len(anchors), band)
+    assert [a for r in runs for a in r] == anchors
+    img = np.arange(extent * m, dtype=float).reshape(extent, m)  # one anchor column
+    with mock.patch.object(w.denoise, "BAND_ROWS", band_rows):
+        bands = list(w.PatchSet(img, m, stride).bands())
+    # in anchor order, each band within one run and at most BAND_ROWS anchor rows long
+    assert [a for band, _ in bands for a in band] == anchors
+    for band, y in bands:
+        assert 1 <= len(band) <= band_rows and any(set(band) <= set(r) for r in runs)
+        assert np.array_equal(y, [img[a : a + m].ravel() for a in band])
+    # a run is cut from its start, so only its last band is short
+    assert [len(band) for band, _ in bands] == [
+        len(r[i : i + band_rows]) for r in runs for i in range(0, len(r), band_rows)
     ]
-    assert np.array_equal(anchors, np.unique(np.append(np.arange(0, extent - m + 1, stride), extent - m)))

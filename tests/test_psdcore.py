@@ -168,10 +168,28 @@ class TestPsdOperator:
             real = getattr(w.psdcore, name)
             monkeypatch.setattr(w.psdcore, name,
                                 lambda a, name=name, real=real: calls.append(name) or real(a))
+        # the input is symmetrized once; a remainder A - M^T M is used as computed
         r = random_gram(rng, 8)
         tr = w.trace_greedy(r, w.build_filter_tree_1d("haar", 8, 2), 2, 5)
         assert len(tr.steps) == 5
-        assert calls == ["_symmetric", "sym_eigen"] * (1 + len(tr.steps))
+        assert calls == ["_symmetric", "sym_eigen"] + ["sym_eigen"] * len(tr.steps)
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["lam-max", "lam-min"])
+    def test_a_nan_extreme_eigenvalue_fails_the_clamp(self, rng, monkeypatch, where):
+        real = w.psdcore.sym_eigen
+
+        def nan_spectrum(m):
+            lam, vecs = real(m)
+            lam = lam.copy()
+            lam[where] = np.nan
+            return lam, vecs
+
+        r = random_gram(rng, 8)
+        monkeypatch.setattr(w.psdcore, "sym_eigen", nan_spectrum)
+        with pytest.raises(w.NotPositiveError):
+            w.PsdOperator(np.eye(3))
+        with pytest.raises(w.NumericalBreakdownError, match="step 1: remainder left the PSD"):
+            w.trace_greedy(r, w.build_filter_tree_1d("haar", 8, 2), 2, 1)
 
     def test_a_remainder_is_checked_at_the_scale_of_its_operator(self):
         # A - D = diag(0, 1e-3, -5e-11): at its own lam_max the tail is too deep, at A's not
@@ -213,14 +231,33 @@ def test_only_remove_and_symbol_operator_state_a_spectrum():
     assert found == allowed
 
 
-def test_tree_takes_only_the_symmetrizer_from_psdcore():
+def test_tree_imports_nothing_from_psdcore():
     # psdcore reads both wire formats and makes every operator; a tree forms projections only
     source = (Path(w.__file__).resolve().parent / "tree.py").read_text(encoding="utf-8")
     imported = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module in ("psdcore", None):
             imported |= {a.name if node.module else f"module {a.name}" for a in node.names}
-    assert imported == {"_symmetric"}
+    assert imported == set()
+
+
+def test_a_gram_product_of_one_buffer_is_exactly_symmetric(rng):
+    # remove keeps A - M^T M and projection B^T B as computed: numpy's product of one
+    # buffer with its own transpose must come out exactly symmetric, or both would drift
+    for d in (1, 2, 3, 7, 16, 33, 64, 130, 256):
+        m = rng.standard_normal((max(1, d // 3), d))
+        g = m.T @ m
+        assert np.array_equal(g, g.T), d
+    trees = [w.build_shannon_tree(4, 4), w.build_filter_tree_1d("haar", 16, 4),
+             w.build_filter_tree_1d("d4", 32, 3), w.build_filter_tree_2d("haar", 8, 3),
+             w.build_filter_tree_2d("d4", 8, 2)]
+    for tree in trees:
+        op = random_gram(rng, tree.ambient_dim)
+        for node in tree.all_nodes():
+            p = w.projection(tree, node)
+            assert np.array_equal(p, p.T) and not p.flags.writeable, (tree.realization, node)
+            block, rest = op.remove(tree.basis(node))
+            assert np.array_equal(block, block.T) and np.array_equal(rest.matrix, rest.matrix.T)
 
 
 def _root(entries):
