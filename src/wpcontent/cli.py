@@ -220,7 +220,7 @@ def cmd_greedy(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for step in record.steps:
-                writer.writerow(["" if step[c] is None else step[c] for c in columns])
+                writer.writerow([step[c] for c in columns])
     return EXIT_OK
 
 

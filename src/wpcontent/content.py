@@ -93,10 +93,7 @@ def depth_decomposition(
     """Depth-n content blocks in node order and their max |sum - R|, checked within 1e-8 ||R||."""
     _check_dims(r.dim, tree)
     blocks = tuple(content_operator(r, tree, nd) for nd in tree.nodes_at(n))
-    total = np.zeros_like(r.matrix)
-    for blk in blocks:
-        total = total + blk.matrix
-    err = float(np.max(np.abs(total - r.matrix)))
+    err = float(np.max(np.abs(sum(blk.matrix for blk in blocks) - r.matrix)))
     if err > 1e-8 * hs_norm(r):
         raise NumericalBreakdownError(
             None, f"depth-{n} blocks fail to reconstruct the source: max error {err:.3e}"

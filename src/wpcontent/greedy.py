@@ -15,11 +15,11 @@ largest Hilbert-Schmidt norm; its per-step contraction is
 (1 - 1/(gamma * N)) in squared HS norm, where gamma in [1, N] is the
 depth-n coherence (1 exactly when the remainder is block-diagonal, in
 which case the factor improves to 1 - 1/N). Both certified envelopes
-are recorded per step. A step is its report row, a dict with the keys
-ROW_FIELDS. One checker, `_violation`, holds every certified
-inequality: each step passes it before it is recorded, and
-`decay_report` re-runs it on the run's report alone, which is what
-`json.load` returns for a saved `wpc greedy` report.
+are recorded per step, bound to their closed forms. A step is its
+report row, a dict with the keys ROW_FIELDS. One checker, `_violation`,
+holds every certified inequality: each step passes it before it is
+recorded, and `decay_report` re-runs it on the run's report alone, which
+is what `json.load` returns for a saved `wpc greedy` report.
 """
 
 from __future__ import annotations
@@ -112,7 +112,9 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
     the PSD block and remainder; each greedy rule adds its own. The HS
     rule's block is at least the mean of the N blocks, whose squared norms
     sum to ||A||^2 / gamma; with Pythagoras that implies the coherence
-    contraction, which is checked first. The slack is 1e-9 times the
+    contraction, which is checked first. A recorded envelope is held to
+    its closed form, (1 - 1/N)^k tr R or (1 - 1/N^2)^k ||R||^2 squared,
+    before the remainder is held to it. The slack is 1e-9 times the
     initial tr(R) for trace checks and ||R||^2 for HS checks, with no
     absolute floor, so a run on cR accepts exactly the steps of a run on
     R; the dimensionless gamma keeps an absolute 1e-9. Each check is
@@ -142,6 +144,9 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
         ratio = 1.0 - 1.0 / nn
         if not rem <= ratio * prev_trace + trace_slack:
             return f"one-step trace contraction failed: {rem:.6e} > {ratio:.6f} * {prev_trace:.6e}"
+        closed = ratio ** row["k"] * initial["trace"]
+        if _off_closed_form(bound, closed, trace_slack):
+            return f"bound_trace {bound:.6e} is not (1 - 1/N)^k tr R = {closed:.6e}"
         if not rem <= bound + trace_slack:
             return f"trace envelope failed: {rem:.6e} > {bound:.6e}"
     elif run["mode"] == "hs-greedy":
@@ -152,12 +157,21 @@ def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
         if not rem_sq <= step_ratio * prev_sq + hs_slack:
             return f"coherence contraction failed: {rem_sq:.6e} > {step_ratio:.9f} * {prev_sq:.6e}"
         envelope_sq = row["bound_hs"] ** 2
+        closed_sq = (1.0 - 1.0 / nn**2) ** row["k"] * initial["hs"] ** 2
+        if not row["bound_hs"] >= 0.0 or _off_closed_form(envelope_sq, closed_sq, hs_slack):
+            closed = float(np.sqrt(closed_sq))
+            return f"bound_hs {row['bound_hs']:.6e} is not (1 - 1/N^2)^(k/2) ||R|| = {closed:.6e}"
         if not rem_sq <= envelope_sq + hs_slack:
             return f"uniform HS envelope failed: {rem_sq:.6e} > {envelope_sq:.6e}"
         ext_sq, mean_sq = row["extracted_hs"] ** 2, prev_sq / (gamma * nn)
         if not mean_sq <= ext_sq + hs_slack:
             return f"HS block below the mean block: {ext_sq:.6e} < {mean_sq:.6e}"
     return None
+
+
+def _off_closed_form(envelope: float, closed: float, slack: float) -> bool:
+    """Whether a recorded envelope is more than ``slack`` from its closed form (a NaN is)."""
+    return not abs(envelope - closed) <= slack
 
 
 def _step(tr: ExtractionTrace, tree: PacketTree, node: str, **bounds) -> ExtractionTrace:

@@ -27,7 +27,8 @@ _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 def _symmetric(entries) -> np.ndarray:
-    """(a + a^T) / 2 as a new read-only array: ``a`` square and non-empty, the result finite."""
+    """(a + a^T) / 2 as a new read-only array: ``a`` square and non-empty, the result finite
+    with a finite sum of squares (the underflow half of `check_square_sum` is the wire's)."""
     a = np.asarray(entries, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MalformedInputError(f"expected a square matrix, got shape {a.shape}")
@@ -38,6 +39,7 @@ def _symmetric(entries) -> np.ndarray:
         m *= 0.5
     if not np.all(np.isfinite(m)):
         raise MalformedInputError("matrix entries must be finite, also after symmetrizing")
+    _square_sum(m, "matrix entries")
     m.setflags(write=False)
     return m
 
@@ -103,8 +105,8 @@ class PsdOperator:
         return PsdOperator(self.matrix)
 
     def sqrt_entries(self) -> np.ndarray:
-        """Dense PSD square root (V sqrt(lam)) V^T, symmetrized; formed on each call."""
-        s = (self.eigenvectors * np.sqrt(self.eigenvalues)) @ self.eigenvectors.T
+        """Dense PSD square root, `root_rows` of the identity, symmetrized; formed on each call."""
+        s = self.root_rows(np.eye(self.dim))
         return 0.5 * (s + s.T)
 
     def __repr__(self):
@@ -189,16 +191,21 @@ def as_reals(values, what: str) -> np.ndarray:
         raise MalformedInputError(f"{what}: {exc}") from exc
 
 
-def check_square_sum(values: np.ndarray, what: str) -> None:
-    """Reject values whose sum of squares overflows, or underflows while some value is nonzero.
-
-    Every HS norm and trace of a run is then finite, and a normal double unless zero."""
+def _square_sum(values: np.ndarray, what: str) -> float:
+    """The sum of squares of ``values``; MalformedInputError naming ``what`` if it overflows."""
     flat = values.ravel()
     with np.errstate(over="ignore"):
         total = float(flat @ flat)
     if not math.isfinite(total):
         raise MalformedInputError(f"{what}: the sum of squares overflows")
-    if total < np.finfo(np.float64).tiny and np.any(flat):
+    return total
+
+
+def check_square_sum(values: np.ndarray, what: str) -> None:
+    """Reject values whose sum of squares overflows, or underflows while some value is nonzero.
+
+    Every HS norm and trace of a run is then finite, and a normal double unless zero."""
+    if _square_sum(values, what) < np.finfo(np.float64).tiny and np.any(values):
         raise MalformedInputError(f"{what}: the sum of squares underflows")
 
 

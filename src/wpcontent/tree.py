@@ -109,11 +109,6 @@ class PacketTree:
         """Whether W_n was marked as I when the tree was built (every Shannon depth, depth 0)."""
         return self._transforms[n] is None
 
-    def row_nodes(self, n: int) -> np.ndarray:
-        """Depth-n node index of each row of W_n."""
-        nn = len(self.nodes_at(n))
-        return np.repeat(np.arange(nn), self.ambient_dim // nn)
-
     def parents(self, n: int) -> np.ndarray:
         """Depth-(n-1) index of the parent of each depth-n node (-1 for the root)."""
         return self._parents[n]
@@ -244,15 +239,19 @@ def validate_tree(tree: PacketTree) -> dict[str, float]:
     diagonal and off-diagonal node blocks of |W_n W_n^T - I|. The child sum is the part
     of |W_{n+1} W_n^T| outside each child's parent block. No per-node projection is formed.
     """
+    def row_nodes(n: int) -> np.ndarray:  # depth-n node index of each row of W_n
+        nn = len(tree.nodes_at(n))
+        return np.repeat(np.arange(nn), tree.ambient_dim // nn)
+
     partition = child_sum = child_orth = ortho = 0.0
     for n in range(tree.max_depth + 1):
-        w, rows = tree.transform(n), tree.row_nodes(n)
+        w, rows = tree.transform(n), row_nodes(n)
         partition = max(partition, float(_gram_defect(w.T).max()))
         g, same = _gram_defect(w), rows[:, None] == rows
         ortho = max(ortho, float(g[same].max()))
         child_orth = max(child_orth, float(g[~same].max(initial=0.0)))
         if n < tree.max_depth:
-            up = tree.parents(n + 1)[tree.row_nodes(n + 1)]
+            up = tree.parents(n + 1)[row_nodes(n + 1)]
             outside = np.abs(tree.transform(n + 1) @ w.T)[up[:, None] != rows]
             child_sum = max(child_sum, float(outside.max(initial=0.0)))
     return {"partition": partition, "child_sum": child_sum, "child_orthogonality": child_orth,

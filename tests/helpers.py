@@ -60,15 +60,23 @@ def random_gram(rng, dim, scale=1.0):
     return w.PsdOperator(scale * (g.T @ g) / dim)
 
 
+def dense_root(op):
+    """sqrt(A) of an operator from np.linalg.eigh of its matrix, negative eigenvalues read
+    as zero, symmetrized: an oracle that reads none of the operator's stored spectrum."""
+    lam, v = np.linalg.eigh(op.matrix)
+    s = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.T
+    return 0.5 * (s + s.T)
+
+
 def sequence_step(r, tree, seq, k):
     """(D_k, remainder_k) of extract_sequence(r, tree, seq), rebuilt from prefix runs.
 
     remainder_k is the final remainder of the run on seq[:k]; D_k is
     (B S)^T (B S), symmetrized, with B the basis of seq[k-1] and S the
-    square root of remainder_{k-1}.
+    `dense_root` of remainder_{k-1}.
     """
     prev = w.extract_sequence(r, tree, seq[: k - 1]).final_remainder
-    m = tree.basis(seq[k - 1]) @ prev.sqrt_entries()
+    m = tree.basis(seq[k - 1]) @ dense_root(prev)
     d = m.T @ m
     return 0.5 * (d + d.T), w.extract_sequence(r, tree, seq[:k]).final_remainder.matrix
 

@@ -80,6 +80,10 @@ MUTANTS = [
     ("coherence-contraction-2gammaN", "src/wpcontent/greedy.py",
      "1.0 - 1.0 / (gamma * nn)", "1.0 - 1.0 / (2 * gamma * nn)",
      ("test_greedy.py::test_each_inequality_keeps_its_constant_and_slack",)),
+    # a recorded envelope is its closed form
+    ("envelope-unbound", "src/wpcontent/greedy.py",
+     "return not abs(envelope - closed) <= slack", "return False",
+     ("test_greedy.py::test_a_forged_number_in_a_saved_report_is_flagged_at_its_own_step",)),
     # a run stops at the clamp's zero, checks its input at its own lam_max and reports JSON types
     ("zero-rule-dropped", "src/wpcontent/psdcore.py",
      "return float(self.eigenvalues[0]) <= DEFAULT_CLAMP_TOL * self.scale", "return False",
@@ -152,7 +156,7 @@ MUTANTS = [
      "if asym > 1e-10 * float(np.max(np.abs(a))):", "if asym > 1e-4 * float(np.max(np.abs(a))):",
      ("test_cli.py::TestGreedy::test_input_asymmetry_of_1e_8_exits_2",)),
     ("square-sum-underflow-removed", "src/wpcontent/psdcore.py",
-     "if total < np.finfo(np.float64).tiny and np.any(flat):", "if False:",
+     "if _square_sum(values, what) < np.finfo(np.float64).tiny and np.any(values):", "if False:",
      ("test_cli.py::TestDenoise::test_underflowing_patch_second_moment_exits_2",)),
     # command-line input rules
     ("in-symbol-conflict-removed", "src/wpcontent/cli.py",
@@ -248,17 +252,25 @@ MUTANTS = [
     ("report-final-newline-dropped", "src/wpcontent/cli.py",
      'text = _dumps(payload) + "\\n"', "text = _dumps(payload)",
      ("test_cli.py::test_a_report_file_is_indented_json_and_a_final_newline",)),
-    # rules that moved into a constructor: a matrix is symmetrized whatever its flags, a
-    # default stride is half the patch side, and top-K keeps at most the 4^n blocks
+    # rules that moved into a constructor: a matrix is symmetrized whatever its flags and its
+    # sum of squares is finite, a default stride is half the patch side, and top-K keeps at
+    # most the 4^n blocks
     ("matrix-unsymmetrized", "src/wpcontent/psdcore.py",
      "m = _symmetric(matrix)", "m = np.array(matrix, dtype=np.float64)",
      ("test_psdcore.py::TestPsdOperator::"
       "test_a_read_only_matrix_gives_what_a_writable_copy_gives",)),
+    ("constructor-overflow-unchecked", "src/wpcontent/psdcore.py",
+     '\n    _square_sum(m, "matrix entries")\n', "\n",
+     ("test_psdcore.py::TestPsdOperator::test_an_overflowing_sum_of_squares_is_refused",)),
     ("default-stride-quarter", "src/wpcontent/denoise.py", "max(1, m // 2)", "max(1, m // 4)",
      ("test_denoise.py::TestDenoisePipeline::test_default_stride_half_overlap",)),
     ("denoise-topk-unbounded", "src/wpcontent/denoise.py",
      "if self.top_k > 4**self.depth:", "if False:",
      ("test_cli.py::TestDenoise::test_topk_above_the_block_count_exits_5",)),
+    # the dense root is root_rows of the identity, symmetrized
+    ("sqrt-entries-unsymmetrized", "src/wpcontent/psdcore.py",
+     "return 0.5 * (s + s.T)", "return s",
+     ("test_psdcore.py::TestSqrt::test_sqrt_entries_is_root_rows_of_the_identity_symmetrized",)),
     # a denoiser band is a slice of one anchor row run
     ("band-spills-past-its-run", "src/wpcontent/denoise.py",
      "band = r[i : i + BAND_ROWS]", "band = range(r[i], r[i] + BAND_ROWS * r.step, r.step)",

@@ -21,6 +21,7 @@ from helpers import (
     child_env,
     children,
     dense_pinching,
+    dense_root,
     loewner_leq,
     masses,
     matrix_json,
@@ -205,7 +206,7 @@ def test_criterion_6_extraction_never_grows_hs(ensemble):
         nodes = tree.nodes_at(depth)
         node = nodes[int(rng.integers(len(nodes)))]
         b = tree.basis(node)
-        m = b @ a.sqrt_entries()
+        m = b @ dense_root(a)
         d = m.T @ m
         lhs = float(np.sum((a.matrix - d) ** 2))
         rhs = float(np.sum(a.matrix**2)) - float(np.sum(d**2))

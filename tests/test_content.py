@@ -6,8 +6,8 @@ import pytest
 import wpcontent as w
 
 from helpers import (
-    band_positions, children, corrupted_tree_fixture, geometric_symbol, loewner_leq, masses,
-    random_gram,
+    band_positions, children, corrupted_tree_fixture, dense_root, geometric_symbol, loewner_leq,
+    masses, random_gram,
 )
 
 
@@ -452,7 +452,7 @@ def test_content_layer_forms_no_dense_root(rng, monkeypatch, tree):
     d, n = tree.ambient_dim, tree.max_depth
     r = random_gram(rng, d)
     x, y = rng.standard_normal(d), rng.standard_normal(d)
-    s = r.sqrt_entries()
+    s = dense_root(r)
     nodes = tree.nodes_at(n)
     blocks = [(tree.basis(nd) @ s).T @ (tree.basis(nd) @ s) for nd in nodes]
     imgs = s @ np.stack([x + y, x - y, x, y], axis=1)

@@ -12,6 +12,7 @@ import wpcontent as w
 from helpers import (
     block_diagonal_gram,
     dense_pinching,
+    dense_root,
     geometric_symbol,
     loewner_leq,
     random_gram,
@@ -275,7 +276,7 @@ class TestHsGreedy:
             depth = int(rng.integers(1, tree.max_depth + 1))
             nodes = tree.nodes_at(depth)
             node = nodes[int(rng.integers(len(nodes)))]
-            s = a.sqrt_entries()
+            s = dense_root(a)
             b = tree.basis(node)
             m = b @ s
             d = m.T @ m
@@ -498,7 +499,9 @@ _MODES = ("trace-greedy", "hs-greedy", "sequence")
 # for fields of step ``step``'s row, ``prev`` being the row before it; step 0 forges
 # "initial" instead. Each is flagged at its own step (step 1 for "initial"). The trace
 # moves keep the trace identity and every HS relation, and the mean-block forgery keeps
-# Pythagoras and the triangle inequality, so only the relation named can flag them.
+# Pythagoras and the triangle inequality, so only the relation named can flag them. A
+# recorded envelope is bound to its closed form, also where the remainder stays below it,
+# and a negated bound_hs, whose square is the closed form's, is flagged too.
 _FORGERIES = {
     "extracted_trace-0": (5, lambda p, r: {"extracted_trace": 0.0}, "trace identity", _MODES),
     "extracted_trace-x100": (
@@ -517,6 +520,13 @@ _FORGERIES = {
         "remainder HS norm above its trace", _MODES),
     "extracted_hs-below-the-mean-block": (
         5, _below_the_mean_block, "HS block below the mean block", ("hs-greedy",)),
+    "bound_trace-x1e6": (
+        5, lambda p, r: {"bound_trace": 1e6 * r["bound_trace"]}, "bound_trace", ("trace-greedy",)),
+    "bound_trace-x0.5": (
+        5, lambda p, r: {"bound_trace": 0.5 * r["bound_trace"]}, "bound_trace", ("trace-greedy",)),
+    "bound_hs-x1e6": (
+        5, lambda p, r: {"bound_hs": 1e6 * r["bound_hs"]}, "bound_hs", ("hs-greedy",)),
+    "bound_hs-negated": (5, lambda p, r: {"bound_hs": -r["bound_hs"]}, "bound_hs", ("hs-greedy",)),
 }
 
 
@@ -713,72 +723,89 @@ def test_a_step_that_does_not_shrink_is_flagged_at_every_scale(rng, k, extract):
     assert rep["summary"]["first_violation"] == 2
 
 
-def _one_step_record(mode, t, h, **row):
-    """Hand-built report on N = 4 nodes, initial trace ``t`` and HS norm ``h``, one step.
+def _record(mode, t, h, *rows):
+    """Hand-built report on N = 4 nodes, initial trace ``t`` and HS norm ``h``, a step per row.
 
-    The fields ``row`` leaves out keep the relations of every mode with room when
-    t = 4h: the extracted trace is ``t`` less the remainder trace (half of it by
-    default), and the HS norms default to sqrt(0.5) and sqrt(0.4) times ``h``
-    (extracted, remainder).
+    Each step records its rule's closed-form envelope, (3/4)^k t or (15/16)^(k/2) h, and
+    extracts the previous remainder trace less its own. The fields a row leaves out keep
+    the relations of every mode with room at step 1 when t = 4h: the remainder trace is
+    half of t, and the HS norms are sqrt(0.5) and sqrt(0.4) times h (extracted, remainder).
     """
-    fields = dict(k=1, node="00", remainder_trace=0.5 * t,
-                  extracted_hs=np.sqrt(0.5) * h, remainder_hs=np.sqrt(0.4) * h)
-    step = {**dict.fromkeys(w.greedy.ROW_FIELDS), **fields, **row}
-    step["extracted_trace"] = t - step["remainder_trace"]
+    steps, prev_trace = [], t
+    for k, row in enumerate(rows, 1):
+        step = {**dict.fromkeys(w.greedy.ROW_FIELDS), "k": k, "node": "00",
+                "remainder_trace": 0.5 * t, "extracted_hs": np.sqrt(0.5) * h,
+                "remainder_hs": np.sqrt(0.4) * h, **row}
+        step["extracted_trace"] = prev_trace - step["remainder_trace"]
+        if mode == "trace-greedy":
+            step["bound_trace"] = 0.75**k * t
+        elif mode == "hs-greedy":
+            step["bound_hs"] = np.sqrt(0.9375**k) * h
+        steps.append(step)
+        prev_trace = step["remainder_trace"]
     return {"mode": mode, "depth": 2, "N_n": 4, "initial": {"trace": t, "hs": h},
-            "steps": [step]}
+            "steps": steps}
 
 
-# Each record breaks one certified inequality by ``excess`` times the run's
-# scale (t = tr R for trace checks and HS-below-trace, h^2 = ||R||^2 for HS
-# checks); the slack is 1e-9 times that scale. Every other relation holds with
-# room, except Pythagoras in coherence-contraction: Pythagoras and the mean-block
-# bound together imply the contraction, so breaking it leaves Pythagoras tight.
+# Each record breaks one certified inequality at its last step by ``excess`` times the
+# run's scale (t = tr R for trace checks and HS-below-trace, h^2 = ||R||^2 for HS checks);
+# the slack is 1e-9 times that scale. Every other relation holds with room, except
+# Pythagoras in coherence-contraction: Pythagoras and the mean-block bound together imply
+# the contraction, so breaking it leaves Pythagoras tight. An envelope is implied by the
+# one-step contractions up to the slack they accumulate (at k = 1 the trace envelope is
+# the one-step contraction, and gamma <= N makes the coherence contraction at least the
+# HS envelope's), so an envelope record takes two steps, the first spending 0.9 of its
+# slack: step 2 may then exceed the envelope by up to 1.675e-9 (trace) or 1.84e-9 (HS).
 _BROKEN = {
-    "trace-one-step": ("trace-greedy", "one-step trace contraction", lambda t, h, e: dict(
-        remainder_trace=(0.75 + e) * t, bound_trace=t)),
-    "trace-envelope": ("trace-greedy", "trace envelope", lambda t, h, e: dict(
-        remainder_trace=(0.5 + e) * t, bound_trace=0.5 * t)),
+    "trace-one-step": ("trace-greedy", "one-step trace contraction", lambda t, h, e: [dict(
+        remainder_trace=(0.75 + e) * t)]),
+    "trace-envelope": ("trace-greedy", "trace envelope", lambda t, h, e: [
+        dict(remainder_trace=(0.75 + 0.9e-9) * t),
+        dict(remainder_trace=(0.5625 + e) * t, extracted_hs=np.sqrt(0.2) * h,
+             remainder_hs=np.sqrt(0.15) * h)]),
     "extracted-hs-above-trace": ("sequence", "extracted HS norm above its trace",
-                                 lambda t, h, e: dict(remainder_trace=0.9 * t,
-                                                      extracted_hs=(0.1 + e) * t)),
+                                 lambda t, h, e: [dict(remainder_trace=0.9 * t,
+                                                       extracted_hs=(0.1 + e) * t)]),
     "remainder-hs-above-trace": ("sequence", "remainder HS norm above its trace",
-                                 lambda t, h, e: dict(remainder_trace=0.1 * t,
-                                                      remainder_hs=(0.1 + e) * t)),
-    "pythagorean": ("hs-greedy", "pythagorean", lambda t, h, e: dict(
-        remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.5 + e) * h, gamma=1.0, bound_hs=h)),
-    "coherence-contraction": ("hs-greedy", "coherence contraction", lambda t, h, e: dict(
-        remainder_hs=np.sqrt(0.875 + e) * h, extracted_hs=np.sqrt(0.125 - e) * h, gamma=2.0,
-        bound_hs=h)),
-    "hs-envelope": ("hs-greedy", "uniform HS envelope", lambda t, h, e: dict(
-        remainder_hs=np.sqrt(0.5 + e) * h, extracted_hs=np.sqrt(0.3) * h, gamma=1.0,
-        bound_hs=np.sqrt(0.5) * h)),
-    "hs-mean-block": ("hs-greedy", "HS block below the mean block", lambda t, h, e: dict(
-        remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.125 - e) * h, gamma=2.0,
-        bound_hs=h)),
+                                 lambda t, h, e: [dict(remainder_trace=0.1 * t,
+                                                       remainder_hs=(0.1 + e) * t)]),
+    "pythagorean": ("hs-greedy", "pythagorean", lambda t, h, e: [dict(
+        remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.5 + e) * h, gamma=1.0)]),
+    "coherence-contraction": ("hs-greedy", "coherence contraction", lambda t, h, e: [dict(
+        remainder_hs=np.sqrt(0.875 + e) * h, extracted_hs=np.sqrt(0.125 - e) * h, gamma=2.0)]),
+    "hs-envelope": ("hs-greedy", "uniform HS envelope", lambda t, h, e: [
+        dict(remainder_hs=np.sqrt(0.9375 + 0.9e-9) * h,
+             extracted_hs=np.sqrt(0.0625 - 0.05e-9) * h, gamma=4.0),
+        dict(remainder_trace=0.25 * t, remainder_hs=np.sqrt(0.87890625 + e) * h,
+             extracted_hs=np.sqrt(0.05859375 - 0.3e-9) * h, gamma=4.0)]),
+    "hs-mean-block": ("hs-greedy", "HS block below the mean block", lambda t, h, e: [dict(
+        remainder_hs=np.sqrt(0.5) * h, extracted_hs=np.sqrt(0.125 - e) * h, gamma=2.0)]),
 }
 
 
 @pytest.mark.parametrize("scale", [3e-7, 1.0, 7.3e5])
-@pytest.mark.parametrize("excess, flagged", [(1e-6, True), (0.5e-9, False)],
-                         ids=["1e-6-flagged", "0.5e-9-passes"])
+@pytest.mark.parametrize("excess, flagged", [(1.5e-9, True), (0.5e-9, False)],
+                         ids=["1.5e-9-flagged", "0.5e-9-passes"])
 @pytest.mark.parametrize("case", list(_BROKEN))
 def test_each_inequality_keeps_its_constant_and_slack(case, excess, flagged, scale):
     # gamma = 2 with N = 4: the contraction checks 1 - 1/(gamma N) = 7/8, the mean block 1/8
-    mode, message, row = _BROKEN[case]
+    mode, message, rows = _BROKEN[case]
     t, h = 4 * scale, scale
-    record = _one_step_record(mode, t, h, **row(t, h, excess))
-    found = w.greedy._violation(record, None, record["steps"][0])
+    record = _record(mode, t, h, *rows(t, h, excess))
+    steps = record["steps"]
+    prev = steps[-2] if len(steps) > 1 else None
+    found = w.greedy._violation(record, prev, steps[-1])
     assert (found is not None and found.startswith(message)) if flagged else found is None
-    assert w.decay_report(record)["summary"]["first_violation"] == (1 if flagged else None)
+    assert w.decay_report(record)["summary"]["first_violation"] == (
+        len(steps) if flagged else None)
 
 
 @pytest.mark.parametrize("below, flagged", [(1e-6, True), (0.5e-9, False)],
                          ids=["1e-6-flagged", "0.5e-9-passes"])
 def test_gamma_below_one_keeps_its_slack(below, flagged):
     # gamma is dimensionless: [1, N] has an absolute slack of 1e-9; every other check has room
-    record = _one_step_record("hs-greedy", 4.0, 1.0, remainder_hs=np.sqrt(0.5),
-                              extracted_hs=np.sqrt(0.3), gamma=1.0 - below, bound_hs=1.0)
+    record = _record("hs-greedy", 4.0, 1.0, dict(remainder_hs=np.sqrt(0.5),
+                                                 extracted_hs=np.sqrt(0.3), gamma=1.0 - below))
     found = w.greedy._violation(record, None, record["steps"][0])
     assert (found is not None and found.endswith("outside [1, 4]")) if flagged else found is None
 

@@ -16,6 +16,7 @@ import wpcontent as w
 from helpers import (
     dense_blocks,
     dense_coefficient_energies,
+    dense_root,
     loop_anchors,
     loop_denoise,
     loop_extract_patches,
@@ -61,7 +62,7 @@ class TestPacketScoresMatchDenseRoute:
         r = random_gram(rng, tree.ambient_dim)
         x = rng.standard_normal(tree.ambient_dim)
         x /= np.linalg.norm(x)
-        sx = r.sqrt_entries() @ x
+        sx = dense_root(r) @ x
         for n in range(tree.max_depth + 1):
             dens = w.discrete_density(r, tree, x, n)
             blocks = dense_blocks(r.matrix, tree, n)

@@ -162,6 +162,20 @@ class TestPsdOperator:
         assert not (b.matrix.flags.writeable or b.eigenvalues.flags.writeable
                     or b.eigenvectors.flags.writeable)
 
+    def test_an_overflowing_sum_of_squares_is_refused(self):
+        # every entry, and its symmetrized value, is finite near 1e161; their sum of squares is not
+        g = np.random.default_rng(0).standard_normal((8, 8))
+        with pytest.raises(w.MalformedInputError,
+                           match="^matrix entries: the sum of squares overflows$"):
+            w.PsdOperator(1e160 * (g.T @ g) / 8)
+
+    def test_a_block_whose_sum_of_squares_is_subnormal_is_made(self):
+        # the underflow rule is the wire formats' alone: this block's sum of squares is 1e-320
+        r = w.PsdOperator(np.diag([1.0, 1e-160]))
+        block = w.content_operator(r, w.build_shannon_tree(1, 1), "1").matrix
+        assert block[1, 1] == pytest.approx(1e-160, rel=1e-15)
+        assert block[0, 0] == block[0, 1] == block[1, 0] == 0.0
+
     def test_a_greedy_step_symmetrizes_and_decomposes_once(self, rng, monkeypatch):
         calls = []
         for name in ("_symmetric", "sym_eigen"):
@@ -231,6 +245,18 @@ def test_only_remove_and_symbol_operator_state_a_spectrum():
     assert found == allowed
 
 
+def test_only_root_rows_reads_the_eigenvectors():
+    # every product with sqrt(A) in the package, sqrt_entries' too, goes through root_rows
+    readers = set()
+    for path in Path(w.__file__).resolve().parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                readers |= {(path.stem, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Attribute) and node.attr == "eigenvectors"
+                            and isinstance(node.ctx, ast.Load)}
+    assert readers == {("psdcore", "root_rows")}
+
+
 def test_tree_imports_nothing_from_psdcore():
     # psdcore reads both wire formats and makes every operator; a tree forms projections only
     source = (Path(w.__file__).resolve().parent / "tree.py").read_text(encoding="utf-8")
@@ -287,6 +313,22 @@ class TestSqrt:
             s = op.root_rows(np.eye(dim))
             fro = w.hs_norm(op)
             assert np.linalg.norm(s @ s - op.matrix) <= 1e-8 * (1.0 + fro)
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+    def test_sqrt_entries_is_root_rows_of_the_identity_symmetrized(self, monkeypatch, dim):
+        # bit for bit, and bit-equal to the (V sqrt(lam)) V^T, symmetrized, it once formed
+        g = np.random.default_rng(dim).standard_normal((dim, dim))
+        op = w.PsdOperator(g.T @ g / dim)
+        s = op.root_rows(np.eye(dim))
+        formed = (op.eigenvectors * np.sqrt(op.eigenvalues)) @ op.eigenvectors.T
+        real, rows = w.PsdOperator.root_rows, []
+        monkeypatch.setattr(w.PsdOperator, "root_rows",
+                            lambda self, r: rows.append(r) or real(self, r))
+        got = op.sqrt_entries()
+        assert len(rows) == 1 and np.array_equal(rows[0], np.eye(dim))
+        assert np.array_equal(got, 0.5 * (s + s.T))
+        assert np.array_equal(got, 0.5 * (formed + formed.T))
 
 
 class TestScalars:
