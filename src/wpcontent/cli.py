@@ -75,7 +75,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise MalformedInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

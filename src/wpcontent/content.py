@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalBreakdownError
-from .psdcore import PsdOperator, as_entries, hs_norm, shannon_symbol, trace
+from .errors import ConfigError, MalformedInputError, NumericalBreakdownError
+from .psdcore import PsdOperator, _square_sum, as_entries, hs_norm, shannon_symbol, trace
 from .tree import PacketTree
 
 
@@ -31,13 +31,20 @@ def _check_dims(dim: int, tree: PacketTree) -> None:
 
 
 def _root_images(r: PsdOperator, tree: PacketTree, vectors, mix=None) -> np.ndarray:
-    """Rows sqrt(R) x by `root_rows` for vectors x of shape (d,), or for the rows of mix @ X."""
+    """Rows sqrt(R) x by `root_rows` for vectors x of shape (d,), or for the rows of mix @ X;
+    the vectors are finite, and the rows read have a finite sum of squares."""
     _check_dims(r.dim, tree)
     for x in vectors:
         if np.shape(x) != (r.dim,):
             raise ConfigError(f"vector shape {np.shape(x)} != ({r.dim},)")
     rows = np.array(vectors, dtype=np.float64)
-    return r.root_rows(rows if mix is None else mix @ rows)
+    if not np.all(np.isfinite(rows)):
+        raise MalformedInputError("vector entries must be finite")
+    if mix is not None:
+        with np.errstate(over="ignore"):  # an overflow is an infinite sum of squares
+            rows = mix @ rows
+    _square_sum(rows, "vector entries")
+    return r.root_rows(rows)
 
 
 def _segment_sums(values: np.ndarray, count: int) -> np.ndarray:
@@ -80,20 +87,22 @@ def hs_scores_squared(a, tree: PacketTree, n: int) -> np.ndarray:
     return np.sum(blocks * blocks, axis=(1, 2))
 
 
-def content_operator(r: PsdOperator, tree: PacketTree, node: str) -> PsdOperator:
-    """Dense block sqrt(R) P_w sqrt(R) = M^T M with M = B sqrt(R) from `root_rows`; PSD-checked."""
+def content_operator(r: PsdOperator, tree: PacketTree, node: str) -> np.ndarray:
+    """`remove`'s block sqrt(R) P_w sqrt(R) = M^T M, M = B sqrt(R): read-only, PSD as a Gram."""
     _check_dims(r.dim, tree)
     m = r.root_rows(tree.basis(node))
-    return PsdOperator(m.T @ m)
+    block = m.T @ m
+    block.setflags(write=False)
+    return block
 
 
 def depth_decomposition(
     r: PsdOperator, tree: PacketTree, n: int
-) -> tuple[tuple[PsdOperator, ...], float]:
+) -> tuple[tuple[np.ndarray, ...], float]:
     """Depth-n content blocks in node order and their max |sum - R|, checked within 1e-8 ||R||."""
     _check_dims(r.dim, tree)
     blocks = tuple(content_operator(r, tree, nd) for nd in tree.nodes_at(n))
-    err = float(np.max(np.abs(sum(blk.matrix for blk in blocks) - r.matrix)))
+    err = float(np.max(np.abs(sum(blocks) - r.matrix)))
     if err > 1e-8 * hs_norm(r):
         raise NumericalBreakdownError(
             None, f"depth-{n} blocks fail to reconstruct the source: max error {err:.3e}"

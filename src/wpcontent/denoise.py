@@ -23,11 +23,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError
 from .pgm import _raster
-from .psdcore import PsdOperator, check_square_sum
+from .psdcore import PsdOperator, _integer, check_square_sum
 from .tree import PacketTree, build_filter_tree_2d, check_dyadic_depth, filter_taps
 
 PSNR_CAP_DB = 99.0
 BAND_ROWS = 16  # anchor rows per band of denoise_image
+
+
+def _count(name: str, value) -> int:
+    """A count parameter as an int: an int or a numpy integer (`_integer`), else ConfigError."""
+    if not _integer(value):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,10 @@ class DenoiseConfig:
     mode: str = "trace"
 
     def __post_init__(self):
+        for name in ("patch_side", "depth", "top_k", "stride"):
+            value = getattr(self, name)
+            if value is not None:  # a None stride is resolved below
+                object.__setattr__(self, name, _count(name, value))
         m = self.patch_side
         check_dyadic_depth(self.depth, m)
         if self.stride is None:  # half-overlapping patches
@@ -73,8 +84,8 @@ class PatchSet:
 
     They cover the image if stride <= m. `bands`, the one way they are gathered, yields
     them at most BAND_ROWS anchor rows of one row run at a time, so a flush-edge anchor row
-    is a band of its own; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached, and its
-    sum of squares must neither overflow nor underflow, as a matrix input's.
+    is a band of its own; `rhat` = (sum of the bands' Y_b^T Y_b) / M is cached, read-only,
+    and its sum of squares must neither overflow nor underflow, as a matrix input's.
     """
 
     image: np.ndarray
@@ -83,6 +94,8 @@ class PatchSet:
 
     def __post_init__(self):
         object.__setattr__(self, "image", _raster(self.image))
+        for name in ("patch_side", "stride"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         m, side = self.patch_side, min(self.image.shape)
         if m < 1 or m > side:
             raise ConfigError(f"patch side {m} must be in [1, {side}]")
@@ -117,6 +130,7 @@ class PatchSet:
                 gram += y.T @ y
             gram /= len(self)
         check_square_sum(gram, "patch second moment")
+        gram.setflags(write=False)
         return gram
 
 
@@ -136,7 +150,7 @@ def block_scores(patches: PatchSet, tree: PacketTree, n: int) -> np.ndarray:
 
 def select_top_k(scores: np.ndarray, k: int) -> list[int]:
     """Indices of the K highest scores in ascending order; ties go to the lower index."""
-    if k < 1:
+    if _count("k", k) < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     return sorted(int(i) for i in np.argsort(-np.asarray(scores), kind="stable")[:k])
 

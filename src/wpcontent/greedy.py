@@ -30,7 +30,7 @@ import numpy as np
 
 from .content import _check_dims, hs_scores_squared, trace_scores
 from .errors import ConfigError, MalformedInputError, NotPositiveError, NumericalBreakdownError
-from .psdcore import _NUMBER_TYPES, PsdOperator, hs_norm, trace
+from .psdcore import _NUMBER_TYPES, PsdOperator, _integer, hs_norm, trace
 from .tree import PacketTree
 
 # The step-row schema of the JSON report, the CSV and `decay_report`, in order.
@@ -95,9 +95,9 @@ def _start(mode: str, r: PsdOperator, tree: PacketTree, depth: int | None) -> Ex
 
 
 def _check_stop(max_steps: int, name: str = "max_steps") -> None:
-    """A greedy run takes max_steps >= 0; ``name`` names it (`cli` gives its option)."""
-    if max_steps < 0:
-        raise ConfigError(f"{name} must be >= 0, got {max_steps}")
+    """A greedy run takes an int (`_integer`) max_steps >= 0; ``name`` is `cli`'s option."""
+    if not (_integer(max_steps) and max_steps >= 0):
+        raise ConfigError(f"{name} must be an int >= 0, got {max_steps!r}")
 
 
 def _violation(run: dict, prev: dict | None, row: dict) -> str | None:
@@ -202,8 +202,7 @@ def extract_sequence(r: PsdOperator, tree: PacketTree, nodes: list[str]) -> Extr
     """Extract content blocks along an arbitrary node sequence (any depths)."""
     tr = _start("sequence", r, tree, None)
     for node in nodes:
-        if not tree.has_node(node):
-            raise ConfigError(f"node {node!r} not in tree")
+        tree.basis(node)  # an unknown word raises before any step runs
     for node in nodes:
         tr = _step(tr, tree, node)
     return tr
@@ -274,9 +273,6 @@ def _check_report(payload) -> None:
     def malformed(field: str, rule: str) -> MalformedInputError:
         return MalformedInputError(f'report field "{field}" must be {rule}')
 
-    def integer(value) -> bool:
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
     def number(value, field: str) -> None:
         if not isinstance(value, _NUMBER_TYPES) or isinstance(value, bool):
             raise malformed(field, "an int or a float")
@@ -288,9 +284,9 @@ def _check_report(payload) -> None:
         raise malformed("mode", f"one of {', '.join(_MODE_FIELDS)}")
     if mode != "sequence":
         depth, nn = payload.get("depth"), payload.get("N_n")
-        if not (integer(depth) and depth >= 0):
+        if not (_integer(depth) and depth >= 0):
             raise malformed("depth", "an int >= 0")
-        power = int(nn).bit_length() - 1 if integer(nn) and nn > 0 and not nn & (nn - 1) else -1
+        power = int(nn).bit_length() - 1 if _integer(nn) and nn > 0 and not nn & (nn - 1) else -1
         if power not in (depth, 2 * depth):
             raise malformed("N_n", f"2^depth or 4^depth for depth {depth}")
     initial = payload.get("initial")
@@ -305,7 +301,7 @@ def _check_report(payload) -> None:
         where = f"steps[{k - 1}]"
         if not (isinstance(row, dict) and all(f in row for f in ROW_FIELDS)):
             raise malformed(where, "a dict with every ROW_FIELDS key")
-        if not (integer(row["k"]) and row["k"] == k):
+        if not (_integer(row["k"]) and row["k"] == k):
             raise malformed(f"{where}.k", str(k))
         if not isinstance(row["node"], str):
             raise malformed(f"{where}.node", "a str")

@@ -15,6 +15,19 @@ _HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)" * 4)
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 
+def _integers(tokens, what: str) -> list[int]:
+    """Tokens of plain ASCII digits as ints: int() would also take "+20", "-0" and "2_55",
+    and refuses more digits than sys.get_int_max_str_digits()."""
+    bad = [tok for tok in tokens if not tok.isdigit()]
+    if bad:
+        raise MalformedInputError(f"non-integer {what} {bad[0]!r}")
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        longest = max(map(len, tokens))
+        raise MalformedInputError(f"{what} of {longest} digits is too long to read") from None
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P2 or P5 PGM to a read-only (height, width) array; pixel v maps to v / maxval."""
     try:
@@ -29,10 +42,7 @@ def read_pgm(path) -> np.ndarray:
         raise MalformedInputError(f"not a PGM file (magic {magic!r})")
     if not all(header):
         raise MalformedInputError("truncated PGM header")
-    # plain ASCII digits only: int() would also take "+20", "-0" and "2_55"
-    if not all(t.isdigit() for t in header):
-        raise MalformedInputError(f"non-integer PGM header fields {header}")
-    width, height, maxval = map(int, header)
+    width, height, maxval = _integers(header, "PGM header field")
     if width < 1 or height < 1:
         raise MalformedInputError(f"bad PGM dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
@@ -44,17 +54,17 @@ def read_pgm(path) -> np.ndarray:
         if sep and not sep.isspace():
             raise MalformedInputError(f"P5 maxval is followed by {sep!r}, not a whitespace byte")
         if len(raw) != count:
-            raise MalformedInputError(f"P5 payload has {len(raw)} bytes for {count} pixels")
+            raise MalformedInputError(f"P5 payload has {len(raw)} bytes for {width}x{height}")
         vals = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
         # counted before anything sized by the header is allocated
         pixels = _COMMENT.sub(b"", data[head.end() :]).split()
         if len(pixels) != count:
-            raise MalformedInputError(f"P2 payload has {len(pixels)} pixels for {count}")
-        bad = [tok for tok in pixels if not tok.isdigit()]
-        if bad:
-            raise MalformedInputError(f"non-integer P2 pixel {bad[0]!r}")
-        vals = np.array([int(tok) for tok in pixels], dtype=np.float64)
+            raise MalformedInputError(f"P2 payload has {len(pixels)} pixels for {width}x{height}")
+        try:
+            vals = np.array(_integers(pixels, "P2 pixel"), dtype=np.float64)
+        except OverflowError:  # beyond the float range, so above maxval
+            raise MalformedInputError("P2 pixel outside [0, maxval]") from None
     if np.any(vals < 0) or np.any(vals > maxval):
         raise MalformedInputError(f"{magic.decode()} pixel outside [0, maxval]")
     img = (vals / maxval).reshape(height, width)

@@ -26,6 +26,11 @@ DEFAULT_CLAMP_TOL = 1e-10
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
+def _integer(value) -> bool:
+    """The one integer rule: an int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _symmetric(entries) -> np.ndarray:
     """(a + a^T) / 2 as a new read-only array: ``a`` square and non-empty, the result finite
     with a finite sum of squares (the underflow half of `check_square_sum` is the wire's)."""

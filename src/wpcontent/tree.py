@@ -113,13 +113,6 @@ class PacketTree:
         """Depth-(n-1) index of the parent of each depth-n node (-1 for the root)."""
         return self._parents[n]
 
-    def has_node(self, word: str) -> bool:
-        try:
-            self._position(word)
-        except ConfigError:
-            return False
-        return True
-
     def _position(self, word: str) -> tuple[int, int]:
         """(depth, index within the depth) of a word of this tree; any other key is unknown."""
         try:

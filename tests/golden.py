@@ -153,7 +153,7 @@ def _library_item(tree_name: str, kind: str, item: str) -> bytes:
             blocks, max_error = w.depth_decomposition(r, tree, depth)
             parts.append(np.array([w.trace(r), max_error]).tobytes())
             for blk in blocks:
-                parts.append(blk.matrix.tobytes())
+                parts.append(np.asarray(blk).tobytes())
                 parts.append(np.array([w.trace(blk), w.hs_norm(blk)]).tobytes())
         return b"".join(parts)
     if item == "cylinder-rows":

@@ -222,17 +222,18 @@ MUTANTS = [
     ("dyadic-depth-0", "src/wpcontent/tree.py",
      "if not 1 <= depth <= top:", "if not 0 <= depth <= top:",
      ("test_cli.py::TestExitCodes::test_depth_0_exits_5",)),
-    # a word the tree lacks is no node of it, also when the key is unhashable
-    ("unknown-word-accepted", "src/wpcontent/tree.py",
-     "except ConfigError:\n            return False", "except ConfigError:\n            return True",
-     ("test_greedy.py::TestExtractSequence::test_unknown_node_rejected",)),
+    # a word the tree lacks is no node of it, also when the key is unhashable, and a sequence
+    # looks up every word before its first step
+    ("sequence-lookup-dropped", "src/wpcontent/greedy.py",
+     "        tree.basis(node)  # an unknown word raises before any step runs\n", "        pass\n",
+     ("test_greedy.py::TestExtractSequence::test_an_unknown_word_raises_before_any_step_runs",)),
     ("unhashable-word-raises-type-error", "src/wpcontent/tree.py",
      "except (KeyError, TypeError):", "except KeyError:",
      ("test_tree.py::TestTreeAxioms::test_word_the_tree_lacks_is_unknown",)),
     # input rules on shapes and counts: a PGM's size, top-K's K, a patch stride, a matrix's shape
     ("pgm-empty-size-accepted", "src/wpcontent/pgm.py", "if width < 1 or height < 1:", "if False:",
      ("test_denoise.py::TestPgm::test_zero_width_or_height_rejected",)),
-    ("top-k-below-one-accepted", "src/wpcontent/denoise.py", "if k < 1:", "if False:",
+    ("top-k-below-one-accepted", "src/wpcontent/denoise.py", 'if _count("k", k) < 1:', "if False:",
      ("test_denoise.py::TestSelection::test_k_below_one_rejected",)),
     ("patch-stride-below-one-accepted", "src/wpcontent/denoise.py",
      "if self.stride < 1:", "if False:",
@@ -292,8 +293,45 @@ MUTANTS = [
      "if power not in (depth, 2 * depth):", "if power < 0:",
      ("test_greedy.py::test_a_malformed_saved_report_names_its_field_before_any_relation_runs",)),
     ("report-k-order-unchecked", "src/wpcontent/greedy.py",
-     'if not (integer(row["k"]) and row["k"] == k):', 'if not integer(row["k"]):',
+     'if not (_integer(row["k"]) and row["k"] == k):', 'if not _integer(row["k"]):',
      ("test_greedy.py::test_a_malformed_saved_report_names_its_field_before_any_relation_runs",)),
+    # a content block is remove's Gram product M^T M, bit for bit
+    ("content-block-product-rescaled", "src/wpcontent/content.py",
+     "block = m.T @ m\n", "block = m.T @ m * (1.0 + 2.0**-52)\n",
+     ("test_content.py::TestContentOperator::"
+      "test_a_block_is_the_gram_product_remove_forms_with_no_eigensolver",)),
+    # a malformed file exits 2: JSON nested past the recursion limit, a PGM number of more
+    # digits than int() reads, a P2 pixel beyond the float range
+    ("json-recursion-uncaught", "src/wpcontent/cli.py",
+     "except (OSError, ValueError, RecursionError) as exc:", "except (OSError, ValueError) as exc:",
+     ("test_cli.py::TestNumericInput::test_json_nested_too_deep_exits_2",)),
+    ("pgm-digit-limit-uncaught", "src/wpcontent/pgm.py",
+     "    except ValueError:\n", "    except ZeroDivisionError:\n",
+     ("test_cli.py::TestDenoise::test_a_number_past_the_digit_limit_exits_2",)),
+    ("p2-pixel-overflow-uncaught", "src/wpcontent/pgm.py",
+     "except OverflowError:", "except ZeroDivisionError:",
+     ("test_cli.py::TestDenoise::test_a_number_past_the_digit_limit_exits_2",)),
+    # a patch set's cached second moment is read-only
+    ("rhat-writable", "src/wpcontent/denoise.py", "        gram.setflags(write=False)\n", "",
+     ("test_denoise.py::TestSecondMoment::test_the_cached_second_moment_is_read_only",)),
+    # a vector whose energies are read is finite, with a finite sum of squares
+    ("vector-non-finite-accepted", "src/wpcontent/content.py",
+     "if not np.all(np.isfinite(rows)):", "if False:",
+     ("test_content.py::test_a_vector_energy_refuses_a_non_finite_vector",)),
+    ("vector-square-sum-unchecked", "src/wpcontent/content.py",
+     '    _square_sum(rows, "vector entries")\n', "",
+     ("test_content.py::test_a_vector_energy_refuses_a_non_finite_vector",)),
+    # the one integer rule, and the counts that read it
+    ("integer-rule-takes-bool", "src/wpcontent/psdcore.py",
+     "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
+     "return isinstance(value, (int, np.integer))",
+     ("test_greedy.py::test_a_step_count_that_is_no_int_is_refused",)),
+    ("stop-rule-takes-a-float", "src/wpcontent/greedy.py",
+     "if not (_integer(max_steps) and max_steps >= 0):", "if not max_steps >= 0:",
+     ("test_greedy.py::test_a_step_count_that_is_no_int_is_refused",)),
+    ("denoiser-count-rule-dropped", "src/wpcontent/denoise.py",
+     "    if not _integer(value):\n", "    if False:\n",
+     ("test_denoise.py::test_a_count_that_is_no_int_is_refused",)),
 ]
 
 

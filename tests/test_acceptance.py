@@ -71,8 +71,7 @@ def test_criterion_1_reconstruction(ensemble):
         for tree in trees[dim]:
             for n in DEPTHS:
                 blocks, _ = w.depth_decomposition(op, tree, n)
-                total = sum(blk.matrix for blk in blocks)
-                err = float(np.linalg.norm(total - op.matrix))
+                err = float(np.linalg.norm(sum(blocks) - op.matrix))
                 worst = max(worst, err / (1e-8 * (1.0 + fro)))
     elapsed = time.monotonic() - start
     _stamp(1, "reconstruction", worst <= 1.0 and elapsed < 30.0, elapsed, 30.0)
@@ -279,7 +278,7 @@ def test_criterion_8_denoising(tmp_path):
     rhat = w.second_moment(patches)
     scores = w.block_scores(patches, tree, 2)
     sel = w.select_top_k(scores, 4)
-    kept = sum(w.content_operator(rhat, tree, tree.nodes_at(2)[i]).matrix for i in sel)
+    kept = sum(w.content_operator(rhat, tree, tree.nodes_at(2)[i]) for i in sel)
     rest = rhat.matrix - kept
     zero = np.zeros_like(kept)
     ok = ok and loewner_leq(zero, kept)

@@ -403,6 +403,26 @@ class TestDenoise:
         assert out.read_bytes().startswith(b"P5\n16 24\n255\n")
         assert w.read_pgm(out).shape == (24, 16)
 
+    @pytest.mark.parametrize("flag", ["--in", "--clean"])
+    @pytest.mark.parametrize("payload, message", [
+        (b"P5\n1" + b"0" * 5000 + b" 1\n255\n\x00", "header field of 5001 digits"),
+        (b"P2\n1 1\n" + b"0" * 4999 + b"255\n0\n", "header field of 5002 digits"),
+        (b"P5\n1" + b"0" * 3000 + b" 1" + b"0" * 3000 + b"\n255\n\x00", "payload has 1 bytes"),
+        (b"P2\n1 1\n255\n1" + b"0" * 5000 + b"\n", "pixel of 5001 digits"),
+        (b"P2\n1 1\n255\n1" + b"0" * 400 + b"\n", "pixel outside [0, maxval]"),
+    ], ids=["p5-width", "p2-maxval-zeros", "p5-size-of-6002-digits", "p2-pixel",
+            "p2-pixel-beyond-float"])
+    def test_a_number_past_the_digit_limit_exits_2(self, image_files, tmp_path, capsys, flag,
+                                                    payload, message):
+        # int() reads at most 4300 digits, and str() writes at most 4300 of an int
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(payload)
+        files = ["--in", str(bad)] if flag == "--in" else ["--in", image_files[1], "--clean", str(bad)]
+        assert main(["denoise", *files, "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_malformed_pgm_exits_2(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n8 8\n255\nshort")
@@ -822,6 +842,22 @@ class TestNumericInput:
         assert main([command, "--in", str(path), "--report", str(tmp_path / "out.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--in"], ["decompose", "--symbol"], ["greedy", "--in"], ["greedy", "--symbol"],
+    ], ids=["decompose-in", "decompose-symbol", "greedy-in", "greedy-symbol"])
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000 + "]" * 200_000,
+        '{"dim": 1, "data": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    ], ids=["array", "matrix-data"])
+    def test_json_nested_too_deep_exits_2(self, tmp_path, capsys, argv, text):
+        # json.load raises RecursionError here, which is no ValueError
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main([*argv, str(path), "--report", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read JSON from"), err
         assert not (tmp_path / "out.json").exists()
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestContentOperator:
         tree = w.build_shannon_tree(3, 2)
         r = random_gram(rng, 8)
         blk = w.content_operator(r, tree, tree.root)
-        assert np.max(np.abs(blk.matrix - r.matrix)) <= 1e-12 * (1 + w.trace(r))
+        assert np.max(np.abs(blk - r.matrix)) <= 1e-12 * (1 + w.trace(r))
 
     def test_shannon_diagonal_equals_masked_diagonal(self):
         # diagonal input commutes with the band projections, so the block
@@ -53,7 +54,7 @@ class TestContentOperator:
             mask = np.zeros(8)
             mask[band_positions(3, node)] = 1.0
             expect = np.diag(mask * np.diag(r.matrix))
-            assert np.max(np.abs(blk.matrix - expect)) <= 1e-12
+            assert np.max(np.abs(blk - expect)) <= 1e-12
 
     def test_rank_one_formula(self, rng):
         tree = w.build_filter_tree_1d("d4", 8, 2)
@@ -65,21 +66,46 @@ class TestContentOperator:
             p = w.projection(tree, node)
             weight = float(v @ p @ v)
             # square-rooting amplifies rounding in the zero eigenvalues to ~sqrt(eps)
-            assert np.max(np.abs(blk.matrix - weight * np.outer(v, v))) <= 1e-7
+            assert np.max(np.abs(blk - weight * np.outer(v, v))) <= 1e-7
 
     def test_block_invariants(self, rng):
         tree = w.build_filter_tree_1d("haar", 8, 2)
         r = random_gram(rng, 8)
+        lam_max = float(np.linalg.eigvalsh(r.matrix)[-1])
         for node in tree.nodes_at(2):
             blk = w.content_operator(r, tree, node)
-            assert w.trace(blk) == pytest.approx(np.trace(blk.matrix), rel=1e-10)
-            assert w.hs_norm(blk) == pytest.approx(np.linalg.norm(blk.matrix), rel=1e-10)
-            assert np.all(blk.eigenvalues >= 0)
+            assert w.trace(blk) == pytest.approx(np.trace(blk), rel=1e-10)
+            assert w.hs_norm(blk) == pytest.approx(np.linalg.norm(blk), rel=1e-10)
+            assert np.linalg.eigvalsh(blk)[0] >= -1e-10 * lam_max
             assert loewner_leq(blk, r)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(w.ConfigError, match="dim"):
             w.content_operator(random_gram(rng, 4), w.build_shannon_tree(3, 1), "0")
+
+    @pytest.mark.parametrize("tree", content_trees(), ids=lambda t: f"{t.realization}-{t.ambient_dim}")
+    def test_a_block_is_the_gram_product_remove_forms_with_no_eigensolver(
+        self, rng, monkeypatch, tree
+    ):
+        # M^T M is PSD by construction: the block is the array `remove` forms, bit for bit,
+        # and the bits the checked operator PsdOperator(M^T M) kept, and no eigh runs for it
+        r = random_gram(rng, tree.ambient_dim)
+        depths = range(tree.max_depth + 1)
+        want = {}
+        for nd in (nd for n in depths for nd in tree.nodes_at(n)):
+            m = r.root_rows(tree.basis(nd))
+            want[nd] = (w.PsdOperator(m.T @ m).matrix, r.remove(tree.basis(nd))[0])
+
+        def no_eigh(_):
+            raise AssertionError("a content block ran the eigensolver")
+
+        monkeypatch.setattr(w.psdcore, "sym_eigen", no_eigh)
+        for n in depths:
+            blocks, _ = w.depth_decomposition(r, tree, n)
+            for nd, blk in zip(tree.nodes_at(n), blocks, strict=True):
+                for got in (blk, w.content_operator(r, tree, nd)):
+                    assert isinstance(got, np.ndarray) and not got.flags.writeable
+                    assert all(got.tobytes() == a.tobytes() for a in want[nd])
 
 
 class TestDepthDecomposition:
@@ -91,7 +117,7 @@ class TestDepthDecomposition:
         assert w.trace(blocks[0]) == pytest.approx(4.0, abs=1e-12)
         assert w.trace(blocks[1]) == pytest.approx(4.0, abs=1e-12)
         mask = np.diag([1.0] * 4 + [0.0] * 4)
-        assert np.max(np.abs(blocks[0].matrix - mask)) <= 1e-12
+        assert np.max(np.abs(blocks[0] - mask)) <= 1e-12
 
     def test_symbol_block_traces_match_band_sums(self):
         sym = geometric_symbol(3)
@@ -108,8 +134,7 @@ class TestDepthDecomposition:
         fro = w.hs_norm(r)
         for n in range(1, tree.max_depth + 1):
             blocks, _ = w.depth_decomposition(r, tree, n)
-            total = sum(blk.matrix for blk in blocks)
-            assert np.linalg.norm(total - r.matrix) <= 1e-8 * (1.0 + fro)
+            assert np.linalg.norm(sum(blocks) - r.matrix) <= 1e-8 * (1.0 + fro)
             assert sum(w.trace(b) for b in blocks) == pytest.approx(w.trace(r), rel=1e-8)
 
     def test_child_telescoping(self, rng):
@@ -120,8 +145,8 @@ class TestDepthDecomposition:
             kids = children(tree, node)
             if not kids:
                 continue
-            parent = w.content_operator(r, tree, node).matrix
-            total = sum(w.content_operator(r, tree, k).matrix for k in kids)
+            parent = w.content_operator(r, tree, node)
+            total = sum(w.content_operator(r, tree, k) for k in kids)
             assert np.linalg.norm(parent - total) <= 1e-8 * (1.0 + fro)
 
     @pytest.mark.parametrize("delta, raises", [(1e-6, True), (0.5e-8, False)],
@@ -139,7 +164,7 @@ class TestDepthDecomposition:
                 return blk
             bump = np.zeros((8, 8))
             bump[0, 0] = delta * w.hs_norm(r)
-            return w.PsdOperator(blk.matrix + bump)
+            return blk + bump
 
         monkeypatch.setattr(w.content, "content_operator", shifted)
         if raises:
@@ -332,6 +357,36 @@ class TestVectorWeights:
                 assert w.vector_weight(r, tree, e, node) == pytest.approx(expect, abs=1e-14)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "vector entries must be finite"),
+    (np.inf, "vector entries must be finite"),
+    (-np.inf, "vector entries must be finite"),
+    (1e200, "vector entries: the sum of squares overflows"),
+], ids=["nan", "inf", "-inf", "1e200"])
+def test_a_vector_energy_refuses_a_non_finite_vector(rng, entry, message):
+    # refused before any energy is formed, so no NaN is returned and no RuntimeWarning raised
+    tree = w.build_filter_tree_1d("haar", 8, 2)
+    r, y = random_gram(rng, 8), rng.standard_normal(8)
+    x = rng.standard_normal(8)
+    x[3] = entry
+    calls = [lambda: w.vector_weight(r, tree, x, "01"), lambda: w.discrete_density(r, tree, x, 2),
+             lambda: w.parallelogram_check(r, tree, x, y, 2),
+             lambda: w.parallelogram_check(r, tree, y, x, 2)]
+    for call in calls:
+        with pytest.raises(w.MalformedInputError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_the_parallelogram_refuses_a_sum_whose_squares_overflow(rng):
+    # ||x||^2 = 1.44e308 is finite, ||x + x||^2 is not
+    tree = w.build_shannon_tree(3, 1)
+    r, x = w.PsdOperator(np.eye(8)), np.zeros(8)
+    x[0] = 1.2e154
+    assert w.vector_weight(r, tree, x, tree.root) == pytest.approx(1.44e308, rel=1e-12)
+    with pytest.raises(w.MalformedInputError, match="the sum of squares overflows"):
+        w.parallelogram_check(r, tree, x, x, 1)
+
+
 class TestDensities:
     def test_root_ratio(self, rng):
         tree = w.build_shannon_tree(3, 2)
@@ -470,10 +525,10 @@ def test_content_layer_forms_no_dense_root(rng, monkeypatch, tree):
 
     monkeypatch.setattr(w.PsdOperator, "sqrt_entries", no_sqrt)
     for nd, block in zip(nodes, blocks):
-        got = w.content_operator(r, tree, nd).matrix
+        got = w.content_operator(r, tree, nd)
         assert np.linalg.norm(got - block) <= 1e-8 * (1.0 + fro)
     for blk, block in zip(w.depth_decomposition(r, tree, n)[0], blocks):
-        assert np.linalg.norm(blk.matrix - block) <= 1e-8 * (1.0 + fro)
+        assert np.linalg.norm(blk - block) <= 1e-8 * (1.0 + fro)
     for nd, weight in zip(nodes, weights):
         assert w.vector_weight(r, tree, x, nd) == pytest.approx(weight, rel=1e-9, abs=1e-12)
     dens = w.discrete_density(r, tree, x, n)

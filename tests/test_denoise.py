@@ -108,6 +108,14 @@ class TestSecondMoment:
         assert w.trace(op) == pytest.approx(mean_energy, rel=1e-10)
 
 
+    def test_the_cached_second_moment_is_read_only(self, rng):
+        ps = w.PatchSet(rng.uniform(size=(16, 16)), 4, 2)
+        tree = w.build_filter_tree_2d("haar", 4, 1)
+        before = w.block_scores(ps, tree, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            ps.rhat[:] = 0.0
+        assert w.block_scores(ps, tree, 1).tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("pixel, word", [(1e160, "overflows"), (1e-100, "underflows")])
     def test_square_sum_rule(self, pixel, word):
         # R_hat's entries are pixel^2; the sum of their squares leaves the normal range
@@ -165,6 +173,34 @@ class TestBlockScores:
         tree = w.build_filter_tree_2d("haar", 4, 1)
         ps = w.PatchSet(np.zeros((8, 8)), 4, 4)
         assert float(np.sum(w.block_scores(ps, tree, 1))) == 0.0
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda: w.DenoiseConfig(8.0, 2, 4), "patch_side", 8.0),
+    (lambda: w.DenoiseConfig(8, 2.0, 4), "depth", 2.0),
+    (lambda: w.DenoiseConfig(8, 2, 2.5), "top_k", 2.5),
+    (lambda: w.DenoiseConfig(8, 2, True), "top_k", True),
+    (lambda: w.DenoiseConfig(8, 2, 4, stride=2.0), "stride", 2.0),
+    (lambda: w.PatchSet(np.zeros((16, 16)), 8.0, 2), "patch_side", 8.0),
+    (lambda: w.PatchSet(np.zeros((16, 16)), 8, 2.0), "stride", 2.0),
+    (lambda: w.select_top_k(np.arange(4.0), 2.5), "k", 2.5),
+    (lambda: w.select_top_k(np.arange(4.0), True), "k", True),
+], ids=["config-patch-side", "config-depth", "config-top-k", "config-top-k-bool",
+        "config-stride", "patches-side", "patches-stride", "top-k", "top-k-bool"])
+def test_a_count_that_is_no_int_is_refused(make, name, value):
+    # the one integer rule: an int or a numpy integer, never a bool
+    with pytest.raises(w.ConfigError, match=f"^{name} must be an int, got {value!r}$"):
+        make()
+
+
+def test_numpy_int_counts_are_kept_as_ints(rng):
+    img = rng.uniform(size=(16, 16))
+    cfg = w.DenoiseConfig(np.int64(8), np.int32(2), np.int64(4), stride=np.int16(4))
+    assert [type(v) for v in (cfg.patch_side, cfg.depth, cfg.top_k, cfg.stride)] == [int] * 4
+    out, report = w.denoise_image(img, cfg)
+    want, want_report = w.denoise_image(img, w.DenoiseConfig(8, 2, 4, stride=4))
+    assert out.tobytes() == want.tobytes() and report == want_report
+    assert w.select_top_k(np.arange(4.0), np.int64(2)) == [2, 3]
 
 
 class TestSelection:
@@ -388,7 +424,7 @@ class TestDenoisePipeline:
         rhat = w.second_moment(patches)
         scores = w.block_scores(patches, tree, 1)
         sel = w.select_top_k(scores, 2)
-        kept = sum(w.content_operator(rhat, tree, tree.nodes_at(1)[i]).matrix for i in sel)
+        kept = sum(w.content_operator(rhat, tree, tree.nodes_at(1)[i]) for i in sel)
         rest = rhat.matrix - kept
         assert loewner_leq(np.zeros((16, 16)), kept)
         assert loewner_leq(np.zeros((16, 16)), rest)

@@ -69,8 +69,20 @@ class TestExtractSequence:
 
     def test_unknown_node_rejected(self, rng):
         tree = w.build_shannon_tree(3, 1)
-        with pytest.raises(w.ConfigError, match="not in tree"):
+        with pytest.raises(w.ConfigError, match="^no node '00'$"):
             w.extract_sequence(random_gram(rng, 8), tree, ["00"])
+
+    def test_an_unknown_word_raises_before_any_step_runs(self, rng, monkeypatch):
+        # the root is a valid first step; the word after it is looked up before step 1
+        tree = w.build_shannon_tree(3, 1)
+        r = random_gram(rng, 8)
+
+        def no_eigh(_):
+            raise AssertionError("a step ran before the unknown word was refused")
+
+        monkeypatch.setattr(w.psdcore, "sym_eigen", no_eigh)
+        with pytest.raises(w.ConfigError, match="^no node '00'$"):
+            w.extract_sequence(r, tree, [tree.root, "00"])
 
     def test_remainder_stats_nonincreasing(self, rng):
         tree = w.build_shannon_tree(3, 2)
@@ -632,6 +644,17 @@ def test_greedy_rejects_a_stopping_rule_that_cannot_fire(extract):
     r = w.PsdOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(w.ConfigError):
         extract(r, w.build_shannon_tree(2, 1), 1, -3)
+
+
+@pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "true", "str"])
+def test_a_step_count_that_is_no_int_is_refused(extract, steps):
+    # the one integer rule: an int or a numpy integer, never a bool
+    r = w.PsdOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
+    tree = w.build_shannon_tree(2, 1)
+    with pytest.raises(w.ConfigError, match=f"^max_steps must be an int >= 0, got {steps!r}$"):
+        extract(r, tree, 1, steps)
+    assert len(extract(r, tree, 1, np.int64(1)).steps) == 1
 
 
 @pytest.mark.parametrize("extract", [w.trace_greedy, w.hs_greedy], ids=["trace", "hs"])

@@ -67,7 +67,7 @@ def test_outputs_do_not_depend_on_eigenvector_signs(monkeypatch, rng, tree, rank
             for extract in (w.trace_greedy, w.hs_greedy) for n in depths
         ]
         blocks = [
-            blk.matrix.tobytes()
+            blk.tobytes()
             for n in depths for blk in w.depth_decomposition(r, tree, n)[0]
         ]
         densities = [w.discrete_density(r, tree, x, n) for n in depths]
@@ -172,7 +172,7 @@ class TestPsdOperator:
     def test_a_block_whose_sum_of_squares_is_subnormal_is_made(self):
         # the underflow rule is the wire formats' alone: this block's sum of squares is 1e-320
         r = w.PsdOperator(np.diag([1.0, 1e-160]))
-        block = w.content_operator(r, w.build_shannon_tree(1, 1), "1").matrix
+        block = w.content_operator(r, w.build_shannon_tree(1, 1), "1")
         assert block[1, 1] == pytest.approx(1e-160, rel=1e-15)
         assert block[0, 0] == block[0, 1] == block[1, 0] == 0.0
 

@@ -197,7 +197,6 @@ class TestTreeAxioms:
         (w.build_shannon_tree(3, 2), ["0"]),
     ], ids=["beyond-max-depth", "not-binary", "pair-on-1d", "single-on-2d", "unhashable-list"])
     def test_word_the_tree_lacks_is_unknown(self, tree, word, rng):
-        assert not tree.has_node(word)
         r = random_gram(rng, tree.ambient_dim)
         x = rng.standard_normal(tree.ambient_dim)
         calls = [tree.basis, tree.subspace_dim, lambda wd: w.projection(tree, wd),
@@ -205,7 +204,7 @@ class TestTreeAxioms:
                  lambda wd: w.vector_weight(r, tree, x, wd),
                  lambda wd: w.extract_sequence(r, tree, [tree.root, wd])]
         for call in calls:
-            with pytest.raises(w.ConfigError, match="no node|not in tree"):
+            with pytest.raises(w.ConfigError, match="no node"):
                 call(word)
 
     @pytest.mark.parametrize("tree", all_test_trees() + corrupted_trees(), ids=tree_id)
